@@ -7,14 +7,19 @@ policy is the unique solution of the linear fixed-point equation
 
 where P is the state-action kernel and (mu * tau)(s,a) = mu(s) tau(a|s).
 For gamma = 1 it is the unique stationary distribution of P, provided the
-stationary eigenspace is one-dimensional.  Everything here is dense linear
-algebra at desk scale: LU solves, no iterative methods.
+stationary eigenspace is one-dimensional.
+
+Every solver goes through one batched S x S core, `_solve`: eta = rho * tau
+with (I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, and values
+solve (I - gamma p) v = r_tau.  Only the certificates and the on-demand
+`GradientBundle.jacobian` use P.  Dense LU solves, no iterative methods.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,16 +53,50 @@ class GradientBundle:
     """Reward gradient over observation-policy coordinates plus the frequency Jacobian.
 
     grad[o,a] is the partial derivative of R in the ambient coordinate
-    pi(a|o).  jacobian[:, (s,a)] is the derivative of the flattened eta with
-    respect to the state-policy coordinate tau(a|s).
+    pi(a|o).  jacobian[:, (s,a)], the derivative of the flattened eta in the
+    state-policy coordinate tau(a|s), needs an SA x SA solve: built on first access.
     """
 
-    grad: np.ndarray      # (O, A)
-    jacobian: np.ndarray  # (S*A, S*A)
+    grad: np.ndarray  # (O, A)
+    model: PomdpModel = field(repr=False, compare=False)
+    tau: np.ndarray = field(repr=False, compare=False)  # (S, A)
+    rho: np.ndarray = field(repr=False, compare=False)  # (S,)
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """(S*A, S*A): column (s,a) is rho(s) (I - gamma P^T)^{-1} e_{(s,a)}."""
+        big, _ = kernels_for_tau(self.model.alpha, self.tau)
+        n = big.shape[0]
+        inverse = np.linalg.solve(np.eye(n) - self.model.gamma * big.T, np.eye(n))
+        return inverse * np.repeat(self.rho, self.tau.shape[1])[None, :]
 
 
 # --------------------------------------------------------------------------
 # solvers
+
+
+def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
+    """The solver core: conditionals taus (N, S, A) -> (rho, v, q).
+
+    rho (N, S) solves (I - gamma p^T) rho = (1 - gamma) mu, or at gamma = 1
+    is the stationary distribution of p; eta = rho[..., None] * taus, also
+    off the simplex.  With values (gamma < 1), v (N, S) solves
+    (I - gamma p) v = r_tau and q = reward + gamma alpha v; else both None.
+    """
+    gamma = model.gamma
+    small = (taus[:, :, None, :] @ model.alpha)[:, :, 0, :]  # p[n, s, t]
+    eye = np.eye(model.n_states)
+    if gamma < 1.0:
+        rhs = np.repeat(((1.0 - gamma) * model.mu)[None, :, None], len(taus), axis=0)
+        rho = np.linalg.solve(eye - gamma * small.transpose(0, 2, 1), rhs)[..., 0]
+    else:
+        rho = np.stack([_stationary_distribution(p) for p in small])
+    if not values:
+        return rho, None, None
+    r_tau = np.einsum("nsa,sa->ns", taus, model.reward)
+    v = np.linalg.solve(eye - gamma * small, r_tau[..., None])[..., 0]
+    q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
+    return rho, v, q
 
 
 def eta_for_tau(model: PomdpModel, tau: np.ndarray) -> np.ndarray:
@@ -65,27 +104,36 @@ def eta_for_tau(model: PomdpModel, tau: np.ndarray) -> np.ndarray:
 
     No validation of tau: used internally for finite differences and grids.
     """
-    ns, na = model.n_states, model.n_actions
-    big, _ = kernels_for_tau(model.alpha, tau)
-    source = (model.mu[:, None] * tau).reshape(-1)
-    if model.gamma < 1.0:
-        mat = np.eye(ns * na) - model.gamma * big.T
-        eta = np.linalg.solve(mat, (1.0 - model.gamma) * source)
-    else:
-        eta = _stationary_distribution(big)
-    return eta.reshape(ns, na)
+    rho, _, _ = _solve(model, tau[None])
+    return rho[0][:, None] * tau
 
 
-def _stationary_distribution(big: np.ndarray) -> np.ndarray:
+def batch_eta(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """Frequencies for a batch of conditionals (gamma < 1): taus (N, S, A) -> (N, S, A)."""
+    if model.gamma >= 1.0:
+        raise ValueError("batch_eta requires gamma < 1")
+    rho, _, _ = _solve(model, taus)
+    return rho[..., None] * taus
+
+
+def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """Normalized rewards for a batch of conditionals (gamma < 1): taus (N, S, A) -> (N,)."""
+    if model.gamma >= 1.0:
+        raise ValueError("batch_rewards requires gamma < 1")
+    rho, _, _ = _solve(model, taus)
+    return np.einsum("ns,nsa,sa->n", rho, taus, model.reward)
+
+
+def _stationary_distribution(kernel: np.ndarray) -> np.ndarray:
     """The unique stationary distribution of a row-stochastic matrix, or ErgodicityError."""
-    n = big.shape[0]
-    mat = big.T - np.eye(n)
+    n = kernel.shape[0]
+    mat = kernel.T - np.eye(n)
     sing = np.linalg.svd(mat, compute_uv=False)
     dim = int(np.sum(sing < ERGODICITY_TOL))
     if dim != 1:
         raise ErgodicityError(
             f"stationary distribution is not unique: {dim} singular values of "
-            f"(P^T - I) lie below {ERGODICITY_TOL}")
+            f"(kernel^T - I) lie below {ERGODICITY_TOL}")
     bordered = np.vstack([mat, np.ones((1, n))])
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
@@ -99,10 +147,12 @@ def state_action_frequency(model: PomdpModel, pi: Policy) -> Frequency:
     For gamma < 1 this solves the linear system directly; for gamma = 1 it
     returns the unique stationary distribution of the state-action kernel
     (raising ErgodicityError if the stationary eigenspace has dimension != 1).
-    The fixed-point residual of the result is checked against 1e-10.
+    The mass is reset to the known 1 (near gamma = 1 the solve is off by
+    ~eps/(1-gamma)) before the fixed-point residual is checked against 1e-10.
     """
     tau = state_conditionals(model, pi)
     eta = eta_for_tau(model, tau)
+    eta /= eta.sum()
     residual = fixed_point_residual(model, tau, eta)
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(
@@ -199,18 +249,11 @@ def value_bundle(model: PomdpModel, pi: Policy, normalized: bool = True) -> Valu
     the prefactor from V and R (the plain expected discounted sum); Q never
     carries it.  For gamma = 1 returns the mean reward with V = Q = None.
     """
-    tau = state_conditionals(model, pi)
     if model.gamma == 1.0:
-        eta = eta_for_tau(model, tau)
-        return ValueBundle(V=None, Q=None, R=float(np.sum(model.reward * eta)))
-    big, _ = kernels_for_tau(model.alpha, tau)
-    ns, na = model.n_states, model.n_actions
-    q = np.linalg.solve(np.eye(ns * na) - model.gamma * big,
-                        model.reward.reshape(-1)).reshape(ns, na)
-    v = np.sum(tau * q, axis=1)
-    if normalized:
-        v = (1.0 - model.gamma) * v
-    return ValueBundle(V=v, Q=q, R=float(model.mu @ v))
+        return ValueBundle(V=None, Q=None, R=reward_of(model, pi))
+    _, v, q = _solve(model, state_conditionals(model, pi)[None], values=True)
+    v = v[0] * ((1.0 - model.gamma) if normalized else 1.0)
+    return ValueBundle(V=v, Q=q[0], R=float(model.mu @ v))
 
 
 def policy_gradient(model: PomdpModel, pi: Policy) -> GradientBundle:
@@ -218,24 +261,17 @@ def policy_gradient(model: PomdpModel, pi: Policy) -> GradientBundle:
 
     grad[o,a] = sum_s rho(s) beta(o|s) Q(s,a), which is the partial
     derivative of R = <reward, eta> with respect to pi(a|o) holding the other
-    coordinates fixed.  The Jacobian column for the state-policy coordinate
-    tau(a|s) is rho(s) (I - gamma P^T)^{-1} e_{(s,a)}.
+    coordinates fixed.  It takes two S x S solves; the Jacobian is built on
+    first access.
     """
     if model.gamma >= 1.0:
         raise ValueError("policy_gradient requires gamma < 1")
     if pi.kind != "observation":
         raise ValueError(f"policy_gradient needs an observation policy, got kind {pi.kind!r}")
     tau = state_conditionals(model, pi)
-    ns, na = model.n_states, model.n_actions
-    big, _ = kernels_for_tau(model.alpha, tau)
-    eta = eta_for_tau(model, tau)
-    rho = eta.sum(axis=1)
-    q = np.linalg.solve(np.eye(ns * na) - model.gamma * big,
-                        model.reward.reshape(-1)).reshape(ns, na)
-    grad = (model.beta * rho[:, None]).T @ q
-    inverse = np.linalg.solve(np.eye(ns * na) - model.gamma * big.T, np.eye(ns * na))
-    jacobian = inverse * np.repeat(rho, na)[None, :]
-    return GradientBundle(grad=grad, jacobian=jacobian)
+    rho, _, q = _solve(model, tau[None], values=True)
+    grad = (model.beta * rho[0][:, None]).T @ q[0]
+    return GradientBundle(grad=grad, model=model, tau=tau, rho=rho[0])
 
 
 def conditioning_inverse(model: PomdpModel, freq: Frequency,
@@ -254,43 +290,6 @@ def conditioning_inverse(model: PomdpModel, freq: Frequency,
     matrix[visited] = eta[visited] / rho[visited, None]
     flagged = tuple(int(i) for i in np.nonzero(~visited)[0])
     return Policy("state", matrix), flagged
-
-
-# --------------------------------------------------------------------------
-# batched evaluation (grids, scans, Monte Carlo style sweeps)
-
-
-def batch_eta(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
-    """Frequencies for a batch of conditionals: taus (N, S, A) -> etas (N, S, A).
-
-    gamma < 1 only (stacked LU solves).
-    """
-    if model.gamma >= 1.0:
-        raise ValueError("batch_eta requires gamma < 1")
-    n, ns, na = taus.shape
-    flat = model.alpha.reshape(ns * na, ns)
-    big = (flat[None, :, :, None] * taus[:, None, :, :]).reshape(n, ns * na, ns * na)
-    mats = np.eye(ns * na)[None] - model.gamma * np.swapaxes(big, 1, 2)
-    sources = (model.mu[None, :, None] * taus).reshape(n, ns * na, 1)
-    etas = np.linalg.solve(mats, (1.0 - model.gamma) * sources)
-    return etas.reshape(n, ns, na)
-
-
-def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
-    """Normalized rewards for a batch of conditionals taus (N, S, A) -> (N,).
-
-    Solves the S x S marginal system per point (cheaper than the full
-    state-action system).  gamma < 1 only.
-    """
-    if model.gamma >= 1.0:
-        raise ValueError("batch_rewards requires gamma < 1")
-    n, ns, _ = taus.shape
-    small = np.einsum("nsa,sat->nst", taus, model.alpha)
-    mats = np.eye(ns)[None] - model.gamma * np.swapaxes(small, 1, 2)
-    rhs = np.broadcast_to((1.0 - model.gamma) * model.mu, (n, ns))[..., None]
-    rho = np.linalg.solve(mats, rhs)[..., 0]
-    r_tau = np.einsum("nsa,sa->ns", taus, model.reward)
-    return np.einsum("ns,ns->n", rho, r_tau)
 
 
 def reward_of(model: PomdpModel, pi: Policy) -> float:

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 from pomdp_geometry import fixtures
 from pomdp_geometry.freq import (
     ErgodicityError,
+    _solve,
+    _stationary_distribution,
     batch_eta,
     batch_rewards,
     conditioning_inverse,
@@ -21,7 +23,7 @@ from pomdp_geometry.freq import (
     truncation_length,
     value_bundle,
 )
-from pomdp_geometry.model import Policy, state_conditionals
+from pomdp_geometry.model import Policy, kernels_for_tau, state_conditionals
 
 
 def always_first_action(model):
@@ -160,6 +162,22 @@ def test_gamma_one_cesaro_oracle():
     assert np.max(np.abs(series.eta - exact.eta)) < 1e-5
 
 
+@pytest.mark.parametrize("gamma", [1.0 - 1e-6, 1.0 - 1e-7])
+def test_near_one_discount_is_certified_and_continuous(gamma):
+    # Near gamma = 1 the solve's total mass is off by ~eps/(1-gamma), beyond
+    # FREQ_SUM_TOL; the result must still be a certified frequency that
+    # tends to the gamma = 1 one linearly in 1 - gamma.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m = fixtures.random_model(rng, 4, 3, 2, 1.0)
+        pi = Policy("observation", rng.dirichlet(np.ones(2), size=3))
+        limit = state_action_frequency(m, pi)
+        near = m.replace(gamma=gamma)
+        f = state_action_frequency(near, pi)
+        assert fixed_point_residual(near, state_conditionals(near, pi), f.eta) <= 1e-10
+        assert np.max(np.abs(f.eta - limit.eta)) <= 20 * (1.0 - gamma)
+
+
 def test_gamma_continuity_towards_one():
     # the discounted frequency converges to the stationary one as gamma -> 1
     m = fixtures.three_state_model()
@@ -290,3 +308,100 @@ def test_reward_of_agrees_with_value_bundle():
     m = fixtures.three_state_model()
     pi = Policy.uniform(3, 2)
     assert reward_of(m, pi) == pytest.approx(value_bundle(m, pi).R, abs=1e-10)
+
+
+# --------------------------------------------------------------------------
+# the S x S core against the (S*A) x (S*A) state-action equations
+
+
+def state_action_reference(m, tau):
+    """eta, V, Q, R, grad, jacobian from explicit (S*A) x (S*A) solves."""
+    ns, na = tau.shape
+    big, _ = kernels_for_tau(m.alpha, tau)
+    eye = np.eye(ns * na)
+    source = (1.0 - m.gamma) * (m.mu[:, None] * tau).reshape(-1)
+    eta = np.linalg.solve(eye - m.gamma * big.T, source).reshape(ns, na)
+    q = np.linalg.solve(eye - m.gamma * big, m.reward.reshape(-1)).reshape(ns, na)
+    v = (1.0 - m.gamma) * np.sum(tau * q, axis=1)
+    rho = eta.sum(axis=1)
+    grad = (m.beta * rho[:, None]).T @ q
+    jacobian = np.linalg.inv(eye - m.gamma * big.T) * np.repeat(rho, na)[None, :]
+    return eta, v, q, float(m.mu @ v), grad, jacobian
+
+
+def test_core_matches_state_action_equations():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        ns, no, na = rng.integers(2, 6), rng.integers(1, 4), rng.integers(2, 4)
+        m = fixtures.random_model(rng, ns, no, na, float(rng.uniform(0.3, 0.9)))
+        pi = Policy("observation", rng.dirichlet(np.ones(na), size=no))
+        tau = state_conditionals(m, pi)
+        eta, v, q, r, grad, jacobian = state_action_reference(m, tau)
+        vb = value_bundle(m, pi)
+        pg = policy_gradient(m, pi)
+        assert_allclose(state_action_frequency(m, pi).eta, eta, rtol=0, atol=1e-12)
+        assert_allclose(eta_for_tau(m, tau), eta, rtol=0, atol=1e-12)
+        assert_allclose(vb.V, v, rtol=0, atol=1e-12)
+        assert_allclose(vb.Q, q, rtol=0, atol=1e-12)
+        assert vb.R == pytest.approx(r, abs=1e-12)
+        assert_allclose(pg.grad, grad, rtol=0, atol=1e-12)
+        assert_allclose(pg.jacobian, jacobian, rtol=0, atol=1e-12)
+        # off the simplex (finite-difference steps): eta, rewards and values
+        # still agree, since P^T eta(s',a') = tau(a'|s') sum alpha(s'|s,a) eta(s,a)
+        bent = tau + 1e-3 * rng.normal(size=tau.shape)
+        eta, v, q, *_ = state_action_reference(m, bent)
+        assert_allclose(eta_for_tau(m, bent), eta, rtol=0, atol=1e-12)
+        assert_allclose(batch_eta(m, bent[None])[0], eta, rtol=0, atol=1e-12)
+        reward = np.sum(m.reward * eta)
+        assert batch_rewards(m, bent[None])[0] == pytest.approx(reward, abs=1e-12)
+        _, v_core, q_core = _solve(m, bent[None], values=True)
+        assert_allclose(v_core[0], np.sum(bent * q, axis=1), rtol=0, atol=1e-12)
+        assert_allclose(q_core[0], q, rtol=0, atol=1e-12)
+
+
+def test_core_stationary_matches_state_action_kernel():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        m = fixtures.random_model(rng, 4, 2, 3, 1.0)
+        tau = m.beta @ rng.dirichlet(np.ones(3), size=2)
+        big, _ = kernels_for_tau(m.alpha, tau)
+        assert_allclose(eta_for_tau(m, tau), _stationary_distribution(big).reshape(4, 3),
+                        rtol=0, atol=1e-12)
+
+
+def test_core_rejects_two_closed_classes_at_gamma_one():
+    # states {0, 1} and {2, 3} are closed classes, state 4 is transient
+    rng = np.random.default_rng(31)
+    m = fixtures.random_model(rng, 5, 2, 2, 1.0)
+    alpha = np.zeros((5, 2, 5))
+    alpha[:2, :, :2] = rng.dirichlet(np.ones(2), size=(2, 2))
+    alpha[2:4, :, 2:4] = rng.dirichlet(np.ones(2), size=(2, 2))
+    alpha[4] = rng.dirichlet(np.ones(5), size=2)
+    m = m.replace(alpha=alpha)
+    pi = Policy("observation", rng.dirichlet(np.ones(2), size=2))
+    with pytest.raises(ErgodicityError, match="not unique"):
+        state_action_frequency(m, pi)
+    with pytest.raises(ErgodicityError, match="not unique"):
+        value_bundle(m, pi)
+
+
+def test_only_state_sized_solves_until_the_jacobian_is_read(monkeypatch):
+    m = fixtures.random_model(np.random.default_rng(37), 5, 3, 3, 0.8)
+    pi = Policy.uniform(3, 3)
+    sizes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        sizes.append(a.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    bundle = policy_gradient(m, pi)
+    assert bundle.grad.shape == (3, 3)
+    value_bundle(m, pi)
+    state_action_frequency(m, pi)
+    assert sizes and set(sizes) == {m.n_states}
+    jacobian = bundle.jacobian
+    assert sizes[-1] == m.n_states * m.n_actions
+    assert bundle.jacobian is jacobian  # built once
+    assert sizes.count(m.n_states * m.n_actions) == 1
