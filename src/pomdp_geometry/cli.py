@@ -37,7 +37,6 @@ from .model import (
     load_model_text,
     validate,
 )
-from .rational import DegreeFitError
 
 
 class CliInputError(ValueError):
@@ -54,16 +53,9 @@ INPUT_ERRORS = (
     json.JSONDecodeError,
 )
 
-COMPUTE_ERRORS = (
-    geom.RankError,
-    geom.SizeCapError,
-    geom.CertificationError,
-    ErgodicityError,
-    DegreeFitError,
-    np.linalg.LinAlgError,
-    ArithmeticError,
-    ValueError,
-)
+# the typed errors (RankError, SizeCapError, CertificationError,
+# DegreeFitError, LinAlgError) subclass ArithmeticError or ValueError
+COMPUTE_ERRORS = (ErgodicityError, ArithmeticError, ValueError)
 
 
 # ---------------------------------------------------------------------------

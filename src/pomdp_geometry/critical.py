@@ -3,10 +3,12 @@
 Partial observability can create several smooth local optimizers in the
 interior of the policy polytope plus non-smooth ones on its boundary.  This
 module locates and classifies them exactly for single-observation
-two-action controllers (where the policy polytope is an interval and the
-reward is a low-degree rational function), and computes combinatorial upper
-bounds on the number of critical points per face of the policy polytope for
-the general case.
+two-action controllers, and computes combinatorial upper bounds on the
+number of critical points per face of the policy polytope for the general
+case.  A blind controller moves every state at once with p = pi(a1|o).
+The reward is then R(p) = N(p) / D(p) with D(p) = det(I - gamma p_p), and
+N and D are polynomials of degree at most the number of states S, so
+S + 1 samples interpolate them exactly.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as pol
+from numpy.polynomial import Chebyshev, chebyshev
 
-from .freq import batch_rewards, policy_gradient, reward_of
+# reward_of is not used here; it stays bound as critical.reward_of because
+# perfbench/test_smoke.py checks that the tracer wraps that binding site
+from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, pseudoinverse
 from .model import Policy, PomdpModel
-from .rational import fit_rational_curve
 
 SUPPORT_TOL = 1e-12
 
@@ -30,12 +33,13 @@ MERGE_TOL = 1e-8
 # reward ranges below 1e-12 of scale mean the landscape is flat
 DEGENERATE_TOL = 1e-12
 
-# finite-difference step for derivative sign queries during polishing
-FD_STEP = 1e-7
+# trailing Chebyshev coefficients of N'D - ND' below this fraction of the
+# largest are cancellation noise; left in, they send colleague-matrix roots
+# off to infinity
+TRIM_TOL = 1e-13
 
-# offset at which function values classify a polished root
-CLASSIFY_STEP = 1e-4
-CLASSIFY_MARGIN = 1e-10
+# guarded Newton steps polishing each root of N'D - ND'
+NEWTON_STEPS = 8
 
 # one-sided slope threshold for boundary classification, relative to scale
 BOUNDARY_SLOPE_TOL = 1e-7
@@ -83,34 +87,45 @@ class CriticalSet:
         }
 
 
-def _blind_reward_function(model: PomdpModel):
-    """Reward as a function of p = probability of the first action."""
-
-    def f(p: float) -> float:
-        matrix = np.array([[p, 1.0 - p]])
-        return reward_of(model, Policy("observation", matrix))
-
-    return f
-
-
-def _blind_grid_rewards(model: PomdpModel, ps: np.ndarray) -> np.ndarray:
-    pis = np.stack([ps, 1.0 - ps], axis=1)[:, None, :]  # (N, 1, 2)
-    taus = np.einsum("so,noa->nsa", model.beta, pis)
+def _blind_rewards(model: PomdpModel, ps: np.ndarray) -> np.ndarray:
+    """Rewards of the blind policies tau(.|s) = (p, 1 - p) for a batch of p."""
+    taus = np.empty((len(ps), model.n_states, 2))
+    taus[:, :, 0] = ps[:, None]
+    taus[:, :, 1] = 1.0 - ps[:, None]
     return batch_rewards(model, taus)
+
+
+def _blind_numerator_denominator(model: PomdpModel) -> tuple[Chebyshev, Chebyshev]:
+    """N and D of R = N / D as exact Chebyshev interpolants on [0, 1].
+
+    D(p) = det(I - gamma p_p) and N = R D both have degree at most S, so
+    S + 1 Chebyshev nodes determine them.
+    """
+
+    def values(x: np.ndarray) -> np.ndarray:
+        ps = 0.5 * (x + 1.0)
+        kernels = (ps[:, None, None] * model.alpha[:, 0, :]
+                   + (1.0 - ps)[:, None, None] * model.alpha[:, 1, :])
+        dets = np.linalg.det(np.eye(model.n_states) - model.gamma * kernels)
+        return np.stack([_blind_rewards(model, ps) * dets, dets], axis=1)
+
+    coef = chebyshev.chebinterpolate(values, model.n_states)
+    return Chebyshev(coef[:, 0], domain=[0, 1]), Chebyshev(coef[:, 1], domain=[0, 1])
 
 
 def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     """Locate all critical points of a blind two-action reward curve.
 
-    The reward is a rational function of degree at most the number of
-    states; its derivative numerator is expanded from a fitted rational
-    curve and solved by companion matrix, then every candidate root is
-    polished by bisecting the finite-difference derivative and classified
-    by comparing nearby function values.  A dense grid cross-validates the
-    result: every sign change of the grid increments must lie within two
-    cells of a reported extremum and vice versa, otherwise an
-    :class:`ArithmeticError` is raised rather than returning a suspect
-    answer.
+    The reward is R = N / D with N and D polynomials of degree at most the
+    number of states, interpolated exactly at Chebyshev nodes.  The
+    critical points are the real roots in (0, 1) of g = N'D - ND' (D > 0
+    for gamma < 1), found by colleague matrix, polished by guarded Newton
+    on g and classified by the sign of g', which is that of R''.  The
+    endpoints are classified by the exact one-sided slopes R' = g / D^2.
+    A dense grid cross-validates the result: every sign change of the grid
+    increments must lie within two cells of a reported extremum and vice
+    versa, otherwise an :class:`ArithmeticError` is raised rather than
+    returning a suspect answer.
     """
     if model.n_observations != 1 or model.n_actions != 2:
         raise ValueError(
@@ -122,9 +137,8 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     if grid < 100:
         raise ValueError("grid must have at least 100 cells")
 
-    f = _blind_reward_function(model)
     ps = np.linspace(0.0, 1.0, grid + 1)
-    rewards = _blind_grid_rewards(model, ps)
+    rewards = _blind_rewards(model, ps)
     scale = max(1.0, float(np.max(np.abs(rewards))))
     spread = float(np.max(rewards) - np.min(rewards))
     if spread <= DEGENERATE_TOL * scale:
@@ -135,86 +149,47 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             duplicates_merged=False,
         )
 
-    curve = fit_rational_curve(f, max_degree=model.n_states)
-    dnum = curve.derivative_numerator()
-    # trailing coefficients that are pure cancellation noise would poison
-    # the companion matrix, pushing genuine roots off to infinity
-    tiny = 1e-12 * max(float(np.max(np.abs(dnum))), 1e-300)
-    while len(dnum) > 1 and abs(dnum[-1]) <= tiny:
-        dnum = dnum[:-1]
-    candidates = []
-    if len(dnum) > 1:
-        for root in pol.polyroots(dnum):
-            if abs(root.imag) <= 1e-8 and 1e-10 < root.real < 1.0 - 1e-10:
-                candidates.append(float(root.real))
+    num, den = _blind_numerator_denominator(model)
+    g = num.deriv() * den - num * den.deriv()
+    g = g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
+    dg = g.deriv()
+    candidates = g.roots()
+    x = np.sort(candidates[np.isreal(candidates)].real)
+    x = x[(x > 0.0) & (x < 1.0)]
+    for _ in range(NEWTON_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            trial = x - g(x) / dg(x)
+        # a step is taken only if it stays inside (0, 1) and shrinks |g|
+        inside = np.isfinite(trial) & (trial > 0.0) & (trial < 1.0)
+        trial = np.where(inside, trial, x)
+        x = np.where(np.abs(g(trial)) < np.abs(g(x)), trial, x)
 
-    def fd_slope(x: float) -> float:
-        lo = max(0.0, x - FD_STEP)
-        hi = min(1.0, x + FD_STEP)
-        return (f(hi) - f(lo)) / (hi - lo)
-
-    polished = []
-    for x0 in sorted(candidates):
-        x = _polish_root(fd_slope, x0, scale)
-        if x is not None:
-            polished.append(x)
-
-    merged, duplicates_merged = _merge_close(polished, MERGE_TOL)
-
-    roots = []
-    margin = CLASSIFY_MARGIN * scale
-    for x in merged:
-        lo = max(0.0, x - CLASSIFY_STEP)
-        hi = min(1.0, x + CLASSIFY_STEP)
-        f_lo, f_mid, f_hi = f(lo), f(x), f(hi)
-        if f_mid >= max(f_lo, f_hi) + margin:
-            kind = "max"
-        elif f_mid <= min(f_lo, f_hi) - margin:
-            kind = "min"
-        else:
-            kind = "saddle/flat"
-        roots.append((x, kind))
+    merged, duplicates_merged = _merge_close(list(x), MERGE_TOL)
+    # at a root of g, R'' = g' / D^2 with D > 0
+    curvatures = dg(np.array(merged))
+    roots = [(p, "max" if bend < 0 else "min" if bend > 0 else "saddle/flat")
+             for p, bend in zip(merged, curvatures)]
 
     _cross_validate(ps, rewards, roots, scale, grid)
 
-    boundary = _classify_boundary(f, scale)
+    thr = BOUNDARY_SLOPE_TOL * scale
+    ends = np.array([0.0, 1.0])
+    slope0, slope1 = g(ends) / den(ends) ** 2
     return CriticalSet(
         interior_roots=tuple(roots),
-        boundary=boundary,
+        boundary={0.0: _boundary_class(-slope0, thr), 1.0: _boundary_class(slope1, thr)},
         degenerate=False,
         duplicates_merged=duplicates_merged,
     )
 
 
-def _polish_root(slope, x0: float, scale: float) -> float | None:
-    """Bisect the finite-difference slope around x0 down to width 1e-12.
-
-    When no sign change brackets the candidate, it is kept only if the
-    slope there is numerically zero (a flat critical point); otherwise it
-    is a spurious root of the fitted numerator and dropped.
-    """
-    for width in (1e-5, 1e-4, 1e-3):
-        a = max(1e-9, x0 - width)
-        b = min(1.0 - 1e-9, x0 + width)
-        sa, sb = slope(a), slope(b)
-        if sa == 0.0:
-            return a
-        if sb == 0.0:
-            return b
-        if np.sign(sa) != np.sign(sb):
-            while b - a > 1e-12:
-                mid = 0.5 * (a + b)
-                sm = slope(mid)
-                if sm == 0.0:
-                    return mid
-                if np.sign(sm) == np.sign(sa):
-                    a, sa = mid, sm
-                else:
-                    b = mid
-            return 0.5 * (a + b)
-    if abs(slope(x0)) <= 1e-9 * scale:
-        return x0
-    return None
+def _boundary_class(outward_slope: float, thr: float) -> str:
+    """Class of an endpoint from the slope pointing out of [0, 1] there."""
+    if outward_slope > thr:
+        return BOUNDARY_MAX
+    if outward_slope < -thr:
+        return BOUNDARY_MIN
+    return BOUNDARY_NEITHER
 
 
 def _merge_close(points: list[float], tol: float) -> tuple[list[float], bool]:
@@ -235,51 +210,30 @@ def _cross_validate(ps, rewards, roots, scale, grid):
     """Require agreement between reported extrema and grid sign changes."""
     diffs = np.diff(rewards)
     signs = np.sign(np.where(np.abs(diffs) <= 1e-13 * scale, 0.0, diffs))
-    changes = []
-    last_sign, last_idx = 0.0, -1
-    for i, s in enumerate(signs):
-        if s == 0.0:
-            continue
-        if last_sign != 0.0 and s != last_sign:
-            changes.append(0.5 * (ps[last_idx + 1] + ps[i]))
-        last_sign, last_idx = s, i
-    cell = 1.0 / grid
-    window = 2.0 * cell + 1e-12
+    cells = np.flatnonzero(signs)
+    flips = np.flatnonzero(signs[cells[1:]] != signs[cells[:-1]])
+    # midpoint between the last cell of one sign and the first of the next
+    changes = 0.5 * (ps[cells[flips] + 1] + ps[cells[flips + 1]])
+    window = 2.0 / grid + 1e-12
 
-    extrema = [p for p, kind in roots if kind in ("max", "min")]
-    for p in extrema:
-        if not any(abs(p - c) <= window for c in changes):
-            raise ArithmeticError(
-                f"reported extremum at p={p:.12g} has no matching sign "
-                "change of the grid increments within two cells"
-            )
-    reported = [p for p, _ in roots]
-    for c in changes:
-        if not any(abs(p - c) <= window for p in reported):
-            raise ArithmeticError(
-                f"grid increments change sign near p={c:.6g} but no "
-                "critical point was reported there"
-            )
+    extrema = np.array([p for p, kind in roots if kind in ("max", "min")])
+    unmatched = extrema[~_near(extrema, changes, window)]
+    if unmatched.size:
+        raise ArithmeticError(
+            f"reported extremum at p={unmatched[0]:.12g} has no matching sign "
+            "change of the grid increments within two cells"
+        )
+    unreported = changes[~_near(changes, np.array([p for p, _ in roots]), window)]
+    if unreported.size:
+        raise ArithmeticError(
+            f"grid increments change sign near p={unreported[0]:.6g} but no "
+            "critical point was reported there"
+        )
 
 
-def _classify_boundary(f, scale: float) -> dict[float, str]:
-    h = 1e-6
-    thr = BOUNDARY_SLOPE_TOL * scale
-    slope0 = (f(h) - f(0.0)) / h
-    slope1 = (f(1.0) - f(1.0 - h)) / h
-    if slope0 < -thr:
-        at0 = BOUNDARY_MAX
-    elif slope0 > thr:
-        at0 = BOUNDARY_MIN
-    else:
-        at0 = BOUNDARY_NEITHER
-    if slope1 > thr:
-        at1 = BOUNDARY_MAX
-    elif slope1 < -thr:
-        at1 = BOUNDARY_MIN
-    else:
-        at1 = BOUNDARY_NEITHER
-    return {0.0: at0, 1.0: at1}
+def _near(points: np.ndarray, targets: np.ndarray, window: float) -> np.ndarray:
+    """For each point, whether some target lies within the window."""
+    return (np.abs(points[:, None] - targets[None, :]) <= window).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +408,14 @@ def _axis_indices(model: PomdpModel, axes) -> list[tuple[int, int]]:
     return out
 
 
-def _pinned_row(base_row: np.ndarray, a_idx: int, value: float) -> np.ndarray:
-    """Set one entry of a policy row and rescale the rest to fill 1 - value."""
-    row = np.zeros_like(base_row)
-    row[a_idx] = value
+def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray) -> np.ndarray:
+    """Policy rows with entry a_idx set to each value and the rest rescaled to fill 1 - value."""
     rest = np.delete(base_row, a_idx)
     total = rest.sum()
-    others = [i for i in range(base_row.size) if i != a_idx]
     if total <= 1e-15:
-        row[others] = (1.0 - value) / len(others)
-    else:
-        row[others] = (1.0 - value) * rest / total
-    return row
+        rest, total = np.ones_like(rest), rest.size
+    others = ((1.0 - values)[:, None] * rest) / total
+    return np.insert(others, a_idx, values, axis=1)
 
 
 def landscape_scan(
@@ -503,8 +453,7 @@ def landscape_scan(
 
     pis = np.broadcast_to(base_policy.matrix, (n,) + base_policy.matrix.shape).copy()
     for axis, (o_idx, a_idx) in enumerate(pairs):
-        for i in range(n):
-            pis[i, o_idx] = _pinned_row(base_policy.matrix[o_idx], a_idx, coords[i, axis])
+        pis[:, o_idx] = _pinned_rows(base_policy.matrix[o_idx], a_idx, coords[:, axis])
     taus = np.einsum("so,noa->nsa", model.beta, pis)
     rewards = batch_rewards(model, taus)
     labels = tuple(

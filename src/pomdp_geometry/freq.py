@@ -163,14 +163,16 @@ def state_action_frequency(model: PomdpModel, pi: Policy) -> Frequency:
 
 
 def fixed_point_residual(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) -> float:
-    """Max-norm defect of eta in the stationarity equation for conditionals tau."""
-    big, _ = kernels_for_tau(model.alpha, tau)
-    flat = np.asarray(eta, dtype=float).reshape(-1)
+    """Max-norm defect of eta in the stationarity equation for conditionals tau.
+
+    P^T eta is formed as tau(b|t) sum_{s,a} alpha(t|s,a) eta(s,a), without building P.
+    """
+    eta = np.asarray(eta, dtype=float).reshape(tau.shape)
+    pushed = tau * np.einsum("sa,sat->t", eta, model.alpha)[:, None]
     if model.gamma < 1.0:
-        source = (model.mu[:, None] * tau).reshape(-1)
-        defect = flat - model.gamma * (big.T @ flat) - (1.0 - model.gamma) * source
+        defect = eta - model.gamma * pushed - (1.0 - model.gamma) * (model.mu[:, None] * tau)
     else:
-        defect = flat - big.T @ flat
+        defect = eta - pushed
     return float(np.max(np.abs(defect)))
 
 

@@ -20,7 +20,7 @@ from pomdp_geometry.critical import (
 )
 from pomdp_geometry.freq import reward_of
 from pomdp_geometry.geometry import RankError
-from pomdp_geometry.model import Policy
+from pomdp_geometry.model import Policy, PomdpModel
 from pomdp_geometry.rational import best_deterministic
 
 MAX = "strict local max"
@@ -114,6 +114,98 @@ def test_blind_landscape_matches_exact_rational_oracle(gamma, start):
                     atol=1e-9)
     assert cs.kinds() == tuple(kind for _, kind in roots)
     assert (cs.boundary[0.0], cs.boundary[1.0]) == boundary
+
+
+def _mp_blind_landscape(model, digits=50):
+    """Interior critical points and endpoint classes of a blind two-action
+    reward curve in mpmath at the given precision.
+
+    D(p) = det(I - gamma P_p) and N(p) = R(p) D(p) are polynomials of
+    degree at most S, so their values at S + 1 points fix them; the
+    critical points are the real roots in (0, 1) of g = N'D - ND', and
+    since D > 0 the sign of g' is that of R'' and g(0), g(1) carry the
+    signs of the end slopes.
+    """
+    mp = pytest.importorskip("mpmath")
+    ns = model.n_states
+    with mp.workdps(digits):
+        gamma = mp.mpf(model.gamma)
+        alpha = [mp.matrix(model.alpha[:, a, :].tolist()) for a in range(2)]
+        reward = [mp.matrix(model.reward[:, a].tolist()) for a in range(2)]
+        mu = mp.matrix(model.mu.tolist())
+
+        def numerator_denominator(p):
+            system = mp.eye(ns) - gamma * (p * alpha[0] + (1 - p) * alpha[1])
+            value = mp.lu_solve(system, p * reward[0] + (1 - p) * reward[1])
+            det = mp.det(system)
+            return (1 - gamma) * (mu.T * value)[0] * det, det
+
+        nodes = [mp.mpf(k) / ns for k in range(ns + 1)]
+        vander = mp.matrix([[x**j for j in range(ns + 1)] for x in nodes])
+        values = [numerator_denominator(x) for x in nodes]
+        num = mp.lu_solve(vander, mp.matrix([n for n, _ in values]))
+        den = mp.lu_solve(vander, mp.matrix([d for _, d in values]))
+        g = [mp.mpf(0)] * (2 * ns)  # ascending coefficients
+        for i in range(ns + 1):
+            for j in range(ns + 1):
+                if i + j > 0:
+                    g[i + j - 1] += (i - j) * num[i] * den[j]
+        while len(g) > 1 and g[-1] == 0:
+            g.pop()
+        dg = [k * g[k] for k in range(1, len(g))]
+        roots = []
+        for z in mp.polyroots(g[::-1], maxsteps=200, extraprec=2 * digits):
+            x = mp.re(z)
+            if abs(mp.im(z)) < mp.mpf(10) ** (-digits // 2) and 0 < x < 1:
+                bend = mp.polyval(dg[::-1], x)
+                roots.append((float(x), "min" if bend > 0 else "max"))
+        s0, s1 = mp.polyval(g[::-1], 0), mp.polyval(g[::-1], 1)
+    return sorted(roots), (MAX if s0 < 0 else MIN, MAX if s1 > 0 else MIN)
+
+
+def test_blind_roots_match_mpmath_reference():
+    rng = np.random.default_rng(59)
+    n_roots = 0
+    for i in range(120):
+        m = fixtures.random_model(rng, 2 + i % 3, 1, 2, float(rng.uniform(0.3, 0.95)))
+        roots, boundary = _mp_blind_landscape(m)
+        cs = blind_critical_points(m)
+        assert_allclose([x for x, _ in cs.interior_roots], [x for x, _ in roots],
+                        atol=1e-9, rtol=0)
+        assert cs.kinds() == tuple(kind for _, kind in roots)
+        assert (cs.boundary[0.0], cs.boundary[1.0]) == boundary
+        n_roots += len(roots)
+    assert n_roots >= 25
+
+
+def test_blind_shallow_minimum_is_strict():
+    # R'' is about 0.015 at the minimum, so R rises by less than 1e-10
+    # within 1e-4 of it; the minimum is still strict
+    alpha = np.array([
+        [[0.061988575475435445, 0.22116024475537982, 0.35404690143628226, 0.3628042783329025],
+         [0.3420131521402391, 0.23054560117214062, 0.23466973791993934, 0.19277150876768082]],
+        [[0.45406021653210304, 0.10567094689620588, 0.23231058850683836, 0.20795824806485272],
+         [0.00995812996159559, 0.6587661906795529, 0.07704237578122178, 0.25423330357762963]],
+        [[0.09849210709469239, 0.4145343586495225, 0.08106364871307163, 0.40590988554271357],
+         [0.1517382300550668, 0.3686658040570995, 0.2028015773713988, 0.2767943885164349]],
+        [[0.09466763410061509, 0.7196900742767464, 0.033245437055115755, 0.15239685456752255],
+         [0.2852055484747322, 0.22698618553054858, 0.3363994430502855, 0.15140882294443372]],
+    ])
+    reward = np.array([
+        [0.7729299490626244, -0.5782980546480669],
+        [1.2901694540086888, 0.8027230567292316],
+        [-0.5935561558895301, -0.35205825229529986],
+        [-0.401609191355832, 0.22359659342864843],
+    ])
+    mu = np.array([0.03013895682221909, 0.14578099273146908, 0.33074635637482486,
+                   0.49333369407148703])
+    m = PomdpModel(("s1", "s2", "s3", "s4"), ("o1",), ("a1", "a2"), alpha,
+                   np.ones((4, 1)), reward, 0.44389223877470124, mu)
+    cs = blind_critical_points(m)
+    assert_allclose([x for x, _ in cs.interior_roots], [0.27848657643475627],
+                    atol=1e-9, rtol=0)
+    assert cs.kinds() == ("min",)
+    assert cs.boundary == {0.0: MAX, 1.0: MAX}
 
 
 def test_blind_interior_count_within_state_bound():
@@ -281,6 +373,20 @@ def test_landscape_scan_single_axis_respects_base_policy():
         "observation", np.array([[0.2, 0.8], [0.5, 0.5], [0.4, 0.6]])
     )
     assert scan.rewards[1] == pytest.approx(reward_of(m, mid), abs=1e-12)
+
+
+def test_landscape_scan_rescales_three_action_rows():
+    # the swept row o1 is rescaled in proportion to the base row; row o2
+    # puts all its mass on the swept action, so the rest is filled uniformly
+    m = fixtures.random_model(np.random.default_rng(61), 3, 2, 3, 0.8)
+    base = Policy("observation", np.array([[0.2, 0.5, 0.3], [0.0, 1.0, 0.0]]))
+    scan = landscape_scan(m, [("o1", "a2"), ("o2", "a2")], resolution=5,
+                          base_policy=base)
+    for (x, y), reward in zip(scan.coordinates, scan.rewards):
+        rows = np.array([[0.4 * (1 - x), x, 0.6 * (1 - x)],
+                         [0.5 * (1 - y), y, 0.5 * (1 - y)]])
+        assert reward == pytest.approx(reward_of(m, Policy("observation", rows)),
+                                       abs=1e-12)
 
 
 def test_landscape_scan_csv_round_trip():

@@ -76,6 +76,22 @@ def test_stationarity_residual_is_tiny():
         assert fixed_point_residual(m, tau, f.eta) <= 1e-10
 
 
+@pytest.mark.parametrize("gamma", [0.8, 1.0])
+def test_residual_matches_explicit_kernel_off_the_solution(gamma):
+    # a defect that is not ~0, so a residual that ignored P^T eta would show
+    rng = np.random.default_rng(13)
+    m = fixtures.random_model(rng, 4, 2, 3, gamma)
+    tau = rng.dirichlet(np.ones(3), size=4)
+    eta = rng.dirichlet(np.ones(12)).reshape(4, 3)
+    big, _ = kernels_for_tau(m.alpha, tau)
+    flat = eta.reshape(-1)
+    source = (1.0 - gamma) * (m.mu[:, None] * tau).reshape(-1)
+    expected = np.max(np.abs(flat - gamma * (big.T @ flat) - source))
+    assert expected > 1e-3
+    assert fixed_point_residual(m, tau, eta) == pytest.approx(expected, rel=1e-12)
+    assert fixed_point_residual(m, tau, flat) == pytest.approx(expected, rel=1e-12)
+
+
 def test_marginal_consistency():
     # eta(s,a) = rho(s) tau(a|s) wherever rho(s) is positive
     m = fixtures.three_state_model()
