@@ -99,13 +99,18 @@ def emit_json(obj) -> str:
 # argument helpers
 
 
-def _load_model(path: str, gamma: float | None, mu: str | None) -> PomdpModel:
+def _read_model(path: str, gamma: float | None, mu: str | None) -> PomdpModel:
     with open(path, "r", encoding="utf-8") as fh:
         model = load_model_text(fh.read())
     if gamma is not None:
         model = model.replace(gamma=float(gamma))
     if mu is not None:
         model = model.replace(mu=_parse_mu(mu, model))
+    return model
+
+
+def _load_model(path: str, gamma: float | None, mu: str | None) -> PomdpModel:
+    model = _read_model(path, gamma, mu)
     report = validate(model)
     if not report.ok:
         raise _ValidationFailure(report)
@@ -171,47 +176,26 @@ def _parse_policy(text: str, model: PomdpModel) -> Policy:
                 f"{kind!r}; got {matrix.shape}"
             )
         return Policy(kind, matrix)
-    except CliInputError:
-        raise
-    except FileNotFoundError:
+    except (CliInputError, FileNotFoundError):
         raise
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CliInputError(f"cannot parse policy {text!r}: {exc}") from exc
 
 
-def _parse_axes(text: str, model: PomdpModel) -> list[tuple[str, str]]:
-    axes = []
-    for chunk in text.split(","):
-        parts = chunk.strip().split(":")
-        if len(parts) != 2:
-            raise CliInputError(
-                f"axis {chunk!r} must look like observation:action"
-            )
-        o, a = parts[0].strip(), parts[1].strip()
-        try:
-            model.observation_index(o)
-            model.action_index(a)
-        except KeyError as exc:
-            raise CliInputError(str(exc)) from exc
-        axes.append((o, a))
-    return axes
-
-
-def _parse_active_set(text: str, model: PomdpModel) -> list[tuple[str, str]]:
-    if not text:
-        return []
+def _parse_pairs(text: str, what: str, shape: str, first_index,
+                 second_index) -> list[tuple[str, str]]:
+    """Comma-separated label pairs, each label checked by its model index lookup."""
     pairs = []
     for chunk in text.split(","):
-        parts = chunk.strip().split(":")
+        parts = [part.strip() for part in chunk.strip().split(":")]
         if len(parts) != 2:
-            raise CliInputError(f"active pair {chunk!r} must look like action:observation")
-        a, o = parts[0].strip(), parts[1].strip()
+            raise CliInputError(f"{what} {chunk!r} must look like {shape}")
         try:
-            model.action_index(a)
-            model.observation_index(o)
+            first_index(parts[0])
+            second_index(parts[1])
         except KeyError as exc:
             raise CliInputError(str(exc)) from exc
-        pairs.append((a, o))
+        pairs.append(tuple(parts))
     return pairs
 
 
@@ -229,13 +213,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        model = load_model_text(fh.read())
-    if args.gamma is not None:
-        model = model.replace(gamma=float(args.gamma))
-    if args.mu is not None:
-        model = model.replace(mu=_parse_mu(args.mu, model))
-    report = validate(model)
+    report = validate(_read_model(args.model, args.gamma, args.mu))
     payload = {
         "ok": report.ok,
         "violations": [
@@ -288,7 +266,8 @@ def _cmd_reward(args) -> int:
 
 def _cmd_scan(args) -> int:
     model = _load_model(args.model, args.gamma, args.mu)
-    axes = _parse_axes(args.axes, model)
+    axes = _parse_pairs(args.axes, "axis", "observation:action",
+                        model.observation_index, model.action_index)
     base = _parse_policy(args.policy, model) if args.policy else None
     try:
         grid = crit.landscape_scan(
@@ -371,7 +350,9 @@ def _cmd_bounds(args) -> int:
         return 0
     if args.model is not None:
         model = _load_model(args.model, args.gamma, args.mu)
-        active = _parse_active_set(args.active or "", model)
+        active = (_parse_pairs(args.active, "active pair", "action:observation",
+                               model.action_index, model.observation_index)
+                  if args.active else [])
         inputs = crit.BoundInput.from_model(model, active)
     else:
         if args.states is None or args.actions is None or args.k is None:

@@ -38,9 +38,6 @@ DEGENERATE_TOL = 1e-12
 # off to infinity
 TRIM_TOL = 1e-13
 
-# guarded Newton steps polishing each root of N'D - ND'
-NEWTON_STEPS = 8
-
 # one-sided slope threshold for boundary classification, relative to scale
 BOUNDARY_SLOPE_TOL = 1e-7
 
@@ -119,9 +116,9 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     The reward is R = N / D with N and D polynomials of degree at most the
     number of states, interpolated exactly at Chebyshev nodes.  The
     critical points are the real roots in (0, 1) of g = N'D - ND' (D > 0
-    for gamma < 1), found by colleague matrix, polished by guarded Newton
-    on g and classified by the sign of g', which is that of R''.  The
-    endpoints are classified by the exact one-sided slopes R' = g / D^2.
+    for gamma < 1), found by colleague matrix and classified by the sign
+    of g', which is that of R''.  The endpoints are classified by the exact
+    one-sided slopes R' = g / D^2.
     A dense grid cross-validates the result: every sign change of the grid
     increments must lie within two cells of a reported extremum and vice
     versa, otherwise an :class:`ArithmeticError` is raised rather than
@@ -156,13 +153,6 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     candidates = g.roots()
     x = np.sort(candidates[np.isreal(candidates)].real)
     x = x[(x > 0.0) & (x < 1.0)]
-    for _ in range(NEWTON_STEPS):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            trial = x - g(x) / dg(x)
-        # a step is taken only if it stays inside (0, 1) and shrinks |g|
-        inside = np.isfinite(trial) & (trial > 0.0) & (trial < 1.0)
-        trial = np.where(inside, trial, x)
-        x = np.where(np.abs(g(trial)) < np.abs(g(x)), trial, x)
 
     merged, duplicates_merged = _merge_close(list(x), MERGE_TOL)
     # at a root of g, R'' = g' / D^2 with D > 0

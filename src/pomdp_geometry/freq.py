@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Frequency, PomdpModel, Policy, kernels_for_tau, state_conditionals
+from .model import (Frequency, PomdpModel, Policy, check_frequency, kernels_for_tau,
+                    state_conditionals)
 
 RESIDUAL_TOL = 1e-10    # fixed-point residual any returned frequency must meet
 ERGODICITY_TOL = 1e-8   # singular-value threshold for stationary-space dimension
@@ -141,34 +142,40 @@ def _stationary_distribution(kernel: np.ndarray) -> np.ndarray:
     return eta
 
 
-def state_action_frequency(model: PomdpModel, pi: Policy) -> Frequency:
-    """The exact state-action frequency of a policy.
+def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """Certified frequencies of a batch of conditionals: taus (N, S, A) -> (N, S, A).
 
-    For gamma < 1 this solves the linear system directly; for gamma = 1 it
-    returns the unique stationary distribution of the state-action kernel
-    (raising ErgodicityError if the stationary eigenspace has dimension != 1).
-    The mass is reset to the known 1 (near gamma = 1 the solve is off by
-    ~eps/(1-gamma)) before the fixed-point residual is checked against 1e-10.
+    Solves through `_solve` (ErgodicityError at gamma = 1 if the stationary
+    eigenspace has dimension != 1), resets each mass to the known 1 (near
+    gamma = 1 the solve is off by ~eps/(1-gamma)), checks the batch's
+    fixed-point residual against 1e-10 and each point against `Frequency`.
     """
-    tau = state_conditionals(model, pi)
-    eta = eta_for_tau(model, tau)
-    eta /= eta.sum()
-    residual = fixed_point_residual(model, tau, eta)
+    rho, _, _ = _solve(model, taus)
+    eta = rho[..., None] * taus
+    eta /= eta.sum(axis=(1, 2), keepdims=True)
+    residual = fixed_point_residual(model, taus, eta)
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(
             f"frequency solve left fixed-point residual {residual:.3e} > {RESIDUAL_TOL}")
     # scrub solver noise: entries in (-1e-12, 0) are zeros
     eta = np.where(np.abs(eta) < 1e-15, 0.0, eta)
-    return Frequency.from_eta(eta)
+    check_frequency(eta)
+    return eta
+
+
+def state_action_frequency(model: PomdpModel, pi: Policy) -> Frequency:
+    """The exact state-action frequency of a policy: `certified_etas` for one point."""
+    return Frequency.from_eta(certified_etas(model, state_conditionals(model, pi)[None])[0])
 
 
 def fixed_point_residual(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) -> float:
     """Max-norm defect of eta in the stationarity equation for conditionals tau.
 
+    Broadcasts over leading batch axes of tau (..., S, A), returning the worst.
     P^T eta is formed as tau(b|t) sum_{s,a} alpha(t|s,a) eta(s,a), without building P.
     """
     eta = np.asarray(eta, dtype=float).reshape(tau.shape)
-    pushed = tau * np.einsum("sa,sat->t", eta, model.alpha)[:, None]
+    pushed = tau * np.einsum("...sa,sat->...t", eta, model.alpha)[..., None]
     if model.gamma < 1.0:
         defect = eta - model.gamma * pushed - (1.0 - model.gamma) * (model.mu[:, None] * tau)
     else:

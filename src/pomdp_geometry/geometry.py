@@ -8,18 +8,21 @@ slice conditions into polynomial inequalities in the frequency entries.
 This module builds both descriptions, checks membership, and enumerates the
 combinatorial face lattice of the constraint system together with a
 numerical certificate that the polynomial description carves out each face.
+Polynomials are stored in factored form; their A^|support|-term monomial
+expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .freq import state_action_frequency
-from .model import Policy, PomdpModel
+from .freq import certified_etas
+from .model import PomdpModel
 
 # support cutoff for pseudo-inverse entries when building polynomial
 # constraints; entries within NEAR_ZERO_FACTOR of the cutoff trigger a
@@ -37,6 +40,12 @@ CERT_TOL = 1e-8
 
 # refuse to enumerate face lattices beyond this many policy coordinates
 FACE_COORD_CAP = 16
+
+# refuse to expand a constraint polynomial into more monomials than this
+MONOMIAL_CAP = 2**20
+
+# face certification solves at most this many S x S matrix entries at once
+CERT_BLOCK_ENTRIES = 2**20
 
 
 class RankError(ValueError):
@@ -223,9 +232,9 @@ class PolynomialConstraint:
     Multiplying by the product of state marginals ``rho_s`` over the support
     states clears every denominator of ``tau = eta / rho`` and yields a
     multihomogeneous polynomial of degree ``len(support_states)`` in the
-    frequency entries.  ``terms`` stores its monomial expansion: the key
-    assigns one action per support state, the value is the merged
-    coefficient of the corresponding product of frequency entries.
+    frequency entries.  Only this factored form is stored; ``terms``, the
+    monomial expansion, is derived on first access and raises
+    :class:`SizeCapError` beyond ``MONOMIAL_CAP`` monomials.
     """
 
     label: str
@@ -234,7 +243,6 @@ class PolynomialConstraint:
     support_states: tuple[int, ...]
     coeff: np.ndarray  # (len(support_states), n_actions)
     offset: float
-    terms: dict[tuple[int, ...], float] = field(repr=False)
     observation: str | None = None
     action: str | None = None
 
@@ -248,6 +256,24 @@ class PolynomialConstraint:
     @property
     def degree(self) -> int:
         return len(self.support_states)
+
+    @cached_property
+    def terms(self) -> dict[tuple[int, ...], float]:
+        """Monomial expansion: one action f(i) per support state i -> merged
+        coefficient ``sum_i coeff[i, f(i)] - offset``, dropped below 1e-14 of scale."""
+        if self.n_actions**self.degree > MONOMIAL_CAP:
+            raise SizeCapError(
+                f"{self.label}: expansion into {self.n_actions}^{self.degree} "
+                f"monomials exceeds the cap of {MONOMIAL_CAP}"
+            )
+        scale = max(1.0, float(np.max(np.abs(self.coeff), initial=0.0)), abs(self.offset))
+        # axis i holds the action of support state i
+        merged = reduce(np.add.outer, self.coeff, np.zeros(())) - self.offset
+        keep = np.abs(merged) > 1e-14 * scale
+        return {
+            tuple(int(a) for a in assignment): float(value)
+            for assignment, value in zip(np.argwhere(keep), merged[keep])
+        }
 
     def coefficient(self, assignment) -> float:
         """Monomial coefficient for an action assignment (0.0 if absent)."""
@@ -330,23 +356,14 @@ def transfer_inequality(
     """Clear denominators in ``sum_{s,a} b[s,a] tau[s,a] >= c``.
 
     The support is the set of states where ``b`` has any entry above
-    ``support_tol`` in magnitude.  The monomial expansion assigns one action
-    ``f(s)`` to each support state; its merged coefficient is
-    ``sum_s b[s, f(s)] - c``.  Coefficients below ``1e-14`` relative to the
-    data scale are dropped.
+    ``support_tol`` in magnitude; the constraint keeps the support rows of
+    ``b`` and the offset ``c`` (its factored form).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError("b must be a (states, actions) matrix")
     ns, na = b.shape
     support = tuple(int(s) for s in range(ns) if np.max(np.abs(b[s])) > support_tol)
-    scale = max(1.0, float(np.max(np.abs(b))), abs(c))
-    drop = 1e-14 * scale
-    terms: dict[tuple[int, ...], float] = {}
-    for assignment in itertools.product(range(na), repeat=len(support)):
-        value = sum(b[s, a] for s, a in zip(support, assignment)) - c
-        if abs(value) > drop:
-            terms[assignment] = float(value)
     if label is None:
         label = f"transfer(c={c:g})"
     return PolynomialConstraint(
@@ -356,7 +373,6 @@ def transfer_inequality(
         support_states=support,
         coeff=b[list(support), :] if support else np.zeros((0, na)),
         offset=float(c),
-        terms=terms,
         observation=observation,
         action=action,
     )
@@ -547,8 +563,12 @@ def face_lattice(
     ``max_dim`` when given) interior policies are sampled and the
     polynomial constraints are evaluated at the induced frequencies: the
     pinned entries must vanish within ``tol`` and the free entries must
-    exceed it, otherwise a :class:`CertificationError` identifies the
+    exceed it, otherwise a :class:`CertificationError` identifies the first
     offending face and constraint.
+
+    All faces x samples are certified in one batched pass (one draw, one
+    `certified_etas` solve, one evaluation per constraint) per block of
+    ``CERT_BLOCK_ENTRIES`` S x S matrix entries.
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
@@ -569,48 +589,39 @@ def face_lattice(
             "kernel"
         )
     polys = model_constraint_polynomials(model)
-    poly_by_pair = {(p.action, p.observation): p for p in polys}
 
     subsets = [
         tuple(k for k in range(na) if mask >> k & 1) for mask in range(1, 1 << na)
     ]
-    all_faces = []
-    for combo in itertools.product(subsets, repeat=no):
-        dim = sum(len(k) - 1 for k in combo)
-        if max_dim is not None and dim > max_dim:
-            continue
-        all_faces.append((dim, combo))
-    all_faces.sort(key=lambda t: (t[0], t[1]))
+    all_faces = sorted(
+        (sum(len(k) - 1 for k in combo), combo)
+        for combo in itertools.product(subsets, repeat=no)
+    )
+    all_faces = [(d, c) for d, c in all_faces if max_dim is None or d <= max_dim]
     index_of = {combo: i for i, (_, combo) in enumerate(all_faces)}
 
-    rng = np.random.default_rng(seed)
-    faces = []
-    for dim, combo in all_faces:
-        active = frozenset(
-            (model.actions[a], model.observations[o])
-            for o in range(no)
-            for a in range(na)
-            if a not in combo[o]
+    # dropping one free action of one observation gives a covered face, one
+    # dimension lower and so always inside the lattice
+    faces = [
+        FaceDescriptor(
+            free_actions=combo,
+            active_zeros=frozenset(
+                (model.actions[a], model.observations[o])
+                for o in range(no)
+                for a in range(na)
+                if a not in combo[o]
+            ),
+            dimension=dim,
+            subfaces=tuple(sorted(
+                index_of[combo[:o] + (tuple(k for k in free if k != drop),) + combo[o + 1:]]
+                for o, free in enumerate(combo)
+                if len(free) > 1
+                for drop in free
+            )),
         )
-        subfaces = []
-        for o in range(no):
-            if len(combo[o]) <= 1:
-                continue
-            for drop in combo[o]:
-                child = list(combo)
-                child[o] = tuple(k for k in combo[o] if k != drop)
-                child_idx = index_of.get(tuple(child))
-                if child_idx is not None:
-                    subfaces.append(child_idx)
-        _certify_face(model, combo, active, poly_by_pair, rng, samples, tol)
-        faces.append(
-            FaceDescriptor(
-                free_actions=combo,
-                active_zeros=active,
-                dimension=dim,
-                subfaces=tuple(sorted(subfaces)),
-            )
-        )
+        for dim, combo in all_faces
+    ]
+    _certify_faces(model, faces, polys, np.random.default_rng(seed), samples, tol)
 
     top_dim = max(f.dimension for f in faces)
     f_vector = tuple(
@@ -619,31 +630,33 @@ def face_lattice(
     return FaceLattice(faces=tuple(faces), f_vector=f_vector, certified=True)
 
 
-def _interior_point(rng, free: tuple[int, ...], na: int) -> np.ndarray:
-    """A point of the face's relative interior, bounded away from its edge."""
-    row = np.zeros(na)
-    raw = rng.dirichlet(np.ones(len(free)))
-    row[list(free)] = 0.8 * raw + 0.2 / len(free)
-    return row
+def _certify_faces(model, faces, polys, rng, samples, tol):
+    """Raise CertificationError at the first (face, sample, constraint) failure."""
+    actions = np.arange(model.n_actions)
+    free = np.array([[np.isin(actions, k) for k in f.free_actions] for f in faces],
+                    dtype=bool).reshape(len(faces), model.n_observations, model.n_actions)
+    # normalised standard exponentials over a free set are Dirichlet(1, ..., 1)
+    # on it; mixing in the face's barycentre keeps points off its edge
+    mask = np.repeat(free, max(samples, 0), axis=0)
+    raw = rng.standard_exponential(mask.shape) * mask
+    points = (0.8 * raw / raw.sum(axis=-1, keepdims=True)
+              + 0.2 * mask / mask.sum(axis=-1, keepdims=True))
+    obs, act = np.array([(model.observation_index(p.observation),
+                          model.action_index(p.action)) for p in polys]).T
+    pinned = ~free[:, obs, act]  # (faces, constraints)
 
-
-def _certify_face(model, combo, active, poly_by_pair, rng, samples, tol):
-    for _ in range(samples):
-        matrix = np.vstack(
-            [_interior_point(rng, free, model.n_actions) for free in combo]
+    block = max(1, CERT_BLOCK_ENTRIES // model.n_states**2)
+    for start in range(0, len(points), block):
+        etas = certified_etas(model, model.beta @ points[start:start + block])
+        values = np.stack([p.evaluate(etas) for p in polys], axis=-1)
+        on_face = pinned[np.arange(start, start + len(etas)) // samples]
+        bad = np.where(on_face, np.abs(values) > tol, values <= tol)
+        if not bad.any():
+            continue
+        n, k = np.argwhere(bad)[0]
+        kind, expected = (("pinned", f"0 within {tol:g}") if on_face[n, k]
+                          else ("free", f"to exceed {tol:g}"))
+        raise CertificationError(
+            f"face {faces[(start + n) // samples].free_actions}: {kind} constraint "
+            f"{polys[k].label} evaluates to {values[n, k]:.3e}, expected {expected}"
         )
-        pi = Policy("observation", matrix)
-        freq = state_action_frequency(model, pi)
-        for (a_label, o_label), poly in poly_by_pair.items():
-            value = float(poly.evaluate(freq.eta))
-            if (a_label, o_label) in active:
-                if abs(value) > tol:
-                    raise CertificationError(
-                        f"face {combo}: pinned constraint {poly.label} "
-                        f"evaluates to {value:.3e}, expected 0 within {tol:g}"
-                    )
-            elif value <= tol:
-                raise CertificationError(
-                    f"face {combo}: free constraint {poly.label} evaluates "
-                    f"to {value:.3e}, expected to exceed {tol:g}"
-                )

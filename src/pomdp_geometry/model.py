@@ -155,10 +155,7 @@ class Frequency:
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 2:
             raise ValueError(f"eta must be 2-d, got shape {eta.shape}")
-        if np.min(eta) < -FREQ_NEG_TOL:
-            raise ValueError(f"eta has negative entry {np.min(eta)}")
-        if abs(eta.sum() - 1.0) > FREQ_SUM_TOL:
-            raise ValueError(f"eta must sum to 1 within {FREQ_SUM_TOL}, got {eta.sum()}")
+        check_frequency(eta)
         rho = np.asarray(self.rho, dtype=float)
         if rho.shape != (eta.shape[0],):
             raise ValueError(f"rho must have shape ({eta.shape[0]},), got {rho.shape}")
@@ -171,6 +168,16 @@ class Frequency:
     def from_eta(cls, eta: np.ndarray) -> "Frequency":
         eta = np.asarray(eta, dtype=float)
         return cls(eta, eta.sum(axis=1))
+
+
+def check_frequency(eta: np.ndarray) -> None:
+    """Raise ValueError unless each trailing (S, A) slice of eta is a distribution."""
+    if np.min(eta) < -FREQ_NEG_TOL:
+        raise ValueError(f"eta has negative entry {np.min(eta)}")
+    mass = eta.sum(axis=(-2, -1))
+    worst = mass.flat[np.argmax(np.abs(mass - 1.0))]
+    if abs(worst - 1.0) > FREQ_SUM_TOL:
+        raise ValueError(f"eta must sum to 1 within {FREQ_SUM_TOL}, got {worst}")
 
 
 @dataclass(frozen=True)

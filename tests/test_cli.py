@@ -8,8 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pomdp_geometry.cli import main
+from pomdp_geometry.model import serialize_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 TWO_STATE = str(MODELS / "two_state.json")
 THREE_STATE = str(MODELS / "three_state.json")
 BLIND_GRAPH = str(MODELS / "blind_three_state.graph")
@@ -307,3 +309,28 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def test_constraints_wide_support_exits_one(tmp_path, capsys, wide_blind_model):
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_model(wide_blind_model))
+    code, out = run(capsys, "constraints", str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "SizeCapError"
+    assert "exceeds the cap" in error["message"]
+
+
+# --------------------------------------------------------------------------
+# golden snapshots of the commands built on the constraint polynomials
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("faces", []),
+    ("constraints", ["--policy", "uniform"]),
+])
+@pytest.mark.parametrize("model", ["two_state", "three_state"])
+def test_output_matches_golden_snapshot(capsys, command, argv, model):
+    code, out = run(capsys, command, str(MODELS / f"{model}.json"), *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{command}_{model}.json").read_bytes()

@@ -38,9 +38,9 @@ def dirac(i, n=3):
 
 
 def test_blind_roots_frozen_gamma_half():
-    # roots of the derivative of the fitted reward curve, polished to 1e-12
-    # bracket width; reference values computed independently from the exact
-    # rational form of the reward
+    # roots of N'D - ND' for the exactly interpolated reward R = N / D;
+    # reference values computed independently from the exact rational form
+    # of the reward
     cases = [
         (0, [0.424828801919103], (MAX, MAX)),
         (1, [], (MAX, MIN)),

@@ -13,6 +13,7 @@ from pomdp_geometry.freq import (
     _stationary_distribution,
     batch_eta,
     batch_rewards,
+    certified_etas,
     conditioning_inverse,
     eta_for_tau,
     fixed_point_residual,
@@ -421,3 +422,19 @@ def test_only_state_sized_solves_until_the_jacobian_is_read(monkeypatch):
     assert sizes[-1] == m.n_states * m.n_actions
     assert bundle.jacobian is jacobian  # built once
     assert sizes.count(m.n_states * m.n_actions) == 1
+
+
+def test_certified_etas_checks_every_point_of_a_batch():
+    m = fixtures.random_model(np.random.default_rng(41), 4, 3, 3, 0.9)
+    rng = np.random.default_rng(42)
+    policies = [Policy("observation", rng.dirichlet(np.ones(3), size=3)) for _ in range(4)]
+    taus = np.stack([state_conditionals(m, pi) for pi in policies])
+    etas = certified_etas(m, taus)
+    for pi, eta in zip(policies, etas):
+        assert_allclose(state_action_frequency(m, pi).eta, eta, rtol=0, atol=1e-15)
+    # a conditional row off the simplex solves exactly but leaves a negative
+    # entry, which the per-point checks of Frequency reject
+    taus[2, 1] = [1.2, -0.1, -0.1]
+    assert fixed_point_residual(m, taus, _solve(m, taus)[0][..., None] * taus) < 1e-12
+    with pytest.raises(ValueError, match="negative entry"):
+        certified_etas(m, taus)

@@ -1,15 +1,19 @@
 """Flow polytope, effective polytope, polynomial constraints, face lattice."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures
+from pomdp_geometry import fixtures, geometry
 from pomdp_geometry.freq import eta_for_tau, state_action_frequency, state_conditionals
 from pomdp_geometry.geometry import (
     CertificationError,
     FeasibilityReport,
     HalfspaceSystem,
+    PolynomialConstraint,
     RankError,
     SizeCapError,
     constraint_polynomials,
@@ -379,3 +383,85 @@ def test_certification_error_names_the_face():
     m = fixtures.two_state_model()
     with pytest.raises(CertificationError, match="free constraint"):
         face_lattice(m, samples=1, seed=0, tol=10.0)
+
+
+def test_terms_match_brute_force_expansion():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        ns, na = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        # small integers plus perturbations of a few 1e-14 put many merged
+        # coefficients on either side of the 1e-14 * scale drop threshold
+        b = rng.integers(-2, 3, size=(ns, na)) + rng.choice(
+            [0.0, 0.0, 5e-15, -5e-15, 1.5e-14, -3e-14], size=(ns, na))
+        b[rng.random(ns) < 0.3] = 0.0  # zero rows leave the support
+        if trial % 10 == 0:
+            b[:] = 0.0
+        c = float(rng.integers(-3, 4)) + (rng.normal() if trial % 3 == 0 else 0.0)
+        poly = transfer_inequality(b, c)
+        support = [s for s in range(ns) if np.max(np.abs(b[s])) > 1e-12]
+        drop = 1e-14 * max(1.0, float(np.max(np.abs(b))), abs(c))
+        expected = {}
+        for assignment in itertools.product(range(na), repeat=len(support)):
+            value = sum(b[s, a] for s, a in zip(support, assignment)) - c
+            if abs(value) > drop:
+                expected[assignment] = float(value)
+        assert poly.support_states == tuple(support)
+        assert list(poly.terms.items()) == list(expected.items())
+
+
+def test_face_lattice_is_one_solve_and_one_evaluation_per_constraint(monkeypatch):
+    solves, evaluations = [], []
+    solve, evaluate = np.linalg.solve, PolynomialConstraint.evaluate
+
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    def counting_evaluate(self, eta):
+        evaluations.append(self.label)
+        return evaluate(self, eta)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(PolynomialConstraint, "evaluate", counting_evaluate)
+    rng = np.random.default_rng(4)
+    for shape, max_dim, samples in [((3, 3, 2), None, 3), ((4, 3, 3), None, 2),
+                                    ((4, 3, 3), 1, 5), ((2, 2, 2), 0, 1)]:
+        m = fixtures.random_model(rng, *shape, 0.8, positive_mu=True)
+        solves.clear()
+        evaluations.clear()
+        lattice = face_lattice(m, max_dim=max_dim, samples=samples, seed=1)
+        assert len(solves) == 1
+        assert solves[0][0] == lattice.n_faces * samples
+        assert sorted(evaluations) == sorted(p.label for p in model_constraint_polynomials(m))
+
+
+def test_certification_error_names_a_pinned_constraint(monkeypatch):
+    # shift pi[a2|o1] by 0.5 times its product of marginals: it no longer
+    # vanishes on the faces that pin a2 at o1, the first being the vertex
+    # with a1 at both observations
+    def shifted(model):
+        polys = model_constraint_polynomials(model)
+        return [dataclasses.replace(p, offset=p.offset - 0.5)
+                if p.label == "pi[a2|o1] >= 0" else p for p in polys]
+
+    monkeypatch.setattr(geometry, "model_constraint_polynomials", shifted)
+    m = fixtures.two_state_model()
+    with pytest.raises(CertificationError) as info:
+        face_lattice(m, samples=2, seed=0)
+    message = str(info.value)
+    assert message.startswith("face ((0,), (0,)): pinned constraint pi[a2|o1] >= 0 ")
+    assert message.endswith(", expected 0 within 1e-08")
+
+
+def test_wide_support_needs_no_expansion_until_terms_are_read(wide_blind_model):
+    # 2^21 monomials per constraint, beyond MONOMIAL_CAP
+    m = wide_blind_model
+    polys = model_constraint_polynomials(m)
+    assert [p.degree for p in polys] == [21, 21]
+    eta = state_action_frequency(m, Policy.uniform(1, 2)).eta
+    assert feasibility_report(m, eta, polys=polys).feasible
+    assert [float(p.evaluate(eta)) > 0.0 for p in polys] == [True, True]
+    assert str(polys[0]).startswith("pi[a1|o] >= 0: ")
+    for p in polys:
+        with pytest.raises(SizeCapError, match="cap"):
+            p.terms
