@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -214,14 +215,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 def _cmd_validate(args) -> int:
     report = validate(_read_model(args.model, args.gamma, args.mu))
-    payload = {
-        "ok": report.ok,
-        "violations": [
-            {"path": v.path, "message": v.message, "magnitude": v.magnitude}
-            for v in report.violations
-        ],
-    }
-    sys.stdout.write(emit_json(payload))
+    violations = [asdict(v) for v in report.violations]
+    sys.stdout.write(emit_json({"ok": report.ok, "violations": violations}))
     return 0 if report.ok else 2
 
 
@@ -296,6 +291,9 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_faces(args) -> int:
+    for flag, value, least in (("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1)):
+        if value is not None and value < least:
+            raise CliInputError(f"{flag} must be >= {least}, got {value}")
     model = _load_model(args.model, args.gamma, args.mu)
     lattice = geom.face_lattice(
         model,
@@ -426,15 +424,13 @@ def _cmd_project(args) -> int:
             )
 
     pis = rng.dirichlet(np.ones(na), size=(args.samples, no))
-    taus = np.einsum("so,noa->nsa", model.beta, pis)
-    etas = batch_eta(model, taus)
+    etas = batch_eta(model, model.beta @ pis)
     add_rows("sample", 0, [None] * args.samples, etas)
 
     ts = np.linspace(0.0, 1.0, args.points)
     for idx, (row, pair, pinned) in enumerate(_simplex_edges(no, na)):
         pis = _edge_policies(no, na, row, pair, pinned, ts)
-        taus = np.einsum("so,noa->nsa", model.beta, pis)
-        add_rows("pomdp_edge", idx, ts, batch_eta(model, taus))
+        add_rows("pomdp_edge", idx, ts, batch_eta(model, model.beta @ pis))
     for idx, (row, pair, pinned) in enumerate(_simplex_edges(ns, na)):
         taus = _edge_policies(ns, na, row, pair, pinned, ts)
         add_rows("mdp_edge", idx, ts, batch_eta(model, taus))
@@ -476,9 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
-        if model_required:
-            p.add_argument("model", help="model file (canonical JSON or graph format)")
+    def common(p):
+        p.add_argument("model", help="model file (canonical JSON or graph format)")
         p.add_argument("--gamma", type=float, default=None, help="override discount")
         p.add_argument(
             "--mu",
@@ -587,19 +582,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _ValidationFailure as exc:
-        payload = {
-            "error": {
-                "kind": "validation",
-                "violations": [
-                    {
-                        "path": v.path,
-                        "message": v.message,
-                        "magnitude": v.magnitude,
-                    }
-                    for v in exc.report.violations
-                ],
-            }
-        }
+        violations = [asdict(v) for v in exc.report.violations]
+        payload = {"error": {"kind": "validation", "violations": violations}}
         sys.stdout.write(emit_json(payload))
         return 2
     except INPUT_ERRORS as exc:

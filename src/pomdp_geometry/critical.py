@@ -5,25 +5,25 @@ interior of the policy polytope plus non-smooth ones on its boundary.  This
 module locates and classifies them exactly for single-observation
 two-action controllers, and computes combinatorial upper bounds on the
 number of critical points per face of the policy polytope for the general
-case.  A blind controller moves every state at once with p = pi(a1|o).
-The reward is then R(p) = N(p) / D(p) with D(p) = det(I - gamma p_p), and
-N and D are polynomials of degree at most the number of states S, so
-S + 1 samples interpolate them exactly.
+case.  A blind controller moves every state at once with p = pi(a1|o),
+a policy line on which every state varies.  The reward is then
+R(p) = N(p) / D(p), taken from the exact line form of
+:mod:`pomdp_geometry.rational`: N and D are polynomials of degree at most
+the number of states S, interpolated at S + 1 Chebyshev nodes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Chebyshev, chebyshev
 
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, pseudoinverse
 from .model import Policy, PomdpModel
+from .rational import _line_form
 
 SUPPORT_TOL = 1e-12
 
@@ -84,37 +84,16 @@ class CriticalSet:
         }
 
 
-def _blind_rewards(model: PomdpModel, ps: np.ndarray) -> np.ndarray:
-    """Rewards of the blind policies tau(.|s) = (p, 1 - p) for a batch of p."""
-    taus = np.empty((len(ps), model.n_states, 2))
-    taus[:, :, 0] = ps[:, None]
-    taus[:, :, 1] = 1.0 - ps[:, None]
-    return batch_rewards(model, taus)
-
-
-def _blind_numerator_denominator(model: PomdpModel) -> tuple[Chebyshev, Chebyshev]:
-    """N and D of R = N / D as exact Chebyshev interpolants on [0, 1].
-
-    D(p) = det(I - gamma p_p) and N = R D both have degree at most S, so
-    S + 1 Chebyshev nodes determine them.
-    """
-
-    def values(x: np.ndarray) -> np.ndarray:
-        ps = 0.5 * (x + 1.0)
-        kernels = (ps[:, None, None] * model.alpha[:, 0, :]
-                   + (1.0 - ps)[:, None, None] * model.alpha[:, 1, :])
-        dets = np.linalg.det(np.eye(model.n_states) - model.gamma * kernels)
-        return np.stack([_blind_rewards(model, ps) * dets, dets], axis=1)
-
-    coef = chebyshev.chebinterpolate(values, model.n_states)
-    return Chebyshev(coef[:, 0], domain=[0, 1]), Chebyshev(coef[:, 1], domain=[0, 1])
+def _blind_taus(model: PomdpModel, ps: np.ndarray) -> np.ndarray:
+    """The blind conditionals tau(.|s) = (p, 1 - p) of every state, for a batch of p."""
+    return np.stack([ps, 1.0 - ps], axis=-1)[:, None, :].repeat(model.n_states, axis=1)
 
 
 def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     """Locate all critical points of a blind two-action reward curve.
 
     The reward is R = N / D with N and D polynomials of degree at most the
-    number of states, interpolated exactly at Chebyshev nodes.  The
+    number of states, the exact line form from p = 0 to p = 1.  The
     critical points are the real roots in (0, 1) of g = N'D - ND' (D > 0
     for gamma < 1), found by colleague matrix and classified by the sign
     of g', which is that of R''.  The endpoints are classified by the exact
@@ -135,7 +114,7 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
         raise ValueError("grid must have at least 100 cells")
 
     ps = np.linspace(0.0, 1.0, grid + 1)
-    rewards = _blind_rewards(model, ps)
+    rewards = batch_rewards(model, _blind_taus(model, ps))
     scale = max(1.0, float(np.max(np.abs(rewards))))
     spread = float(np.max(rewards) - np.min(rewards))
     if spread <= DEGENERATE_TOL * scale:
@@ -146,7 +125,7 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             duplicates_merged=False,
         )
 
-    num, den = _blind_numerator_denominator(model)
+    num, den = _line_form(model, *_blind_taus(model, np.array([0.0, 1.0])))
     g = num.deriv() * den - num * den.deriv()
     g = g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
     dg = g.deriv()
@@ -444,8 +423,7 @@ def landscape_scan(
     pis = np.broadcast_to(base_policy.matrix, (n,) + base_policy.matrix.shape).copy()
     for axis, (o_idx, a_idx) in enumerate(pairs):
         pis[:, o_idx] = _pinned_rows(base_policy.matrix[o_idx], a_idx, coords[:, axis])
-    taus = np.einsum("so,noa->nsa", model.beta, pis)
-    rewards = batch_rewards(model, taus)
+    rewards = batch_rewards(model, model.beta @ pis)
     labels = tuple(
         (model.observations[o_idx], model.actions[a_idx]) for o_idx, a_idx in pairs
     )

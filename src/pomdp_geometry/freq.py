@@ -76,6 +76,11 @@ class GradientBundle:
 # solvers
 
 
+def _state_kernels(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """State kernels p[n, s, t] = sum_a taus[n, s, a] alpha(t|s, a) of a batch of conditionals."""
+    return (taus[:, :, None, :] @ model.alpha)[:, :, 0, :]
+
+
 def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
     """The solver core: conditionals taus (N, S, A) -> (rho, v, q).
 
@@ -85,7 +90,7 @@ def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
     (I - gamma p) v = r_tau and q = reward + gamma alpha v; else both None.
     """
     gamma = model.gamma
-    small = (taus[:, :, None, :] @ model.alpha)[:, :, 0, :]  # p[n, s, t]
+    small = _state_kernels(model, taus)
     eye = np.eye(model.n_states)
     if gamma < 1.0:
         rhs = np.repeat(((1.0 - gamma) * model.mu)[None, :, None], len(taus), axis=0)
@@ -118,9 +123,7 @@ def batch_eta(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
 
 
 def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
-    """Normalized rewards for a batch of conditionals (gamma < 1): taus (N, S, A) -> (N,)."""
-    if model.gamma >= 1.0:
-        raise ValueError("batch_rewards requires gamma < 1")
+    """Normalized rewards for a batch of conditionals: taus (N, S, A) -> (N,), any gamma."""
     rho, _, _ = _solve(model, taus)
     return np.einsum("ns,nsa,sa->n", rho, taus, model.reward)
 

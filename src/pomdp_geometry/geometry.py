@@ -561,8 +561,9 @@ def face_lattice(
     nonempty free-action set per observation; the dimension is the sum of
     the per-observation free counts minus one each.  For each face (up to
     ``max_dim`` when given) interior policies are sampled and the
-    polynomial constraints are evaluated at the induced frequencies: the
-    pinned entries must vanish within ``tol`` and the free entries must
+    polynomial constraints, divided by their products of support marginals
+    (leaving the policy entries), are evaluated at the induced frequencies:
+    the pinned entries must vanish within ``tol`` and the free entries must
     exceed it, otherwise a :class:`CertificationError` identifies the first
     offending face and constraint.
 
@@ -575,6 +576,10 @@ def face_lattice(
     observation kernel with independent columns.
     """
     ns, no, na = model.n_states, model.n_observations, model.n_actions
+    if max_dim is not None and max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if no * na > FACE_COORD_CAP:
         raise SizeCapError(
             f"face lattice over {no * na} policy coordinates exceeds the "
@@ -637,7 +642,7 @@ def _certify_faces(model, faces, polys, rng, samples, tol):
                     dtype=bool).reshape(len(faces), model.n_observations, model.n_actions)
     # normalised standard exponentials over a free set are Dirichlet(1, ..., 1)
     # on it; mixing in the face's barycentre keeps points off its edge
-    mask = np.repeat(free, max(samples, 0), axis=0)
+    mask = np.repeat(free, samples, axis=0)
     raw = rng.standard_exponential(mask.shape) * mask
     points = (0.8 * raw / raw.sum(axis=-1, keepdims=True)
               + 0.2 * mask / mask.sum(axis=-1, keepdims=True))
@@ -648,7 +653,10 @@ def _certify_faces(model, faces, polys, rng, samples, tol):
     block = max(1, CERT_BLOCK_ENTRIES // model.n_states**2)
     for start in range(0, len(points), block):
         etas = certified_etas(model, model.beta @ points[start:start + block])
-        values = np.stack([p.evaluate(etas) for p in polys], axis=-1)
+        # each value is pi(a|o) times the product of its support marginals
+        rho = etas.sum(axis=-1)
+        values = np.stack([p.evaluate(etas) / np.prod(rho[:, list(p.support_states)], axis=-1)
+                           for p in polys], axis=-1)
         on_face = pinned[np.arange(start, start + len(etas)) // samples]
         bad = np.where(on_face, np.abs(values) > tol, values <= tol)
         if not bad.any():

@@ -292,37 +292,28 @@ def validate(model: PomdpModel) -> ValidationReport:
     """Check all value-level invariants; reports violations, never throws."""
     out = []
 
-    def check_rows(name, mat):
-        sums = mat.sum(axis=-1)
-        for idx in np.ndindex(sums.shape):
-            dev = abs(sums[idx] - 1.0)
-            if dev > ROW_TOL:
-                path = name + "".join(f"[{i}]" for i in idx)
-                out.append(Violation(path, f"row sums to {sums[idx]!r}, expected 1", dev))
-        neg = np.minimum(mat, 0.0)
-        for idx in np.ndindex(mat.shape):
-            if neg[idx] < -ROW_TOL:
-                path = name + "".join(f"[{i}]" for i in idx)
-                out.append(Violation(path, f"negative entry {mat[idx]!r}", -neg[idx]))
+    def path(name, idx):
+        return name + "".join(f"[{i}]" for i in idx)
 
-    check_rows("alpha", model.alpha)
-    check_rows("beta", model.beta)
-    check_rows("mu", model.mu[None, :])
-    # mu path fix: report as "mu" not "mu[0]"
-    out = [
-        Violation(v.path.replace("mu[0]", "mu", 1) if v.path.startswith("mu[0]") else v.path,
-                  v.message, v.magnitude)
-        for v in out
-    ]
+    for name in ("alpha", "beta", "mu"):
+        mat = getattr(model, name)
+        sums = mat.sum(axis=-1)
+        dev = np.abs(sums - 1.0)
+        for idx in map(tuple, np.argwhere(dev > ROW_TOL)):
+            out.append(Violation(path(name, idx), f"row sums to {sums[idx]!r}, expected 1",
+                                 dev[idx]))
+        for idx in map(tuple, np.argwhere(mat < -ROW_TOL)):
+            out.append(Violation(path(name, idx), f"negative entry {mat[idx]!r}", -mat[idx]))
     if not (0.0 < model.gamma <= 1.0):
         out.append(Violation("gamma", f"gamma must lie in (0, 1], got {model.gamma!r}",
                              abs(model.gamma - 1.0) if model.gamma > 1 else abs(model.gamma)))
     for name in ("alpha", "beta", "reward", "mu"):
         arr = getattr(model, name)
-        if not np.all(np.isfinite(arr)):
-            bad = next(idx for idx in np.ndindex(arr.shape) if not np.isfinite(arr[idx]))
-            path = name + "".join(f"[{i}]" for i in bad)
-            out.append(Violation(path, f"non-finite entry {arr[bad]!r}", float("inf")))
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            idx = tuple(bad[0])
+            out.append(Violation(path(name, idx), f"non-finite entry {arr[idx]!r}",
+                                 float("inf")))
     return ValidationReport(ok=not out, violations=tuple(out))
 
 

@@ -3,26 +3,30 @@
 Along a line of policies that vary only on a set of observations O, every
 state-action frequency coordinate (and hence the reward) is a rational
 function whose degree is at most the number of states compatible with O
-under the observation kernel.  This module provides that bound, a guarded
-rational curve fitter, the closed-form reparametrization speed for lines
-that vary a single state, one-observation vertex improvement, and monotone
-improvement paths for fully observable models.
+under the observation kernel.  This module provides that bound, the exact
+N / D form of the reward along a line (any gamma in (0, 1]) with the degree
+certificate and one-state reparametrization speed built on it, a rational
+curve fitter for arbitrary callables, one-observation vertex improvement,
+and monotone improvement paths for fully observable models.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
+from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
-from .freq import conditioning_inverse, eta_for_tau, reward_of, state_action_frequency
+from .freq import (_state_kernels, batch_rewards, certified_etas, conditioning_inverse,
+                   eta_for_tau, reward_of, state_action_frequency)
 from .model import Frequency, PomdpModel, Policy, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 COMMON_ROOT_TOL = 1e-6    # num/den roots closer than this in [0,1] flag a reducible fit
+SAME_ROW_TOL = 1e-12      # policy rows closer than this count as equal
 
 
 class DegreeFitError(ArithmeticError):
@@ -66,7 +70,7 @@ class RationalCurve:
 
 @dataclass(frozen=True)
 class DegreeCertificate:
-    """A degree bound together with the degree a fit actually needed."""
+    """A degree bound, the exact N / D degree k <= bound, and the held-out check points."""
 
     bound: int
     fitted_degree: int
@@ -183,22 +187,57 @@ def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> Callabl
     return f
 
 
+def _line_form(model: PomdpModel, tau0: np.ndarray,
+               tau1: np.ndarray) -> tuple[Chebyshev, Chebyshev]:
+    """N and D of the reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1].
+
+    With M = I - gamma (p_lam - 1 mu^T), rho^T M = mu^T for every gamma in
+    (0, 1], and D = det(M) is det(I - gamma p_lam) / (1 - gamma) for gamma < 1
+    (matrix determinant lemma), finite at gamma = 1.  Only the rows of the k
+    states whose conditionals differ move with lam, so by Cramer's rule D
+    and N = R D have degree at most k: their Chebyshev interpolants at k + 1
+    nodes are exact.  R is from `batch_rewards`, which raises ErgodicityError
+    at gamma = 1 when the stationary law is not unique.
+    """
+    k = int(np.count_nonzero(np.max(np.abs(tau1 - tau0), axis=1) > SAME_ROW_TOL))
+
+    def values(x: np.ndarray) -> np.ndarray:
+        taus = tau0 + 0.5 * (x + 1.0)[:, None, None] * (tau1 - tau0)
+        rewards = batch_rewards(model, taus)
+        dets = np.linalg.det(
+            np.eye(model.n_states) - model.gamma * (_state_kernels(model, taus) - model.mu))
+        return np.stack([rewards * dets, dets], axis=1)
+
+    coef = chebyshev.chebinterpolate(values, k)
+    return Chebyshev(coef[:, 0], domain=[0, 1]), Chebyshev(coef[:, 1], domain=[0, 1])
+
+
 def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> DegreeCertificate:
     """Certify the reward degree along the policy line from pi0 to pi1.
 
     Both must be observation policies; the varying observations are those
-    where the two matrices differ.  Fits the reward curve and packages the
-    degree bound with the degree the fit needed and the fit grid.
+    where the two matrices differ.  The reward is interpolated exactly as
+    N / D of degree k, the number of states whose conditionals differ, and
+    checked at the k + 2 Chebyshev points interleaving the nodes against
+    one batched certified solve; a miss above 1e-7 of the reward scale
+    raises DegreeFitError.  Valid for every gamma in (0, 1].
     """
     if pi0.kind != "observation" or pi1.kind != "observation":
         raise ValueError("line_degree_certificate needs observation policies")
-    differing = [o for o in range(model.n_observations)
-                 if np.max(np.abs(pi0.matrix[o] - pi1.matrix[o])) > 1e-12]
-    bound = degree_bound(model, differing)
-    curve = fit_rational_curve(reward_curve_on_line(model, pi0, pi1), bound)
-    fitted = len(curve.num) - 1
-    return DegreeCertificate(bound=bound, fitted_degree=fitted,
-                             witness_grid=chebyshev_grid(4 * (fitted + 1)))
+    differing = np.nonzero(np.max(np.abs(pi0.matrix - pi1.matrix), axis=1) > SAME_ROW_TOL)[0]
+    tau0, tau1 = state_conditionals(model, pi0), state_conditionals(model, pi1)
+    num, den = _line_form(model, tau0, tau1)
+    fitted = len(den.coef) - 1
+    witness = chebyshev_grid(fitted + 2)
+    etas = certified_etas(model, tau0 + witness[:, None, None] * (tau1 - tau0))
+    miss = float(np.max(np.abs(num(witness) / den(witness)
+                               - np.sum(etas * model.reward, axis=(1, 2)))))
+    tol = FIT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(model.reward))))
+    if not miss <= tol:
+        raise DegreeFitError(
+            f"the degree-{fitted} N / D form misses direct solves by {miss:.3e} > {tol:.3e}")
+    return DegreeCertificate(bound=degree_bound(model, differing), fitted_degree=fitted,
+                             witness_grid=witness)
 
 
 # --------------------------------------------------------------------------
@@ -211,24 +250,20 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
     For state policies differing on at most one state, eta along the line
     moves as eta_lam = eta_0 + c(lam) (eta_1 - eta_0) with
 
-        c(lam) = lam det(I - gamma p_1) / det(I - gamma p_lam),
+        c(lam) = lam D(1) / D(lam),
 
-    a degree-one rational reparametrization of [0, 1].
+    a degree-one rational reparametrization of [0, 1], where D is the
+    denominator of the line's N / D form (any gamma in (0, 1]).
     """
     if pi0.kind != "state" or pi1.kind != "state":
         raise ValueError("interpolation_speed needs state policies")
-    diff = np.max(np.abs(pi0.matrix - pi1.matrix), axis=1)
-    differing = np.nonzero(diff > 1e-12)[0]
+    differing = np.nonzero(np.max(np.abs(pi0.matrix - pi1.matrix), axis=1) > SAME_ROW_TOL)[0]
     if len(differing) > 1:
         raise ValueError(
             f"policies differ on {len(differing)} states ({differing.tolist()}); "
             "the closed form needs at most one")
-    gamma = model.gamma
-    small = lambda tau: np.einsum("sa,sat->st", tau, model.alpha)
-    tau_lam = (1.0 - lam) * pi0.matrix + lam * pi1.matrix
-    det1 = np.linalg.det(np.eye(model.n_states) - gamma * small(pi1.matrix))
-    det_lam = np.linalg.det(np.eye(model.n_states) - gamma * small(tau_lam))
-    return float(lam * det1 / det_lam)
+    _, den = _line_form(model, pi0.matrix, pi1.matrix)
+    return float(lam * den(1.0) / den(lam))
 
 
 # --------------------------------------------------------------------------

@@ -203,6 +203,18 @@ def test_faces_output(capsys):
     assert dims == sorted(dims)
 
 
+@pytest.mark.parametrize("flag, value, least", [
+    ("--max-dim", "-1", 0),
+    ("--samples", "0", 1),
+    ("--samples", "-1", 1),
+])
+def test_faces_rejects_empty_requests(capsys, flag, value, least):
+    code, out = run(capsys, "faces", TWO_STATE, flag, value)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "CliInputError", "message": f"{flag} must be >= {least}, got {value}"}
+
+
 def test_faces_positivity_failure_exits_one(capsys):
     code, out = run(capsys, "faces", TWO_STATE, "--mu", "s1")
     assert code == 1

@@ -465,3 +465,21 @@ def test_wide_support_needs_no_expansion_until_terms_are_read(wide_blind_model):
     for p in polys:
         with pytest.raises(SizeCapError, match="cap"):
             p.terms
+
+
+@pytest.mark.parametrize("ns", [8, 9])
+def test_face_lattice_certifies_many_state_blind_models(blind_model, ns):
+    # each constraint value is pi(a|o) times a product of ns marginals, below
+    # CERT_TOL from ns = 8 on; certification compares pi(a|o) itself
+    lattice = face_lattice(blind_model(ns))
+    assert lattice.certified
+    assert lattice.f_vector == (2, 1)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"max_dim": -1}, "max_dim must be >= 0, got -1"),
+    ({"samples": 0}, "samples must be >= 1, got 0"),
+])
+def test_face_lattice_rejects_empty_requests(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        face_lattice(fixtures.two_state_model(), **kwargs)

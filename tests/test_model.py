@@ -87,6 +87,26 @@ def test_validate_never_throws_on_nan():
     assert any(v.path == "reward[0][0]" for v in report.violations)
 
 
+def test_validate_reports_every_violation_in_order():
+    alpha = np.array([[[1.0, 0.0], [0.7, 0.2]], [[1.2, -0.2], [0.0, 1.0]]])
+    beta = np.array([[1.0, 0.0], [0.5, 0.6]])
+    reward = np.array([[0.0, np.nan], [1.0, 0.0]])
+    m = PomdpModel(("s1", "s2"), ("o1", "o2"), ("a1", "a2"), alpha, beta, reward,
+                   1.5, np.array([1.2, -0.1]))
+    got = [(v.path, v.message, v.magnitude) for v in validate(m).violations]
+    assert got == [
+        ("alpha[0][1]", "row sums to np.float64(0.8999999999999999), expected 1",
+         0.10000000000000009),
+        ("alpha[1][0][1]", "negative entry np.float64(-0.2)", 0.2),
+        ("beta[1]", "row sums to np.float64(1.1), expected 1", 0.10000000000000009),
+        ("mu", "row sums to np.float64(1.0999999999999999), expected 1",
+         0.09999999999999987),
+        ("mu[1]", "negative entry np.float64(-0.1)", 0.1),
+        ("gamma", "gamma must lie in (0, 1], got 1.5", 0.5),
+        ("reward[0][1]", "non-finite entry np.float64(nan)", float("inf")),
+    ]
+
+
 def test_policy_constructors_and_row_checks():
     u = Policy.uniform(2, 3)
     assert_allclose(u.matrix.sum(axis=1), 1.0)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures
-from pomdp_geometry.freq import eta_for_tau, reward_of, state_action_frequency
-from pomdp_geometry.model import Policy
+from pomdp_geometry.freq import ErgodicityError, eta_for_tau, reward_of, state_action_frequency
+from pomdp_geometry.model import Policy, state_conditionals
 from pomdp_geometry.rational import (
     DegreeCertificate,
     DegreeFitError,
@@ -24,6 +24,7 @@ from pomdp_geometry.rational import (
     reward_curve_on_line,
     vertex_improvement,
 )
+from pomdp_geometry.rational import _line_form
 
 # --------------------------------------------------------------------------
 # degree bounds
@@ -111,6 +112,45 @@ def test_reward_curve_degree_on_restricted_line():
     assert cert.fitted_degree <= 1
 
 
+@pytest.mark.parametrize("gamma", [0.6, 1.0])
+def test_line_degree_certificate_checks_exact_form(gamma):
+    # N / D at the held-out witness points against direct solves; at gamma = 1
+    # the line form must stay finite although det(I - p) vanishes
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        ns = int(rng.integers(1, 6))
+        no = int(rng.integers(1, ns + 1))
+        m = fixtures.random_model(rng, ns, no, 2, gamma,
+                                  deterministic_beta=bool(rng.integers(2)))
+        base = rng.dirichlet(np.ones(2), size=no)
+        other = base.copy()
+        for o in rng.choice(no, size=int(rng.integers(1, no + 1)), replace=False):
+            other[o] = rng.dirichlet(np.ones(2))
+        pi0, pi1 = Policy("observation", base), Policy("observation", other)
+        cert = line_degree_certificate(m, pi0, pi1)
+        assert cert.fitted_degree <= cert.bound
+        assert len(cert.witness_grid) == cert.fitted_degree + 2
+        tau0, tau1 = state_conditionals(m, pi0), state_conditionals(m, pi1)
+        num, den = _line_form(m, tau0, tau1)
+        for x in cert.witness_grid:
+            direct = np.sum(m.reward * eta_for_tau(m, tau0 + x * (tau1 - tau0)))
+            assert num(x) / den(x) == pytest.approx(direct, rel=0, abs=1e-9)
+
+
+def test_line_degree_certificate_rejects_multichain_gamma_one():
+    # states {0, 1} and {2, 3} are closed classes: no unique stationary law
+    rng = np.random.default_rng(31)
+    m = fixtures.random_model(rng, 4, 2, 2, 1.0)
+    alpha = np.zeros((4, 2, 4))
+    alpha[:2, :, :2] = rng.dirichlet(np.ones(2), size=(2, 2))
+    alpha[2:, :, 2:] = rng.dirichlet(np.ones(2), size=(2, 2))
+    m = m.replace(alpha=alpha)
+    pi0 = Policy("observation", rng.dirichlet(np.ones(2), size=2))
+    pi1 = Policy("observation", rng.dirichlet(np.ones(2), size=2))
+    with pytest.raises(ErgodicityError, match="not unique"):
+        line_degree_certificate(m, pi0, pi1)
+
+
 def test_reward_curve_full_line_fits_within_state_count():
     m = fixtures.three_state_model()
     rng = np.random.default_rng(2)
@@ -177,6 +217,22 @@ def test_interpolation_speed_monotone_and_shape():
         assert np.all(np.diff(c) > 0)
         second = np.diff(c, 2)
         assert np.all(second >= -1e-9) or np.all(second <= 1e-9)
+
+
+def test_interpolation_speed_at_gamma_one():
+    # det(I - p) = 0 at gamma = 1; the line form's denominator stays exact
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        ns = int(rng.integers(2, 6))
+        na = int(rng.integers(2, 4))
+        m = fixtures.random_model(rng, ns, int(rng.integers(1, 4)), na, 1.0)
+        pi0, pi1 = one_state_line_pair(m, rng, int(rng.integers(0, ns)))
+        eta0 = eta_for_tau(m, pi0.matrix)
+        eta1 = eta_for_tau(m, pi1.matrix)
+        for lam in np.linspace(0, 1, 11):
+            c = interpolation_speed(m, pi0, pi1, lam)
+            tau = (1 - lam) * pi0.matrix + lam * pi1.matrix
+            assert_allclose(eta0 + c * (eta1 - eta0), eta_for_tau(m, tau), rtol=0, atol=1e-12)
 
 
 def test_interpolation_speed_rejects_two_state_changes():
