@@ -12,6 +12,7 @@ makes repeated runs byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -63,37 +64,85 @@ COMPUTE_ERRORS = (ErgodicityError, ArithmeticError, ValueError)
 # deterministic JSON rendering
 
 
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        items = [f"{inner}{_render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, np.ndarray):
-        return _render(value.tolist(), indent)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+_FLOAT = "{:.17g}".format
+
+
+def _join_scalars(texts, depth: int) -> str:
+    inner = "  " * (depth + 1)
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + "  " * depth + "]"
 
 
 def emit_json(obj) -> str:
-    return _render(obj, 0) + "\n"
+    """Indented JSON text of obj with 17-significant-digit floats.
+
+    One walk appends chunks to a single list that is joined once.  Lists
+    of plain ints or plain floats are joined in one step, and all-int rows
+    (exponent rows such as [0, 1, 0] repeat thousands of times) are
+    rendered once per nesting depth.
+    """
+    out = []
+    put = out.append
+    int_rows = {}  # (depth, row) -> text
+
+    def walk(value, depth):
+        kind = type(value)
+        if kind is float:
+            put(_FLOAT(value))
+        elif kind is int:
+            put(str(value))
+        elif kind is str:
+            put(json.dumps(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = "  " * (depth + 1)
+            sep, comma = "{\n" + inner, ",\n" + inner
+            for key, item in value.items():
+                put(sep)
+                put(json.dumps(str(key)))
+                put(": ")
+                walk(item, depth + 1)
+                sep = comma
+            put("\n" + "  " * depth + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            kinds = set(map(type, value))
+            if kinds == {int}:
+                key = (depth, tuple(value))
+                text = int_rows.get(key)
+                if text is None:
+                    text = int_rows[key] = _join_scalars(map(str, value), depth)
+                put(text)
+                return
+            if kinds == {float}:
+                put(_join_scalars(map(_FLOAT, value), depth))
+                return
+            inner = "  " * (depth + 1)
+            sep, comma = "[\n" + inner, ",\n" + inner
+            for item in value:
+                put(sep)
+                walk(item, depth + 1)
+                sep = comma
+            put("\n" + "  " * depth + "]")
+        elif isinstance(value, np.ndarray):
+            walk(value.tolist(), depth)
+        elif isinstance(value, (bool, np.bool_)):
+            put("true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            put(str(int(value)))
+        elif isinstance(value, (float, np.floating)):
+            put(_FLOAT(float(value)))
+        elif value is None:
+            put("null")
+        else:
+            put(json.dumps(str(value)))
+
+    walk(obj, 0)
+    put("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +625,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _ValidationFailure as exc:

@@ -77,8 +77,9 @@ class GradientBundle:
 
 
 def _state_kernels(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
-    """State kernels p[n, s, t] = sum_a taus[n, s, a] alpha(t|s, a) of a batch of conditionals."""
-    return (taus[:, :, None, :] @ model.alpha)[:, :, 0, :]
+    """State kernels p[n, s, t] = sum_a taus[n, s, a] alpha(t|s, a) of a batch of conditionals,
+    as one (N, A) @ (A, S) product per state s."""
+    return (taus.transpose(1, 0, 2) @ model.alpha).transpose(1, 0, 2)
 
 
 def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):

@@ -313,6 +313,13 @@ class PolynomialConstraint:
         return exps
 
     def to_dict(self) -> dict:
+        terms = sorted(self.terms.items())
+        n, ns, na = len(terms), self.n_states, self.n_actions
+        # every term's exponent matrix at once, as counts in one (n, S, A) array
+        assignments = np.array([a for a, _ in terms], dtype=int).reshape(n, self.degree)
+        support = np.array(self.support_states, dtype=int)
+        flat = (np.arange(n)[:, None] * ns + support) * na + assignments
+        exponents = np.bincount(flat.ravel(), minlength=n * ns * na).reshape(n, ns, na)
         return {
             "label": self.label,
             "observation": self.observation,
@@ -320,11 +327,8 @@ class PolynomialConstraint:
             "support_states": list(self.support_states),
             "degree": self.degree,
             "terms": [
-                {
-                    "exponents": self.exponent_matrix(assignment).tolist(),
-                    "coefficient": c,
-                }
-                for assignment, c in sorted(self.terms.items())
+                {"exponents": e, "coefficient": c}
+                for e, (_, c) in zip(exponents.tolist(), terms)
             ],
         }
 
@@ -637,9 +641,8 @@ def face_lattice(
 
 def _certify_faces(model, faces, polys, rng, samples, tol):
     """Raise CertificationError at the first (face, sample, constraint) failure."""
-    actions = np.arange(model.n_actions)
-    free = np.array([[np.isin(actions, k) for k in f.free_actions] for f in faces],
-                    dtype=bool).reshape(len(faces), model.n_observations, model.n_actions)
+    free = np.array([[[a in k for a in range(model.n_actions)] for k in f.free_actions]
+                     for f in faces], dtype=bool)
     # normalised standard exponentials over a free set are Dirichlet(1, ..., 1)
     # on it; mixing in the face's barycentre keeps points off its edge
     mask = np.repeat(free, samples, axis=0)

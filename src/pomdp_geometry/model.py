@@ -212,7 +212,7 @@ def parse_model(text: str) -> PomdpModel:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal past the digit limit
         raise ModelFormatError(f"document: not valid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"document: expected a JSON object, got {type(doc).__name__}")
@@ -243,13 +243,10 @@ def parse_model(text: str) -> PomdpModel:
     for i, row in enumerate(_expect_list(doc["reward"], "reward", ns)):
         reward[i] = _parse_numbers(row, f"reward[{i}]", na)
 
-    gamma = doc["gamma"]
-    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
-        raise ModelFormatError(f"gamma: expected a number, got {type(gamma).__name__}")
-
+    gamma = _parse_number(doc["gamma"], "gamma")
     mu = _parse_numbers(doc["mu"], "mu", ns)
 
-    return PomdpModel(states, observations, actions, alpha, beta, reward, float(gamma), mu)
+    return PomdpModel(states, observations, actions, alpha, beta, reward, gamma, mu)
 
 
 def _parse_labels(value, path):
@@ -273,14 +270,24 @@ def _expect_list(value, path, length):
     return value
 
 
+def _parse_number(item, path):
+    if not isinstance(item, (int, float)) or isinstance(item, bool):
+        raise ModelFormatError(f"{path}: expected a number, got {type(item).__name__}")
+    try:
+        return float(item)
+    except OverflowError:
+        raise ModelFormatError(f"{path}: integer is out of float range") from None
+
+
 def _parse_numbers(value, path, length):
     value = _expect_list(value, path, length)
-    out = np.empty(length)
-    for i, item in enumerate(value):
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise ModelFormatError(f"{path}[{i}]: expected a number, got {type(item).__name__}")
-        out[i] = float(item)
-    return out
+    if set(map(type, value)) <= {int, float}:
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    # entry by entry, to name the offending one
+    return np.array([_parse_number(item, f"{path}[{i}]") for i, item in enumerate(value)])
 
 
 def serialize_model(model: PomdpModel) -> str:
@@ -300,10 +307,11 @@ def validate(model: PomdpModel) -> ValidationReport:
         sums = mat.sum(axis=-1)
         dev = np.abs(sums - 1.0)
         for idx in map(tuple, np.argwhere(dev > ROW_TOL)):
-            out.append(Violation(path(name, idx), f"row sums to {sums[idx]!r}, expected 1",
-                                 dev[idx]))
+            out.append(Violation(path(name, idx),
+                                 f"row sums to {float(sums[idx])!r}, expected 1", dev[idx]))
         for idx in map(tuple, np.argwhere(mat < -ROW_TOL)):
-            out.append(Violation(path(name, idx), f"negative entry {mat[idx]!r}", -mat[idx]))
+            out.append(Violation(path(name, idx), f"negative entry {float(mat[idx])!r}",
+                                 -mat[idx]))
     if not (0.0 < model.gamma <= 1.0):
         out.append(Violation("gamma", f"gamma must lie in (0, 1], got {model.gamma!r}",
                              abs(model.gamma - 1.0) if model.gamma > 1 else abs(model.gamma)))
@@ -312,7 +320,7 @@ def validate(model: PomdpModel) -> ValidationReport:
         bad = np.argwhere(~np.isfinite(arr))
         if len(bad):
             idx = tuple(bad[0])
-            out.append(Violation(path(name, idx), f"non-finite entry {arr[idx]!r}",
+            out.append(Violation(path(name, idx), f"non-finite entry {float(arr[idx])!r}",
                                  float("inf")))
     return ValidationReport(ok=not out, violations=tuple(out))
 

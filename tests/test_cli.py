@@ -1,16 +1,21 @@
 """Exit codes, output shapes, and byte-level determinism of the CLI."""
 
 import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry.cli import main
+from pomdp_geometry.cli import emit_json, main
 from pomdp_geometry.model import serialize_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 TWO_STATE = str(MODELS / "two_state.json")
 THREE_STATE = str(MODELS / "three_state.json")
@@ -73,6 +78,22 @@ def test_missing_file_exits_two(capsys):
     code, out = run(capsys, "freq", "/nonexistent/model.json")
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("command", ["validate", "freq"])
+@pytest.mark.parametrize("key, path", [("reward", "reward[1][1]"), ("gamma", "gamma")])
+def test_out_of_range_integer_exits_two(tmp_path, capsys, command, key, path):
+    doc = json.loads(pathlib.Path(TWO_STATE).read_text())
+    if key == "gamma":
+        doc["gamma"] = 10**400
+    else:
+        doc["reward"][1][1] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, command, str(bad))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "ModelFormatError", "message": f"{path}: integer is out of float range"}
 
 
 # --------------------------------------------------------------------------
@@ -323,6 +344,28 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         assert first == second
 
 
+def test_successive_calls_match_separate_runs(capsys):
+    # one parser serves every call; nothing from an earlier call may leak
+    argvs = [
+        ["freq", TWO_STATE, "--csv"],
+        ["freq", TWO_STATE],
+        ["reward", TWO_STATE, "--unnormalized"],
+        ["reward", TWO_STATE],
+        ["faces", TWO_STATE, "--seed", "2", "--max-dim", "1"],
+        ["faces", TWO_STATE],
+        ["bounds", "--rank-one", "4"],
+        ["bounds", "--model", THREE_STATE, "--active", "a1:o2"],
+    ]
+    in_process = [run(capsys, *argv) for argv in argvs]
+    separate = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "pomdp_geometry.cli", *argv],
+                              capture_output=True, check=False, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        separate.append((proc.returncode, proc.stdout))
+    assert in_process == separate
+
+
 def test_constraints_wide_support_exits_one(tmp_path, capsys, wide_blind_model):
     path = tmp_path / "wide.json"
     path.write_text(serialize_model(wide_blind_model))
@@ -346,3 +389,112 @@ def test_output_matches_golden_snapshot(capsys, command, argv, model):
     code, out = run(capsys, command, str(MODELS / f"{model}.json"), *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / f"{command}_{model}.json").read_bytes()
+
+
+# --------------------------------------------------------------------------
+# golden snapshots of the other JSON commands, taken from the recursive
+# renderer that emit_json replaced; validate_invalid has the messages'
+# plain float repr
+
+
+INVALID_MODEL = {
+    "states": ["s1", "s2"], "observations": ["o1", "o2"], "actions": ["a1", "a2"],
+    "alpha": [[[0.7, 0.2], [0.0, 1.0]], [[1.2, -0.2], [0.0, 1.0]]],
+    "beta": [[1.0, 0.0], [0.5, 0.6]], "reward": [[1.0, math.nan], [0.0, 1.0]],
+    "gamma": 1.5, "mu": [1.2, -0.1],
+}
+
+
+@pytest.mark.parametrize("name, code, argv", [
+    ("freq_three_state", 0, ["freq", THREE_STATE]),
+    ("reward_three_state", 0, ["reward", THREE_STATE]),
+    ("oracle_three_state", 0, ["oracle", THREE_STATE]),
+    ("validate_two_state", 0, ["validate", TWO_STATE]),
+    ("validate_invalid", 2, ["validate", "INVALID"]),
+    ("bounds_three_state", 0, ["bounds", "--model", THREE_STATE, "--active", "a1:o2"]),
+    ("critical_blind_three_state", 0, ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
+    ("error_critical_two_state", 1, ["critical", TWO_STATE]),
+])
+def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(INVALID_MODEL))
+    argv = [str(invalid) if a == "INVALID" else a for a in argv]
+    got_code, out = run(capsys, *argv)
+    assert got_code == code
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# --------------------------------------------------------------------------
+# emit_json against the recursive renderer it replaced
+
+
+def _render_reference(value, indent):
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_render_reference(v, indent + 1)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if len(value) == 0:
+            return "[]"
+        items = [f"{inner}{_render_reference(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(value, np.ndarray):
+        return _render_reference(value.tolist(), indent)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if value is None:
+        return "null"
+    return json.dumps(str(value))
+
+
+RENDER_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": (), "d": [[], {}, ()], "e": [[[]]]},
+    [np.bool_(True), np.bool_(False), np.int64(-7), np.float32(0.1), np.float64(1 / 3)],
+    {"row": [1, True, 0, False], "bools": [True, False], "ints": (3, -2, 10**30)},
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308],
+    [None, "null", 1.5, 2, "x"],
+    {1: "int key", 2.5: "float key", None: "none key", False: "bool key", (1, 2): "tuple key"},
+    [{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {(True, 2): "e"}, {(1, 2): "f"}],
+    {"ascii": "plain", "unicode": "η = ρ·τ, γ → 1", "escapes": "tab\tquote\"nl\n"},
+    np.array(2.5),
+    np.array(3),
+    np.array(True),
+    np.arange(24, dtype=np.int64).reshape(2, 3, 4),
+    np.linspace(0.0, 1.0, 7).reshape(7, 1),
+    np.zeros((0, 3)),
+    {"terms": [{"exponents": [[0, 1, 0], [1, 0, 0]], "coefficient": -0.5}] * 3
+              + [{"exponents": [[0, 1, 0], [0, 0, 1]], "coefficient": 2}]},
+    [[0, 1, 0], [[0, 1, 0]], {"deep": [[0, 1, 0]]}],
+    [1, 2.0, 3],
+    [1.0, np.float64(2.0)],
+    [object(), b"bytes", 1 + 2j],
+]
+
+
+@pytest.mark.parametrize("value", RENDER_CASES, ids=range(len(RENDER_CASES)))
+def test_emit_json_matches_recursive_renderer(value):
+    assert emit_json(value) == _render_reference(value, 0) + "\n"
+
+
+def test_emit_json_matches_recursive_renderer_on_every_model_payload(capsys):
+    from pomdp_geometry.geometry import model_constraint_polynomials
+    from pomdp_geometry.model import load_model_text
+
+    for path in sorted(MODELS.iterdir()):
+        model = load_model_text(path.read_text())
+        payload = {"polynomials": [p.to_dict() for p in model_constraint_polynomials(model)],
+                   "model": model.to_dict(), "alpha": model.alpha}
+        assert emit_json(payload) == _render_reference(payload, 0) + "\n"

@@ -200,6 +200,27 @@ def test_constraint_polynomial_exponent_matrices():
     assert str(p).startswith("pi[a1|o2] >= 0:")
 
 
+def test_constraint_to_dict_builds_each_term_exponent_matrix():
+    models = [fixtures.two_state_model(), fixtures.three_state_model(),
+              fixtures.blind_three_state_model()]
+    polys = [p for m in models for p in model_constraint_polynomials(m)]
+    # a repeated support state counts twice; an empty support has one constant term
+    polys += [
+        PolynomialConstraint("repeat", 3, 2, (1, 1), np.array([[1.0, 2.0], [0.5, 0.0]]), 0.25),
+        PolynomialConstraint("constant", 2, 2, (), np.zeros((0, 2)), -1.0),
+    ]
+    for p in polys:
+        assert p.to_dict() == {
+            "label": p.label,
+            "observation": p.observation,
+            "action": p.action,
+            "support_states": list(p.support_states),
+            "degree": p.degree,
+            "terms": [{"exponents": p.exponent_matrix(a).tolist(), "coefficient": c}
+                      for a, c in sorted(p.terms.items())],
+        }
+
+
 def test_on_image_identity():
     # at the frequency of a policy, each polynomial equals the policy entry
     # times the product of support-state marginals

@@ -60,6 +60,44 @@ def test_parse_rejects_non_numeric_entry():
         parse_model(json.dumps(doc))
 
 
+def test_parse_converts_integers_like_float():
+    # ties and wide integers round exactly as float() does
+    row = [2**53 + 1, 2**53 + 3, -(2**64) - 1, 10**300, 3, 0.1]
+    doc = fixtures.two_state_model().to_dict()
+    doc["reward"][0] = row[:2]
+    doc["reward"][1] = row[2:4]
+    doc["mu"] = row[4:]
+    m = parse_model(json.dumps(doc))
+    assert m.reward.tolist() == [[float(x) for x in row[:2]], [float(x) for x in row[2:4]]]
+    assert m.mu.tolist() == [3.0, 0.1]
+
+
+@pytest.mark.parametrize("key, index, path", [
+    ("reward", (1, 1), r"reward\[1\]\[1\]"),
+    ("alpha", (0, 1, 0), r"alpha\[0\]\[1\]\[0\]"),
+    ("mu", (0,), r"mu\[0\]"),
+    ("gamma", (), "gamma"),
+])
+def test_parse_rejects_out_of_range_integers_with_path(key, index, path):
+    doc = fixtures.two_state_model().to_dict()
+    if index:
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = 10**400
+    else:
+        doc[key] = 10**400
+    with pytest.raises(ModelFormatError, match=path + ": integer is out of float range"):
+        parse_model(json.dumps(doc))
+
+
+def test_parse_rejects_integer_literal_past_digit_limit():
+    text = json.dumps(fixtures.two_state_model().to_dict()).replace(
+        '"gamma": 0.5', '"gamma": 1' + "0" * 5000)
+    with pytest.raises(ModelFormatError, match="document: not valid JSON"):
+        parse_model(text)
+
+
 def test_parse_accepts_but_validate_flags_bad_rows():
     doc = fixtures.two_state_model().to_dict()
     doc["alpha"][0][0] = [0.45, 0.45]  # sums to 0.9
@@ -95,15 +133,15 @@ def test_validate_reports_every_violation_in_order():
                    1.5, np.array([1.2, -0.1]))
     got = [(v.path, v.message, v.magnitude) for v in validate(m).violations]
     assert got == [
-        ("alpha[0][1]", "row sums to np.float64(0.8999999999999999), expected 1",
+        ("alpha[0][1]", "row sums to 0.8999999999999999, expected 1",
          0.10000000000000009),
-        ("alpha[1][0][1]", "negative entry np.float64(-0.2)", 0.2),
-        ("beta[1]", "row sums to np.float64(1.1), expected 1", 0.10000000000000009),
-        ("mu", "row sums to np.float64(1.0999999999999999), expected 1",
+        ("alpha[1][0][1]", "negative entry -0.2", 0.2),
+        ("beta[1]", "row sums to 1.1, expected 1", 0.10000000000000009),
+        ("mu", "row sums to 1.0999999999999999, expected 1",
          0.09999999999999987),
-        ("mu[1]", "negative entry np.float64(-0.1)", 0.1),
+        ("mu[1]", "negative entry -0.1", 0.1),
         ("gamma", "gamma must lie in (0, 1], got 1.5", 0.5),
-        ("reward[0][1]", "non-finite entry np.float64(nan)", float("inf")),
+        ("reward[0][1]", "non-finite entry nan", float("inf")),
     ]
 
 
