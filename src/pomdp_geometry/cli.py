@@ -6,7 +6,8 @@ computational failures inside an analysis (rank deficiencies, ergodicity
 problems, fits or certifications that do not converge).  Errors are
 reported as a single JSON object on stdout so callers can parse them.
 All floating-point output is rendered with 17 significant digits, which
-makes repeated runs byte-identical for identical inputs and seeds.
+makes repeated runs byte-identical for identical inputs and seeds; JSON
+writes non-finite floats as NaN, Infinity and -Infinity.
 """
 
 from __future__ import annotations
@@ -64,7 +65,13 @@ COMPUTE_ERRORS = (ErgodicityError, ArithmeticError, ValueError)
 # deterministic JSON rendering
 
 
-_FLOAT = "{:.17g}".format
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    """17 significant digits; non-finite values as the tokens Python's json reads."""
+    text = f"{value:.17g}"
+    return _NON_FINITE.get(text, text)
 
 
 def _join_scalars(texts, depth: int) -> str:
@@ -73,7 +80,8 @@ def _join_scalars(texts, depth: int) -> str:
 
 
 def emit_json(obj) -> str:
-    """Indented JSON text of obj with 17-significant-digit floats.
+    """Indented JSON text of obj with 17-significant-digit floats (non-finite
+    ones as NaN, Infinity, -Infinity).
 
     One walk appends chunks to a single list that is joined once.  Lists
     of plain ints or plain floats are joined in one step, and all-int rows
@@ -87,7 +95,7 @@ def emit_json(obj) -> str:
     def walk(value, depth):
         kind = type(value)
         if kind is float:
-            put(_FLOAT(value))
+            put(_float_text(value))
         elif kind is int:
             put(str(value))
         elif kind is str:
@@ -118,7 +126,7 @@ def emit_json(obj) -> str:
                 put(text)
                 return
             if kinds == {float}:
-                put(_join_scalars(map(_FLOAT, value), depth))
+                put(_join_scalars(map(_float_text, value), depth))
                 return
             inner = "  " * (depth + 1)
             sep, comma = "[\n" + inner, ",\n" + inner
@@ -134,7 +142,7 @@ def emit_json(obj) -> str:
         elif isinstance(value, (int, np.integer)):
             put(str(int(value)))
         elif isinstance(value, (float, np.floating)):
-            put(_FLOAT(float(value)))
+            put(_float_text(float(value)))
         elif value is None:
             put("null")
         else:

@@ -22,7 +22,7 @@ import numpy as np
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, pseudoinverse
-from .model import Policy, PomdpModel
+from .model import Policy, PomdpModel, _resolve
 from .rational import _line_form
 
 SUPPORT_TOL = 1e-12
@@ -95,9 +95,11 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     The reward is R = N / D with N and D polynomials of degree at most the
     number of states, the exact line form from p = 0 to p = 1.  The
     critical points are the real roots in (0, 1) of g = N'D - ND' (D > 0
-    for gamma < 1), found by colleague matrix and classified by the sign
-    of g', which is that of R''.  The endpoints are classified by the exact
-    one-sided slopes R' = g / D^2.
+    for every gamma in (0, 1] on unichain lines), found by colleague matrix
+    and classified by the sign of g', which is that of R''.  The endpoints
+    are classified by the exact one-sided slopes R' = g / D^2.
+    At gamma = 1 R is the mean reward, the same for every mu on a unichain
+    line; a point where the chain is not unichain raises ErgodicityError.
     A dense grid cross-validates the result: every sign change of the grid
     increments must lie within two cells of a reported extremum and vice
     versa, otherwise an :class:`ArithmeticError` is raised rather than
@@ -108,8 +110,6 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             "exact enumeration needs a single observation and two actions; "
             f"got {model.n_observations} observations, {model.n_actions} actions"
         )
-    if not model.gamma < 1.0:
-        raise ValueError("exact enumeration requires gamma < 1")
     if grid < 100:
         raise ValueError("grid must have at least 100 cells")
 
@@ -240,13 +240,8 @@ class BoundInput:
                 f"{model.n_observations} observations"
             )
         pinv = pseudoinverse(model.beta)
-        pairs = []
-        for a, o in active_set:
-            a_idx = a if isinstance(a, (int, np.integer)) else model.action_index(a)
-            o_idx = (
-                o if isinstance(o, (int, np.integer)) else model.observation_index(o)
-            )
-            pairs.append((int(a_idx), int(o_idx)))
+        pairs = [(_resolve(model, "action", a), _resolve(model, "observation", o))
+                 for a, o in active_set]
         if len(set(pairs)) != len(pairs):
             raise ValueError("active set contains repeated pairs")
         per_obs: dict[int, int] = {}
@@ -368,15 +363,6 @@ class ScanGrid:
         return "\n".join(lines) + "\n"
 
 
-def _axis_indices(model: PomdpModel, axes) -> list[tuple[int, int]]:
-    out = []
-    for o, a in axes:
-        o_idx = o if isinstance(o, (int, np.integer)) else model.observation_index(o)
-        a_idx = a if isinstance(a, (int, np.integer)) else model.action_index(a)
-        out.append((int(o_idx), int(a_idx)))
-    return out
-
-
 def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray) -> np.ndarray:
     """Policy rows with entry a_idx set to each value and the rest rescaled to fill 1 - value."""
     rest = np.delete(base_row, a_idx)
@@ -400,7 +386,7 @@ def landscape_scan(
     proportionally to the base policy (uniform by default).  Two axes must
     address distinct observations so the sweeps do not fight over a row.
     """
-    pairs = _axis_indices(model, axes)
+    pairs = [(_resolve(model, "observation", o), _resolve(model, "action", a)) for o, a in axes]
     if not 1 <= len(pairs) <= 2:
         raise ValueError("axes must contain one or two (observation, action) pairs")
     if len({o for o, _ in pairs}) != len(pairs):

@@ -7,11 +7,12 @@ policy is the unique solution of the linear fixed-point equation
 
 where P is the state-action kernel and (mu * tau)(s,a) = mu(s) tau(a|s).
 For gamma = 1 it is the unique stationary distribution of P, provided the
-stationary eigenspace is one-dimensional.
+stationary eigenspace is one-dimensional (the chain is unichain).
 
 Every solver goes through one batched S x S core, `_solve`: eta = rho * tau
-with (I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, and values
-solve (I - gamma p) v = r_tau.  Only the certificates and the on-demand
+with (I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, or
+M^T rho = mu with M = I - (p - 1 mu^T) at gamma = 1; values solve
+(I - gamma p) v = r_tau.  Only the certificates and the on-demand
 `GradientBundle.jacobian` use P.  Dense LU solves, no iterative methods.
 """
 
@@ -82,13 +83,21 @@ def _state_kernels(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     return (taus.transpose(1, 0, 2) @ model.alpha).transpose(1, 0, 2)
 
 
+def _anchored_system(model: PomdpModel, small: np.ndarray) -> np.ndarray:
+    """M = I - gamma (p - 1 mu^T) for state kernels small (N, S, S): rho^T M = mu^T for
+    every gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain."""
+    return np.eye(model.n_states) - model.gamma * (small - model.mu)
+
+
 def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
     """The solver core: conditionals taus (N, S, A) -> (rho, v, q).
 
     rho (N, S) solves (I - gamma p^T) rho = (1 - gamma) mu, or at gamma = 1
-    is the stationary distribution of p; eta = rho[..., None] * taus, also
-    off the simplex.  With values (gamma < 1), v (N, S) solves
-    (I - gamma p) v = r_tau and q = reward + gamma alpha v; else both None.
+    M^T rho = mu with M from `_anchored_system`, once one batched SVD shows
+    each p^T - I with exactly one singular value below ERGODICITY_TOL (else
+    ErgodicityError); eta = rho[..., None] * taus, also off the simplex.
+    With values (gamma < 1), v (N, S) solves (I - gamma p) v = r_tau and
+    q = reward + gamma alpha v; else both None.
     """
     gamma = model.gamma
     small = _state_kernels(model, taus)
@@ -97,7 +106,14 @@ def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
         rhs = np.repeat(((1.0 - gamma) * model.mu)[None, :, None], len(taus), axis=0)
         rho = np.linalg.solve(eye - gamma * small.transpose(0, 2, 1), rhs)[..., 0]
     else:
-        rho = np.stack([_stationary_distribution(p) for p in small])
+        sing = np.linalg.svd(small.transpose(0, 2, 1) - eye, compute_uv=False)
+        dims = np.count_nonzero(sing < ERGODICITY_TOL, axis=1)
+        if np.any(dims != 1):
+            raise ErgodicityError(
+                f"stationary distribution is not unique: {dims[dims != 1][0]} singular "
+                f"values of (kernel^T - I) lie below {ERGODICITY_TOL}")
+        system = _anchored_system(model, small).transpose(0, 2, 1)
+        rho = np.linalg.solve(system, model.mu[:, None])[..., 0]
     if not values:
         return rho, None, None
     r_tau = np.einsum("nsa,sa->ns", taus, model.reward)
@@ -116,9 +132,7 @@ def eta_for_tau(model: PomdpModel, tau: np.ndarray) -> np.ndarray:
 
 
 def batch_eta(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
-    """Frequencies for a batch of conditionals (gamma < 1): taus (N, S, A) -> (N, S, A)."""
-    if model.gamma >= 1.0:
-        raise ValueError("batch_eta requires gamma < 1")
+    """Frequencies for a batch of conditionals: taus (N, S, A) -> (N, S, A), any gamma."""
     rho, _, _ = _solve(model, taus)
     return rho[..., None] * taus
 
@@ -127,23 +141,6 @@ def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     """Normalized rewards for a batch of conditionals: taus (N, S, A) -> (N,), any gamma."""
     rho, _, _ = _solve(model, taus)
     return np.einsum("ns,nsa,sa->n", rho, taus, model.reward)
-
-
-def _stationary_distribution(kernel: np.ndarray) -> np.ndarray:
-    """The unique stationary distribution of a row-stochastic matrix, or ErgodicityError."""
-    n = kernel.shape[0]
-    mat = kernel.T - np.eye(n)
-    sing = np.linalg.svd(mat, compute_uv=False)
-    dim = int(np.sum(sing < ERGODICITY_TOL))
-    if dim != 1:
-        raise ErgodicityError(
-            f"stationary distribution is not unique: {dim} singular values of "
-            f"(kernel^T - I) lie below {ERGODICITY_TOL}")
-    bordered = np.vstack([mat, np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    eta, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
-    return eta
 
 
 def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
@@ -180,10 +177,7 @@ def fixed_point_residual(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) ->
     """
     eta = np.asarray(eta, dtype=float).reshape(tau.shape)
     pushed = tau * np.einsum("...sa,sat->...t", eta, model.alpha)[..., None]
-    if model.gamma < 1.0:
-        defect = eta - model.gamma * pushed - (1.0 - model.gamma) * (model.mu[:, None] * tau)
-    else:
-        defect = eta - pushed
+    defect = eta - model.gamma * pushed - (1.0 - model.gamma) * (model.mu[:, None] * tau)
     return float(np.max(np.abs(defect)))
 
 

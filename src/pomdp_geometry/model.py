@@ -106,6 +106,16 @@ def _index_of(label, labels, kind):
         raise KeyError(f"unknown {kind} label {label!r}; known: {list(labels)}") from None
 
 
+def _resolve(model: PomdpModel, kind: str, key) -> int:
+    """Index of a state, observation or action label, or an int index in range; else KeyError."""
+    labels = getattr(model, kind + "s")
+    if not isinstance(key, (int, np.integer)):
+        return _index_of(key, labels, kind)
+    if not 0 <= key < len(labels):
+        raise KeyError(f"unknown {kind} index {key!r}; known: 0 to {len(labels) - 1}")
+    return int(key)
+
+
 @dataclass(frozen=True)
 class Policy:
     """A row-stochastic decision rule.

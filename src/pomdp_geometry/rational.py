@@ -20,9 +20,9 @@ import numpy as np
 from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
-from .freq import (_state_kernels, batch_rewards, certified_etas, conditioning_inverse,
-                   eta_for_tau, reward_of, state_action_frequency)
-from .model import Frequency, PomdpModel, Policy, state_conditionals
+from .freq import (_anchored_system, _state_kernels, batch_rewards, certified_etas,
+                   conditioning_inverse, eta_for_tau, reward_of, state_action_frequency)
+from .model import Frequency, PomdpModel, Policy, _resolve, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 COMMON_ROOT_TOL = 1e-6    # num/den roots closer than this in [0,1] flag a reducible fit
@@ -88,8 +88,7 @@ def degree_bound(model: PomdpModel, varying_obs: Iterable) -> int:
     The bound is the number of states compatible with the varying
     observations: |{s : beta(o|s) > 0 for some o in varying_obs}|.
     """
-    indices = [o if isinstance(o, (int, np.integer)) else model.observation_index(o)
-               for o in varying_obs]
+    indices = [_resolve(model, "observation", o) for o in varying_obs]
     if not indices:
         return 0
     support = np.any(model.beta[:, indices] > 0.0, axis=1)
@@ -191,7 +190,8 @@ def _line_form(model: PomdpModel, tau0: np.ndarray,
                tau1: np.ndarray) -> tuple[Chebyshev, Chebyshev]:
     """N and D of the reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1].
 
-    With M = I - gamma (p_lam - 1 mu^T), rho^T M = mu^T for every gamma in
+    With M = I - gamma (p_lam - 1 mu^T) (`freq._anchored_system`, the
+    gamma = 1 system of the solver core), rho^T M = mu^T for every gamma in
     (0, 1], and D = det(M) is det(I - gamma p_lam) / (1 - gamma) for gamma < 1
     (matrix determinant lemma), finite at gamma = 1.  Only the rows of the k
     states whose conditionals differ move with lam, so by Cramer's rule D
@@ -204,8 +204,7 @@ def _line_form(model: PomdpModel, tau0: np.ndarray,
     def values(x: np.ndarray) -> np.ndarray:
         taus = tau0 + 0.5 * (x + 1.0)[:, None, None] * (tau1 - tau0)
         rewards = batch_rewards(model, taus)
-        dets = np.linalg.det(
-            np.eye(model.n_states) - model.gamma * (_state_kernels(model, taus) - model.mu))
+        dets = np.linalg.det(_anchored_system(model, _state_kernels(model, taus)))
         return np.stack([rewards * dets, dets], axis=1)
 
     coef = chebyshev.chebinterpolate(values, k)
@@ -303,7 +302,7 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
         raise ValueError("vertex_improvement requires gamma < 1")
     if pi.kind != "observation":
         raise ValueError("vertex_improvement needs an observation policy")
-    o = obs if isinstance(obs, (int, np.integer)) else model.observation_index(obs)
+    o = _resolve(model, "observation", obs)
     compatible = int(np.sum(model.beta[:, o] > 0.0))
     if compatible > 1:
         raise ValueError(

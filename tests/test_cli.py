@@ -257,6 +257,20 @@ def test_critical_blind_graph(capsys):
     }
 
 
+def test_critical_mean_reward_does_not_depend_on_start(capsys):
+    # at gamma = 1 the blind line is unichain for every p, and the mean
+    # reward of a unichain chain is the same from every start
+    roots = []
+    for mu in ("s1", "s2", "s3", "uniform"):
+        code, out = run(capsys, "critical", BLIND_GRAPH, "--gamma", "1", "--mu", mu)
+        assert code == 0
+        payload = json.loads(out)
+        roots.append([r["p"] for r in payload["roots"]])
+        assert [r["kind"] for r in payload["roots"]] == ["min"]
+        assert payload["boundary"] == {"0.0": "strict local max", "1.0": "strict local max"}
+    assert_allclose(roots, [roots[0]] * 4, atol=1e-12, rtol=0)
+
+
 def test_critical_wrong_shape_exits_one(capsys):
     code, out = run(capsys, "critical", TWO_STATE)
     assert code == 1
@@ -316,6 +330,17 @@ def test_project_edge_counts(capsys):
     n_sample = sum(1 for line in lines[1:] if line.startswith("sample,"))
     assert n_sample == 5
     assert len(lines) == 1 + 5 + (12 + 12) * 7
+
+
+def test_project_mean_reward_frequencies(capsys):
+    # every sampled and edge policy of the three-state model is unichain
+    code, out = run(capsys, "project", THREE_STATE, "--gamma", "1", "--samples", "5",
+                    "--points", "7")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 5 + (12 + 12) * 7
+    coords = np.array([[float(x) for x in row[3:]] for row in rows])
+    assert np.all(np.linalg.norm(coords, axis=1) <= 1.0 + 1e-12)
 
 
 def test_project_coordinates_are_unit_scale(capsys):
@@ -424,6 +449,26 @@ def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv)
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_golden_snapshots_parse_as_json(path):
+    json.loads(path.read_text())
+
+
+JSON_COMMANDS = [
+    ["validate"], ["freq"], ["reward"], ["oracle"], ["constraints", "--policy", "uniform"],
+    ["faces"], ["critical"], ["freq", "--gamma", "1"], ["critical", "--gamma", "1"],
+]
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.iterdir()), ids=lambda p: p.name)
+def test_every_json_command_parses_as_json(capsys, path):
+    for command, *flags in JSON_COMMANDS:
+        _, out = run(capsys, command, str(path), *flags)
+        json.loads(out)
+    _, out = run(capsys, "bounds", "--model", str(path), "--active", "a1:o1")
+    json.loads(out)
+
+
 # --------------------------------------------------------------------------
 # emit_json against the recursive renderer it replaced
 
@@ -451,7 +496,8 @@ def _render_reference(value, indent):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+        value = float(value)
+        return f"{value:.17g}" if math.isfinite(value) else json.dumps(value)
     if value is None:
         return "null"
     return json.dumps(str(value))

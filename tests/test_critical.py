@@ -120,11 +120,13 @@ def _mp_blind_landscape(model, digits=50):
     """Interior critical points and endpoint classes of a blind two-action
     reward curve in mpmath at the given precision.
 
-    D(p) = det(I - gamma P_p) and N(p) = R(p) D(p) are polynomials of
-    degree at most S, so their values at S + 1 points fix them; the
-    critical points are the real roots in (0, 1) of g = N'D - ND', and
-    since D > 0 the sign of g' is that of R'' and g(0), g(1) carry the
-    signs of the end slopes.
+    D(p) = det(I - gamma P_p), or det(I - P_p + 1 mu^T) at gamma = 1, and
+    N(p) = R(p) D(p) are polynomials of degree at most S, so their values
+    at S + 1 points fix them; the critical points are the real roots in
+    (0, 1) of g = N'D - ND', and since D > 0 the sign of g' is that of R''
+    and g(0), g(1) carry the signs of the end slopes.  At gamma = 1, R is
+    the mean reward rho^T r_p with rho the stationary law, which solves
+    (I - P_p + 1 mu^T)^T rho = mu.
     """
     mp = pytest.importorskip("mpmath")
     ns = model.n_states
@@ -135,8 +137,15 @@ def _mp_blind_landscape(model, digits=50):
         mu = mp.matrix(model.mu.tolist())
 
         def numerator_denominator(p):
-            system = mp.eye(ns) - gamma * (p * alpha[0] + (1 - p) * alpha[1])
-            value = mp.lu_solve(system, p * reward[0] + (1 - p) * reward[1])
+            kernel = p * alpha[0] + (1 - p) * alpha[1]
+            r_p = p * reward[0] + (1 - p) * reward[1]
+            if gamma == 1:
+                system = mp.eye(ns) - kernel + mp.ones(ns, 1) * mu.T
+                rho = mp.lu_solve(system.T, mu)
+                det = mp.det(system)
+                return (rho.T * r_p)[0] * det, det
+            system = mp.eye(ns) - gamma * kernel
+            value = mp.lu_solve(system, r_p)
             det = mp.det(system)
             return (1 - gamma) * (mu.T * value)[0] * det, det
 
@@ -176,6 +185,21 @@ def test_blind_roots_match_mpmath_reference():
         assert (cs.boundary[0.0], cs.boundary[1.0]) == boundary
         n_roots += len(roots)
     assert n_roots >= 25
+
+
+def test_blind_mean_reward_roots_match_mpmath_reference():
+    rng = np.random.default_rng(61)
+    n_roots = 0
+    for i in range(60):
+        m = fixtures.random_model(rng, 2 + i % 3, 1, 2, 1.0)
+        roots, boundary = _mp_blind_landscape(m)
+        cs = blind_critical_points(m)
+        assert_allclose([x for x, _ in cs.interior_roots], [x for x, _ in roots],
+                        atol=1e-9, rtol=0)
+        assert cs.kinds() == tuple(kind for _, kind in roots)
+        assert (cs.boundary[0.0], cs.boundary[1.0]) == boundary
+        n_roots += len(roots)
+    assert n_roots >= 10
 
 
 def test_blind_shallow_minimum_is_strict():
@@ -243,9 +267,6 @@ def test_blind_rejects_wrong_shape_or_gamma():
     m = fixtures.two_state_model()  # two observations
     with pytest.raises(ValueError, match="single observation"):
         blind_critical_points(m)
-    blind = fixtures.blind_three_state_model().replace(gamma=1.0)
-    with pytest.raises(ValueError, match="gamma"):
-        blind_critical_points(blind)
     with pytest.raises(ValueError, match="grid"):
         blind_critical_points(fixtures.blind_three_state_model(), grid=10)
 
@@ -398,6 +419,22 @@ def test_landscape_scan_csv_round_trip():
     values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert_allclose(values[:, 0], [0.0, 0.5, 1.0])
     assert_allclose(values[:, 1], scan.rewards, rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)])
+def test_indices_must_be_in_range(bad):
+    # a negative index once aliased o3 / a2, an index past the end raised IndexError
+    m = fixtures.three_state_model()
+    with pytest.raises(KeyError, match="unknown observation index"):
+        face_critical_bound(m, [(0, bad)])
+    with pytest.raises(KeyError, match="unknown action index"):
+        face_critical_bound(m, [(bad, 0)])
+    with pytest.raises(KeyError, match="unknown observation index"):
+        landscape_scan(m, [(bad, 0)], resolution=3)
+    with pytest.raises(KeyError, match="unknown action index"):
+        landscape_scan(m, [(0, bad)], resolution=3)
+    assert face_critical_bound(m, [(np.int64(1), np.int64(2))]) == (
+        face_critical_bound(m, [("a2", "o3")]))
 
 
 def test_landscape_scan_rejects_bad_axes():

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures
 from pomdp_geometry.freq import (
+    ERGODICITY_TOL,
     ErgodicityError,
     _solve,
-    _stationary_distribution,
     batch_eta,
     batch_rewards,
     certified_etas,
@@ -25,6 +25,23 @@ from pomdp_geometry.freq import (
     value_bundle,
 )
 from pomdp_geometry.model import Policy, kernels_for_tau, state_conditionals
+
+
+def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
+    """The unique stationary distribution of a row-stochastic matrix, or ErgodicityError."""
+    n = kernel.shape[0]
+    mat = kernel.T - np.eye(n)
+    sing = np.linalg.svd(mat, compute_uv=False)
+    dim = int(np.sum(sing < ERGODICITY_TOL))
+    if dim != 1:
+        raise ErgodicityError(
+            f"stationary distribution is not unique: {dim} singular values of "
+            f"(kernel^T - I) lie below {ERGODICITY_TOL}")
+    bordered = np.vstack([mat, np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    eta, *_ = np.linalg.lstsq(bordered, rhs, rcond=None)
+    return eta
 
 
 def always_first_action(model):
@@ -177,6 +194,55 @@ def test_gamma_one_cesaro_oracle():
     exact = state_action_frequency(m, pi)
     series = truncated_series_oracle(m, pi, tol=1e-6)
     assert np.max(np.abs(series.eta - exact.eta)) < 1e-5
+
+
+def _mp_stationary_eta(model, tau, digits=50):
+    """eta = rho * tau at gamma = 1 in mpmath: (P_tau^T - I) rho = 0 with its
+    last row replaced by the mass condition 1^T rho = 1."""
+    mp = pytest.importorskip("mpmath")
+    ns, na = tau.shape
+    with mp.workdps(digits):
+        kernel = mp.matrix(ns, ns)
+        for s in range(ns):
+            for t in range(ns):
+                kernel[s, t] = mp.fsum(mp.mpf(tau[s, a]) * mp.mpf(model.alpha[s, a, t])
+                                       for a in range(na))
+        system = kernel.T - mp.eye(ns)
+        rhs = mp.matrix(ns, 1)
+        for t in range(ns):
+            system[ns - 1, t] = 1
+        rhs[ns - 1] = 1
+        rho = mp.lu_solve(system, rhs)
+        return np.array([[float(rho[s] * mp.mpf(tau[s, a])) for a in range(na)]
+                         for s in range(ns)])
+
+
+def test_mean_reward_frequency_matches_mpmath_stationary_solve():
+    rng = np.random.default_rng(43)
+    for i in range(40):
+        m = fixtures.random_model(rng, 2 + i % 4, 2, 3, 1.0)
+        taus = m.beta @ rng.dirichlet(np.ones(3), size=(3, 2))
+        etas = batch_eta(m, taus)
+        for tau, eta in zip(taus, etas):
+            reference = _mp_stationary_eta(m, tau)
+            assert_allclose(eta, reference, rtol=0, atol=1e-14)
+            assert_allclose(eta_for_tau(m, tau), reference, rtol=0, atol=1e-14)
+
+
+def test_mean_reward_batch_is_one_svd_and_one_solve(monkeypatch):
+    rng = np.random.default_rng(47)
+    m = fixtures.random_model(rng, 4, 2, 3, 1.0)
+    taus = m.beta @ rng.dirichlet(np.ones(3), size=(50, 2))
+    calls = []
+    for name in ("solve", "svd", "lstsq"):
+        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    rewards = batch_rewards(m, taus)
+    assert calls == [("svd", (50, 4, 4)), ("solve", (50, 4, 4))]
+    assert rewards.shape == (50,)
 
 
 @pytest.mark.parametrize("gamma", [1.0 - 1e-6, 1.0 - 1e-7])
@@ -382,7 +448,7 @@ def test_core_stationary_matches_state_action_kernel():
         m = fixtures.random_model(rng, 4, 2, 3, 1.0)
         tau = m.beta @ rng.dirichlet(np.ones(3), size=2)
         big, _ = kernels_for_tau(m.alpha, tau)
-        assert_allclose(eta_for_tau(m, tau), _stationary_distribution(big).reshape(4, 3),
+        assert_allclose(eta_for_tau(m, tau), stationary_distribution(big).reshape(4, 3),
                         rtol=0, atol=1e-12)
 
 

@@ -272,6 +272,15 @@ def test_vertex_improvement_two_state():
         vertex_improvement(m, pi, "o1")
 
 
+@pytest.mark.parametrize("bad", [-1, 2, np.int64(-2)])
+def test_observation_indices_must_be_in_range(bad):
+    m = fixtures.two_state_model()
+    with pytest.raises(KeyError, match="unknown observation index"):
+        degree_bound(m, [bad])
+    with pytest.raises(KeyError, match="unknown observation index"):
+        vertex_improvement(m, Policy.uniform(2, 2), bad)
+
+
 def test_vertex_improvement_reaches_deterministic_optimum_on_mdp():
     # fully observable: improving state rows one at a time in sweeps must
     # reach the best deterministic policy for small models with positive mu
