@@ -273,43 +273,28 @@ class BoundInput:
         )
 
 
-def _convolve_int(a: list[int], b: list[int], cap: int) -> list[int]:
-    out = [0] * min(len(a) + len(b) - 1, cap + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > cap:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def critical_point_bound(inputs: BoundInput) -> int:
     """Upper bound on the critical points in the face interior.
 
     The bound is the product of constraint degrees raised to their
     multiplicities, times the sum over all ways of distributing the
     codimension budget ``m`` among the active observations of the products
-    of (degree - 1) powers.  The sum is the coefficient of ``x^m`` in a
-    product of truncated geometric series, accumulated in exact integer
-    arithmetic.  An empty active set leaves no observations to absorb the
-    budget: the bound is 1 when ``m`` is zero and 0 otherwise — no interior
-    critical points exist.
+    of (degree - 1) powers.  The sum is the coefficient of ``x^m`` in the
+    product of the series 1 / (1 - (degree - 1) x), each factor applied up
+    to ``x^m`` by one exact-integer recurrence.  An empty active set leaves
+    no observations to absorb the budget: the bound is 1 when ``m`` is zero
+    and 0 otherwise — no interior critical points exist.
     """
     if inputs.m < 0:
         return 0
-    if not inputs.degrees:
-        return 1 if inputs.m == 0 else 0
     prefactor = 1
     for d, k in zip(inputs.degrees, inputs.multiplicities):
         prefactor *= d**k
-    poly = [1]
+    c = [1] + [0] * inputs.m
     for d in inputs.degrees:
-        series = [(d - 1) ** i for i in range(inputs.m + 1)]
-        poly = _convolve_int(poly, series, inputs.m)
-    coeff = poly[inputs.m] if inputs.m < len(poly) else 0
-    return prefactor * coeff
+        for j in range(1, inputs.m + 1):
+            c[j] += (d - 1) * c[j - 1]
+    return prefactor * c[inputs.m]
 
 
 def face_critical_bound(model: PomdpModel, active_set) -> int:

@@ -12,8 +12,9 @@ stationary eigenspace is one-dimensional (the chain is unichain).
 Every solver goes through one batched S x S core, `_solve`: eta = rho * tau
 with (I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, or
 M^T rho = mu with M = I - (p - 1 mu^T) at gamma = 1; values solve
-(I - gamma p) v = r_tau.  Only the certificates and the on-demand
-`GradientBundle.jacobian` use P.  Dense LU solves, no iterative methods.
+(I - gamma p) v = r_tau.  P is never built: the certificates apply P^T
+through `_push`, and `GradientBundle.jacobian` solves the same S x S system
+with S*A right-hand sides.  Dense LU solves, no iterative methods.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (Frequency, PomdpModel, Policy, check_frequency, kernels_for_tau,
-                    state_conditionals)
+from .model import Frequency, PomdpModel, Policy, check_frequency, state_conditionals
 
 RESIDUAL_TOL = 1e-10    # fixed-point residual any returned frequency must meet
 ERGODICITY_TOL = 1e-8   # singular-value threshold for stationary-space dimension
 RHO_FLOOR = 1e-12       # below this a state marginal counts as unvisited
+BLOCK_ENTRIES = 2**20   # a batched solve holds at most this many S x S matrix entries
+MAX_SERIES_STEPS = 1 << 22  # the series oracle refuses to push P^T more often
 
 
 class ErgodicityError(RuntimeError):
@@ -56,7 +58,7 @@ class GradientBundle:
 
     grad[o,a] is the partial derivative of R in the ambient coordinate
     pi(a|o).  jacobian[:, (s,a)], the derivative of the flattened eta in the
-    state-policy coordinate tau(a|s), needs an SA x SA solve: built on first access.
+    state-policy coordinate tau(a|s), is built on first access by one S x S solve.
     """
 
     grad: np.ndarray  # (O, A)
@@ -66,11 +68,14 @@ class GradientBundle:
 
     @cached_property
     def jacobian(self) -> np.ndarray:
-        """(S*A, S*A): column (s,a) is rho(s) (I - gamma P^T)^{-1} e_{(s,a)}."""
-        big, _ = kernels_for_tau(self.model.alpha, self.tau)
-        n = big.shape[0]
-        inverse = np.linalg.solve(np.eye(n) - self.model.gamma * big.T, np.eye(n))
-        return inverse * np.repeat(self.rho, self.tau.shape[1])[None, :]
+        """(S*A, S*A): column (s,a) is rho(s) (I - gamma P^T)^{-1} e_{(s,a)}, which is
+        rho(s) (e_{(s,a)} + gamma tau * Y[:, (s,a)]) with (I - gamma p^T) Y = alpha^T (S, S*A),
+        since P^T x = tau(b|t) sum_{s,a} alpha(t|s,a) x(s,a) (see `_push`)."""
+        gamma, (ns, na) = self.model.gamma, self.tau.shape
+        small = _state_kernels(self.model, self.tau[None])[0]
+        y = np.linalg.solve(np.eye(ns) - gamma * small.T, self.model.alpha.reshape(-1, ns).T)
+        pushed = (self.tau[:, :, None] * y[:, None, :]).reshape(ns * na, ns * na)
+        return (np.eye(ns * na) + gamma * pushed) * np.repeat(self.rho, na)
 
 
 # --------------------------------------------------------------------------
@@ -97,8 +102,13 @@ def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
     each p^T - I with exactly one singular value below ERGODICITY_TOL (else
     ErgodicityError); eta = rho[..., None] * taus, also off the simplex.
     With values (gamma < 1), v (N, S) solves (I - gamma p) v = r_tau and
-    q = reward + gamma alpha v; else both None.
+    q = reward + gamma alpha v; else both None.  Batches beyond BLOCK_ENTRIES
+    S x S entries are solved block by block.
     """
+    block = max(1, BLOCK_ENTRIES // model.n_states**2)
+    if len(taus) > block:
+        parts = [_solve(model, taus[i:i + block], values) for i in range(0, len(taus), block)]
+        return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
     gamma = model.gamma
     small = _state_kernels(model, taus)
     eye = np.eye(model.n_states)
@@ -173,12 +183,18 @@ def fixed_point_residual(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) ->
     """Max-norm defect of eta in the stationarity equation for conditionals tau.
 
     Broadcasts over leading batch axes of tau (..., S, A), returning the worst.
-    P^T eta is formed as tau(b|t) sum_{s,a} alpha(t|s,a) eta(s,a), without building P.
     """
     eta = np.asarray(eta, dtype=float).reshape(tau.shape)
-    pushed = tau * np.einsum("...sa,sat->...t", eta, model.alpha)[..., None]
+    pushed = _push(model, tau, eta)
     defect = eta - model.gamma * pushed - (1.0 - model.gamma) * (model.mu[:, None] * tau)
     return float(np.max(np.abs(defect)))
+
+
+def _push(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(P^T eta)(t, b) = tau(b|t) sum_{s,a} alpha(t|s,a) eta(s,a), batched over leading
+    axes, without building the state-action kernel P."""
+    flat = eta.reshape(eta.shape[:-2] + (-1,)) @ model.alpha.reshape(-1, model.n_states)
+    return tau * flat[..., None]
 
 
 def truncation_length(gamma: float, tol: float) -> int:
@@ -199,41 +215,43 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
     staying within tol of the limit).
     gamma = 1: Cesaro averages with doubling horizon until two successive
     averages agree within tol (O(1/T) convergence -- use coarse tolerances).
+    P^T is applied by `_push`; beyond MAX_SERIES_STEPS steps it raises ArithmeticError.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     tau = state_conditionals(model, pi)
-    ns, na = model.n_states, model.n_actions
-    big, _ = kernels_for_tau(model.alpha, tau)
-    start = (model.mu[:, None] * tau).reshape(-1)
+    start = model.mu[:, None] * tau
     if model.gamma < 1.0:
         horizon = truncation_length(model.gamma, tol)
+        if horizon > MAX_SERIES_STEPS:
+            raise ArithmeticError(
+                f"series oracle needs T = {horizon} terms at gamma {model.gamma} and tol {tol}, "
+                f"beyond the cap of {MAX_SERIES_STEPS}")
         term = start.copy()
         acc = start.copy()
         for _ in range(horizon):
-            term = model.gamma * (big.T @ term)
+            term = model.gamma * _push(model, tau, term)
             acc += term
         # the kept terms have exact total mass sum_{t<=T} gamma^t; scaling by
         # it keeps the result a distribution and stays within tol of the limit
         eta = acc * (1.0 - model.gamma) / (1.0 - model.gamma ** (horizon + 1))
     else:
-        eta = _cesaro_average(big, start, tol)
-    eta = eta.reshape(ns, na)
+        eta = _cesaro_average(model, tau, start, tol)
     eta = np.where(np.abs(eta) < 1e-15, 0.0, eta)
     return Frequency.from_eta(eta)
 
 
-def _cesaro_average(big: np.ndarray, start: np.ndarray, tol: float,
-                    max_horizon: int = 1 << 22) -> np.ndarray:
+def _cesaro_average(model: PomdpModel, tau: np.ndarray, start: np.ndarray,
+                    tol: float) -> np.ndarray:
     horizon = 64
     previous = None
     dist = start.copy()
     acc = np.zeros_like(start)
     steps = 0
-    while horizon <= max_horizon:
+    while horizon <= MAX_SERIES_STEPS:
         while steps < horizon:
             acc += dist
-            dist = big.T @ dist
+            dist = _push(model, tau, dist)
             steps += 1
         average = acc / steps
         if previous is not None and np.max(np.abs(average - previous)) <= 0.5 * tol:
@@ -241,7 +259,7 @@ def _cesaro_average(big: np.ndarray, start: np.ndarray, tol: float,
         previous = average
         horizon *= 2
     raise ArithmeticError(
-        f"Cesaro averaging did not stabilize within {max_horizon} steps at tol {tol}")
+        f"Cesaro averaging did not stabilize within {MAX_SERIES_STEPS} steps at tol {tol}")
 
 
 # --------------------------------------------------------------------------

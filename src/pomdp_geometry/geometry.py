@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .freq import certified_etas
+from .freq import BLOCK_ENTRIES, certified_etas
 from .model import PomdpModel
 
 # support cutoff for pseudo-inverse entries when building polynomial
@@ -43,9 +43,6 @@ FACE_COORD_CAP = 16
 
 # refuse to expand a constraint polynomial into more monomials than this
 MONOMIAL_CAP = 2**20
-
-# face certification solves at most this many S x S matrix entries at once
-CERT_BLOCK_ENTRIES = 2**20
 
 
 class RankError(ValueError):
@@ -573,7 +570,7 @@ def face_lattice(
 
     All faces x samples are certified in one batched pass (one draw, one
     `certified_etas` solve, one evaluation per constraint) per block of
-    ``CERT_BLOCK_ENTRIES`` S x S matrix entries.
+    ``freq.BLOCK_ENTRIES`` S x S matrix entries.
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
@@ -653,7 +650,7 @@ def _certify_faces(model, faces, polys, rng, samples, tol):
                           model.action_index(p.action)) for p in polys]).T
     pinned = ~free[:, obs, act]  # (faces, constraints)
 
-    block = max(1, CERT_BLOCK_ENTRIES // model.n_states**2)
+    block = max(1, BLOCK_ENTRIES // model.n_states**2)
     for start in range(0, len(points), block):
         etas = certified_etas(model, model.beta @ points[start:start + block])
         # each value is pi(a|o) times the product of its support marginals

@@ -294,12 +294,11 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
     """Push one observation's action distribution to its best vertex.
 
     Requires that the observation is compatible with at most one state
-    (then the reward is degree <= 1 in that row, so some vertex is optimal).
+    (then the reward is degree <= 1 in that row for any gamma in (0, 1],
+    the k = 1 case of `_line_form`, so some vertex is optimal).
     Returns pi with row obs replaced by the best deterministic action; ties
     take the lowest action index.
     """
-    if model.gamma >= 1.0:
-        raise ValueError("vertex_improvement requires gamma < 1")
     if pi.kind != "observation":
         raise ValueError("vertex_improvement needs an observation policy")
     o = _resolve(model, "observation", obs)

@@ -173,6 +173,12 @@ def test_mu_overrides(capsys):
     assert "2 states" in json.loads(out)["error"]["message"]
 
 
+def test_oracle_beyond_the_step_cap_exits_one(capsys):
+    code, out = run(capsys, "oracle", TWO_STATE, "--gamma", "0.9999999", "--tol", "1e-6")
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "ArithmeticError"
+
+
 def test_oracle_cross_check(capsys):
     code, out = run(capsys, "oracle", TWO_STATE, "--tol", "1e-12")
     assert code == 0

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures
+from pomdp_geometry import fixtures, freq
+from pomdp_geometry.critical import blind_critical_points
 from pomdp_geometry.freq import (
     ERGODICITY_TOL,
+    MAX_SERIES_STEPS,
     ErgodicityError,
     _solve,
     batch_eta,
@@ -24,6 +26,7 @@ from pomdp_geometry.freq import (
     truncation_length,
     value_bundle,
 )
+from pomdp_geometry.geometry import face_lattice
 from pomdp_geometry.model import Policy, kernels_for_tau, state_conditionals
 
 
@@ -156,6 +159,16 @@ def test_oracle_rejects_nonpositive_tol():
     m = fixtures.two_state_model()
     with pytest.raises(ValueError, match="tol"):
         truncated_series_oracle(m, always_first_action(m), tol=-1.0)
+
+
+def test_oracle_refuses_a_series_beyond_the_step_cap(monkeypatch):
+    # T ~ 3.0e8 terms at gamma = 1 - 1e-7: refused before the first push
+    m = fixtures.two_state_model().replace(gamma=1.0 - 1e-7)
+    horizon = truncation_length(m.gamma, 1e-6)
+    assert horizon > MAX_SERIES_STEPS
+    monkeypatch.setattr(freq, "_push", lambda *args: pytest.fail("pushed P^T"))
+    with pytest.raises(ArithmeticError, match=f"T = {horizon} .* cap of {MAX_SERIES_STEPS}"):
+        truncated_series_oracle(m, Policy.uniform(2, 2), tol=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -468,26 +481,84 @@ def test_core_rejects_two_closed_classes_at_gamma_one():
         value_bundle(m, pi)
 
 
-def test_only_state_sized_solves_until_the_jacobian_is_read(monkeypatch):
-    m = fixtures.random_model(np.random.default_rng(37), 5, 3, 3, 0.8)
-    pi = Policy.uniform(3, 3)
-    sizes = []
+def count_solves(monkeypatch):
+    calls = []
     solve = np.linalg.solve
 
     def counting_solve(a, b):
-        sizes.append(a.shape[-1])
+        calls.append(a.shape)
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
+
+
+def test_only_state_sized_solves_until_the_jacobian_is_read(monkeypatch):
+    m = fixtures.random_model(np.random.default_rng(37), 5, 3, 3, 0.8)
+    pi = Policy.uniform(3, 3)
+    calls = count_solves(monkeypatch)
     bundle = policy_gradient(m, pi)
     assert bundle.grad.shape == (3, 3)
     value_bundle(m, pi)
     state_action_frequency(m, pi)
-    assert sizes and set(sizes) == {m.n_states}
+    solves = len(calls)
+    truncated_series_oracle(m, pi, tol=1e-10)
+    truncated_series_oracle(m.replace(gamma=1.0), pi, tol=1e-4)
+    assert len(calls) == solves  # the series oracle solves nothing
     jacobian = bundle.jacobian
-    assert sizes[-1] == m.n_states * m.n_actions
     assert bundle.jacobian is jacobian  # built once
-    assert sizes.count(m.n_states * m.n_actions) == 1
+    assert len(calls) == solves + 1
+    assert {shape[-1] for shape in calls} == {m.n_states}  # no (S*A)-sized solve at all
+
+
+@pytest.mark.parametrize("gamma", [0.99, 0.999])
+def test_jacobian_matches_state_action_inverse_near_one(gamma):
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        ns, no, na = rng.integers(2, 7), rng.integers(1, 4), rng.integers(2, 4)
+        m = fixtures.random_model(rng, ns, no, na, gamma)
+        pi = Policy("observation", rng.dirichlet(np.ones(na), size=no))
+        *_, jacobian = state_action_reference(m, state_conditionals(m, pi))
+        assert_allclose(policy_gradient(m, pi).jacobian, jacobian,
+                        rtol=0, atol=1e-12 * np.max(np.abs(jacobian)))
+
+
+def test_blocked_solves_match_unsplit_ones(monkeypatch):
+    rng = np.random.default_rng(59)
+    m = fixtures.random_model(rng, 4, 2, 3, 0.9)
+    taus = m.beta @ rng.dirichlet(np.ones(3), size=(50, 2))
+    blind = fixtures.blind_three_state_model()
+    lattice_model = fixtures.three_state_model()
+    whole = (batch_rewards(m, taus), blind_critical_points(blind), face_lattice(lattice_model))
+    calls = count_solves(monkeypatch)
+    monkeypatch.setattr(freq, "BLOCK_ENTRIES", 3 * 16)  # three 4 x 4 or five 3 x 3 systems
+    assert_allclose(batch_rewards(m, taus), whole[0], rtol=0, atol=1e-15)
+    assert len(calls) == 17 and calls[-1] == (2, 4, 4)
+    split = blind_critical_points(blind)
+    assert len(calls) > 17 + 10_000 // 5  # the 10^4-point grid went in blocks of five
+    assert split.boundary == whole[1].boundary
+    assert [kind for _, kind in split.interior_roots] == [k for _, k in whole[1].interior_roots]
+    assert_allclose([p for p, _ in split.interior_roots], [p for p, _ in whole[1].interior_roots],
+                    rtol=0, atol=1e-15)
+    solves = len(calls)
+    assert face_lattice(lattice_model) == whole[2]
+    assert len(calls) > solves + 1
+
+
+def test_multichain_point_in_a_later_block_is_rejected(monkeypatch):
+    # action a1 jumps to s1, action a2 stays: "always a2" has two closed classes
+    alpha = np.zeros((2, 2, 2))
+    alpha[:, 0, 0] = 1.0
+    alpha[0, 1, 0] = alpha[1, 1, 1] = 1.0
+    m = fixtures.two_state_model().replace(gamma=1.0, alpha=alpha)
+    taus = np.tile(np.array([[0.5, 0.5], [0.5, 0.5]]), (50, 1, 1))
+    assert_allclose(batch_rewards(m, taus), batch_rewards(m, taus[:1])[0])
+    taus[40] = [[0.0, 1.0], [0.0, 1.0]]
+    calls = count_solves(monkeypatch)
+    monkeypatch.setattr(freq, "BLOCK_ENTRIES", 3 * 4)  # three 2 x 2 systems
+    with pytest.raises(ErgodicityError, match="not unique"):
+        batch_rewards(m, taus)
+    assert len(calls) == 13  # the blocks before the one holding point 40
 
 
 def test_certified_etas_checks_every_point_of_a_batch():

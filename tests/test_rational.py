@@ -272,6 +272,18 @@ def test_vertex_improvement_two_state():
         vertex_improvement(m, pi, "o1")
 
 
+def test_vertex_improvement_at_mean_reward():
+    # at gamma = 1 every policy of the two-state model is unichain, and the
+    # reward is still of degree <= 1 in the row of o2, seen only from s2
+    m = fixtures.two_state_model().replace(gamma=1.0)
+    pi = Policy("observation", np.array([[0.3, 0.7], [0.4, 0.6]]))
+    improved = vertex_improvement(m, pi, "o2")
+    vertices = [reward_of(m, Policy("observation", np.array([[0.3, 0.7], row])))
+                for row in np.eye(2)]
+    assert reward_of(m, improved) == max(vertices)
+    assert max(vertices) >= reward_of(m, pi)
+
+
 @pytest.mark.parametrize("bad", [-1, 2, np.int64(-2)])
 def test_observation_indices_must_be_in_range(bad):
     m = fixtures.two_state_model()
