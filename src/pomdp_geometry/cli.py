@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -24,6 +25,7 @@ import numpy as np
 from . import critical as crit
 from . import geometry as geom
 from .freq import (
+    BLOCK_ENTRIES,
     ErgodicityError,
     batch_eta,
     fixed_point_residual,
@@ -84,13 +86,27 @@ def emit_json(obj) -> str:
     ones as NaN, Infinity, -Infinity).
 
     One walk appends chunks to a single list that is joined once.  Lists
-    of plain ints or plain floats are joined in one step, and all-int rows
-    (exponent rows such as [0, 1, 0] repeat thousands of times) are
-    rendered once per nesting depth.
+    of plain ints or plain floats are joined in one step; str keys are
+    rendered once per call, and all-int rows and all-int matrices (exponent
+    matrices repeat thousands of times) once per nesting depth.  Only exact
+    ints are cached, so the hash-equal True and 1.0 never hit an int's entry.
     """
     out = []
     put = out.append
-    int_rows = {}  # (depth, row) -> text
+    keys = {}  # str key -> '"key": '
+    int_blocks = {}  # (depth, row or matrix as tuples) -> text
+
+    def int_block(block, depth):
+        """Text of a non-empty tuple of ints, or of a tuple of such tuples."""
+        key = (depth, block)
+        text = int_blocks.get(key)
+        if text is None:
+            if type(block[0]) is int:
+                texts = map(str, block)
+            else:
+                texts = (int_block(row, depth + 1) for row in block)
+            text = int_blocks[key] = _join_scalars(texts, depth)
+        return text
 
     def walk(value, depth):
         kind = type(value)
@@ -108,8 +124,13 @@ def emit_json(obj) -> str:
             sep, comma = "{\n" + inner, ",\n" + inner
             for key, item in value.items():
                 put(sep)
-                put(json.dumps(str(key)))
-                put(": ")
+                if type(key) is str:
+                    text = keys.get(key)
+                    if text is None:
+                        text = keys[key] = json.dumps(key) + ": "
+                    put(text)
+                else:
+                    put(json.dumps(str(key)) + ": ")
                 walk(item, depth + 1)
                 sep = comma
             put("\n" + "  " * depth + "}")
@@ -119,14 +140,14 @@ def emit_json(obj) -> str:
                 return
             kinds = set(map(type, value))
             if kinds == {int}:
-                key = (depth, tuple(value))
-                text = int_rows.get(key)
-                if text is None:
-                    text = int_rows[key] = _join_scalars(map(str, value), depth)
-                put(text)
+                put(int_block(tuple(value), depth))
                 return
             if kinds == {float}:
                 put(_join_scalars(map(_float_text, value), depth))
+                return
+            if kinds == {list} and all(value) and \
+                    set(map(type, itertools.chain.from_iterable(value))) == {int}:
+                put(int_block(tuple(map(tuple, value)), depth))
                 return
             inner = "  " * (depth + 1)
             sep, comma = "[\n" + inner, ",\n" + inner
@@ -257,6 +278,14 @@ def _parse_pairs(text: str, what: str, shape: str, first_index,
     return pairs
 
 
+def _at_least(*checks) -> None:
+    """CliInputError for the first (flag, value, least) whose value is set and
+    not >= least (NaN included)."""
+    for flag, value, least in checks:
+        if value is not None and not value >= least:
+            raise CliInputError(f"{flag} must be >= {least}, got {value}")
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     if text.strip() == "":
         return ()
@@ -284,13 +313,11 @@ def _cmd_freq(args) -> int:
     tau = state_conditionals(model, pi)
     reward = float(np.sum(model.reward * freq.eta))
     if args.csv:
-        lines = ["state,action,eta,rho"]
-        for s, state in enumerate(model.states):
-            for a, action in enumerate(model.actions):
-                lines.append(
-                    f"{state},{action},{freq.eta[s, a]:.17g},{freq.rho[s]:.17g}"
-                )
-        sys.stdout.write("\n".join(lines) + "\n")
+        labels = itertools.product(model.states, model.actions)
+        values = zip(freq.eta.ravel().tolist(), np.repeat(freq.rho, model.n_actions).tolist())
+        cells = tuple(itertools.chain.from_iterable(k + v for k, v in zip(labels, values)))
+        template = "%s,%s,%.17g,%.17g\n" * (model.n_states * model.n_actions)
+        sys.stdout.write("state,action,eta,rho\n" + template % cells)
         return 0
     payload = {
         "eta": freq.eta,
@@ -348,9 +375,8 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    for flag, value, least in (("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1)):
-        if value is not None and value < least:
-            raise CliInputError(f"{flag} must be >= {least}, got {value}")
+    _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1),
+              ("--tol", args.tol, 0.0))
     model = _load_model(args.model, args.gamma, args.mu)
     lattice = geom.face_lattice(
         model,
@@ -378,6 +404,7 @@ def _cmd_faces(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    _at_least(("--grid", args.grid, crit.MIN_GRID_CELLS))
     model = _load_model(args.model, args.gamma, args.mu)
     result = crit.blind_critical_points(model, grid=args.grid)
     sys.stdout.write(emit_json(result.to_dict()))
@@ -441,25 +468,35 @@ def _cmd_bounds(args) -> int:
 
 
 def _simplex_edges(n_rows: int, n_actions: int):
-    """All 1-dimensional faces of a product of simplices, as sweep recipes."""
+    """All 1-dimensional faces of a product of simplices, as sweep recipes
+    (free row, action a, action b, vertex): the free row moves from a to b,
+    every other row sits at its vertex action (the free row's entry is 0)."""
     for free_row in range(n_rows):
-        for pair in itertools.combinations(range(n_actions), 2):
-            other_rows = [r for r in range(n_rows) if r != free_row]
-            for vertex in itertools.product(range(n_actions), repeat=len(other_rows)):
-                yield free_row, pair, dict(zip(other_rows, vertex))
+        for a, b in itertools.combinations(range(n_actions), 2):
+            for others in itertools.product(range(n_actions), repeat=n_rows - 1):
+                yield free_row, a, b, others[:free_row] + (0,) + others[free_row:]
 
 
-def _edge_policies(n_rows, n_actions, free_row, pair, pinned, ts):
-    mats = np.zeros((len(ts), n_rows, n_actions))
-    for row, action in pinned.items():
-        mats[:, row, action] = 1.0
-    a, b = pair
-    mats[:, free_row, a] = 1.0 - ts
-    mats[:, free_row, b] = ts
-    return mats
+def _edge_blocks(n_rows: int, n_actions: int, ts: np.ndarray):
+    """Policies at the points ts of every edge, in blocks of whole edges that hold
+    at most BLOCK_ENTRIES policy entries (or one edge): yields (index of the
+    block's first edge, (edges * len(ts), n_rows, n_actions))."""
+    edges = _simplex_edges(n_rows, n_actions)
+    step = max(1, BLOCK_ENTRIES // (len(ts) * n_rows * n_actions))
+    first = 0
+    while chunk := list(itertools.islice(edges, step)):
+        free, a, b, vertex = (np.array(column) for column in zip(*chunk))
+        mats = np.repeat(np.eye(n_actions)[vertex][:, None], len(ts), axis=1)
+        e, points = np.arange(len(chunk)), np.arange(len(ts))
+        mats[e, :, free] = 0.0
+        mats[e[:, None], points, free[:, None], a[:, None]] = 1.0 - ts
+        mats[e[:, None], points, free[:, None], b[:, None]] = ts
+        yield first, mats.reshape(-1, n_rows, n_actions)
+        first += len(chunk)
 
 
 def _cmd_project(args) -> int:
+    _at_least(("--samples", args.samples, 0), ("--points", args.points, 1))
     model = _load_model(args.model, args.gamma, args.mu)
     ns, no, na = model.n_states, model.n_observations, model.n_actions
     dim = ns * na
@@ -467,36 +504,36 @@ def _cmd_project(args) -> int:
         raise CliInputError(
             "3-d projection needs at least 3 state-action pairs"
         )
+    # rows * C(A, 2) * A^(rows - 1) edges of each product of simplices
+    edge_rows = sum(n * math.comb(na, 2) * na ** (n - 1) for n in (no, ns)) * args.points
+    if edge_rows > geom.MONOMIAL_CAP:
+        raise geom.SizeCapError(
+            f"projecting {edge_rows} edge points exceeds the cap of {geom.MONOMIAL_CAP}")
     rng = np.random.default_rng(args.seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
 
-    lines = ["tag,index,t,x,y,z"]
-
-    def add_rows(tag, index, ts, etas):
-        coords = etas.reshape(len(etas), dim) @ basis
-        for t, (x, y, z) in zip(ts, coords):
-            t_txt = "" if t is None else f"{t:.17g}"
-            lines.append(
-                f"{tag},{index},{t_txt},{x:.17g},{y:.17g},{z:.17g}"
-            )
-
     pis = rng.dirichlet(np.ones(na), size=(args.samples, no))
-    etas = batch_eta(model, model.beta @ pis)
-    add_rows("sample", 0, [None] * args.samples, etas)
-
+    table = batch_eta(model, model.beta @ pis).reshape(args.samples, dim) @ basis
+    chunks = ["tag,index,t,x,y,z\n",
+              "sample,0,,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())]
     ts = np.linspace(0.0, 1.0, args.points)
-    for idx, (row, pair, pinned) in enumerate(_simplex_edges(no, na)):
-        pis = _edge_policies(no, na, row, pair, pinned, ts)
-        add_rows("pomdp_edge", idx, ts, batch_eta(model, model.beta @ pis))
-    for idx, (row, pair, pinned) in enumerate(_simplex_edges(ns, na)):
-        taus = _edge_policies(ns, na, row, pair, pinned, ts)
-        add_rows("mdp_edge", idx, ts, batch_eta(model, taus))
-
-    sys.stdout.write("\n".join(lines) + "\n")
+    for tag, n_rows, to_taus in (("pomdp_edge", no, lambda pis: model.beta @ pis),
+                                 ("mdp_edge", ns, lambda taus: taus)):
+        row = tag + ",%d,%.17g,%.17g,%.17g,%.17g\n"
+        for first, mats in _edge_blocks(n_rows, na, ts):
+            n_edges = len(mats) // len(ts)
+            # one (points, dim) @ (dim, 3) product per edge, as each edge alone would get
+            etas = batch_eta(model, to_taus(mats)).reshape(n_edges, len(ts), dim)
+            table = np.column_stack([np.repeat(np.arange(first, first + n_edges), len(ts)),
+                                     np.tile(ts, n_edges), (etas @ basis).reshape(-1, 3)])
+            chunks.append(row * len(table) % tuple(table.ravel().tolist()))
+    sys.stdout.write("".join(chunks))
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    if not args.tol > 0.0:
+        raise CliInputError(f"--tol must be > 0, got {args.tol}")
     model = _load_model(args.model, args.gamma, args.mu)
     pi = _parse_policy(args.policy, model)
     freq = state_action_frequency(model, pi)

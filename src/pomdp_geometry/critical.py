@@ -41,6 +41,9 @@ TRIM_TOL = 1e-13
 # one-sided slope threshold for boundary classification, relative to scale
 BOUNDARY_SLOPE_TOL = 1e-7
 
+# the cross-validation grid of blind_critical_points has at least this many cells
+MIN_GRID_CELLS = 100
+
 BOUNDARY_MAX = "strict local max"
 BOUNDARY_MIN = "strict local min"
 BOUNDARY_NEITHER = "neither"
@@ -110,8 +113,8 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             "exact enumeration needs a single observation and two actions; "
             f"got {model.n_observations} observations, {model.n_actions} actions"
         )
-    if grid < 100:
-        raise ValueError("grid must have at least 100 cells")
+    if grid < MIN_GRID_CELLS:
+        raise ValueError(f"grid must have at least {MIN_GRID_CELLS} cells")
 
     ps = np.linspace(0.0, 1.0, grid + 1)
     rewards = batch_rewards(model, _blind_taus(model, ps))
@@ -341,11 +344,9 @@ class ScanGrid:
 
     def to_csv(self) -> str:
         headers = [f"pi[{a}|{o}]" for o, a in self.axes] + ["reward"]
-        lines = [",".join(headers)]
-        for coord, reward in zip(self.coordinates, self.rewards):
-            cells = [f"{x:.17g}" for x in coord] + [f"{reward:.17g}"]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        table = np.column_stack([self.coordinates, self.rewards])
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        return ",".join(headers) + "\n" + row * len(table) % tuple(table.ravel().tolist())
 
 
 def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray) -> np.ndarray:

@@ -255,9 +255,9 @@ class PolynomialConstraint:
         return len(self.support_states)
 
     @cached_property
-    def terms(self) -> dict[tuple[int, ...], float]:
-        """Monomial expansion: one action f(i) per support state i -> merged
-        coefficient ``sum_i coeff[i, f(i)] - offset``, dropped below 1e-14 of scale."""
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kept monomials in lexicographic order: action assignments (n, degree)
+        and their merged coefficients ``sum_i coeff[i, f(i)] - offset`` (n,)."""
         if self.n_actions**self.degree > MONOMIAL_CAP:
             raise SizeCapError(
                 f"{self.label}: expansion into {self.n_actions}^{self.degree} "
@@ -267,10 +267,14 @@ class PolynomialConstraint:
         # axis i holds the action of support state i
         merged = reduce(np.add.outer, self.coeff, np.zeros(())) - self.offset
         keep = np.abs(merged) > 1e-14 * scale
-        return {
-            tuple(int(a) for a in assignment): float(value)
-            for assignment, value in zip(np.argwhere(keep), merged[keep])
-        }
+        return np.argwhere(keep), merged[keep]
+
+    @cached_property
+    def terms(self) -> dict[tuple[int, ...], float]:
+        """Monomial expansion: one action f(i) per support state i -> merged
+        coefficient ``sum_i coeff[i, f(i)] - offset``, dropped below 1e-14 of scale."""
+        assignments, values = self._expansion
+        return dict(zip(map(tuple, assignments.tolist()), values.tolist()))
 
     def coefficient(self, assignment) -> float:
         """Monomial coefficient for an action assignment (0.0 if absent)."""
@@ -310,10 +314,9 @@ class PolynomialConstraint:
         return exps
 
     def to_dict(self) -> dict:
-        terms = sorted(self.terms.items())
-        n, ns, na = len(terms), self.n_states, self.n_actions
+        assignments, values = self._expansion  # argwhere order is sorted(terms) order
+        n, ns, na = len(values), self.n_states, self.n_actions
         # every term's exponent matrix at once, as counts in one (n, S, A) array
-        assignments = np.array([a for a, _ in terms], dtype=int).reshape(n, self.degree)
         support = np.array(self.support_states, dtype=int)
         flat = (np.arange(n)[:, None] * ns + support) * na + assignments
         exponents = np.bincount(flat.ravel(), minlength=n * ns * na).reshape(n, ns, na)
@@ -325,7 +328,7 @@ class PolynomialConstraint:
             "degree": self.degree,
             "terms": [
                 {"exponents": e, "coefficient": c}
-                for e, (_, c) in zip(exponents.tolist(), terms)
+                for e, c in zip(exponents.tolist(), values.tolist())
             ],
         }
 

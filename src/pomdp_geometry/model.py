@@ -14,6 +14,7 @@ compiles down to the canonical one.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -238,23 +239,11 @@ def parse_model(text: str) -> PomdpModel:
     actions = _parse_labels(doc["actions"], "actions")
     ns, no, na = len(states), len(observations), len(actions)
 
-    alpha = np.empty((ns, na, ns))
-    rows = _expect_list(doc["alpha"], "alpha", ns)
-    for i, row in enumerate(rows):
-        arows = _expect_list(row, f"alpha[{i}]", na)
-        for j, arow in enumerate(arows):
-            alpha[i, j] = _parse_numbers(arow, f"alpha[{i}][{j}]", ns)
-
-    beta = np.empty((ns, no))
-    for i, row in enumerate(_expect_list(doc["beta"], "beta", ns)):
-        beta[i] = _parse_numbers(row, f"beta[{i}]", no)
-
-    reward = np.empty((ns, na))
-    for i, row in enumerate(_expect_list(doc["reward"], "reward", ns)):
-        reward[i] = _parse_numbers(row, f"reward[{i}]", na)
-
+    alpha = _parse_block(doc["alpha"], "alpha", (ns, na, ns))
+    beta = _parse_block(doc["beta"], "beta", (ns, no))
+    reward = _parse_block(doc["reward"], "reward", (ns, na))
     gamma = _parse_number(doc["gamma"], "gamma")
-    mu = _parse_numbers(doc["mu"], "mu", ns)
+    mu = _parse_block(doc["mu"], "mu", (ns,))
 
     return PomdpModel(states, observations, actions, alpha, beta, reward, gamma, mu)
 
@@ -289,15 +278,26 @@ def _parse_number(item, path):
         raise ModelFormatError(f"{path}: integer is out of float range") from None
 
 
-def _parse_numbers(value, path, length):
-    value = _expect_list(value, path, length)
-    if set(map(type, value)) <= {int, float}:
-        try:
-            return np.array(value, dtype=float)
-        except OverflowError:
-            pass
-    # entry by entry, to name the offending one
-    return np.array([_parse_number(item, f"{path}[{i}]") for i, item in enumerate(value)])
+def _parse_block(value, path, shape):
+    """Nested lists of numbers with the given shape as one float array.
+
+    A well-formed block is one np.array call after one flat type check (bools
+    are not numbers); anything else goes row by row to name the bad entry.
+    """
+    flat = value
+    try:
+        for _ in shape[1:]:
+            flat = itertools.chain.from_iterable(flat)
+        if type(value) is list and set(map(type, flat)) <= {int, float}:
+            block = np.array(value, dtype=float)
+            if block.shape == shape:
+                return block
+    except (TypeError, ValueError, OverflowError):
+        pass
+    value = _expect_list(value, path, shape[0])
+    if len(shape) == 1:
+        return np.array([_parse_number(item, f"{path}[{i}]") for i, item in enumerate(value)])
+    return np.array([_parse_block(row, f"{path}[{i}]", shape[1:]) for i, row in enumerate(value)])
 
 
 def serialize_model(model: PomdpModel) -> str:

@@ -20,8 +20,9 @@ import numpy as np
 from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
-from .freq import (_anchored_system, _state_kernels, batch_rewards, certified_etas,
-                   conditioning_inverse, eta_for_tau, reward_of, state_action_frequency)
+from .freq import (BLOCK_ENTRIES, _anchored_system, _state_kernels, batch_rewards,
+                   certified_etas, conditioning_inverse, eta_for_tau, reward_of,
+                   state_action_frequency)
 from .model import Frequency, PomdpModel, Policy, _resolve, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
@@ -279,15 +280,24 @@ def deterministic_policies(n_rows: int, n_actions: int,
 def best_deterministic(model: PomdpModel, kind: str = "state") -> tuple[Policy, float]:
     """Exhaustive search over deterministic policies; returns (argmax, reward).
 
-    Ties keep the lexicographically first assignment.
+    Ties keep the lexicographically first assignment.  Candidates are scored
+    by `batch_rewards` in blocks of at most BLOCK_ENTRIES policy entries.
     """
+    if kind not in ("observation", "state"):
+        raise ValueError(f"policy kind must be 'observation' or 'state', got {kind!r}")
     n_rows = model.n_states if kind == "state" else model.n_observations
-    best_pi, best_r = None, -np.inf
-    for pi in deterministic_policies(n_rows, model.n_actions, kind):
-        r = reward_of(model, pi)
-        if r > best_r:
-            best_pi, best_r = pi, r
-    return best_pi, best_r
+    na = model.n_actions
+    eye = np.eye(na)
+    assignments = itertools.product(range(na), repeat=n_rows)
+    step = max(1, BLOCK_ENTRIES // (n_rows * na))
+    best, best_r = None, -np.inf
+    while block := list(itertools.islice(assignments, step)):
+        pis = eye[np.array(block, dtype=int).reshape(len(block), n_rows)]
+        rewards = batch_rewards(model, pis if kind == "state" else model.beta @ pis)
+        i = int(np.argmax(rewards))  # the first of equal maxima
+        if rewards[i] > best_r:
+            best, best_r = block[i], float(rewards[i])
+    return Policy.deterministic(best, na, kind), best_r
 
 
 def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
@@ -307,18 +317,14 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
         raise ValueError(
             f"observation {model.observations[o]!r} is compatible with {compatible} "
             "states; the vertex argument needs at most one")
-    base = reward_of(model, pi)
-    best_matrix, best_r = None, -np.inf
-    for a in range(model.n_actions):
-        matrix = pi.matrix.copy()
-        matrix[o] = 0.0
-        matrix[o, a] = 1.0
-        r = reward_of(model, Policy("observation", matrix))
-        if r > best_r:
-            best_matrix, best_r = matrix, r
-    assert best_r >= base - 1e-12, (
-        f"no vertex beats the interior point: {best_r} < {base}")
-    return Policy("observation", best_matrix)
+    # one row per vertex action, then pi itself
+    pis = np.repeat(pi.matrix[None], model.n_actions + 1, axis=0)
+    pis[:-1, o] = np.eye(model.n_actions)
+    rewards = batch_rewards(model, model.beta @ pis)
+    best = int(np.argmax(rewards[:-1]))  # ties take the lowest action index
+    assert rewards[best] >= rewards[-1] - 1e-12, (
+        f"no vertex beats the interior point: {rewards[best]} < {rewards[-1]}")
+    return Policy("observation", pis[best])
 
 
 def improvement_path(model: PomdpModel, pi: Policy,

@@ -6,13 +6,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry.cli import emit_json, main
-from pomdp_geometry.model import serialize_model
+from pomdp_geometry import fixtures
+from pomdp_geometry.cli import _edge_blocks, emit_json, main
+from pomdp_geometry.freq import batch_eta
+from pomdp_geometry.geometry import MONOMIAL_CAP, model_constraint_polynomials
+from pomdp_geometry.model import load_model_text, serialize_model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -242,6 +246,22 @@ def test_faces_rejects_empty_requests(capsys, flag, value, least):
         "kind": "CliInputError", "message": f"{flag} must be >= {least}, got {value}"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["project", THREE_STATE, "--samples", "-1"], "--samples must be >= 0, got -1"),
+    (["project", THREE_STATE, "--points", "0"], "--points must be >= 1, got 0"),
+    (["critical", BLIND_GRAPH, "--grid", "5"], "--grid must be >= 100, got 5"),
+    (["oracle", THREE_STATE, "--tol", "0"], "--tol must be > 0, got 0.0"),
+    (["oracle", THREE_STATE, "--tol", "-1"], "--tol must be > 0, got -1.0"),
+    (["faces", THREE_STATE, "--tol", "-1"], "--tol must be >= 0.0, got -1.0"),
+    (["faces", THREE_STATE, "--tol", "nan"], "--tol must be >= 0.0, got nan"),
+], ids=["project-samples", "project-points", "critical-grid", "oracle-tol-zero",
+        "oracle-tol-negative", "faces-tol-negative", "faces-tol-nan"])
+def test_flag_out_of_range_exits_two(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "CliInputError", "message": message}
+
+
 def test_faces_positivity_failure_exits_one(capsys):
     code, out = run(capsys, "faces", TWO_STATE, "--mu", "s1")
     assert code == 1
@@ -359,6 +379,35 @@ def test_project_coordinates_are_unit_scale(capsys):
     assert np.all(np.linalg.norm(coords, axis=1) <= 1.0 + 1e-12)
 
 
+def test_project_beyond_the_row_cap_exits_one_at_once(tmp_path, capsys):
+    # 40 x 20 x 6 has ~1.8e17 observation-policy edges alone
+    model = fixtures.random_model(np.random.default_rng(3), 40, 20, 6, 0.9)
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_model(model))
+    start = time.perf_counter()
+    code, out = run(capsys, "project", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "SizeCapError"
+    assert error["message"].endswith(f"exceeds the cap of {MONOMIAL_CAP}")
+
+
+@pytest.mark.parametrize("model", [
+    fixtures.three_state_model(),
+    fixtures.random_model(np.random.default_rng(7), 5, 5, 3, 0.8, positive_mu=True),
+], ids=["three_state", "random_5x5x3"])
+def test_project_stacked_edge_solves_equal_per_edge_solves(model):
+    ts = np.linspace(0.0, 1.0, 4)
+    for n_rows, to_taus in ((model.n_observations, lambda pis: model.beta @ pis),
+                            (model.n_states, lambda taus: taus)):
+        for _, mats in _edge_blocks(n_rows, model.n_actions, ts):
+            stacked = batch_eta(model, to_taus(mats))
+            per_edge = [batch_eta(model, to_taus(mats[i:i + len(ts)]))
+                        for i in range(0, len(mats), len(ts))]
+            assert np.array_equal(stacked, np.concatenate(per_edge))
+
+
 # --------------------------------------------------------------------------
 # determinism
 
@@ -455,6 +504,17 @@ def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv)
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
+    ("scan_three_state", ["scan", THREE_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "4"]),
+    ("project_three_state", ["project", THREE_STATE, "--samples", "4", "--points", "3"]),
+])
+def test_csv_commands_match_golden_snapshot(capsys, name, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
 def test_golden_snapshots_parse_as_json(path):
     json.loads(path.read_text())
@@ -533,6 +593,10 @@ RENDER_CASES = [
     [1, 2.0, 3],
     [1.0, np.float64(2.0)],
     [object(), b"bytes", 1 + 2j],
+    [[1, 0], [True, 0]],
+    [[1.0, 0]],
+    [[[1, 0]], [[True, 0]], [[1.0, 0]], [[1, 0]], [[1], []], [[1, 2], [3]]],
+    [{1: [[1, 0]]}, {True: [[True, 0]]}, {1.0: [[1.0, 0]]}, {"1": [[1, 0]]}, {"True": 1}],
 ]
 
 
@@ -542,11 +606,21 @@ def test_emit_json_matches_recursive_renderer(value):
 
 
 def test_emit_json_matches_recursive_renderer_on_every_model_payload(capsys):
-    from pomdp_geometry.geometry import model_constraint_polynomials
-    from pomdp_geometry.model import load_model_text
-
     for path in sorted(MODELS.iterdir()):
         model = load_model_text(path.read_text())
         payload = {"polynomials": [p.to_dict() for p in model_constraint_polynomials(model)],
                    "model": model.to_dict(), "alpha": model.alpha}
         assert emit_json(payload) == _render_reference(payload, 0) + "\n"
+
+
+def test_constraints_on_a_full_support_model_match_the_recursive_renderer(tmp_path, capsys):
+    # every state sees every observation: each constraint has support 5 and
+    # 3^5 monomials, so the exponent-matrix and key caches carry the output
+    model = fixtures.random_model(np.random.default_rng(11), 5, 5, 3, 0.8, positive_mu=True)
+    path = tmp_path / "square.json"
+    path.write_text(serialize_model(model))
+    code, out = run(capsys, "constraints", str(path))
+    assert code == 0
+    polys = model_constraint_polynomials(model)
+    assert {p.degree for p in polys} == {5}
+    assert out == _render_reference({"polynomials": [p.to_dict() for p in polys]}, 0) + "\n"

@@ -60,6 +60,33 @@ def test_parse_rejects_non_numeric_entry():
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key, index, entry, message", [
+    ("alpha", (0, 1, 0), True, r"alpha\[0\]\[1\]\[0\]: expected a number, got bool"),
+    ("beta", (1, 0), False, r"beta\[1\]\[0\]: expected a number, got bool"),
+    ("reward", (0, 1), True, r"reward\[0\]\[1\]: expected a number, got bool"),
+    ("mu", (1,), True, r"mu\[1\]: expected a number, got bool"),
+    ("alpha", (1, 0), 0.5, r"alpha\[1\]\[0\]: expected a list, got float"),
+    ("alpha", (1,), {"a": [1, 0]}, r"alpha\[1\]: expected a list, got dict"),
+    ("alpha", (0, 0, 1), [0.5], r"alpha\[0\]\[0\]\[1\]: expected a number, got list"),
+    ("beta", (0,), "10", r"beta\[0\]: expected a list, got str"),
+    ("reward", (1,), [1.0], r"reward\[1\]: expected 2 entries, got 1"),
+    ("mu", (), [0.5, 0.25, 0.25], r"mu: expected 2 entries, got 3"),
+])
+def test_parse_names_the_bad_entry_of_each_block(key, index, entry, message):
+    # each block is one np.array call when well formed; the row-by-row
+    # path must still name the first bad entry, bools included
+    doc = fixtures.two_state_model().to_dict()
+    if index:
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = entry
+    else:
+        doc[key] = entry
+    with pytest.raises(ModelFormatError, match=f"^{message}$"):
+        parse_model(json.dumps(doc))
+
+
 def test_parse_converts_integers_like_float():
     # ties and wide integers round exactly as float() does
     row = [2**53 + 1, 2**53 + 3, -(2**64) - 1, 10**300, 3, 0.1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures
+from pomdp_geometry import fixtures, rational
 from pomdp_geometry.freq import ErgodicityError, eta_for_tau, reward_of, state_action_frequency
 from pomdp_geometry.model import Policy, state_conditionals
 from pomdp_geometry.rational import (
@@ -313,6 +313,62 @@ def test_vertex_improvement_tie_takes_lowest_action():
     pi = Policy.uniform(2, 2)
     improved = vertex_improvement(m, pi, "o2")
     assert_allclose(improved.matrix[1], [1.0, 0.0])
+
+
+def _tied(model):
+    """Action a2 copies a1, so every candidate ties with its a1 <-> a2 swaps."""
+    alpha, reward = model.alpha.copy(), model.reward.copy()
+    alpha[:, 1], reward[:, 1] = alpha[:, 0], reward[:, 0]
+    return model.replace(alpha=alpha, reward=reward)
+
+
+def _scored_models():
+    rng = np.random.default_rng(31)
+    partial = fixtures.random_model(rng, 4, 3, 3, 0.8, deterministic_beta=True)
+    mdp = fixtures.random_mdp(rng, 3, 3, 0.9)
+    return [fixtures.two_state_model(), fixtures.three_state_model(), partial, mdp,
+            _tied(partial), _tied(mdp), mdp.replace(gamma=1.0),
+            mdp.replace(reward=np.zeros((3, 3)))]
+
+
+def _first_best(candidates, model):
+    """The first candidate policy within 1e-12 of the best, one reward_of per
+    Policy: the loop that best_deterministic and vertex_improvement replaced,
+    with ties (which that loop broke by rounding noise) going to the first."""
+    rewards = [reward_of(model, pi) for pi in candidates]
+    best = max(rewards)
+    return next(pi for pi, r in zip(candidates, rewards) if r >= best - 1e-12), best
+
+
+@pytest.mark.parametrize("block_entries", [None, 5])
+def test_best_deterministic_matches_the_policy_loop(monkeypatch, block_entries):
+    # with 5 entries per block every candidate is its own block
+    if block_entries is not None:
+        monkeypatch.setattr(rational, "BLOCK_ENTRIES", block_entries)
+    for m in _scored_models():
+        for kind in ("state", "observation"):
+            n_rows = m.n_states if kind == "state" else m.n_observations
+            candidates = list(deterministic_policies(n_rows, m.n_actions, kind))
+            want_pi, want_r = _first_best(candidates, m)
+            got_pi, got_r = best_deterministic(m, kind=kind)
+            assert got_pi.kind == kind
+            assert np.array_equal(got_pi.matrix, want_pi.matrix)
+            assert got_r == pytest.approx(want_r, abs=1e-12)
+
+
+def test_vertex_improvement_matches_the_policy_loop():
+    rng = np.random.default_rng(37)
+    for m in _scored_models():
+        # observations seen from at most one state
+        for o in np.flatnonzero(np.sum(m.beta > 0.0, axis=0) <= 1):
+            pi = Policy("observation", rng.dirichlet(np.ones(m.n_actions), size=m.n_observations))
+            vertices = []
+            for row in np.eye(m.n_actions):
+                matrix = pi.matrix.copy()
+                matrix[o] = row
+                vertices.append(Policy("observation", matrix))
+            want, _ = _first_best(vertices, m)
+            assert np.array_equal(vertex_improvement(m, pi, int(o)).matrix, want.matrix)
 
 
 # --------------------------------------------------------------------------
