@@ -16,7 +16,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -25,7 +24,6 @@ import numpy as np
 from . import critical as crit
 from . import geometry as geom
 from .freq import (
-    BLOCK_ENTRIES,
     ErgodicityError,
     batch_eta,
     fixed_point_residual,
@@ -42,6 +40,7 @@ from .model import (
     load_model_text,
     validate,
 )
+from .rational import _edge_blocks, _edge_count
 
 
 class CliInputError(ValueError):
@@ -313,7 +312,7 @@ def _cmd_freq(args) -> int:
     tau = state_conditionals(model, pi)
     reward = float(np.sum(model.reward * freq.eta))
     if args.csv:
-        labels = itertools.product(model.states, model.actions)
+        labels = [(s, a) for s in model.states for a in model.actions]
         values = zip(freq.eta.ravel().tolist(), np.repeat(freq.rho, model.n_actions).tolist())
         cells = tuple(itertools.chain.from_iterable(k + v for k, v in zip(labels, values)))
         template = "%s,%s,%.17g,%.17g\n" * (model.n_states * model.n_actions)
@@ -375,8 +374,9 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1),
-              ("--tol", args.tol, 0.0))
+    _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1))
+    if not args.tol > 0.0:  # pinned constraints are rounding noise: 0 never certifies
+        raise CliInputError(f"--tol must be > 0, got {args.tol}")
     model = _load_model(args.model, args.gamma, args.mu)
     lattice = geom.face_lattice(
         model,
@@ -467,34 +467,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _simplex_edges(n_rows: int, n_actions: int):
-    """All 1-dimensional faces of a product of simplices, as sweep recipes
-    (free row, action a, action b, vertex): the free row moves from a to b,
-    every other row sits at its vertex action (the free row's entry is 0)."""
-    for free_row in range(n_rows):
-        for a, b in itertools.combinations(range(n_actions), 2):
-            for others in itertools.product(range(n_actions), repeat=n_rows - 1):
-                yield free_row, a, b, others[:free_row] + (0,) + others[free_row:]
-
-
-def _edge_blocks(n_rows: int, n_actions: int, ts: np.ndarray):
-    """Policies at the points ts of every edge, in blocks of whole edges that hold
-    at most BLOCK_ENTRIES policy entries (or one edge): yields (index of the
-    block's first edge, (edges * len(ts), n_rows, n_actions))."""
-    edges = _simplex_edges(n_rows, n_actions)
-    step = max(1, BLOCK_ENTRIES // (len(ts) * n_rows * n_actions))
-    first = 0
-    while chunk := list(itertools.islice(edges, step)):
-        free, a, b, vertex = (np.array(column) for column in zip(*chunk))
-        mats = np.repeat(np.eye(n_actions)[vertex][:, None], len(ts), axis=1)
-        e, points = np.arange(len(chunk)), np.arange(len(ts))
-        mats[e, :, free] = 0.0
-        mats[e[:, None], points, free[:, None], a[:, None]] = 1.0 - ts
-        mats[e[:, None], points, free[:, None], b[:, None]] = ts
-        yield first, mats.reshape(-1, n_rows, n_actions)
-        first += len(chunk)
-
-
 def _cmd_project(args) -> int:
     _at_least(("--samples", args.samples, 0), ("--points", args.points, 1))
     model = _load_model(args.model, args.gamma, args.mu)
@@ -504,8 +476,7 @@ def _cmd_project(args) -> int:
         raise CliInputError(
             "3-d projection needs at least 3 state-action pairs"
         )
-    # rows * C(A, 2) * A^(rows - 1) edges of each product of simplices
-    edge_rows = sum(n * math.comb(na, 2) * na ** (n - 1) for n in (no, ns)) * args.points
+    edge_rows = (_edge_count(no, na) + _edge_count(ns, na)) * args.points
     if edge_rows > geom.MONOMIAL_CAP:
         raise geom.SizeCapError(
             f"projecting {edge_rows} edge points exceeds the cap of {geom.MONOMIAL_CAP}")

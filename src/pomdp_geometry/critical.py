@@ -21,11 +21,9 @@ import numpy as np
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
-from .geometry import RankError, pseudoinverse
+from .geometry import SUPPORT_TOL, RankError, pseudoinverse
 from .model import Policy, PomdpModel, _resolve
 from .rational import _line_form
-
-SUPPORT_TOL = 1e-12
 
 # interior roots closer than this are reported once
 MERGE_TOL = 1e-8
@@ -87,11 +85,6 @@ class CriticalSet:
         }
 
 
-def _blind_taus(model: PomdpModel, ps: np.ndarray) -> np.ndarray:
-    """The blind conditionals tau(.|s) = (p, 1 - p) of every state, for a batch of p."""
-    return np.stack([ps, 1.0 - ps], axis=-1)[:, None, :].repeat(model.n_states, axis=1)
-
-
 def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     """Locate all critical points of a blind two-action reward curve.
 
@@ -103,10 +96,10 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     are classified by the exact one-sided slopes R' = g / D^2.
     At gamma = 1 R is the mean reward, the same for every mu on a unichain
     line; a point where the chain is not unichain raises ErgodicityError.
-    A dense grid cross-validates the result: every sign change of the grid
-    increments must lie within two cells of a reported extremum and vice
-    versa, otherwise an :class:`ArithmeticError` is raised rather than
-    returning a suspect answer.
+    A dense grid, the `landscape_scan` of pi(a1|o), cross-validates the
+    result: every sign change of the grid increments must lie within two
+    cells of a reported extremum and vice versa, otherwise an
+    :class:`ArithmeticError` is raised rather than returning a suspect answer.
     """
     if model.n_observations != 1 or model.n_actions != 2:
         raise ValueError(
@@ -116,8 +109,8 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     if grid < MIN_GRID_CELLS:
         raise ValueError(f"grid must have at least {MIN_GRID_CELLS} cells")
 
-    ps = np.linspace(0.0, 1.0, grid + 1)
-    rewards = batch_rewards(model, _blind_taus(model, ps))
+    scan = landscape_scan(model, [(0, 0)], resolution=grid + 1)
+    ps, rewards = scan.coordinates[:, 0], scan.rewards
     scale = max(1.0, float(np.max(np.abs(rewards))))
     spread = float(np.max(rewards) - np.min(rewards))
     if spread <= DEGENERATE_TOL * scale:
@@ -128,15 +121,16 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             duplicates_merged=False,
         )
 
-    num, den = _line_form(model, *_blind_taus(model, np.array([0.0, 1.0])))
+    # from the a2 vertex at p = 0 to the a1 vertex at p = 1
+    num, den = _line_form(model, *(model.beta @ np.eye(2)[[1, 0], None]))
     g = num.deriv() * den - num * den.deriv()
     g = g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
     dg = g.deriv()
     candidates = g.roots()
-    x = np.sort(candidates[np.isreal(candidates)].real)
+    x = candidates[np.isreal(candidates)].real
     x = x[(x > 0.0) & (x < 1.0)]
 
-    merged, duplicates_merged = _merge_close(list(x), MERGE_TOL)
+    merged, duplicates_merged = _merge_close(x, MERGE_TOL)
     # at a root of g, R'' = g' / D^2 with D > 0
     curvatures = dg(np.array(merged))
     roots = [(p, "max" if bend < 0 else "min" if bend > 0 else "saddle/flat")
@@ -164,18 +158,14 @@ def _boundary_class(outward_slope: float, thr: float) -> str:
     return BOUNDARY_NEITHER
 
 
-def _merge_close(points: list[float], tol: float) -> tuple[list[float], bool]:
-    if not points:
+def _merge_close(points: np.ndarray, tol: float) -> tuple[list[float], bool]:
+    """Means of the chains of sorted points whose neighbours lie within tol, and
+    whether any chain held more than one point."""
+    if not len(points):
         return [], False
-    points = sorted(points)
-    clusters = [[points[0]]]
-    for x in points[1:]:
-        if x - clusters[-1][-1] <= tol:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    merged = [float(np.mean(c)) for c in clusters]
-    return merged, any(len(c) > 1 for c in clusters)
+    points = np.sort(points)
+    clusters = np.split(points, np.flatnonzero(np.diff(points) > tol) + 1)
+    return [float(np.mean(c)) for c in clusters], len(clusters) < len(points)
 
 
 def _cross_validate(ps, rewards, roots, scale, grid):
@@ -392,7 +382,7 @@ def landscape_scan(
     coords = np.stack([g.ravel() for g in grids], axis=1)
     n = coords.shape[0]
 
-    pis = np.broadcast_to(base_policy.matrix, (n,) + base_policy.matrix.shape).copy()
+    pis = np.repeat(base_policy.matrix[None], n, axis=0)
     for axis, (o_idx, a_idx) in enumerate(pairs):
         pis[:, o_idx] = _pinned_rows(base_policy.matrix[o_idx], a_idx, coords[:, axis])
     rewards = batch_rewards(model, model.beta @ pis)

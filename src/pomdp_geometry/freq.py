@@ -214,7 +214,8 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
     the exact mass of the kept terms (so the result is a distribution while
     staying within tol of the limit).
     gamma = 1: Cesaro averages with doubling horizon until two successive
-    averages agree within tol (O(1/T) convergence -- use coarse tolerances).
+    averages agree within tol (O(1/T) convergence -- use coarse tolerances;
+    a tol that trend cannot meet by the step cap is refused early).
     P^T is applied by `_push`; beyond MAX_SERIES_STEPS steps it raises ArithmeticError.
     """
     if tol <= 0.0:
@@ -244,7 +245,7 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
 def _cesaro_average(model: PomdpModel, tau: np.ndarray, start: np.ndarray,
                     tol: float) -> np.ndarray:
     horizon = 64
-    previous = None
+    previous, stuck = None, False
     dist = start.copy()
     acc = np.zeros_like(start)
     steps = 0
@@ -254,12 +255,18 @@ def _cesaro_average(model: PomdpModel, tau: np.ndarray, start: np.ndarray,
             dist = _push(model, tau, dist)
             steps += 1
         average = acc / steps
-        if previous is not None and np.max(np.abs(average - previous)) <= 0.5 * tol:
-            return average
+        if previous is not None:
+            change = np.max(np.abs(average - previous))
+            if change <= 0.5 * tol:
+                return average
+            # changes shrink like 1/T: refuse once two in a row, scaled to the cap, miss tol/2 4x
+            stuck, was_stuck = change * steps > 4.0 * 0.5 * tol * MAX_SERIES_STEPS, stuck
+            if stuck and was_stuck:
+                break
         previous = average
         horizon *= 2
     raise ArithmeticError(
-        f"Cesaro averaging did not stabilize within {MAX_SERIES_STEPS} steps at tol {tol}")
+        f"Cesaro averaging cannot stabilize within {MAX_SERIES_STEPS} steps at tol {tol}")
 
 
 # --------------------------------------------------------------------------

@@ -112,11 +112,8 @@ def mdp_polytope(model: PomdpModel) -> HalfspaceSystem:
     rows sum to the constant matrix ``(1 - gamma) * ones``, which forces the
     total mass of any solution to one.
     """
-    ns, na = model.n_states, model.n_actions
-    rows = np.zeros((ns, ns, na))
-    for s in range(ns):
-        rows[s, s, :] = 1.0
-        rows[s] -= model.gamma * model.alpha[:, :, s]
+    # rows[s, t, a] = [s = t] - gamma alpha(s | t, a)
+    rows = np.eye(model.n_states)[:, :, None] - model.gamma * model.alpha.transpose(2, 0, 1)
     rhs = (1.0 - model.gamma) * model.mu
     labels = tuple(f"flow[{name}]" for name in model.states)
     return HalfspaceSystem(rows=rows, rhs=rhs, nonnegative=True, labels=labels)
@@ -131,13 +128,10 @@ def kirchhoff_residual(model: PomdpModel, eta: np.ndarray) -> float:
     """Max-norm violation of discounted flow conservation for the edge measure.
 
     At every state the outgoing mass equals the discounted incoming mass plus
-    the injected initial mass: ``nu @ 1 = gamma * nu.T @ 1 + (1-gamma) mu``.
+    the injected initial mass: ``nu @ 1 = gamma * nu.T @ 1 + (1-gamma) mu``,
+    the equalities of `mdp_polytope`.
     """
-    nu = kirchhoff_image(model, eta)
-    out_mass = nu.sum(axis=1)
-    in_mass = nu.sum(axis=0)
-    resid = out_mass - model.gamma * in_mass - (1.0 - model.gamma) * model.mu
-    return float(np.max(np.abs(resid)))
+    return float(np.max(np.abs(mdp_polytope(model).residuals(eta))))
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +578,8 @@ def face_lattice(
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not tol > 0.0:  # pinned constraints evaluate to rounding noise, never to exactly 0
+        raise ValueError(f"tol must be > 0, got {tol}")
     if no * na > FACE_COORD_CAP:
         raise SizeCapError(
             f"face lattice over {no * na} policy coordinates exceeds the "

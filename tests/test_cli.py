@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures
-from pomdp_geometry.cli import _edge_blocks, emit_json, main
+from pomdp_geometry import fixtures, rational
+from pomdp_geometry.cli import emit_json, main
 from pomdp_geometry.freq import batch_eta
 from pomdp_geometry.geometry import MONOMIAL_CAP, model_constraint_polynomials
 from pomdp_geometry.model import load_model_text, serialize_model
+from pomdp_geometry.rational import _edge_blocks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -183,6 +184,17 @@ def test_oracle_beyond_the_step_cap_exits_one(capsys):
     assert json.loads(out)["error"]["kind"] == "ArithmeticError"
 
 
+def test_oracle_mean_reward_refuses_an_unreachable_tol_at_once(capsys):
+    # Cesaro averages on this model change by ~0.25 / T: 1e-12 is out of reach
+    start = time.perf_counter()
+    code, out = run(capsys, "oracle", THREE_STATE, "--gamma", "1", "--tol", "1e-12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ArithmeticError"
+    assert "cannot stabilize" in error["message"]
+
+
 def test_oracle_cross_check(capsys):
     code, out = run(capsys, "oracle", TWO_STATE, "--tol", "1e-12")
     assert code == 0
@@ -252,10 +264,11 @@ def test_faces_rejects_empty_requests(capsys, flag, value, least):
     (["critical", BLIND_GRAPH, "--grid", "5"], "--grid must be >= 100, got 5"),
     (["oracle", THREE_STATE, "--tol", "0"], "--tol must be > 0, got 0.0"),
     (["oracle", THREE_STATE, "--tol", "-1"], "--tol must be > 0, got -1.0"),
-    (["faces", THREE_STATE, "--tol", "-1"], "--tol must be >= 0.0, got -1.0"),
-    (["faces", THREE_STATE, "--tol", "nan"], "--tol must be >= 0.0, got nan"),
+    (["faces", THREE_STATE, "--tol", "-1"], "--tol must be > 0, got -1.0"),
+    (["faces", THREE_STATE, "--tol", "nan"], "--tol must be > 0, got nan"),
+    (["faces", THREE_STATE, "--tol", "0"], "--tol must be > 0, got 0.0"),
 ], ids=["project-samples", "project-points", "critical-grid", "oracle-tol-zero",
-        "oracle-tol-negative", "faces-tol-negative", "faces-tol-nan"])
+        "oracle-tol-negative", "faces-tol-negative", "faces-tol-nan", "faces-tol-zero"])
 def test_flag_out_of_range_exits_two(capsys, argv, message):
     code, out = run(capsys, *argv)
     assert code == 2
@@ -406,6 +419,18 @@ def test_project_stacked_edge_solves_equal_per_edge_solves(model):
             per_edge = [batch_eta(model, to_taus(mats[i:i + len(ts)]))
                         for i in range(0, len(mats), len(ts))]
             assert np.array_equal(stacked, np.concatenate(per_edge))
+
+
+def test_project_across_edge_blocks_matches_one_block(capsys, monkeypatch):
+    argv = ("project", THREE_STATE, "--samples", "3", "--points", "5")
+    code, whole = run(capsys, *argv)
+    assert code == 0
+    # three edges of 5 points x 3 rows x 2 actions per block: 4 blocks per polytope
+    monkeypatch.setattr(rational, "BLOCK_ENTRIES", 3 * 5 * 3 * 2)
+    assert len(list(_edge_blocks(3, 2, np.linspace(0.0, 1.0, 5)))) == 4
+    code, blocked = run(capsys, *argv)
+    assert code == 0
+    assert blocked == whole
 
 
 # --------------------------------------------------------------------------

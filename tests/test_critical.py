@@ -10,6 +10,7 @@ from pomdp_geometry import fixtures
 from pomdp_geometry.critical import (
     BoundInput,
     CriticalSet,
+    _merge_close,
     blind_critical_points,
     critical_point_bound,
     face_critical_bound,
@@ -18,7 +19,7 @@ from pomdp_geometry.critical import (
     polar_degree_rank_one,
     polar_degree_terms,
 )
-from pomdp_geometry.freq import reward_of
+from pomdp_geometry.freq import batch_rewards, reward_of
 from pomdp_geometry.geometry import RankError
 from pomdp_geometry.model import Policy, PomdpModel
 from pomdp_geometry.rational import best_deterministic
@@ -269,6 +270,41 @@ def test_blind_rejects_wrong_shape_or_gamma():
         blind_critical_points(m)
     with pytest.raises(ValueError, match="grid"):
         blind_critical_points(fixtures.blind_three_state_model(), grid=10)
+
+
+def test_blind_scan_is_the_blind_line_bit_for_bit():
+    # the grid of blind_critical_points: tau(.|s) = (p, 1 - p) in every state
+    # (beta set to exact ones; normalised random columns can miss 1 by an ulp)
+    rng = np.random.default_rng(43)
+    for ns in (2, 4, 6):
+        m = fixtures.random_model(rng, ns, 1, 2, 0.85).replace(beta=np.ones((ns, 1)))
+        scan = landscape_scan(m, [(0, 0)], resolution=257)
+        ps = np.linspace(0.0, 1.0, 257)
+        taus = np.repeat(np.stack([ps, 1.0 - ps], axis=-1)[:, None], ns, axis=1)
+        assert np.array_equal(scan.coordinates[:, 0], ps)
+        assert np.array_equal(scan.rewards, batch_rewards(m, taus))
+
+
+def _merge_close_loop(points, tol):
+    """Chains of sorted points whose neighbours lie within tol, one point at a time."""
+    clusters = []
+    for x in sorted(points):
+        if clusters and x - clusters[-1][-1] <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [float(np.mean(c)) for c in clusters], any(len(c) > 1 for c in clusters)
+
+
+def test_merge_close_matches_the_chaining_loop():
+    rng = np.random.default_rng(47)
+    tol = 1e-8
+    assert _merge_close(np.array([]), tol) == ([], False)
+    for n in range(1, 12):
+        # gaps just below and above tol chain and split clusters
+        gaps = rng.choice([0.0, 0.5e-8, 0.999e-8, 1.001e-8, 0.1], size=n - 1)
+        points = rng.permutation(np.concatenate([[rng.random()], rng.random() + np.cumsum(gaps)]))
+        assert _merge_close(points, tol) == _merge_close_loop(points, tol)
 
 
 def test_critical_set_serialization():

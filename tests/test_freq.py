@@ -209,6 +209,17 @@ def test_gamma_one_cesaro_oracle():
     assert np.max(np.abs(series.eta - exact.eta)) < 1e-5
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-5])
+def test_gamma_one_cesaro_oracle_doubles_on_while_the_trend_can_meet_tol(tol):
+    # the averages change by ~0.25 / T, so these tolerances need T = 2^13 and
+    # 2^16: the early refusal must not fire on the way there
+    m = fixtures.three_state_model().replace(gamma=1.0)
+    pi = Policy.uniform(m.n_observations, m.n_actions)
+    series = truncated_series_oracle(m, pi, tol=tol)
+    exact = state_action_frequency(m, pi)
+    assert np.max(np.abs(series.eta - exact.eta)) <= tol
+
+
 def _mp_stationary_eta(model, tau, digits=50):
     """eta = rho * tau at gamma = 1 in mpmath: (P_tau^T - I) rho = 0 with its
     last row replaced by the mass condition 1^T rho = 1."""

@@ -91,6 +91,16 @@ def test_kirchhoff_image_hand_value():
     assert kirchhoff_residual(m, freq.eta) <= 1e-12
 
 
+def test_kirchhoff_residual_is_the_edge_measure_balance_off_the_polytope():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        m = fixtures.random_model(rng, 4, 3, 3, 0.8)
+        eta = rng.random((4, 3))  # no frequency: the balance misses
+        nu = kirchhoff_image(m, eta)
+        balance = nu.sum(axis=1) - m.gamma * nu.sum(axis=0) - (1 - m.gamma) * m.mu
+        assert kirchhoff_residual(m, eta) == pytest.approx(np.max(np.abs(balance)), abs=1e-14)
+
+
 def test_kirchhoff_orientation_is_out_equals_discounted_in():
     # swapping rows and columns in the balance equation does NOT hold;
     # this pins the orientation of the conservation law
@@ -394,6 +404,13 @@ def test_face_lattice_requires_positivity():
     m = fixtures.two_state_model(mu=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="visit every state"):
         face_lattice(m)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_face_lattice_rejects_a_tolerance_that_cannot_certify(tol):
+    # pinned constraints evaluate to rounding noise, never to exactly 0
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        face_lattice(fixtures.two_state_model(), tol=tol)
 
 
 def test_certification_error_names_the_face():

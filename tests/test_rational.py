@@ -408,6 +408,15 @@ def test_improvement_path_stage_two_is_linear():
     assert_allclose(rewards[:stage1], rewards[0], atol=1e-9)
 
 
+def test_improvement_path_rewards_are_the_rewards_of_its_policies():
+    rng = np.random.default_rng(31)
+    for ns, na, steps in ((3, 2, 60), (2, 3, 9), (4, 3, 2)):
+        m = fixtures.random_mdp(rng, ns, na, 0.7)
+        pi = Policy("state", rng.dirichlet(np.ones(na), size=ns))
+        for policy, reward in improvement_path(m, pi, steps=steps):
+            assert abs(reward - reward_of(m, policy)) <= 1e-12
+
+
 def test_improvement_path_requires_identity_beta_and_positivity():
     m = fixtures.two_state_model()  # beta is not the identity
     with pytest.raises(ValueError, match="identity"):
@@ -422,6 +431,37 @@ def test_improvement_path_requires_identity_beta_and_positivity():
     m = m.replace(mu=np.array([1.0, 0.0]), alpha=blocked)
     with pytest.raises(ValueError, match="visit"):
         improvement_path(m, Policy.uniform(2, 2), steps=10)
+
+
+@pytest.mark.parametrize("entries_per_item, sizes", [(3, [2, 2, 2, 1]), (7, [1] * 7), (8, [1] * 7)])
+def test_blocks_hold_at_most_block_entries_and_at_least_one_item(
+        monkeypatch, entries_per_item, sizes):
+    monkeypatch.setattr(rational, "BLOCK_ENTRIES", 7)
+    blocks = list(rational._blocks(iter(range(7)), entries_per_item))
+    assert [len(b) for b in blocks] == sizes
+    assert sum(blocks, []) == list(range(7))
+
+
+def test_edge_blocks_sweep_every_edge_with_exact_entries():
+    ts = np.linspace(0.0, 1.0, 6)
+    for n_rows, na in ((1, 2), (2, 3), (3, 2)):
+        mats = np.concatenate([m for _, m in rational._edge_blocks(n_rows, na, ts)])
+        n_edges = rational._edge_count(n_rows, na)
+        assert mats.shape == (n_edges * len(ts), n_rows, na)
+        edges = mats.reshape(n_edges, len(ts), n_rows, na)
+        moving = np.any(edges[:, 0] != edges[:, -1], axis=-1)  # (edges, rows)
+        assert np.all(moving.sum(axis=1) == 1)
+        for edge, row in zip(edges, moving):
+            ends = edge[[0, -1]][:, row][:, 0]  # the free row at t = 0 and t = 1
+            a, b = np.argmax(ends, axis=1)
+            assert a < b and np.array_equal(ends, np.eye(na)[[a, b]])
+            free = edge[:, row][:, 0]  # (points, actions)
+            assert np.array_equal(free[:, a], 1.0 - ts) and np.array_equal(free[:, b], ts)
+            assert np.all(np.delete(free, [a, b], axis=1) == 0.0)
+            assert np.all(np.isin(edge[:, ~row], (0.0, 1.0)))
+            assert np.all(edge[:, ~row] == edge[0, ~row])
+        # every edge once: distinct (free row, a, b, other rows) recipes
+        assert len({edge[[0, -1]].tobytes() for edge in edges}) == n_edges
 
 
 def test_deterministic_policy_enumeration():
