@@ -37,6 +37,7 @@ from .model import (
     ModelFormatError,
     Policy,
     PomdpModel,
+    compose,
     load_model_text,
     validate,
 )
@@ -484,11 +485,11 @@ def _cmd_project(args) -> int:
     basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
 
     pis = rng.dirichlet(np.ones(na), size=(args.samples, no))
-    table = batch_eta(model, model.beta @ pis).reshape(args.samples, dim) @ basis
+    table = batch_eta(model, compose(model.beta, pis)).reshape(args.samples, dim) @ basis
     chunks = ["tag,index,t,x,y,z\n",
               "sample,0,,%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())]
     ts = np.linspace(0.0, 1.0, args.points)
-    for tag, n_rows, to_taus in (("pomdp_edge", no, lambda pis: model.beta @ pis),
+    for tag, n_rows, to_taus in (("pomdp_edge", no, lambda pis: compose(model.beta, pis)),
                                  ("mdp_edge", ns, lambda taus: taus)):
         row = tag + ",%d,%.17g,%.17g,%.17g,%.17g\n"
         for first, mats in _edge_blocks(n_rows, na, ts):

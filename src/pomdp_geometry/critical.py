@@ -22,7 +22,7 @@ import numpy as np
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import SUPPORT_TOL, RankError, pseudoinverse
-from .model import Policy, PomdpModel, _resolve
+from .model import Policy, PomdpModel, _resolve, compose
 from .rational import _line_form
 
 # interior roots closer than this are reported once
@@ -122,7 +122,7 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
         )
 
     # from the a2 vertex at p = 0 to the a1 vertex at p = 1
-    num, den = _line_form(model, *(model.beta @ np.eye(2)[[1, 0], None]))
+    num, den = _line_form(model, *compose(model.beta, np.eye(2)[[1, 0], None]))
     g = num.deriv() * den - num * den.deriv()
     g = g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
     dg = g.deriv()
@@ -385,7 +385,7 @@ def landscape_scan(
     pis = np.repeat(base_policy.matrix[None], n, axis=0)
     for axis, (o_idx, a_idx) in enumerate(pairs):
         pis[:, o_idx] = _pinned_rows(base_policy.matrix[o_idx], a_idx, coords[:, axis])
-    rewards = batch_rewards(model, model.beta @ pis)
+    rewards = batch_rewards(model, compose(model.beta, pis))
     labels = tuple(
         (model.observations[o_idx], model.actions[a_idx]) for o_idx, a_idx in pairs
     )

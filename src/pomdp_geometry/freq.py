@@ -14,7 +14,19 @@ with (I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, or
 M^T rho = mu with M = I - (p - 1 mu^T) at gamma = 1; values solve
 (I - gamma p) v = r_tau.  P is never built: the certificates apply P^T
 through `_push`, and `GradientBundle.jacobian` solves the same S x S system
-with S*A right-hand sides.  Dense LU solves, no iterative methods.
+with S*A right-hand sides.
+
+Every S x S solve goes through one primitive, `_linsolve`, on systems built
+batch-last, (S, S, N).  Direct solves, no iterative methods, in two branches:
+up to SMALL_STATES states one Gaussian elimination with partial pivoting
+runs over all N systems at once, a few numpy operations per column, where
+LAPACK would be called once per tiny matrix; larger models call LAPACK's LU
+(np.linalg.solve).  The branch depends on S alone, never on N, so splitting
+a batch never changes a bit.  For gamma < 1 the rho-systems I - gamma p^T
+are strictly diagonally dominant by columns on the simplex (|1 - gamma
+p(s|s)| > gamma sum_{t != s} p(t|s)), elimination keeps them so, and partial
+pivoting never swaps a row there; conditionals off the simplex, the gamma = 1
+system M^T and the value systems I - gamma p can need swaps.
 """
 
 from __future__ import annotations
@@ -31,6 +43,9 @@ RESIDUAL_TOL = 1e-10    # fixed-point residual any returned frequency must meet
 ERGODICITY_TOL = 1e-8   # singular-value threshold for stationary-space dimension
 RHO_FLOOR = 1e-12       # below this a state marginal counts as unvisited
 BLOCK_ENTRIES = 2**20   # a batched solve holds at most this many S x S matrix entries
+# `_linsolve` eliminates all systems at once up to this many states: on 1681 to 10^4 systems
+# that takes 0.07-0.44 of LAPACK's time for S <= 7, 0.6-0.95 at S = 8, 9, more from S ~ 10-16
+SMALL_STATES = 8
 MAX_SERIES_STEPS = 1 << 22  # the series oracle refuses to push P^T more often
 
 
@@ -72,8 +87,8 @@ class GradientBundle:
         rho(s) (e_{(s,a)} + gamma tau * Y[:, (s,a)]) with (I - gamma p^T) Y = alpha^T (S, S*A),
         since P^T x = tau(b|t) sum_{s,a} alpha(t|s,a) x(s,a) (see `_push`)."""
         gamma, (ns, na) = self.model.gamma, self.tau.shape
-        small = _state_kernels(self.model, self.tau[None])[0]
-        y = np.linalg.solve(np.eye(ns) - gamma * small.T, self.model.alpha.reshape(-1, ns).T)
+        system = _rho_system(self.model, _state_kernels(self.model, self.tau[None]))
+        y = _linsolve(system, self.model.alpha.reshape(-1, ns).T[..., None])[..., 0]
         pushed = (self.tau[:, :, None] * y[:, None, :]).reshape(ns * na, ns * na)
         return (np.eye(ns * na) + gamma * pushed) * np.repeat(self.rho, na)
 
@@ -83,53 +98,117 @@ class GradientBundle:
 
 
 def _state_kernels(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
-    """State kernels p[n, s, t] = sum_a taus[n, s, a] alpha(t|s, a) of a batch of conditionals,
-    as one (N, A) @ (A, S) product per state s."""
-    return (taus.transpose(1, 0, 2) @ model.alpha).transpose(1, 0, 2)
+    """State kernels p[s, t, n] = sum_a taus[n, s, a] alpha(t|s, a) of a batch of conditionals
+    taus (N, S, A), batch-last: one (S, A) @ (A, N) product per state s."""
+    return model.alpha.transpose(0, 2, 1) @ taus.transpose(1, 2, 0)
 
 
-def _anchored_system(model: PomdpModel, small: np.ndarray) -> np.ndarray:
-    """M = I - gamma (p - 1 mu^T) for state kernels small (N, S, S): rho^T M = mu^T for
-    every gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain."""
-    return np.eye(model.n_states) - model.gamma * (small - model.mu)
+def _state_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """Expected rewards r_tau[s, n] = sum_a taus[n, s, a] reward(s, a), batch-last (S, N)."""
+    return (taus.transpose(1, 0, 2) @ model.reward[:, :, None])[..., 0]
 
 
-def _solve(model: PomdpModel, taus: np.ndarray, values: bool = False):
-    """The solver core: conditionals taus (N, S, A) -> (rho, v, q).
+def _rho_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
+    """I - gamma p^T for batch-last state kernels p (S, S, N): (I - gamma p^T) rho =
+    (1 - gamma) mu at gamma < 1."""
+    return np.eye(model.n_states)[:, :, None] - model.gamma * p.transpose(1, 0, 2)
+
+
+def _anchored_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
+    """M = I - gamma (p - 1 mu^T) for batch-last state kernels p (S, S, N): rho^T M = mu^T
+    for every gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain."""
+    return np.eye(model.n_states)[:, :, None] - model.gamma * (p - model.mu[:, None])
+
+
+def _linsolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one S x S solve primitive: x[:, :, n] = a[:, :, n]^{-1} b[:, :, n] for batch-last
+    systems a (S, S, N) and right-hand sides b (S, K, N), or (S, K, 1) shared by all N.
+
+    Up to SMALL_STATES states `_eliminate` solves all systems at once, working in a (pass
+    a fresh array); larger ones go to LAPACK one matrix at a time.  A zero pivot raises
+    np.linalg.LinAlgError("Singular matrix") on both branches.
+    """
+    ns, n = a.shape[0], a.shape[-1]
+    if ns > SMALL_STATES:
+        return np.linalg.solve(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    x = np.empty((ns, b.shape[1], n))
+    x[...] = b
+    return _eliminate(a, x)
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting on systems a (S, S, N) with right-hand
+    sides b (S, K, N), all N at once: a few numpy operations per column, each over every
+    system.  Overwrites both and returns x in b.
+
+    A row is swapped in only where it beats the pivot candidate strictly (ties keep the
+    candidate, as LAPACK's first-maximum rule does), so the rho-systems of gamma < 1 on
+    the simplex never swap.  Back substitution goes column by column: no step sums over a
+    batch-dependent axis, so every system's bits are independent of the rest of the batch.
+    """
+    ns = a.shape[0]
+    for k in range(ns):
+        if k + 1 < ns:
+            mags = np.abs(a[k:, k])
+            beaten = mags[1:] > mags[0]
+            if beaten.any():
+                cols = np.flatnonzero(beaten.any(axis=0))
+                rows = k + np.argmax(mags[:, cols], axis=0)
+                for m in (a, b):
+                    top = m[k, :, cols]
+                    m[k, :, cols] = m[rows, :, cols]
+                    m[rows, :, cols] = top
+        pivot = a[k, k]
+        if not pivot.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        if k + 1 < ns:
+            factors = (a[k + 1:, k] / pivot)[:, None]
+            a[k + 1:, k + 1:] -= factors * a[k, None, k + 1:]
+            b[k + 1:] -= factors * b[k]
+    for k in range(ns - 1, -1, -1):
+        b[k] /= a[k, k]
+        if k:
+            b[:k] -= a[:k, k, None] * b[k]
+    return b
+
+
+def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool = False):
+    """The solver core: conditionals taus (N, S, A) -> (rho, v, q), each None unless asked for.
 
     rho (N, S) solves (I - gamma p^T) rho = (1 - gamma) mu, or at gamma = 1
     M^T rho = mu with M from `_anchored_system`, once one batched SVD shows
     each p^T - I with exactly one singular value below ERGODICITY_TOL (else
     ErgodicityError); eta = rho[..., None] * taus, also off the simplex.
     With values (gamma < 1), v (N, S) solves (I - gamma p) v = r_tau and
-    q = reward + gamma alpha v; else both None.  Batches beyond BLOCK_ENTRIES
-    S x S entries are solved block by block.
+    q = reward + gamma alpha v.  The systems are built batch-last, (S, S, N), for
+    `_linsolve`: one batched elimination up to SMALL_STATES states, LAPACK above, the
+    branch chosen by S alone.  Partial pivoting never swaps rows of the gamma < 1
+    rho-systems: on the simplex their columns are strictly diagonally dominant.
+    Batches beyond BLOCK_ENTRIES S x S entries are solved block by block.
     """
     block = max(1, BLOCK_ENTRIES // model.n_states**2)
     if len(taus) > block:
-        parts = [_solve(model, taus[i:i + block], values) for i in range(0, len(taus), block)]
+        parts = [_solve(model, taus[i:i + block], rho, values)
+                 for i in range(0, len(taus), block)]
         return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
-    gamma = model.gamma
-    small = _state_kernels(model, taus)
-    eye = np.eye(model.n_states)
-    if gamma < 1.0:
-        rhs = np.repeat(((1.0 - gamma) * model.mu)[None, :, None], len(taus), axis=0)
-        rho = np.linalg.solve(eye - gamma * small.transpose(0, 2, 1), rhs)[..., 0]
-    else:
-        sing = np.linalg.svd(small.transpose(0, 2, 1) - eye, compute_uv=False)
+    gamma, ns = model.gamma, model.n_states
+    p = _state_kernels(model, taus)
+    x = v = q = None
+    if rho and gamma < 1.0:
+        x = _linsolve(_rho_system(model, p), ((1.0 - gamma) * model.mu)[:, None, None])
+    elif rho:
+        sing = np.linalg.svd(p.transpose(2, 1, 0) - np.eye(ns), compute_uv=False)
         dims = np.count_nonzero(sing < ERGODICITY_TOL, axis=1)
         if np.any(dims != 1):
             raise ErgodicityError(
                 f"stationary distribution is not unique: {dims[dims != 1][0]} singular "
                 f"values of (kernel^T - I) lie below {ERGODICITY_TOL}")
-        system = _anchored_system(model, small).transpose(0, 2, 1)
-        rho = np.linalg.solve(system, model.mu[:, None])[..., 0]
-    if not values:
-        return rho, None, None
-    r_tau = np.einsum("nsa,sa->ns", taus, model.reward)
-    v = np.linalg.solve(eye - gamma * small, r_tau[..., None])[..., 0]
-    q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
-    return rho, v, q
+        x = _linsolve(_anchored_system(model, p).transpose(1, 0, 2), model.mu[:, None, None])
+    if values:
+        system = np.eye(ns)[:, :, None] - gamma * p
+        v = _linsolve(system, _state_rewards(model, taus)[:, None])[:, 0].T
+        q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
+    return None if x is None else x[:, 0].T, v, q
 
 
 def eta_for_tau(model: PomdpModel, tau: np.ndarray) -> np.ndarray:
@@ -150,7 +229,8 @@ def batch_eta(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
 def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     """Normalized rewards for a batch of conditionals: taus (N, S, A) -> (N,), any gamma."""
     rho, _, _ = _solve(model, taus)
-    return np.einsum("ns,nsa,sa->n", rho, taus, model.reward)
+    # one (S, N) layout for both factors, so the sum over s never depends on how taus is laid out
+    return (np.ascontiguousarray(rho.T) * _state_rewards(model, taus)).sum(axis=0)
 
 
 def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
@@ -283,7 +363,7 @@ def value_bundle(model: PomdpModel, pi: Policy, normalized: bool = True) -> Valu
     """
     if model.gamma == 1.0:
         return ValueBundle(V=None, Q=None, R=reward_of(model, pi))
-    _, v, q = _solve(model, state_conditionals(model, pi)[None], values=True)
+    _, v, q = _solve(model, state_conditionals(model, pi)[None], rho=False, values=True)
     v = v[0] * ((1.0 - model.gamma) if normalized else 1.0)
     return ValueBundle(V=v, Q=q[0], R=float(model.mu @ v))
 

@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .freq import BLOCK_ENTRIES, certified_etas
-from .model import PomdpModel
+from .model import PomdpModel, compose
 
 # support cutoff for pseudo-inverse entries when building polynomial
 # constraints; entries within NEAR_ZERO_FACTOR of the cutoff trigger a
@@ -651,7 +651,7 @@ def _certify_faces(model, faces, polys, rng, samples, tol):
 
     block = max(1, BLOCK_ENTRIES // model.n_states**2)
     for start in range(0, len(points), block):
-        etas = certified_etas(model, model.beta @ points[start:start + block])
+        etas = certified_etas(model, compose(model.beta, points[start:start + block]))
         # each value is pi(a|o) times the product of its support marginals
         rho = etas.sum(axis=-1)
         values = np.stack([p.evaluate(etas) / np.prod(rho[:, list(p.support_states)], axis=-1)

@@ -351,7 +351,17 @@ def effective_policy(pi: Policy, beta: np.ndarray) -> Policy:
         raise ValueError(
             f"beta shape {beta.shape} is incompatible with a policy over "
             f"{pi.matrix.shape[0]} observations")
-    return Policy("state", beta @ pi.matrix)
+    return Policy("state", compose(beta, pi.matrix))
+
+
+def compose(beta: np.ndarray, pis: np.ndarray) -> np.ndarray:
+    """tau(a|s) = sum_o beta(o|s) pi(a|o) for one observation-policy matrix (O, A) or a
+    stack (N, O, A), the stack as one (S, O) @ (O, N*A) product instead of N tiny ones.
+    A stack's result is an (N, S, A) view of an (S, N, A) array."""
+    if pis.ndim == 2:
+        return beta @ pis
+    n, no, na = pis.shape
+    return (beta @ pis.transpose(1, 0, 2).reshape(no, -1)).reshape(-1, n, na).transpose(1, 0, 2)
 
 
 def state_conditionals(model: PomdpModel, pi: Policy) -> np.ndarray:
@@ -361,7 +371,7 @@ def state_conditionals(model: PomdpModel, pi: Policy) -> np.ndarray:
             raise ValueError(
                 f"observation policy shape {pi.matrix.shape} does not match "
                 f"({model.n_observations}, {model.n_actions})")
-        return model.beta @ pi.matrix
+        return compose(model.beta, pi.matrix)
     if pi.matrix.shape != (model.n_states, model.n_actions):
         raise ValueError(
             f"state policy shape {pi.matrix.shape} does not match "

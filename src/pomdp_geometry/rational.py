@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as pol
 # reward_of is unused: perfbench/test_smoke.py checks the tracer wraps this binding site
 from .freq import (BLOCK_ENTRIES, _anchored_system, _state_kernels, batch_rewards,  # noqa: F401
                    certified_etas, conditioning_inverse, reward_of, state_action_frequency)
-from .model import Frequency, PomdpModel, Policy, _resolve, state_conditionals
+from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 COMMON_ROOT_TOL = 1e-6    # num/den roots closer than this in [0,1] flag a reducible fit
@@ -208,7 +208,8 @@ def _line_form(model: PomdpModel, tau0: np.ndarray,
     def values(x: np.ndarray) -> np.ndarray:
         taus = _segment(tau0, tau1, 0.5 * (x + 1.0))
         rewards = batch_rewards(model, taus)
-        dets = np.linalg.det(_anchored_system(model, _state_kernels(model, taus)))
+        system = _anchored_system(model, _state_kernels(model, taus))  # batch-last (S, S, N)
+        dets = np.linalg.det(system.transpose(2, 0, 1))
         return np.stack([rewards * dets, dets], axis=1)
 
     coef = chebyshev.chebinterpolate(values, k)
@@ -302,7 +303,7 @@ def best_deterministic(model: PomdpModel, kind: str = "state") -> tuple[Policy, 
     best, best_r = None, -np.inf
     for block in _blocks(itertools.product(range(na), repeat=n_rows), n_rows * na):
         pis = eye[np.array(block, dtype=int).reshape(len(block), n_rows)]
-        rewards = batch_rewards(model, pis if kind == "state" else model.beta @ pis)
+        rewards = batch_rewards(model, pis if kind == "state" else compose(model.beta, pis))
         i = int(np.argmax(rewards))  # the first of equal maxima
         if rewards[i] > best_r:
             best, best_r = block[i], float(rewards[i])
@@ -358,7 +359,7 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
     # one row per vertex action, then pi itself
     pis = np.repeat(pi.matrix[None], model.n_actions + 1, axis=0)
     pis[:-1, o] = np.eye(model.n_actions)
-    rewards = batch_rewards(model, model.beta @ pis)
+    rewards = batch_rewards(model, compose(model.beta, pis))
     best = int(np.argmax(rewards[:-1]))  # ties take the lowest action index
     assert rewards[best] >= rewards[-1] - 1e-12, (
         f"no vertex beats the interior point: {rewards[best]} < {rewards[-1]}")

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, rational
 from pomdp_geometry.cli import emit_json, main
-from pomdp_geometry.freq import batch_eta
+from pomdp_geometry.freq import SMALL_STATES, batch_eta
 from pomdp_geometry.geometry import MONOMIAL_CAP, model_constraint_polynomials
 from pomdp_geometry.model import load_model_text, serialize_model
 from pomdp_geometry.rational import _edge_blocks
@@ -409,7 +409,10 @@ def test_project_beyond_the_row_cap_exits_one_at_once(tmp_path, capsys):
 @pytest.mark.parametrize("model", [
     fixtures.three_state_model(),
     fixtures.random_model(np.random.default_rng(7), 5, 5, 3, 0.8, positive_mu=True),
-], ids=["three_state", "random_5x5x3"])
+    # one state too many for the batched elimination: the LAPACK branch
+    fixtures.random_model(np.random.default_rng(11), SMALL_STATES + 1, 2, 2, 0.8,
+                          positive_mu=True),
+], ids=["three_state", "random_5x5x3", "lapack_branch"])
 def test_project_stacked_edge_solves_equal_per_edge_solves(model):
     ts = np.linspace(0.0, 1.0, 4)
     for n_rows, to_taus in ((model.n_observations, lambda pis: model.beta @ pis),

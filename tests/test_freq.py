@@ -11,6 +11,7 @@ from pomdp_geometry.critical import blind_critical_points
 from pomdp_geometry.freq import (
     ERGODICITY_TOL,
     MAX_SERIES_STEPS,
+    SMALL_STATES,
     ErgodicityError,
     _solve,
     batch_eta,
@@ -27,7 +28,7 @@ from pomdp_geometry.freq import (
     value_bundle,
 )
 from pomdp_geometry.geometry import face_lattice
-from pomdp_geometry.model import Policy, kernels_for_tau, state_conditionals
+from pomdp_geometry.model import Policy, compose, kernels_for_tau, state_conditionals
 
 
 def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
@@ -220,9 +221,10 @@ def test_gamma_one_cesaro_oracle_doubles_on_while_the_trend_can_meet_tol(tol):
     assert np.max(np.abs(series.eta - exact.eta)) <= tol
 
 
-def _mp_stationary_eta(model, tau, digits=50):
-    """eta = rho * tau at gamma = 1 in mpmath: (P_tau^T - I) rho = 0 with its
-    last row replaced by the mass condition 1^T rho = 1."""
+def _mp_eta(model, tau, digits=50):
+    """eta = rho * tau in mpmath: (I - gamma p_tau^T) rho = (1 - gamma) mu for
+    gamma < 1; at gamma = 1 (p_tau^T - I) rho = 0 with its last row replaced
+    by the mass condition 1^T rho = 1."""
     mp = pytest.importorskip("mpmath")
     ns, na = tau.shape
     with mp.workdps(digits):
@@ -231,11 +233,16 @@ def _mp_stationary_eta(model, tau, digits=50):
             for t in range(ns):
                 kernel[s, t] = mp.fsum(mp.mpf(tau[s, a]) * mp.mpf(model.alpha[s, a, t])
                                        for a in range(na))
-        system = kernel.T - mp.eye(ns)
-        rhs = mp.matrix(ns, 1)
-        for t in range(ns):
-            system[ns - 1, t] = 1
-        rhs[ns - 1] = 1
+        gamma = mp.mpf(model.gamma)
+        if model.gamma < 1.0:
+            system = mp.eye(ns) - gamma * kernel.T
+            rhs = mp.matrix([(1 - gamma) * mp.mpf(x) for x in model.mu])
+        else:
+            system = kernel.T - mp.eye(ns)
+            rhs = mp.matrix(ns, 1)
+            for t in range(ns):
+                system[ns - 1, t] = 1
+            rhs[ns - 1] = 1
         rho = mp.lu_solve(system, rhs)
         return np.array([[float(rho[s] * mp.mpf(tau[s, a])) for a in range(na)]
                          for s in range(ns)])
@@ -248,9 +255,25 @@ def test_mean_reward_frequency_matches_mpmath_stationary_solve():
         taus = m.beta @ rng.dirichlet(np.ones(3), size=(3, 2))
         etas = batch_eta(m, taus)
         for tau, eta in zip(taus, etas):
-            reference = _mp_stationary_eta(m, tau)
+            reference = _mp_eta(m, tau)
             assert_allclose(eta, reference, rtol=0, atol=1e-14)
             assert_allclose(eta_for_tau(m, tau), reference, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.99, 1.0])
+@pytest.mark.parametrize("ns", [3, SMALL_STATES + 1], ids=["elimination", "lapack"])
+def test_batch_eta_matches_mpmath_fixed_point(ns, gamma):
+    # 1e-14 of the largest entry; at gamma < 1 the entries 1 - gamma p(s|s) are
+    # rounded before any solve, an error the 1 / (1 - gamma) conditioning
+    # amplifies to ~eps / (1 - gamma): 2.2e-14 at gamma = 0.99
+    tol = max(1e-14, np.finfo(float).eps / (1.0 - gamma)) if gamma < 1.0 else 1e-14
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        m = fixtures.random_model(rng, ns, 2, 3, gamma)
+        taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(4, 2)))
+        for tau, eta in zip(taus, batch_eta(m, taus)):
+            reference = _mp_eta(m, tau)
+            assert np.max(np.abs(eta - reference)) <= tol * np.max(np.abs(reference))
 
 
 def test_mean_reward_batch_is_one_svd_and_one_solve(monkeypatch):
@@ -258,14 +281,14 @@ def test_mean_reward_batch_is_one_svd_and_one_solve(monkeypatch):
     m = fixtures.random_model(rng, 4, 2, 3, 1.0)
     taus = m.beta @ rng.dirichlet(np.ones(3), size=(50, 2))
     calls = []
-    for name in ("solve", "svd", "lstsq"):
-        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+    for owner, name in ((freq, "_linsolve"), (np.linalg, "svd"), (np.linalg, "lstsq")):
+        def counting(a, *args, _name=name, _original=getattr(owner, name), **kwargs):
             calls.append((_name, a.shape))
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     rewards = batch_rewards(m, taus)
-    assert calls == [("svd", (50, 4, 4)), ("solve", (50, 4, 4))]
+    assert calls == [("svd", (50, 4, 4)), ("_linsolve", (4, 4, 50))]  # the solve is batch-last
     assert rewards.shape == (50,)
 
 
@@ -493,14 +516,15 @@ def test_core_rejects_two_closed_classes_at_gamma_one():
 
 
 def count_solves(monkeypatch):
+    """Record every call of the S x S solve primitive as (systems, S, S)."""
     calls = []
-    solve = np.linalg.solve
+    solve = freq._linsolve
 
     def counting_solve(a, b):
-        calls.append(a.shape)
+        calls.append((a.shape[-1],) + a.shape[:-1])
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(freq, "_linsolve", counting_solve)
     return calls
 
 
@@ -510,7 +534,9 @@ def test_only_state_sized_solves_until_the_jacobian_is_read(monkeypatch):
     calls = count_solves(monkeypatch)
     bundle = policy_gradient(m, pi)
     assert bundle.grad.shape == (3, 3)
+    assert len(calls) == 2  # rho and v
     value_bundle(m, pi)
+    assert len(calls) == 3  # v alone: no rho is solved and thrown away
     state_action_frequency(m, pi)
     solves = len(calls)
     truncated_series_oracle(m, pi, tol=1e-10)
@@ -586,3 +612,80 @@ def test_certified_etas_checks_every_point_of_a_batch():
     assert fixed_point_residual(m, taus, _solve(m, taus)[0][..., None] * taus) < 1e-12
     with pytest.raises(ValueError, match="negative entry"):
         certified_etas(m, taus)
+
+
+# --------------------------------------------------------------------------
+# the S x S solve primitive: one batched elimination up to SMALL_STATES, LAPACK above
+
+
+def lapack_solve(a, b):
+    """np.linalg.solve of batch-last systems a (S, S, N), right-hand sides b (S, K, N or 1)."""
+    b = np.broadcast_to(b, b.shape[:2] + a.shape[2:])
+    return np.linalg.solve(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def relative_gaps(x, reference):
+    """max |x - reference| / max |reference| of every system of a batch-last stack."""
+    return np.abs(x - reference).max(axis=(0, 1)) / np.abs(reference).max(axis=(0, 1))
+
+
+@given(ns=st.integers(1, SMALL_STATES + 1), n=st.integers(1, 30), k=st.integers(1, 3),
+       gamma=st.floats(0.05, 0.99), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80)
+def test_linsolve_matches_lapack(ns, n, k, gamma, seed):
+    rng = np.random.default_rng(seed)
+    # strictly diagonally dominant rows, shuffled per system: partial pivoting
+    # has to swap every one of them back
+    dominant = rng.uniform(-1.0, 1.0, size=(ns, ns, n)) + ns * np.eye(ns)[:, :, None]
+    order = np.argsort(rng.random((ns, n)), axis=0)
+    shuffled = dominant[order, :, np.arange(n)].transpose(0, 2, 1)
+    # the rho-system of the solver core
+    m = fixtures.random_model(rng, ns, 2, 2, gamma)
+    p = freq._state_kernels(m, compose(m.beta, rng.dirichlet(np.ones(2), size=(n, 2))))
+    for a in (shuffled, freq._rho_system(m, p)):
+        b = rng.normal(size=(ns, k, n))
+        reference = lapack_solve(a, b)
+        assert np.all(relative_gaps(freq._linsolve(a, b), reference) <= 1e-13)
+
+
+@pytest.mark.parametrize("ns", [2, 3, SMALL_STATES])
+def test_linsolve_hard_systems_match_lapack_to_their_conditioning(ns):
+    # within 1e-13, or 4 eps times the condition number where that is larger:
+    # at gamma = 1 - 1e-7 two backward-stable solves may differ by ~1e-9
+    rng = np.random.default_rng(61 + ns)
+    near = 1.0 - 1e-7
+    m = fixtures.random_model(rng, ns, 2, 3, near)
+    taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(100, 2)))
+    bent = taus + 0.5 * rng.normal(size=taus.shape)  # off the simplex
+    eye = np.eye(ns)[:, :, None]
+    p, p_bent = freq._state_kernels(m, taus), freq._state_kernels(m, bent)
+    mu = m.mu[:, None, None]
+    cases = {
+        "off-simplex rho": (eye - 0.9 * p_bent.transpose(1, 0, 2), 0.1 * mu),
+        "off-simplex values": (eye - 0.9 * p_bent, freq._state_rewards(m, bent)[:, None]),
+        "rho at 1 - 1e-7": (freq._rho_system(m, p), (1.0 - near) * mu),
+        "values at 1 - 1e-7": (eye - near * p, freq._state_rewards(m, taus)[:, None]),
+        "anchored at 1": (freq._anchored_system(m.replace(gamma=1.0), p).transpose(1, 0, 2), mu),
+    }
+    off = cases["off-simplex rho"][0]
+    assert np.any(np.abs(off[1:, 0]).max(axis=0) > np.abs(off[0, 0]))  # rows must swap
+    eps = np.finfo(float).eps
+    for name, (a, b) in cases.items():
+        x = freq._linsolve(a.copy(), b)  # the elimination works in its first argument
+        bound = np.maximum(1e-13, 4.0 * eps * np.linalg.cond(a.transpose(2, 0, 1)))
+        assert np.all(relative_gaps(x, lapack_solve(a, b)) <= bound), name
+        residual = np.einsum("stn,tkn->skn", a, x) - b
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(a)) * np.max(np.abs(x)), name
+
+
+@pytest.mark.parametrize("ns", [1, 2, 3, SMALL_STATES, SMALL_STATES + 1])
+def test_linsolve_raises_lapacks_error_on_a_singular_system(ns):
+    rng = np.random.default_rng(67)
+    a = rng.normal(size=(ns, ns, 5))
+    a[:, -1, 3] = 0.0  # system 3 has a zero column: an exactly zero pivot
+    b = rng.normal(size=(ns, 1, 5))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        lapack_solve(a, b)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        freq._linsolve(a.copy(), b)
+    assert np.all(np.isfinite(freq._linsolve(a[..., :3].copy(), b[..., :3])))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures, geometry
+from pomdp_geometry import fixtures, freq, geometry
 from pomdp_geometry.freq import eta_for_tau, state_action_frequency, state_conditionals
 from pomdp_geometry.geometry import (
     CertificationError,
@@ -449,17 +449,17 @@ def test_terms_match_brute_force_expansion():
 
 def test_face_lattice_is_one_solve_and_one_evaluation_per_constraint(monkeypatch):
     solves, evaluations = [], []
-    solve, evaluate = np.linalg.solve, PolynomialConstraint.evaluate
+    solve, evaluate = freq._linsolve, PolynomialConstraint.evaluate
 
     def counting_solve(a, b):
-        solves.append(a.shape)
+        solves.append((a.shape[-1],) + a.shape[:-1])  # as (systems, S, S)
         return solve(a, b)
 
     def counting_evaluate(self, eta):
         evaluations.append(self.label)
         return evaluate(self, eta)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(freq, "_linsolve", counting_solve)
     monkeypatch.setattr(PolynomialConstraint, "evaluate", counting_evaluate)
     rng = np.random.default_rng(4)
     for shape, max_dim, samples in [((3, 3, 2), None, 3), ((4, 3, 3), None, 2),

@@ -13,6 +13,7 @@ from pomdp_geometry.model import (
     PomdpModel,
     Policy,
     compile_graph_source,
+    compose,
     effective_policy,
     load_model_text,
     parse_graph_model,
@@ -204,6 +205,17 @@ def test_effective_policy_on_two_state_model():
     assert_allclose(tau.matrix, [[1.0, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError, match="observation policy"):
         effective_policy(tau, m.beta)
+
+
+@pytest.mark.parametrize("ns, no, na, n", [
+    (3, 1, 2, 10_000), (3, 2, 2, 1681), (5, 5, 3, 500), (3, 3, 2, 81), (40, 20, 6, 1)])
+def test_compose_is_the_stacked_product_bit_for_bit(ns, no, na, n):
+    # one (S, O) @ (O, N*A) product gives every entry the sum the N stacked products give
+    rng = np.random.default_rng(ns * no * na)
+    beta = rng.dirichlet(np.ones(no), size=ns)
+    pis = rng.dirichlet(np.ones(na), size=(n, no))
+    assert_array_equal(compose(beta, pis), beta @ pis, strict=True)
+    assert_array_equal(compose(beta, pis[-1]), beta @ pis[-1], strict=True)
 
 
 def test_transition_kernels_are_row_stochastic():
