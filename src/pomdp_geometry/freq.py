@@ -21,12 +21,15 @@ batch-last, (S, S, N).  Direct solves, no iterative methods, in two branches:
 up to SMALL_STATES states one Gaussian elimination with partial pivoting
 runs over all N systems at once, a few numpy operations per column, where
 LAPACK would be called once per tiny matrix; larger models call LAPACK's LU
-(np.linalg.solve).  The branch depends on S alone, never on N, so splitting
-a batch never changes a bit.  For gamma < 1 the rho-systems I - gamma p^T
-are strictly diagonally dominant by columns on the simplex (|1 - gamma
-p(s|s)| > gamma sum_{t != s} p(t|s)), elimination keeps them so, and partial
-pivoting never swaps a row there; conditionals off the simplex, the gamma = 1
-system M^T and the value systems I - gamma p can need swaps.
+(np.linalg.solve).  The branch depends on S alone, never on N, and both
+branches solve each system on its own, so splitting a batch into blocks of
+two or more points never changes a bit.  A one-point batch can differ in the
+last bit: numpy's matmul takes a matrix-vector path for it in
+`_state_kernels`.  For gamma < 1 the rho-systems I - gamma p^T are strictly
+diagonally dominant by columns on the simplex (|1 - gamma p(s|s)| > gamma
+sum_{t != s} p(t|s)), elimination keeps them so, and partial pivoting never
+swaps a row there; conditionals off the simplex, the gamma = 1 system M^T and
+the value systems I - gamma p can need swaps.
 """
 
 from __future__ import annotations
@@ -124,16 +127,16 @@ def _linsolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one S x S solve primitive: x[:, :, n] = a[:, :, n]^{-1} b[:, :, n] for batch-last
     systems a (S, S, N) and right-hand sides b (S, K, N), or (S, K, 1) shared by all N.
 
-    Up to SMALL_STATES states `_eliminate` solves all systems at once, working in a (pass
-    a fresh array); larger ones go to LAPACK one matrix at a time.  A zero pivot raises
-    np.linalg.LinAlgError("Singular matrix") on both branches.
+    Up to SMALL_STATES states `_eliminate` solves all systems at once, on a copy of a;
+    larger ones go to LAPACK one matrix at a time.  Neither branch writes to a or b.  A
+    zero pivot raises np.linalg.LinAlgError("Singular matrix") on both branches.
     """
     ns, n = a.shape[0], a.shape[-1]
     if ns > SMALL_STATES:
         return np.linalg.solve(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
     x = np.empty((ns, b.shape[1], n))
     x[...] = b
-    return _eliminate(a, x)
+    return _eliminate(a.copy(), x)
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:

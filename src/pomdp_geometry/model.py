@@ -357,11 +357,13 @@ def effective_policy(pi: Policy, beta: np.ndarray) -> Policy:
 def compose(beta: np.ndarray, pis: np.ndarray) -> np.ndarray:
     """tau(a|s) = sum_o beta(o|s) pi(a|o) for one observation-policy matrix (O, A) or a
     stack (N, O, A), the stack as one (S, O) @ (O, N*A) product instead of N tiny ones.
-    A stack's result is an (N, S, A) view of an (S, N, A) array."""
+    A stack's result is an (N, S, A) view of an (S, N, A) array.  A single matrix is the
+    plain product; it comes here only so that beta o pi is composed in one place."""
     if pis.ndim == 2:
         return beta @ pis
     n, no, na = pis.shape
-    return (beta @ pis.transpose(1, 0, 2).reshape(no, -1)).reshape(-1, n, na).transpose(1, 0, 2)
+    flat = beta @ pis.transpose(1, 0, 2).reshape(no, n * na)
+    return flat.reshape(beta.shape[0], n, na).transpose(1, 0, 2)
 
 
 def state_conditionals(model: PomdpModel, pi: Policy) -> np.ndarray:

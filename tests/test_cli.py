@@ -371,6 +371,18 @@ def test_project_edge_counts(capsys):
     assert len(lines) == 1 + 5 + (12 + 12) * 7
 
 
+def test_project_without_samples_prints_the_edges(capsys):
+    code, out = run(capsys, "project", THREE_STATE, "--samples", "0", "--points", "7")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "tag,index,t,x,y,z"
+    assert not any(line.startswith("sample,") for line in lines)
+    assert len(lines) == 1 + (12 + 12) * 7
+    _, whole = run(capsys, "project", THREE_STATE, "--samples", "5", "--points", "7")
+    edges = [line for line in whole.strip().splitlines() if not line.startswith("sample,")]
+    assert lines == edges
+
+
 def test_project_mean_reward_frequencies(capsys):
     # every sampled and edge policy of the three-state model is unichain
     code, out = run(capsys, "project", THREE_STATE, "--gamma", "1", "--samples", "5",

@@ -671,11 +671,28 @@ def test_linsolve_hard_systems_match_lapack_to_their_conditioning(ns):
     assert np.any(np.abs(off[1:, 0]).max(axis=0) > np.abs(off[0, 0]))  # rows must swap
     eps = np.finfo(float).eps
     for name, (a, b) in cases.items():
-        x = freq._linsolve(a.copy(), b)  # the elimination works in its first argument
+        x = freq._linsolve(a, b)
         bound = np.maximum(1e-13, 4.0 * eps * np.linalg.cond(a.transpose(2, 0, 1)))
         assert np.all(relative_gaps(x, lapack_solve(a, b)) <= bound), name
         residual = np.einsum("stn,tkn->skn", a, x) - b
         assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(a)) * np.max(np.abs(x)), name
+
+
+@pytest.mark.parametrize("ns", [3, SMALL_STATES, SMALL_STATES + 1])
+def test_linsolve_solves_each_system_alone_and_leaves_its_inputs(ns):
+    # on both branches a system's bits do not depend on the rest of the batch, one
+    # system alone included, and neither a nor b is written to
+    rng = np.random.default_rng(71 + ns)
+    m = fixtures.random_model(rng, ns, 2, 2, 0.9)
+    p = freq._state_kernels(m, compose(m.beta, rng.dirichlet(np.ones(2), size=(7, 2))))
+    b = rng.normal(size=(ns, 2, 7))
+    for a in (freq._rho_system(m, p), rng.normal(size=(ns, ns, 7))):
+        a_before, b_before = a.copy(), b.copy()
+        whole = freq._linsolve(a, b)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+        for cut in ((0, 1), (1, 3), (3, 7)):
+            part = freq._linsolve(a[..., slice(*cut)], b[..., slice(*cut)])
+            assert np.array_equal(part, whole[..., slice(*cut)])
 
 
 @pytest.mark.parametrize("ns", [1, 2, 3, SMALL_STATES, SMALL_STATES + 1])
@@ -687,5 +704,5 @@ def test_linsolve_raises_lapacks_error_on_a_singular_system(ns):
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         lapack_solve(a, b)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        freq._linsolve(a.copy(), b)
-    assert np.all(np.isfinite(freq._linsolve(a[..., :3].copy(), b[..., :3])))
+        freq._linsolve(a, b)
+    assert np.all(np.isfinite(freq._linsolve(a[..., :3], b[..., :3])))
