@@ -352,6 +352,8 @@ def _cmd_scan(args) -> int:
         grid = crit.landscape_scan(
             model, axes, resolution=args.resolution, base_policy=base
         )
+    except geom.SizeCapError:
+        raise
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     sys.stdout.write(grid.to_csv())
@@ -478,9 +480,8 @@ def _cmd_project(args) -> int:
             "3-d projection needs at least 3 state-action pairs"
         )
     edge_rows = (_edge_count(no, na) + _edge_count(ns, na)) * args.points
-    if edge_rows > geom.MONOMIAL_CAP:
-        raise geom.SizeCapError(
-            f"projecting {edge_rows} edge points exceeds the cap of {geom.MONOMIAL_CAP}")
+    geom._check_cap(args.samples + edge_rows,
+                    f"projecting {args.samples} samples and {edge_rows} edge points")
     rng = np.random.default_rng(args.seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
 

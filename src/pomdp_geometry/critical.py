@@ -21,7 +21,7 @@ import numpy as np
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
-from .geometry import SUPPORT_TOL, RankError, pseudoinverse
+from .geometry import RankError, _check_cap, _support, pseudoinverse
 from .model import Policy, PomdpModel, _resolve, compose
 from .rational import _line_form
 
@@ -41,6 +41,9 @@ BOUNDARY_SLOPE_TOL = 1e-7
 
 # the cross-validation grid of blind_critical_points has at least this many cells
 MIN_GRID_CELLS = 100
+
+# kkt_residual counts a policy entry above this as carrying probability
+ACTIVE_TOL = 1e-9
 
 BOUNDARY_MAX = "strict local max"
 BOUNDARY_MIN = "strict local min"
@@ -220,12 +223,7 @@ class BoundInput:
     m: int
 
     @classmethod
-    def from_model(
-        cls,
-        model: PomdpModel,
-        active_set,
-        support_tol: float = SUPPORT_TOL,
-    ) -> "BoundInput":
+    def from_model(cls, model: PomdpModel, active_set) -> "BoundInput":
         if model.n_states != model.n_observations:
             raise RankError(
                 "the per-face bound needs a square invertible observation "
@@ -250,9 +248,7 @@ class BoundInput:
         if m < 0:
             raise ValueError("more pinned entries than policy dimensions")
         active_obs = sorted(per_obs)
-        degrees = tuple(
-            int(np.count_nonzero(np.abs(pinv[o]) > support_tol)) for o in active_obs
-        )
+        degrees = tuple(len(_support(pinv[o])) for o in active_obs)
         multiplicities = tuple(per_obs[o] for o in active_obs)
         labels = tuple(
             (model.actions[a_idx], model.observations[o_idx])
@@ -369,6 +365,7 @@ def landscape_scan(
         raise ValueError("axes must address distinct observations")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    _check_cap(resolution ** len(pairs), f"scanning {resolution}^{len(pairs)} points")
     if base_policy is None:
         base_policy = Policy.uniform(model.n_observations, model.n_actions)
     elif base_policy.kind != "observation" or base_policy.matrix.shape != (
@@ -397,7 +394,7 @@ def landscape_scan(
     )
 
 
-def kkt_residual(model: PomdpModel, pi: Policy, active_tol: float = 1e-9) -> float:
+def kkt_residual(model: PomdpModel, pi: Policy) -> float:
     """First-order stationarity residual of a policy for reward maximization.
 
     Within each observation row the gradient is centered over the
@@ -409,7 +406,7 @@ def kkt_residual(model: PomdpModel, pi: Policy, active_tol: float = 1e-9) -> flo
     grad = policy_gradient(model, pi).grad
     resid = np.zeros_like(grad)
     for o in range(grad.shape[0]):
-        free = pi.matrix[o] > active_tol
+        free = pi.matrix[o] > ACTIVE_TOL
         lam = grad[o][free].mean()
         centered = grad[o] - lam
         resid[o, free] = centered[free]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import PomdpModel
+from .model import PomdpModel, parse_graph_model
 
 GRAPH_BLIND_THREE_STATE = """\
 # Blind controller: three states, two actions, one observation.
@@ -47,25 +47,17 @@ def two_state_model(mu=None) -> PomdpModel:
 
 
 def blind_three_state_model(mu=None, gamma: float = 0.9) -> PomdpModel:
-    """Three states, two actions, a single (blind) observation.
+    """`GRAPH_BLIND_THREE_STATE`: three states, two actions, a single (blind) observation.
 
     Deterministic transitions: a1 moves every state to s1 (a self-loop at
     s1 paying +5, a catastrophic -30 exit from s2), a2 cycles
-    s1 -> s3 -> s2 and then self-loops at s2 paying +30.
+    s1 -> s3 -> s2 and then self-loops at s2 paying +30.  mu is uniform
+    unless overridden.
     """
-    alpha = np.zeros((3, 2, 3))
-    alpha[0, 0, 0] = 1.0
-    alpha[0, 1, 2] = 1.0
-    alpha[1, 0, 0] = 1.0
-    alpha[1, 1, 1] = 1.0
-    alpha[2, 0, 0] = 1.0
-    alpha[2, 1, 1] = 1.0
-    beta = np.ones((3, 1))
-    reward = np.array([[5.0, 0.0], [-30.0, 30.0], [0.0, -5.0]])
+    model = parse_graph_model(GRAPH_BLIND_THREE_STATE)
     if mu is None:
-        mu = np.full(3, 1.0 / 3.0)
-    return PomdpModel(("s1", "s2", "s3"), ("o",), ("a1", "a2"),
-                      alpha, beta, reward, float(gamma), np.asarray(mu, dtype=float))
+        mu = model.mu
+    return model.replace(mu=np.asarray(mu, dtype=float), gamma=float(gamma))
 
 
 def three_state_model() -> PomdpModel:

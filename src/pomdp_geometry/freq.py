@@ -189,7 +189,7 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
     rho-systems: on the simplex their columns are strictly diagonally dominant.
     Batches beyond BLOCK_ENTRIES S x S entries are solved block by block.
     """
-    block = max(1, BLOCK_ENTRIES // model.n_states**2)
+    block = _block_len(model.n_states**2, BLOCK_ENTRIES)
     if len(taus) > block:
         parts = [_solve(model, taus[i:i + block], rho, values)
                  for i in range(0, len(taus), block)]
@@ -212,6 +212,25 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
         v = _linsolve(system, _state_rewards(model, taus)[:, None])[:, 0].T
         q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
     return None if x is None else x[:, 0].T, v, q
+
+
+def _block_len(entries_per_item: int, budget: int) -> int:
+    """How many items of entries_per_item entries one block holds: at most budget
+    entries, and at least one item."""
+    return max(1, budget // entries_per_item)
+
+
+def _scrub(eta: np.ndarray) -> np.ndarray:
+    """eta with solver noise, entries below 1e-15 in magnitude, set to exact zeros."""
+    return np.where(np.abs(eta) < 1e-15, 0.0, eta)
+
+
+def _check_visits(model: PomdpModel, what: str) -> None:
+    """ValueError unless every policy visits every state: gamma < 1 with mu > 0, or alpha > 0."""
+    if not (model.gamma < 1.0 and np.all(model.mu > 0.0)) and not np.all(model.alpha > 0.0):
+        raise ValueError(
+            f"{what} requires every policy to visit every state: need gamma < 1 with "
+            "positive mu, or a positive transition kernel")
 
 
 def eta_for_tau(model: PomdpModel, tau: np.ndarray) -> np.ndarray:
@@ -251,8 +270,7 @@ def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(
             f"frequency solve left fixed-point residual {residual:.3e} > {RESIDUAL_TOL}")
-    # scrub solver noise: entries in (-1e-12, 0) are zeros
-    eta = np.where(np.abs(eta) < 1e-15, 0.0, eta)
+    eta = _scrub(eta)
     check_frequency(eta)
     return eta
 
@@ -321,8 +339,7 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
         eta = acc * (1.0 - model.gamma) / (1.0 - model.gamma ** (horizon + 1))
     else:
         eta = _cesaro_average(model, tau, start, tol)
-    eta = np.where(np.abs(eta) < 1e-15, 0.0, eta)
-    return Frequency.from_eta(eta)
+    return Frequency.from_eta(_scrub(eta))
 
 
 def _cesaro_average(model: PomdpModel, tau: np.ndarray, start: np.ndarray,
@@ -389,11 +406,10 @@ def policy_gradient(model: PomdpModel, pi: Policy) -> GradientBundle:
     return GradientBundle(grad=grad, model=model, tau=tau, rho=rho[0])
 
 
-def conditioning_inverse(model: PomdpModel, freq: Frequency,
-                         tol: float = RHO_FLOOR) -> tuple[Policy, tuple[int, ...]]:
+def conditioning_inverse(model: PomdpModel, freq: Frequency) -> tuple[Policy, tuple[int, ...]]:
     """Recover a state policy from a frequency by conditioning.
 
-    pi(a|s) = eta(s,a)/rho(s) wherever rho(s) > tol; rows of unvisited
+    pi(a|s) = eta(s,a)/rho(s) wherever rho(s) > RHO_FLOOR; rows of unvisited
     states are set to the uniform distribution and their indices returned as
     the second element.
     """
@@ -401,7 +417,7 @@ def conditioning_inverse(model: PomdpModel, freq: Frequency,
     rho = eta.sum(axis=1)
     na = eta.shape[1]
     matrix = np.full_like(eta, 1.0 / na)
-    visited = rho > tol
+    visited = rho > RHO_FLOOR
     matrix[visited] = eta[visited] / rho[visited, None]
     flagged = tuple(int(i) for i in np.nonzero(~visited)[0])
     return Policy("state", matrix), flagged

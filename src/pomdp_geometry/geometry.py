@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .freq import BLOCK_ENTRIES, certified_etas
+from .freq import BLOCK_ENTRIES, _block_len, _check_visits, certified_etas
 from .model import PomdpModel, compose
 
 # support cutoff for pseudo-inverse entries when building polynomial
@@ -34,14 +34,20 @@ NEAR_ZERO_FACTOR = 100.0
 # singular value
 RANK_TOL = 1e-10
 
-# default certification tolerance: active polynomials must vanish to this
-# accuracy, inactive ones must clear it
+# certification tolerance on the policy scale: active constraints must
+# vanish to this accuracy, inactive ones must clear it; a feasible frequency
+# must also meet its flow equalities to it
 CERT_TOL = 1e-8
+
+# how negative an entry of a feasible frequency may be
+ENTRY_TOL = 1e-10
 
 # refuse to enumerate face lattices beyond this many policy coordinates
 FACE_COORD_CAP = 16
 
-# refuse to expand a constraint polynomial into more monomials than this
+# refuse to expand a constraint polynomial into more monomials than this, and
+# to allocate a sweep of more points than this (scan grid, face samples,
+# projected points)
 MONOMIAL_CAP = 2**20
 
 
@@ -55,6 +61,12 @@ class SizeCapError(ValueError):
 
 class CertificationError(ArithmeticError):
     """A sampled interior point contradicts the claimed face structure."""
+
+
+def _check_cap(count: int, what: str) -> None:
+    """SizeCapError for a request of count items beyond MONOMIAL_CAP, before allocating."""
+    if count > MONOMIAL_CAP:
+        raise SizeCapError(f"{what} exceeds the cap of {MONOMIAL_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +150,11 @@ def kirchhoff_residual(model: PomdpModel, eta: np.ndarray) -> float:
 # effective polytope of state conditionals
 
 
-def pseudoinverse(beta: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def pseudoinverse(beta: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of the observation kernel, shape ``(O, S)``.
 
     Raises :class:`RankError` when the kernel columns are linearly
-    dependent (rank decided at ``tol`` relative to the top singular value),
+    dependent (rank decided at ``RANK_TOL`` relative to the top singular value),
     since then observation policies cannot be recovered from their state
     conditionals.
     """
@@ -150,7 +162,7 @@ def pseudoinverse(beta: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     if beta.ndim != 2:
         raise ValueError("beta must be a (states, observations) matrix")
     u, sigma, vt = np.linalg.svd(beta, full_matrices=False)
-    if sigma[0] == 0.0 or np.min(sigma) <= tol * sigma[0]:
+    if sigma[0] == 0.0 or np.min(sigma) <= RANK_TOL * sigma[0]:
         raise RankError(
             "observation kernel has linearly dependent columns "
             f"(singular values {np.array2string(sigma, precision=3)}); "
@@ -194,13 +206,13 @@ class EffectivePolytope:
         d_resid = float(np.max(np.abs(pi.sum(axis=1) - 1.0)))
         return {"U": u_resid, "C": c_resid, "D": d_resid}
 
-    def contains(self, tau: np.ndarray, tol: float = 1e-8) -> bool:
-        return max(self.membership(tau).values()) <= tol
+    def contains(self, tau: np.ndarray) -> bool:
+        return max(self.membership(tau).values()) <= CERT_TOL
 
 
-def effective_polytope(beta: np.ndarray, tol: float = RANK_TOL) -> EffectivePolytope:
+def effective_polytope(beta: np.ndarray) -> EffectivePolytope:
     beta = np.asarray(beta, dtype=float)
-    pinv = pseudoinverse(beta, tol=tol)
+    pinv = pseudoinverse(beta)
     _, sigma, vt = np.linalg.svd(beta.T, full_matrices=True)
     rank = beta.shape[1]  # full column rank guaranteed by pseudoinverse()
     kernel = vt[rank:].T.copy()
@@ -252,11 +264,8 @@ class PolynomialConstraint:
     def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """Kept monomials in lexicographic order: action assignments (n, degree)
         and their merged coefficients ``sum_i coeff[i, f(i)] - offset`` (n,)."""
-        if self.n_actions**self.degree > MONOMIAL_CAP:
-            raise SizeCapError(
-                f"{self.label}: expansion into {self.n_actions}^{self.degree} "
-                f"monomials exceeds the cap of {MONOMIAL_CAP}"
-            )
+        _check_cap(self.n_actions**self.degree,
+                   f"{self.label}: expansion into {self.n_actions}^{self.degree} monomials")
         scale = max(1.0, float(np.max(np.abs(self.coeff), initial=0.0)), abs(self.offset))
         # axis i holds the action of support state i
         merged = reduce(np.add.outer, self.coeff, np.zeros(())) - self.offset
@@ -342,11 +351,17 @@ class PolynomialConstraint:
         return f"{self.label}: {body} >= 0"
 
 
+def _support(rows: np.ndarray) -> tuple[int, ...]:
+    """Indices of the rows of a matrix, or the entries of a vector, whose largest magnitude
+    exceeds SUPPORT_TOL: the support states of a constraint."""
+    peaks = np.abs(rows).reshape(len(rows), -1).max(axis=1)
+    return tuple(np.flatnonzero(peaks > SUPPORT_TOL).tolist())
+
+
 def transfer_inequality(
     b: np.ndarray,
     c: float,
     *,
-    support_tol: float = SUPPORT_TOL,
     label: str | None = None,
     observation: str | None = None,
     action: str | None = None,
@@ -354,14 +369,14 @@ def transfer_inequality(
     """Clear denominators in ``sum_{s,a} b[s,a] tau[s,a] >= c``.
 
     The support is the set of states where ``b`` has any entry above
-    ``support_tol`` in magnitude; the constraint keeps the support rows of
+    ``SUPPORT_TOL`` in magnitude; the constraint keeps the support rows of
     ``b`` and the offset ``c`` (its factored form).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         raise ValueError("b must be a (states, actions) matrix")
     ns, na = b.shape
-    support = tuple(int(s) for s in range(ns) if np.max(np.abs(b[s])) > support_tol)
+    support = _support(b)
     if label is None:
         label = f"transfer(c={c:g})"
     return PolynomialConstraint(
@@ -376,13 +391,7 @@ def transfer_inequality(
     )
 
 
-def constraint_polynomials(
-    beta: np.ndarray,
-    actions,
-    state_names=None,
-    obs_names=None,
-    support_tol: float = SUPPORT_TOL,
-) -> list[PolynomialConstraint]:
+def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[PolynomialConstraint]:
     """Polynomial inequalities equivalent to recoverability of the policy.
 
     One polynomial per (action, observation) pair: nonnegativity of the
@@ -403,20 +412,16 @@ def constraint_polynomials(
     else:
         action_labels = [str(a) for a in actions]
     na = len(action_labels)
-    if state_names is None:
-        state_names = [f"s{i + 1}" for i in range(ns)]
     if obs_names is None:
         obs_names = [f"o{i + 1}" for i in range(no)]
     pinv = pseudoinverse(beta)
 
-    fragile = (np.abs(pinv) > support_tol) & (
-        np.abs(pinv) <= NEAR_ZERO_FACTOR * support_tol
-    )
+    fragile = (np.abs(pinv) > SUPPORT_TOL) & (np.abs(pinv) <= NEAR_ZERO_FACTOR * SUPPORT_TOL)
     if np.any(fragile):
         warnings.warn(
             f"{int(np.count_nonzero(fragile))} pseudo-inverse entries sit "
             f"within {NEAR_ZERO_FACTOR:g}x of the support cutoff "
-            f"{support_tol:g}; the constraint supports are numerically "
+            f"{SUPPORT_TOL:g}; the constraint supports are numerically "
             "fragile",
             RuntimeWarning,
             stacklevel=2,
@@ -431,7 +436,6 @@ def constraint_polynomials(
                 transfer_inequality(
                     b,
                     0.0,
-                    support_tol=support_tol,
                     label=f"pi[{action_labels[a]}|{obs_names[o]}] >= 0",
                     observation=obs_names[o],
                     action=action_labels[a],
@@ -440,14 +444,20 @@ def constraint_polynomials(
     return polys
 
 
-def model_constraint_polynomials(model: PomdpModel, support_tol: float = SUPPORT_TOL):
-    return constraint_polynomials(
-        model.beta,
-        model.actions,
-        state_names=model.states,
-        obs_names=model.observations,
-        support_tol=support_tol,
-    )
+def model_constraint_polynomials(model: PomdpModel):
+    return constraint_polynomials(model.beta, model.actions, obs_names=model.observations)
+
+
+def _constraint_values(polys, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every constraint at frequencies etas (..., S, A), one evaluation each: the raw
+    values (..., K) and the policy-scale values, each raw value divided by the product
+    of its support marginals.  At the frequency of a policy pi the policy-scale value
+    is the recovered pi(a|o); where a support marginal is 0 it is 0."""
+    rho = etas.sum(axis=-1)
+    raw = np.stack([p.evaluate(etas) for p in polys], axis=-1)
+    prods = np.stack([np.prod(rho[..., list(p.support_states)], axis=-1) for p in polys],
+                     axis=-1)
+    return raw, np.divide(raw, prods, out=np.zeros_like(raw), where=prods != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,56 +472,34 @@ class FeasibilityReport:
     min_entry: float
     min_polynomial: float
     feasible: bool
-    equality_tol: float
-    entry_tol: float
-    polynomial_tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "equality_residual": self.equality_residual,
-            "min_entry": self.min_entry,
-            "min_polynomial": self.min_polynomial,
-            "feasible": self.feasible,
-        }
+        return asdict(self)
 
 
 def feasibility_report(
     model: PomdpModel,
     eta: np.ndarray,
     *,
-    equality_tol: float = 1e-8,
-    entry_tol: float = 1e-10,
-    polynomial_tol: float = 1e-8,
     polys: list[PolynomialConstraint] | None = None,
 ) -> FeasibilityReport:
     """Check a candidate frequency against both constraint layers.
 
-    The linear layer is the flow polytope (equalities within
-    ``equality_tol``, entries above ``-entry_tol``); the polynomial layer
-    requires every cleared-denominator constraint to clear
-    ``-polynomial_tol``.
+    The linear layer is the flow polytope (equalities within ``CERT_TOL``,
+    entries above ``-ENTRY_TOL``); the polynomial layer requires every
+    constraint's policy-scale value, the recovered pi(a|o), to clear
+    ``-CERT_TOL``, as in face certification.  ``min_polynomial`` reports the
+    smallest raw cleared-denominator value.
     """
     eta = np.asarray(eta, dtype=float)
-    system = mdp_polytope(model)
-    eq_resid = float(np.max(np.abs(system.residuals(eta))))
+    eq_resid = kirchhoff_residual(model, eta)
     min_entry = float(np.min(eta))
     if polys is None:
         polys = model_constraint_polynomials(model)
-    min_poly = min(float(p.evaluate(eta)) for p in polys) if polys else 0.0
-    ok = (
-        eq_resid <= equality_tol
-        and min_entry >= -entry_tol
-        and min_poly >= -polynomial_tol
-    )
-    return FeasibilityReport(
-        equality_residual=eq_resid,
-        min_entry=min_entry,
-        min_polynomial=min_poly,
-        feasible=ok,
-        equality_tol=equality_tol,
-        entry_tol=entry_tol,
-        polynomial_tol=polynomial_tol,
-    )
+    raw, scaled = _constraint_values(polys, eta) if polys else (np.zeros(1), np.zeros(1))
+    ok = eq_resid <= CERT_TOL and min_entry >= -ENTRY_TOL and np.min(scaled) >= -CERT_TOL
+    return FeasibilityReport(equality_residual=eq_resid, min_entry=min_entry,
+                             min_polynomial=float(np.min(raw)), feasible=bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +573,7 @@ def face_lattice(
             f"face lattice over {no * na} policy coordinates exceeds the "
             f"cap of {FACE_COORD_CAP}"
         )
-    positive_start = model.gamma < 1.0 and np.all(model.mu > 0.0)
-    positive_kernel = np.all(model.alpha > 0.0)
-    if not (positive_start or positive_kernel):
-        raise ValueError(
-            "certification requires every policy to visit every state: "
-            "need gamma < 1 with positive mu, or a positive transition "
-            "kernel"
-        )
+    _check_visits(model, "certification")
     polys = model_constraint_polynomials(model)
 
     subsets = [
@@ -603,6 +584,8 @@ def face_lattice(
         for combo in itertools.product(subsets, repeat=no)
     )
     all_faces = [(d, c) for d, c in all_faces if max_dim is None or d <= max_dim]
+    _check_cap(len(all_faces) * samples,
+               f"certifying {len(all_faces)} faces x {samples} samples")
     index_of = {combo: i for i, (_, combo) in enumerate(all_faces)}
 
     # dropping one free action of one observation gives a covered face, one
@@ -649,13 +632,10 @@ def _certify_faces(model, faces, polys, rng, samples, tol):
                           model.action_index(p.action)) for p in polys]).T
     pinned = ~free[:, obs, act]  # (faces, constraints)
 
-    block = max(1, BLOCK_ENTRIES // model.n_states**2)
+    block = _block_len(model.n_states**2, BLOCK_ENTRIES)
     for start in range(0, len(points), block):
         etas = certified_etas(model, compose(model.beta, points[start:start + block]))
-        # each value is pi(a|o) times the product of its support marginals
-        rho = etas.sum(axis=-1)
-        values = np.stack([p.evaluate(etas) / np.prod(rho[:, list(p.support_states)], axis=-1)
-                           for p in polys], axis=-1)
+        _, values = _constraint_values(polys, etas)
         on_face = pinned[np.arange(start, start + len(etas)) // samples]
         bad = np.where(on_face, np.abs(values) > tol, values <= tol)
         if not bad.any():

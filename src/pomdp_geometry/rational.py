@@ -23,8 +23,9 @@ from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
 # reward_of is unused: perfbench/test_smoke.py checks the tracer wraps this binding site
-from .freq import (BLOCK_ENTRIES, _anchored_system, _state_kernels, batch_rewards,  # noqa: F401
-                   certified_etas, conditioning_inverse, reward_of, state_action_frequency)
+from .freq import (BLOCK_ENTRIES, _anchored_system, _block_len, _check_visits,  # noqa: F401
+                   _state_kernels, batch_rewards, certified_etas, conditioning_inverse,
+                   reward_of, state_action_frequency)
 from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
@@ -184,6 +185,12 @@ def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> Callabl
     return lambda lam: float(batch_rewards(model, _segment(tau0, tau1, np.array([lam])))[0])
 
 
+def _differing_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Indices of the rows where two policy or conditional matrices differ by more than
+    SAME_ROW_TOL."""
+    return np.flatnonzero(np.max(np.abs(m1 - m0), axis=1) > SAME_ROW_TOL)
+
+
 def _segment(start: np.ndarray, end: np.ndarray, ts) -> np.ndarray:
     """start + t (end - start) for every t in ts, on the last two (matrix) axes; the
     axes of ts broadcast against the leading axes of start and end."""
@@ -203,7 +210,7 @@ def _line_form(model: PomdpModel, tau0: np.ndarray,
     nodes are exact.  R is from `batch_rewards`, which raises ErgodicityError
     at gamma = 1 when the stationary law is not unique.
     """
-    k = int(np.count_nonzero(np.max(np.abs(tau1 - tau0), axis=1) > SAME_ROW_TOL))
+    k = len(_differing_rows(tau0, tau1))
 
     def values(x: np.ndarray) -> np.ndarray:
         taus = _segment(tau0, tau1, 0.5 * (x + 1.0))
@@ -228,7 +235,7 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
     """
     if pi0.kind != "observation" or pi1.kind != "observation":
         raise ValueError("line_degree_certificate needs observation policies")
-    differing = np.nonzero(np.max(np.abs(pi0.matrix - pi1.matrix), axis=1) > SAME_ROW_TOL)[0]
+    differing = _differing_rows(pi0.matrix, pi1.matrix)
     tau0, tau1 = state_conditionals(model, pi0), state_conditionals(model, pi1)
     num, den = _line_form(model, tau0, tau1)
     fitted = len(den.coef) - 1
@@ -261,7 +268,7 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
     """
     if pi0.kind != "state" or pi1.kind != "state":
         raise ValueError("interpolation_speed needs state policies")
-    differing = np.nonzero(np.max(np.abs(pi0.matrix - pi1.matrix), axis=1) > SAME_ROW_TOL)[0]
+    differing = _differing_rows(pi0.matrix, pi1.matrix)
     if len(differing) > 1:
         raise ValueError(
             f"policies differ on {len(differing)} states ({differing.tolist()}); "
@@ -277,7 +284,7 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
 def _blocks(items: Iterable, entries_per_item: int) -> Iterable[list]:
     """Consecutive items, as lists holding at most BLOCK_ENTRIES entries (at least one item)."""
     items = iter(items)
-    step = max(1, BLOCK_ENTRIES // entries_per_item)
+    step = _block_len(entries_per_item, BLOCK_ENTRIES)
     while block := list(itertools.islice(items, step)):
         yield block
 
@@ -346,7 +353,8 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
     (then the reward is degree <= 1 in that row for any gamma in (0, 1],
     the k = 1 case of `_line_form`, so some vertex is optimal).
     Returns pi with row obs replaced by the best deterministic action; ties
-    take the lowest action index.
+    take the lowest action index.  A best vertex that falls short of pi by
+    more than 1e-12 of the reward scale raises ArithmeticError.
     """
     if pi.kind != "observation":
         raise ValueError("vertex_improvement needs an observation policy")
@@ -361,8 +369,10 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
     pis[:-1, o] = np.eye(model.n_actions)
     rewards = batch_rewards(model, compose(model.beta, pis))
     best = int(np.argmax(rewards[:-1]))  # ties take the lowest action index
-    assert rewards[best] >= rewards[-1] - 1e-12, (
-        f"no vertex beats the interior point: {rewards[best]} < {rewards[-1]}")
+    margin = 1e-12 * max(1.0, float(np.max(np.abs(model.reward))))
+    if not rewards[best] >= rewards[-1] - margin:
+        raise ArithmeticError(
+            f"no vertex beats the interior point: {rewards[best]} < {rewards[-1]}")
     return Policy("observation", pis[best])
 
 
@@ -382,10 +392,7 @@ def improvement_path(model: PomdpModel, pi: Policy,
     ns, na = model.n_states, model.n_actions
     if model.n_observations != ns or np.max(np.abs(model.beta - np.eye(ns))) > 1e-12:
         raise ValueError("improvement_path needs a fully observable model (identity beta)")
-    if not (np.all(model.mu > 0.0) and model.gamma < 1.0) and not np.all(model.alpha > 0.0):
-        raise ValueError(
-            "improvement_path needs every policy to visit every state "
-            "(mu > 0 with gamma < 1, or alpha > 0)")
+    _check_visits(model, "improvement_path")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if pi.kind == "observation":

@@ -418,6 +418,23 @@ def test_project_beyond_the_row_cap_exits_one_at_once(tmp_path, capsys):
     assert error["message"].endswith(f"exceeds the cap of {MONOMIAL_CAP}")
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", TWO_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "1000000"),
+    ("critical", BLIND_GRAPH, "--grid", "1000000000000"),
+    ("project", TWO_STATE, "--samples", "1000000000000"),
+    ("faces", TWO_STATE, "--samples", "1000000000000"),
+], ids=["scan-resolution", "critical-grid", "project-samples", "faces-samples"])
+def test_size_flags_beyond_the_cap_exit_one_before_allocating(capsys, argv):
+    # each would ask numpy for 7-33 TiB
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "SizeCapError"
+    assert error["message"].endswith(f"exceeds the cap of {MONOMIAL_CAP}")
+
+
 @pytest.mark.parametrize("model", [
     fixtures.three_state_model(),
     fixtures.random_model(np.random.default_rng(7), 5, 5, 3, 0.8, positive_mu=True),

@@ -353,6 +353,24 @@ def test_feasibility_report_flags_polynomial_violation():
     assert not rep.feasible
 
 
+def test_feasibility_report_judges_wide_supports_on_the_policy_scale():
+    # over 9 support states each raw value pi(a|o) * prod(rho) is below 9^-9,
+    # so a recovered policy entry near -0.3 leaves a raw value above -1e-8
+    rng = np.random.default_rng(0)
+    m = fixtures.random_model(rng, 9, 9, 2, 0.9, positive_mu=True)
+    m = m.replace(beta=0.7 * np.eye(9) + 0.3 * rng.dirichlet(np.ones(9), size=9))
+    pi = Policy.deterministic([s % 2 for s in range(9)], 2, "state")
+    eta = state_action_frequency(m, pi).eta
+    assert np.min(pseudoinverse(m.beta) @ pi.matrix) < -0.05
+    rep = feasibility_report(m, eta)
+    assert rep.equality_residual <= 1e-10 and rep.min_entry >= 0.0
+    assert -1e-8 < rep.min_polynomial < 0.0
+    assert not rep.feasible
+    # the frequency of an observation policy with a zero entry stays feasible
+    obs_pi = Policy.deterministic([s % 2 for s in range(9)], 2)
+    assert feasibility_report(m, state_action_frequency(m, obs_pi).eta).feasible
+
+
 # --------------------------------------------------------------------------
 # face lattice
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, rational
 from pomdp_geometry.freq import ErgodicityError, eta_for_tau, reward_of, state_action_frequency
+from pomdp_geometry.geometry import face_lattice
 from pomdp_geometry.model import Policy, state_conditionals
 from pomdp_geometry.rational import (
     DegreeCertificate,
@@ -371,6 +372,35 @@ def test_vertex_improvement_matches_the_policy_loop():
             assert np.array_equal(vertex_improvement(m, pi, int(o)).matrix, want.matrix)
 
 
+def _flat_row_mdp(rng, scale):
+    """A random 4 x 4 x 3 MDP whose state s1 ignores the action: every vertex of
+    its row earns exactly the reward of any mixture, up to rounding."""
+    m = fixtures.random_mdp(rng, 4, 3, 0.9)
+    alpha, reward = m.alpha.copy(), m.reward.copy()
+    alpha[0] = alpha[0, 0]
+    reward[0] = reward[0, 0]
+    return m.replace(alpha=alpha, reward=scale * reward)
+
+
+def test_vertex_improvement_on_a_flat_row_at_large_reward_scale():
+    # rounding in rewards near 1e5 exceeds an absolute 1e-12 margin
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        m = _flat_row_mdp(rng, 1e5)
+        pi = Policy("observation", rng.dirichlet(np.ones(3), size=4))
+        improved = vertex_improvement(m, pi, "s1")
+        assert np.array_equal(improved.matrix[1:], pi.matrix[1:])
+        assert sorted(improved.matrix[0]) == [0.0, 0.0, 1.0]
+
+
+def test_vertex_improvement_raises_arithmetic_error_when_the_interior_wins(monkeypatch):
+    m = _flat_row_mdp(np.random.default_rng(0), 1.0)
+    # rewards of the three vertices, then of pi: pi beats every vertex
+    monkeypatch.setattr(rational, "batch_rewards", lambda model, taus: np.array([0.0, 0.0, 0.0, 1.0]))
+    with pytest.raises(ArithmeticError, match="no vertex beats the interior point"):
+        vertex_improvement(m, Policy.uniform(4, 3), "s1")
+
+
 # --------------------------------------------------------------------------
 # improvement paths
 
@@ -431,6 +461,24 @@ def test_improvement_path_requires_identity_beta_and_positivity():
     m = m.replace(mu=np.array([1.0, 0.0]), alpha=blocked)
     with pytest.raises(ValueError, match="visit"):
         improvement_path(m, Policy.uniform(2, 2), steps=10)
+
+
+def test_improvement_path_and_face_lattice_share_the_visit_rule():
+    m = fixtures.random_mdp(np.random.default_rng(5), 2, 2, 0.5)
+    blocked = m.alpha.copy()
+    blocked[1, 1] = [0.0, 1.0]  # a zero in alpha
+    pi = Policy.uniform(2, 2)
+    for mu, alpha, visits in (([1.0, 0.0], blocked, False), ([1.0, 0.0], m.alpha, True),
+                              ([0.5, 0.5], blocked, True)):
+        m2 = m.replace(mu=np.array(mu), alpha=alpha)
+        if visits:
+            assert len(improvement_path(m2, pi, steps=4)) == 4
+            assert face_lattice(m2).certified
+            continue
+        for call in (lambda: improvement_path(m2, pi, steps=4), lambda: face_lattice(m2)):
+            with pytest.raises(ValueError, match="requires every policy to visit every state: "
+                               "need gamma < 1 with positive mu, or a positive transition kernel"):
+                call()
 
 
 @pytest.mark.parametrize("entries_per_item, sizes", [(3, [2, 2, 2, 1]), (7, [1] * 7), (8, [1] * 7)])
