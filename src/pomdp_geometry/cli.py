@@ -81,32 +81,29 @@ def _join_scalars(texts, depth: int) -> str:
     return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + "  " * depth + "]"
 
 
+class _Spliced:
+    """A value emit_json does not walk: ``write(out, depth)`` appends to emit_json's
+    output list the text of the value rendered at that nesting depth."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write):
+        self.write = write
+
+
 def emit_json(obj) -> str:
     """Indented JSON text of obj with 17-significant-digit floats (non-finite
     ones as NaN, Infinity, -Infinity).
 
     One walk appends chunks to a single list that is joined once.  Lists
-    of plain ints or plain floats are joined in one step; str keys are
-    rendered once per call, and all-int rows and all-int matrices (exponent
-    matrices repeat thousands of times) once per nesting depth.  Only exact
-    ints are cached, so the hash-equal True and 1.0 never hit an int's entry.
+    of plain ints or plain floats are joined in one step, and str keys are
+    rendered once per call.  A `_Spliced` value writes its own pieces into
+    the list for the depth it sits at: that is how `constraints` writes its
+    monomial terms, straight from each polynomial's factored expansion.
     """
     out = []
     put = out.append
     keys = {}  # str key -> '"key": '
-    int_blocks = {}  # (depth, row or matrix as tuples) -> text
-
-    def int_block(block, depth):
-        """Text of a non-empty tuple of ints, or of a tuple of such tuples."""
-        key = (depth, block)
-        text = int_blocks.get(key)
-        if text is None:
-            if type(block[0]) is int:
-                texts = map(str, block)
-            else:
-                texts = (int_block(row, depth + 1) for row in block)
-            text = int_blocks[key] = _join_scalars(texts, depth)
-        return text
 
     def walk(value, depth):
         kind = type(value)
@@ -116,6 +113,8 @@ def emit_json(obj) -> str:
             put(str(value))
         elif kind is str:
             put(json.dumps(value))
+        elif kind is _Spliced:
+            value.write(out, depth)
         elif isinstance(value, dict):
             if not value:
                 put("{}")
@@ -140,14 +139,10 @@ def emit_json(obj) -> str:
                 return
             kinds = set(map(type, value))
             if kinds == {int}:
-                put(int_block(tuple(value), depth))
+                put(_join_scalars(map(str, value), depth))
                 return
             if kinds == {float}:
                 put(_join_scalars(map(_float_text, value), depth))
-                return
-            if kinds == {list} and all(value) and \
-                    set(map(type, itertools.chain.from_iterable(value))) == {int}:
-                put(int_block(tuple(map(tuple, value)), depth))
                 return
             inner = "  " * (depth + 1)
             sep, comma = "[\n" + inner, ",\n" + inner
@@ -360,17 +355,55 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+def _spliced_terms(poly, matrices: dict) -> _Spliced:
+    """The "terms" list of ``poly.to_dict()`` as emit_json writes it, written
+    straight from the factored expansion (expanded here, so its size cap is
+    checked now).  A term's code row holds, per state, its action on the
+    support and A off it.  Each exponent row is then a unit row or zero, so a
+    matrix text is joined once per (depth, code row) from A + 1 row texts and
+    shared through ``matrices``."""
+    assignments, values = poly._expansion
+
+    def write(out, depth):
+        if not len(values):
+            out.append("[]")
+            return
+        na = poly.n_actions
+        codes = np.full((len(values), poly.n_states), na)
+        codes[:, list(poly.support_states)] = assignments
+        rows = [_join_scalars(["1" if a == code else "0" for a in range(na)], depth + 3)
+                for code in range(na + 1)]
+        texts = []
+        for code in map(tuple, codes.tolist()):
+            text = matrices.get((depth, code))
+            if text is None:
+                text = matrices[depth, code] = _join_scalars([rows[c] for c in code], depth + 2)
+            texts.append(text)
+        pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+        opening, middle = "," + pad + "{" + inner + '"exponents": ', "," + inner + '"coefficient": '
+        closing = pad + "}"
+        first = len(out) + 1
+        out.append("[")
+        out.extend(itertools.chain.from_iterable(zip(
+            itertools.repeat(opening), texts, itertools.repeat(middle),
+            map(_float_text, values.tolist()), itertools.repeat(closing))))
+        out[first] = opening[1:]  # no comma before the first term
+        out.append("\n" + "  " * depth + "]")
+
+    return _Spliced(write)
+
+
 def _cmd_constraints(args) -> int:
     model = _load_model(args.model, args.gamma, args.mu)
     polys = geom.model_constraint_polynomials(model)
-    payload = {"polynomials": [p.to_dict() for p in polys]}
+    matrices = {}  # (depth, code row) -> exponent matrix text, shared by every term
+    payload = {"polynomials": [{**p._header(), "terms": _spliced_terms(p, matrices)}
+                               for p in polys]}
     if args.policy:
         pi = _parse_policy(args.policy, model)
         freq = state_action_frequency(model, pi)
-        payload["values_at_policy"] = {
-            p.label: float(p.evaluate(freq.eta)) for p in polys
-        }
-        report = geom.feasibility_report(model, freq.eta, polys=polys)
+        values, report = geom._feasibility(model, freq.eta, polys)
+        payload["values_at_policy"] = dict(zip([p.label for p in polys], values.tolist()))
         payload["feasibility"] = report.to_dict()
     sys.stdout.write(emit_json(payload))
     return 0

@@ -316,6 +316,16 @@ class PolynomialConstraint:
             exps[s, a] += 1
         return exps
 
+    def _header(self) -> dict:
+        """The fields of `to_dict` that precede its "terms", in order."""
+        return {
+            "label": self.label,
+            "observation": self.observation,
+            "action": self.action,
+            "support_states": list(self.support_states),
+            "degree": self.degree,
+        }
+
     def to_dict(self) -> dict:
         assignments, values = self._expansion  # argwhere order is sorted(terms) order
         n, ns, na = len(values), self.n_states, self.n_actions
@@ -324,11 +334,7 @@ class PolynomialConstraint:
         flat = (np.arange(n)[:, None] * ns + support) * na + assignments
         exponents = np.bincount(flat.ravel(), minlength=n * ns * na).reshape(n, ns, na)
         return {
-            "label": self.label,
-            "observation": self.observation,
-            "action": self.action,
-            "support_states": list(self.support_states),
-            "degree": self.degree,
+            **self._header(),
             "terms": [
                 {"exponents": e, "coefficient": c}
                 for e, c in zip(exponents.tolist(), values.tolist())
@@ -492,14 +498,21 @@ def feasibility_report(
     smallest raw cleared-denominator value.
     """
     eta = np.asarray(eta, dtype=float)
-    eq_resid = kirchhoff_residual(model, eta)
-    min_entry = float(np.min(eta))
     if polys is None:
         polys = model_constraint_polynomials(model)
+    return _feasibility(model, eta, polys)[1]
+
+
+def _feasibility(model, eta, polys) -> tuple[np.ndarray, FeasibilityReport]:
+    """`feasibility_report` of a float array eta, with the raw constraint values
+    (K,) it was judged from: one evaluation per constraint."""
+    eq_resid = kirchhoff_residual(model, eta)
+    min_entry = float(np.min(eta))
     raw, scaled = _constraint_values(polys, eta) if polys else (np.zeros(1), np.zeros(1))
     ok = eq_resid <= CERT_TOL and min_entry >= -ENTRY_TOL and np.min(scaled) >= -CERT_TOL
-    return FeasibilityReport(equality_residual=eq_resid, min_entry=min_entry,
-                             min_polynomial=float(np.min(raw)), feasible=bool(ok))
+    return raw[:len(polys)], FeasibilityReport(
+        equality_residual=eq_resid, min_entry=min_entry,
+        min_polynomial=float(np.min(raw)), feasible=bool(ok))
 
 
 # ---------------------------------------------------------------------------

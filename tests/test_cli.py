@@ -14,9 +14,14 @@ from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, rational
 from pomdp_geometry.cli import emit_json, main
-from pomdp_geometry.freq import SMALL_STATES, batch_eta
-from pomdp_geometry.geometry import MONOMIAL_CAP, model_constraint_polynomials
-from pomdp_geometry.model import load_model_text, serialize_model
+from pomdp_geometry.freq import SMALL_STATES, batch_eta, state_action_frequency
+from pomdp_geometry.geometry import (
+    MONOMIAL_CAP,
+    PolynomialConstraint,
+    feasibility_report,
+    model_constraint_polynomials,
+)
+from pomdp_geometry.model import Policy, load_model_text, serialize_model
 from pomdp_geometry.rational import _edge_blocks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -681,3 +686,94 @@ def test_constraints_on_a_full_support_model_match_the_recursive_renderer(tmp_pa
     polys = model_constraint_polynomials(model)
     assert {p.degree for p in polys} == {5}
     assert out == _render_reference({"polynomials": [p.to_dict() for p in polys]}, 0) + "\n"
+
+
+# --------------------------------------------------------------------------
+# constraints terms written straight from the factored expansion
+
+
+def _block_model(seed, blocks, n_actions, gamma):
+    """Random model whose beta is block sparse: block (k, m) has k states that see
+    only its m <= k observations, densely.  Each constraint's support is then the
+    k states of its observation's block.  States and observations are shuffled."""
+    rng = np.random.default_rng(seed)
+    ns, no = sum(k for k, _ in blocks), sum(m for _, m in blocks)
+    beta = np.zeros((ns, no))
+    s = o = 0
+    for k, m in blocks:
+        beta[s:s + k, o:o + m] = rng.dirichlet(np.ones(m), size=k)
+        s, o = s + k, o + m
+    beta = beta[rng.permutation(ns)][:, rng.permutation(no)]
+    model = fixtures.random_model(rng, ns, no, n_actions, gamma, positive_mu=True)
+    return model.replace(beta=beta)
+
+
+BLOCK_CASES = [
+    (0, [(1, 1), (2, 1), (3, 2)], 2, 0.9),
+    (1, [(4, 2), (1, 1)], 3, 0.7),
+    (2, [(5, 3)], 3, 0.5),
+    (3, [(2, 1), (1, 1)], 4, 0.95),
+    (4, [(3, 2)], 4, 0.6),
+    (5, [(1, 1), (3, 1)], 3, 1.0),  # positive transitions: unichain, gamma = 1
+]
+
+
+def _constraints_reference(model, polys, policy):
+    payload = {"polynomials": [p.to_dict() for p in polys]}
+    if policy:
+        eta = state_action_frequency(model, Policy.uniform(model.n_observations,
+                                                           model.n_actions)).eta
+        payload["values_at_policy"] = {p.label: float(p.evaluate(eta)) for p in polys}
+        payload["feasibility"] = feasibility_report(model, eta, polys=polys).to_dict()
+    return _render_reference(payload, 0) + "\n"
+
+
+def test_constraints_match_the_recursive_renderer_on_sparse_models(tmp_path, capsys):
+    sizes = set()
+    for seed, blocks, n_actions, gamma in BLOCK_CASES:
+        model = _block_model(seed, blocks, n_actions, gamma)
+        path = tmp_path / f"block{seed}.json"
+        path.write_text(serialize_model(model))
+        polys = model_constraint_polynomials(model)
+        assert sorted({p.degree for p in polys}) == sorted({k for k, _ in blocks})
+        sizes |= {(p.degree, model.n_states) for p in polys}
+        for policy in ([], ["--policy", "uniform"]):
+            code, out = run(capsys, "constraints", str(path), *policy)
+            assert code == 0
+            assert out == _constraints_reference(model, polys, policy)
+    # supports of every size from 1 to S, and of size S itself with 3 and 4 actions
+    assert {k for k, _ in sizes} == {1, 2, 3, 4, 5}
+    assert {(3, 3), (5, 5)} <= sizes
+
+
+def test_constraints_never_build_the_monomial_dicts(tmp_path, capsys, monkeypatch):
+    model = fixtures.random_model(np.random.default_rng(11), 5, 5, 3, 0.8, positive_mu=True)
+    path = tmp_path / "square.json"
+    path.write_text(serialize_model(model))
+    expected = [run(capsys, "constraints", str(path), *policy)
+                for policy in ([], ["--policy", "uniform"])]
+
+    def refuse(self):
+        raise AssertionError("constraints built the monomial dicts")
+
+    monkeypatch.setattr(PolynomialConstraint, "to_dict", refuse)
+    monkeypatch.setattr(PolynomialConstraint, "terms", property(refuse))
+    got = [run(capsys, "constraints", str(path), *policy)
+           for policy in ([], ["--policy", "uniform"])]
+    assert got == expected
+    assert [code for code, _ in got] == [0, 0]
+
+
+def test_constraints_with_policy_evaluate_each_constraint_once(capsys, monkeypatch):
+    calls = []
+    evaluate = PolynomialConstraint.evaluate
+
+    def counted(self, eta):
+        calls.append(self.label)
+        return evaluate(self, eta)
+
+    monkeypatch.setattr(PolynomialConstraint, "evaluate", counted)
+    code, out = run(capsys, "constraints", THREE_STATE, "--policy", "uniform")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 6
+    assert out.encode() == (GOLDEN / "constraints_three_state.json").read_bytes()
