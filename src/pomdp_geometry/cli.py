@@ -95,15 +95,13 @@ def emit_json(obj) -> str:
     """Indented JSON text of obj with 17-significant-digit floats (non-finite
     ones as NaN, Infinity, -Infinity).
 
-    One walk appends chunks to a single list that is joined once.  Lists
-    of plain ints or plain floats are joined in one step, and str keys are
-    rendered once per call.  A `_Spliced` value writes its own pieces into
-    the list for the depth it sits at: that is how `constraints` writes its
-    monomial terms, straight from each polynomial's factored expansion.
+    One walk appends chunks to a single list that is joined once.  A
+    `_Spliced` value writes its own pieces into the list for the depth it
+    sits at: that is how `constraints` writes its monomial terms, straight
+    from each polynomial's factored expansion.
     """
     out = []
     put = out.append
-    keys = {}  # str key -> '"key": '
 
     def walk(value, depth):
         kind = type(value)
@@ -123,26 +121,13 @@ def emit_json(obj) -> str:
             sep, comma = "{\n" + inner, ",\n" + inner
             for key, item in value.items():
                 put(sep)
-                if type(key) is str:
-                    text = keys.get(key)
-                    if text is None:
-                        text = keys[key] = json.dumps(key) + ": "
-                    put(text)
-                else:
-                    put(json.dumps(str(key)) + ": ")
+                put(json.dumps(str(key)) + ": ")
                 walk(item, depth + 1)
                 sep = comma
             put("\n" + "  " * depth + "}")
         elif isinstance(value, (list, tuple)):
             if not value:
                 put("[]")
-                return
-            kinds = set(map(type, value))
-            if kinds == {int}:
-                put(_join_scalars(map(str, value), depth))
-                return
-            if kinds == {float}:
-                put(_join_scalars(map(_float_text, value), depth))
                 return
             inner = "  " * (depth + 1)
             sep, comma = "[\n" + inner, ",\n" + inner
@@ -481,7 +466,13 @@ def _cmd_bounds(args) -> int:
         mults = _parse_int_list(args.k, "--k")
         if len(degrees) != len(mults):
             raise CliInputError("--d and --k must have the same length")
-        m = args.states * (args.actions - 1) - sum(mults)
+        _at_least(("--states", args.states, 1), ("--actions", args.actions, 1),
+                  *(("--d", d, 1) for d in degrees), *(("--k", k, 1) for k in mults))
+        try:  # the rules BoundInput.from_model applies to a model's face
+            m = crit._face_budget(args.states, args.actions,
+                                  {f"o{i + 1}": k for i, k in enumerate(mults)})
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from exc
         inputs = crit.BoundInput(
             active_set=tuple(
                 (f"a*{j + 1}", f"o{i + 1}")

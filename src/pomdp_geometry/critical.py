@@ -238,15 +238,8 @@ class BoundInput:
         per_obs: dict[int, int] = {}
         for _, o_idx in pairs:
             per_obs[o_idx] = per_obs.get(o_idx, 0) + 1
-        for o_idx, count in per_obs.items():
-            if count >= model.n_actions:
-                raise ValueError(
-                    f"all actions pinned to zero for observation "
-                    f"{model.observations[o_idx]}: the face is empty"
-                )
-        m = model.n_states * (model.n_actions - 1) - len(pairs)
-        if m < 0:
-            raise ValueError("more pinned entries than policy dimensions")
+        m = _face_budget(model.n_states, model.n_actions,
+                         {model.observations[o]: count for o, count in per_obs.items()})
         active_obs = sorted(per_obs)
         degrees = tuple(len(_support(pinv[o])) for o in active_obs)
         multiplicities = tuple(per_obs[o] for o in active_obs)
@@ -260,6 +253,20 @@ class BoundInput:
             multiplicities=multiplicities,
             m=m,
         )
+
+
+def _face_budget(n_states: int, n_actions: int, pinned: dict[str, int]) -> int:
+    """The codimension budget m = S·(A − 1) − Σ k of the face that pins k actions
+    of each observation in ``pinned``; ValueError if the face is empty."""
+    for obs, count in pinned.items():
+        if count >= n_actions:
+            raise ValueError(
+                f"all actions pinned to zero for observation {obs}: the face is empty"
+            )
+    m = n_states * (n_actions - 1) - sum(pinned.values())
+    if m < 0:
+        raise ValueError("more pinned entries than policy dimensions")
+    return m
 
 
 def critical_point_bound(inputs: BoundInput) -> int:

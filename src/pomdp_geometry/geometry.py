@@ -327,17 +327,11 @@ class PolynomialConstraint:
         }
 
     def to_dict(self) -> dict:
-        assignments, values = self._expansion  # argwhere order is sorted(terms) order
-        n, ns, na = len(values), self.n_states, self.n_actions
-        # every term's exponent matrix at once, as counts in one (n, S, A) array
-        support = np.array(self.support_states, dtype=int)
-        flat = (np.arange(n)[:, None] * ns + support) * na + assignments
-        exponents = np.bincount(flat.ravel(), minlength=n * ns * na).reshape(n, ns, na)
         return {
             **self._header(),
             "terms": [
-                {"exponents": e, "coefficient": c}
-                for e, c in zip(exponents.tolist(), values.tolist())
+                {"exponents": self.exponent_matrix(a).tolist(), "coefficient": c}
+                for a, c in self.terms.items()
             ],
         }
 

@@ -7,9 +7,10 @@ gamma in (0, 1] and initial distribution mu.  Policies are row-stochastic
 matrices over actions, indexed either by observations (what an agent can
 actually condition on) or by states (the fully observable relaxation).
 
-Two text formats are supported: a canonical JSON document and a compact
-line-oriented "graph" format for deterministic transition kernels that
-compiles down to the canonical one.
+Two text formats are read: a canonical JSON document and a compact
+line-oriented "graph" format for deterministic transition kernels, which
+parses straight into a model.  `serialize_model` writes the canonical
+document for either.
 """
 
 from __future__ import annotations
@@ -408,8 +409,8 @@ def transition_kernels(model: PomdpModel, pi: Policy) -> tuple[np.ndarray, np.nd
 _GRAPH_HEADER_KEYS = ("states", "actions", "observations", "beta", "gamma", "mu")
 
 
-def compile_graph_source(text: str) -> str:
-    """Compile the line-oriented graph format to a canonical JSON document.
+def parse_graph_model(text: str) -> PomdpModel:
+    """Parse the line-oriented graph format straight into a model.
 
     Syntax (one item per line, '#' starts a comment):
 
@@ -426,7 +427,8 @@ def compile_graph_source(text: str) -> str:
                                       deterministic successor and a reward
                                       (reward defaults to 0)
 
-    Every (state, action) pair must have exactly one edge.
+    Every (state, action) pair must have exactly one edge, and state,
+    observation and action labels must be unique.
     """
     headers: dict[str, str] = {}
     edges = []  # (src, action, dst, reward, line_no)
@@ -505,7 +507,7 @@ def compile_graph_source(text: str) -> str:
         if len(observations) != ns:
             raise ModelFormatError(
                 f"observations: 'beta: identity' needs {ns} observations, got {len(observations)}")
-        beta = np.eye(ns).tolist()
+        beta = np.eye(ns)
     else:
         rows = [row.split() for row in beta_spec.split(";")]
         if len(rows) != ns:
@@ -546,22 +548,14 @@ def compile_graph_source(text: str) -> str:
         alpha[i, j, k] = 1.0
         reward[i, j] = rew
 
-    doc = {
-        "states": states,
-        "observations": observations,
-        "actions": actions,
-        "alpha": alpha.tolist(),
-        "beta": beta,
-        "reward": reward.tolist(),
-        "gamma": gamma,
-        "mu": mu,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return PomdpModel(_parse_labels(states, "states"),
+                      _parse_labels(observations, "observations"),
+                      _parse_labels(actions, "actions"), alpha, beta, reward, gamma, mu)
 
 
-def parse_graph_model(text: str) -> PomdpModel:
-    """Parse the graph format (see compile_graph_source)."""
-    return parse_model(compile_graph_source(text))
+def compile_graph_source(text: str) -> str:
+    """The canonical JSON document of a graph-format model (see parse_graph_model)."""
+    return serialize_model(parse_graph_model(text))
 
 
 def load_model_text(text: str) -> PomdpModel:

@@ -348,6 +348,20 @@ def test_bounds_mode_conflicts_exit_two(capsys):
     assert code == 2  # missing --k
 
 
+@pytest.mark.parametrize("flags", [
+    ["--states", "2", "--actions", "2", "--d", "-1", "--k", "1"],  # degree < 1
+    ["--states", "2", "--actions", "2", "--d", "2", "--k", "0"],  # multiplicity < 1
+    ["--states", "2", "--actions", "2", "--d", "2", "--k", "3"],  # pins 3 of 2 actions
+    ["--states", "1", "--actions", "2", "--d", "2,2", "--k", "1,1"],  # m = -1
+    ["--states", "0", "--actions", "2", "--d", "2", "--k", "1"],
+    ["--states", "2", "--actions", "0", "--d", "", "--k", ""],
+], ids=["degree", "multiplicity", "all-pinned", "over-pinned", "states", "actions"])
+def test_bounds_inline_refuses_what_model_mode_refuses(capsys, flags):
+    code, out = run(capsys, "bounds", *flags)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "CliInputError"
+
+
 def test_bounds_rank_error_exits_one(capsys):
     code, out = run(capsys, "bounds", "--model", BLIND_GRAPH, "--active", "a1:o")
     assert code == 1
@@ -677,7 +691,7 @@ def test_emit_json_matches_recursive_renderer_on_every_model_payload(capsys):
 
 def test_constraints_on_a_full_support_model_match_the_recursive_renderer(tmp_path, capsys):
     # every state sees every observation: each constraint has support 5 and
-    # 3^5 monomials, so the exponent-matrix and key caches carry the output
+    # 3^5 monomials, so the shared exponent-matrix texts carry the output
     model = fixtures.random_model(np.random.default_rng(11), 5, 5, 3, 0.8, positive_mu=True)
     path = tmp_path / "square.json"
     path.write_text(serialize_model(model))

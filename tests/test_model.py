@@ -1,12 +1,14 @@
 """Domain types, validation and both file formats."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pomdp_geometry import fixtures
+from pomdp_geometry import model as model_module
 from pomdp_geometry.model import (
     Frequency,
     ModelFormatError,
@@ -22,6 +24,8 @@ from pomdp_geometry.model import (
     transition_kernels,
     validate,
 )
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def test_two_state_fixture_shapes():
@@ -307,6 +311,78 @@ def test_graph_format_errors():
         parse_graph_model("gamma: 0.5\ns1 a1 -> s1 1\ns1 a1 -> s1 2\n")
     with pytest.raises(ModelFormatError, match="line 2"):
         parse_graph_model("gamma: 0.5\nwhat is this\n")
+
+
+GRAPH_CASES = {
+    "bundled": fixtures.GRAPH_BLIND_THREE_STATE,
+    "blind-inferred": "gamma: 0.9\ns1 a1 -> s2 1\ns1 a2 -> s1\ns2 a1 -> s1 -0.5\ns2 a2 -> s2 2\n",
+    "identity-mu-label": """
+    gamma: 1
+    beta: identity
+    mu: s2
+    s1 a1 -> s2 1e999
+    s1 a2 -> s1 -1e999
+    s2 a1 -> s1 0.1
+    s2 a2 -> s2 nan
+    """,
+    "explicit-mu-numbers": """
+    gamma: 0.3333333333333333
+    states: t1 t2 t3
+    actions: b1 b2 b3
+    observations: x y
+    beta: 1 0; 0.25 0.75; 0.5 0.5
+    mu: 0.2 0.3 0.5
+    t1 b1 -> t2 1
+    t1 b2 -> t3 -0.0
+    t1 b3 -> t1
+    t2 b1 -> t1 2.5
+    t2 b2 -> t2
+    t2 b3 -> t3 -7
+    t3 b1 -> t3 inf
+    t3 b2 -> t1
+    t3 b3 -> t2 1e-300
+    """,
+}
+
+
+@pytest.mark.parametrize("text", GRAPH_CASES.values(), ids=GRAPH_CASES.keys())
+def test_graph_source_is_the_canonical_document_of_the_parsed_model(text):
+    compiled = compile_graph_source(text)
+    assert compiled == serialize_model(parse_graph_model(text))
+    assert serialize_model(parse_model(compiled)) == compiled
+
+
+def test_bundled_graph_compiles_to_the_bundled_document():
+    expected = (MODELS / "blind_three_state.json").read_text(encoding="utf-8")
+    assert compile_graph_source((MODELS / "blind_three_state.graph").read_text()) == expected
+
+
+@pytest.mark.parametrize("text", GRAPH_CASES.values(), ids=GRAPH_CASES.keys())
+def test_graph_models_parse_without_json(monkeypatch, text):
+    expected = serialize_model(parse_graph_model(text))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph model went through JSON")
+
+    monkeypatch.setattr(model_module, "parse_model", refuse)
+    monkeypatch.setattr(model_module, "_parse_block", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    m = parse_graph_model(text)
+    monkeypatch.undo()
+    assert serialize_model(m) == expected
+
+
+@pytest.mark.parametrize("header, what", [
+    ("states: s1 s2 s1", "states"),
+    ("actions: a1 a2 a1", "actions"),
+    ("beta: identity\nobservations: o o", "observations"),
+    ("beta: 1 0; 0 1\nobservations: x x", "observations"),
+], ids=["states", "actions", "identity-observations", "explicit-observations"])
+def test_graph_labels_must_be_unique(header, what):
+    text = f"gamma: 0.5\n{header}\ns1 a1 -> s2\ns1 a2 -> s1\ns2 a1 -> s1\ns2 a2 -> s2\n"
+    for load in (parse_graph_model, compile_graph_source, load_model_text):
+        with pytest.raises(ModelFormatError, match=f"^{what}: labels must be unique$"):
+            load(text)
 
 
 def test_model_replace_and_indexing():
