@@ -456,7 +456,12 @@ def _cmd_bounds(args) -> int:
         active = (_parse_pairs(args.active, "active pair", "action:observation",
                                model.action_index, model.observation_index)
                   if args.active else [])
-        inputs = crit.BoundInput.from_model(model, active)
+        try:
+            inputs = crit.BoundInput.from_model(model, active)
+        except geom.RankError:
+            raise
+        except ValueError as exc:  # an empty face or a repeated pair
+            raise CliInputError(str(exc)) from exc
     else:
         if args.states is None or args.actions is None or args.k is None:
             raise CliInputError(

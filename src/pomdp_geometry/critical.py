@@ -7,9 +7,9 @@ two-action controllers, and computes combinatorial upper bounds on the
 number of critical points per face of the policy polytope for the general
 case.  A blind controller moves every state at once with p = pi(a1|o),
 a policy line on which every state varies.  The reward is then
-R(p) = N(p) / D(p), taken from the exact line form of
-:mod:`pomdp_geometry.rational`: N and D are polynomials of degree at most
-the number of states S, interpolated at S + 1 Chebyshev nodes.
+R(p) = N(p) / D(p), the exact `RewardLine` of :mod:`pomdp_geometry.rational`:
+N and D are polynomials of degree at most the number of states S,
+interpolated at S + 1 Chebyshev nodes.
 """
 
 from __future__ import annotations
@@ -23,18 +23,13 @@ import numpy as np
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, _check_cap, _support, pseudoinverse
 from .model import Policy, PomdpModel, _resolve, compose
-from .rational import _line_form
+from .rational import reward_curve_on_line
 
 # interior roots closer than this are reported once
 MERGE_TOL = 1e-8
 
 # reward ranges below 1e-12 of scale mean the landscape is flat
 DEGENERATE_TOL = 1e-12
-
-# trailing Chebyshev coefficients of N'D - ND' below this fraction of the
-# largest are cancellation noise; left in, they send colleague-matrix roots
-# off to infinity
-TRIM_TOL = 1e-13
 
 # one-sided slope threshold for boundary classification, relative to scale
 BOUNDARY_SLOPE_TOL = 1e-7
@@ -92,9 +87,9 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     """Locate all critical points of a blind two-action reward curve.
 
     The reward is R = N / D with N and D polynomials of degree at most the
-    number of states, the exact line form from p = 0 to p = 1.  The
-    critical points are the real roots in (0, 1) of g = N'D - ND' (D > 0
-    for every gamma in (0, 1] on unichain lines), found by colleague matrix
+    number of states, the exact reward line from p = 0 to p = 1.  The
+    critical points are the real roots in (0, 1) of its slope numerator g
+    (D > 0 for every gamma in (0, 1] on unichain lines), found by colleague matrix
     and classified by the sign of g', which is that of R''.  The endpoints
     are classified by the exact one-sided slopes R' = g / D^2.
     At gamma = 1 R is the mean reward, the same for every mu on a unichain
@@ -125,9 +120,8 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
         )
 
     # from the a2 vertex at p = 0 to the a1 vertex at p = 1
-    num, den = _line_form(model, *compose(model.beta, np.eye(2)[[1, 0], None]))
-    g = num.deriv() * den - num * den.deriv()
-    g = g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
+    line = reward_curve_on_line(model, *(Policy.deterministic([a], 2) for a in (1, 0)))
+    g = line.slope_numerator()
     dg = g.deriv()
     candidates = g.roots()
     x = candidates[np.isreal(candidates)].real
@@ -143,7 +137,7 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
 
     thr = BOUNDARY_SLOPE_TOL * scale
     ends = np.array([0.0, 1.0])
-    slope0, slope1 = g(ends) / den(ends) ** 2
+    slope0, slope1 = g(ends) / line.den(ends) ** 2
     return CriticalSet(
         interior_roots=tuple(roots),
         boundary={0.0: _boundary_class(-slope0, thr), 1.0: _boundary_class(slope1, thr)},

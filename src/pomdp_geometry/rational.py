@@ -4,9 +4,9 @@ Along a line of policies that vary only on a set of observations O, every
 state-action frequency coordinate (and hence the reward) is a rational
 function whose degree is at most the number of states compatible with O
 under the observation kernel.  This module provides that bound, the exact
-N / D form of the reward along a line (any gamma in (0, 1]) with the degree
+reward line R = N / D (`RewardLine`, any gamma in (0, 1]) with the degree
 certificate and one-state reparametrization speed built on it, a rational
-curve fitter for arbitrary callables, the vertex and edge sweeps of the
+curve fitter for vectorised callables, the vertex and edge sweeps of the
 policy polytope, one-observation vertex improvement, and monotone
 improvement paths for fully observable models.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev, chebyshev
@@ -31,6 +31,7 @@ from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_condi
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 COMMON_ROOT_TOL = 1e-6    # num/den roots closer than this in [0,1] flag a reducible fit
 SAME_ROW_TOL = 1e-12      # policy rows closer than this count as equal
+TRIM_TOL = 1e-13          # slope-numerator coefficients below this share of the largest are noise
 
 
 class DegreeFitError(ArithmeticError):
@@ -66,11 +67,6 @@ class RationalCurve:
     def __call__(self, x):
         return pol.polyval(x, self.num) / pol.polyval(x, self.den)
 
-    def derivative_numerator(self) -> np.ndarray:
-        """Ascending coefficients of num' den - num den' (zero exactly at critical points)."""
-        return pol.polysub(pol.polymul(pol.polyder(self.num), self.den),
-                           pol.polymul(self.num, pol.polyder(self.den)))
-
 
 @dataclass(frozen=True)
 class DegreeCertificate:
@@ -105,36 +101,34 @@ def chebyshev_grid(n: int) -> np.ndarray:
     return np.sort((np.cos((2 * k + 1) * np.pi / (2 * n)) + 1.0) / 2.0)
 
 
-def fit_rational_curve(f: Callable[[float], float], max_degree: int) -> RationalCurve:
+def fit_rational_curve(f: Callable[[np.ndarray], np.ndarray], max_degree: int) -> RationalCurve:
     """Fit the smallest-degree rational function matching f on [0, 1].
 
-    For each candidate degree k the fit uses 4(k+1) Chebyshev points and is
-    validated on the interleaved midpoints; the first k whose worst
-    validation error is at most 1e-7 wins.  The denominator is pinned by
-    den(1/2) = 1, must stay positive on the grid (curves with poles in
-    [0, 1] are rejected), and accepted fits share no num/den root in [0, 1]
-    within 1e-6.
+    f takes an array of points and returns their values (a scalar result
+    broadcasts); it is called once per candidate degree k, on the 4(k+1)
+    Chebyshev fitting points and their interleaved midpoints together.  The
+    first k whose worst error on the midpoints is at most 1e-7 wins.  The
+    denominator is pinned by den(1/2) = 1, must stay positive on the grid
+    (curves with poles in [0, 1] are rejected), and accepted fits share no
+    num/den root in [0, 1] within 1e-6.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     best_residual = np.inf
     for k in range(max_degree + 1):
         nodes = chebyshev_grid(4 * (k + 1))
-        values = np.array([f(x) for x in nodes])
-        num, den = _solve_rational_ls(nodes, values, k)
         midpoints = (nodes[:-1] + nodes[1:]) / 2.0
-        den_grid = pol.polyval(np.concatenate([nodes, midpoints]), den)
-        if np.min(den_grid) <= 1e-9:
+        points = np.concatenate([nodes, midpoints])
+        values, check = np.split(np.broadcast_to(f(points), points.shape), [len(nodes)])
+        num, den = _solve_rational_ls(nodes, values, k)
+        if np.min(pol.polyval(points, den)) <= 1e-9:
             continue  # spurious pole inside [0, 1]
-        check = np.array([f(x) for x in midpoints])
         approx = pol.polyval(midpoints, num) / pol.polyval(midpoints, den)
         residual = float(np.max(np.abs(approx - check)))
         best_residual = min(best_residual, residual)
-        if residual <= FIT_RESIDUAL_TOL:
-            curve = RationalCurve(num, den, residual)
-            if _has_common_root(num, den):
-                continue  # reducible: a smaller degree must explain f
-            return curve
+        # a reducible fit is passed over: a smaller degree must explain f
+        if residual <= FIT_RESIDUAL_TOL and not _has_common_root(num, den):
+            return RationalCurve(num, den, residual)
     raise DegreeFitError(
         f"no rational function of degree <= {max_degree} fits within "
         f"{FIT_RESIDUAL_TOL} (best validation residual {best_residual:.3e})")
@@ -162,27 +156,12 @@ def _solve_rational_ls(nodes: np.ndarray, values: np.ndarray, k: int):
 
 
 def _has_common_root(num: np.ndarray, den: np.ndarray) -> bool:
-    num = np.trim_zeros(num, "b")
-    den = np.trim_zeros(den, "b")
+    num, den = np.trim_zeros(num, "b"), np.trim_zeros(den, "b")
     if len(num) <= 1 or len(den) <= 1:
         return False
-    nroots = pol.polyroots(num)
-    droots = pol.polyroots(den)
-    for r in nroots:
-        if abs(r.imag) > COMMON_ROOT_TOL or not (-0.05 <= r.real <= 1.05):
-            continue
-        if np.any(np.abs(droots - r) < COMMON_ROOT_TOL):
-            return True
-    return False
-
-
-def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> Callable[[float], float]:
-    """R as a function of the interpolation parameter along pi0 -> pi1."""
-    if pi0.kind != pi1.kind:
-        raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
-    tau0 = state_conditionals(model, pi0)
-    tau1 = state_conditionals(model, pi1)
-    return lambda lam: float(batch_rewards(model, _segment(tau0, tau1, np.array([lam])))[0])
+    r = pol.polyroots(num)
+    r = r[(np.abs(r.imag) <= COMMON_ROOT_TOL) & (r.real >= -0.05) & (r.real <= 1.05)]
+    return bool(np.any(np.abs(pol.polyroots(den)[:, None] - r) < COMMON_ROOT_TOL))
 
 
 def _differing_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -197,19 +176,33 @@ def _segment(start: np.ndarray, end: np.ndarray, ts) -> np.ndarray:
     return start + np.asarray(ts)[..., None, None] * (end - start)
 
 
-def _line_form(model: PomdpModel, tau0: np.ndarray,
-               tau1: np.ndarray) -> tuple[Chebyshev, Chebyshev]:
-    """N and D of the reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1].
+class RewardLine(NamedTuple):
+    """The reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1], as two
+    Chebyshev series on [0, 1]; calling it gives R at a scalar or an array of lam.
 
     With M = I - gamma (p_lam - 1 mu^T) (`freq._anchored_system`, the
     gamma = 1 system of the solver core), rho^T M = mu^T for every gamma in
     (0, 1], and D = det(M) is det(I - gamma p_lam) / (1 - gamma) for gamma < 1
     (matrix determinant lemma), finite at gamma = 1.  Only the rows of the k
     states whose conditionals differ move with lam, so by Cramer's rule D
-    and N = R D have degree at most k: their Chebyshev interpolants at k + 1
-    nodes are exact.  R is from `batch_rewards`, which raises ErgodicityError
-    at gamma = 1 when the stationary law is not unique.
+    and N = R D have degree at most k = den.degree().
     """
+
+    num: Chebyshev
+    den: Chebyshev
+
+    def __call__(self, lam):
+        return self.num(lam) / self.den(lam)
+
+    def slope_numerator(self) -> Chebyshev:
+        """g = N'D - ND', so R' = g / D^2; degree at most 2k - 2 once trimmed of the
+        cancellation noise that would send colleague-matrix roots to infinity."""
+        g = self.num.deriv() * self.den - self.num * self.den.deriv()
+        return g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
+
+
+def _line_form(model: PomdpModel, tau0: np.ndarray, tau1: np.ndarray) -> RewardLine:
+    """The RewardLine from the conditionals tau0 to tau1 (see `reward_curve_on_line`)."""
     k = len(_differing_rows(tau0, tau1))
 
     def values(x: np.ndarray) -> np.ndarray:
@@ -220,7 +213,16 @@ def _line_form(model: PomdpModel, tau0: np.ndarray,
         return np.stack([rewards * dets, dets], axis=1)
 
     coef = chebyshev.chebinterpolate(values, k)
-    return Chebyshev(coef[:, 0], domain=[0, 1]), Chebyshev(coef[:, 1], domain=[0, 1])
+    return RewardLine(*(Chebyshev(c, domain=[0, 1]) for c in coef.T))
+
+
+def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> RewardLine:
+    """The exact RewardLine along pi0 -> pi1: N and D interpolated at their k + 1
+    Chebyshev nodes from one `batch_rewards` call, which raises ErgodicityError at
+    gamma = 1 when the stationary law is not unique, and one batched determinant."""
+    if pi0.kind != pi1.kind:
+        raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
+    return _line_form(model, state_conditionals(model, pi0), state_conditionals(model, pi1))
 
 
 def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> DegreeCertificate:
@@ -237,12 +239,11 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
         raise ValueError("line_degree_certificate needs observation policies")
     differing = _differing_rows(pi0.matrix, pi1.matrix)
     tau0, tau1 = state_conditionals(model, pi0), state_conditionals(model, pi1)
-    num, den = _line_form(model, tau0, tau1)
-    fitted = len(den.coef) - 1
+    line = _line_form(model, tau0, tau1)
+    fitted = line.den.degree()
     witness = chebyshev_grid(fitted + 2)
     etas = certified_etas(model, _segment(tau0, tau1, witness))
-    miss = float(np.max(np.abs(num(witness) / den(witness)
-                               - np.sum(etas * model.reward, axis=(1, 2)))))
+    miss = float(np.max(np.abs(line(witness) - np.sum(etas * model.reward, axis=(1, 2)))))
     tol = FIT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(model.reward))))
     if not miss <= tol:
         raise DegreeFitError(
@@ -273,7 +274,7 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
         raise ValueError(
             f"policies differ on {len(differing)} states ({differing.tolist()}); "
             "the closed form needs at most one")
-    _, den = _line_form(model, pi0.matrix, pi1.matrix)
+    den = _line_form(model, pi0.matrix, pi1.matrix).den
     return float(lam * den(1.0) / den(lam))
 
 

@@ -362,6 +362,14 @@ def test_bounds_inline_refuses_what_model_mode_refuses(capsys, flags):
     assert json.loads(out)["error"]["kind"] == "CliInputError"
 
 
+@pytest.mark.parametrize("active", ["a1:o2,a2:o2", "a1:o2,a1:o2"],
+                         ids=["empty-face", "repeated-pair"])
+def test_bounds_model_mode_refusals_exit_two(capsys, active):
+    code, out = run(capsys, "bounds", "--model", TWO_STATE, "--active", active)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "CliInputError"
+
+
 def test_bounds_rank_error_exits_one(capsys):
     code, out = run(capsys, "bounds", "--model", BLIND_GRAPH, "--active", "a1:o")
     assert code == 1

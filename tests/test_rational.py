@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, rational
-from pomdp_geometry.freq import ErgodicityError, eta_for_tau, reward_of, state_action_frequency
+from pomdp_geometry.freq import (ErgodicityError, batch_rewards, eta_for_tau, reward_of,
+                                 state_action_frequency)
 from pomdp_geometry.geometry import face_lattice
 from pomdp_geometry.model import Policy, state_conditionals
 from pomdp_geometry.rational import (
     DegreeCertificate,
     DegreeFitError,
-    RationalCurve,
     best_deterministic,
     chebyshev_grid,
     degree_bound,
@@ -81,10 +81,18 @@ def test_fit_rejects_negative_max_degree():
         fit_rational_curve(lambda x: 1.0, max_degree=-1)
 
 
-def test_curve_derivative_numerator():
-    curve = RationalCurve(num=[0.0, 1.0], den=[1.0, 1.0], fit_residual=0.0)
-    # (x/(1+x))' has numerator 1*(1+x) - x*1 = 1
-    assert_allclose(np.trim_zeros(curve.derivative_numerator(), "b"), [1.0])
+def test_fit_calls_f_once_per_candidate_degree_on_arrays():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** 3 + x
+
+    with pytest.raises(DegreeFitError):
+        fit_rational_curve(f, max_degree=2)
+    # degree k fits at 4(k + 1) nodes and is checked at the 4(k + 1) - 1 midpoints
+    assert [type(x) for x in calls] == [np.ndarray] * 3
+    assert [x.shape for x in calls] == [(7,), (15,), (23,)]
 
 
 def test_chebyshev_grid_properties():
@@ -136,6 +144,33 @@ def test_line_degree_certificate_checks_exact_form(gamma):
         for x in cert.witness_grid:
             direct = np.sum(m.reward * eta_for_tau(m, tau0 + x * (tau1 - tau0)))
             assert num(x) / den(x) == pytest.approx(direct, rel=0, abs=1e-9)
+        # the public line, evaluated on a whole array, against one batched solve
+        scale = max(1.0, float(np.max(np.abs(m.reward))))
+        line = reward_curve_on_line(m, pi0, pi1)
+        xs = np.linspace(0.0, 1.0, 33)
+        direct = batch_rewards(m, rational._segment(tau0, tau1, xs))
+        assert np.max(np.abs(line(xs) - direct)) <= 1e-12 * scale
+        # g = N'D - ND' loses its leading term: degree at most 2k - 2
+        g = line.slope_numerator()
+        assert g.degree() <= max(0, 2 * line.den.degree() - 2)
+        # R' = g / D^2 against central differences of direct solves
+        inner, h = np.linspace(0.05, 0.95, 7), 1e-5
+        lo, hi = (batch_rewards(m, rational._segment(tau0, tau1, inner + d)) for d in (-h, h))
+        central = (hi - lo) / (2 * h)
+        assert np.max(np.abs(g(inner) / line.den(inner) ** 2 - central)) <= 1e-8 * scale
+
+
+def test_fitting_a_reward_line_solves_nothing(monkeypatch):
+    # vary only o2 in the two-state model: a degree-1 line
+    m = fixtures.two_state_model()
+    pi0 = Policy("observation", np.array([[1.0, 0.0], [1.0, 0.0]]))
+    pi1 = Policy("observation", np.array([[1.0, 0.0], [0.0, 1.0]]))
+    line = reward_curve_on_line(m, pi0, pi1)
+    solves, solve = [], rational.batch_rewards
+    monkeypatch.setattr(rational, "batch_rewards", lambda *args: solves.append(args) or solve(*args))
+    curve = fit_rational_curve(line, 3)
+    assert solves == []
+    assert len(curve.num) - 1 == 1
 
 
 def test_line_degree_certificate_rejects_multichain_gamma_one():
