@@ -458,7 +458,7 @@ def _cmd_bounds(args) -> int:
                   if args.active else [])
         try:
             inputs = crit.BoundInput.from_model(model, active)
-        except geom.RankError:
+        except (geom.RankError, np.linalg.LinAlgError):
             raise
         except ValueError as exc:  # an empty face or a repeated pair
             raise CliInputError(str(exc)) from exc

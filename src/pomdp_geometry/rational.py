@@ -23,15 +23,16 @@ from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
 # reward_of is unused: perfbench/test_smoke.py checks the tracer wraps this binding site
-from .freq import (BLOCK_ENTRIES, _anchored_system, _block_len, _check_visits,  # noqa: F401
-                   _state_kernels, batch_rewards, certified_etas, conditioning_inverse,
-                   reward_of, state_action_frequency)
+from .freq import (BLOCK_ENTRIES, ErgodicityError, _anchored_system, _block_len,  # noqa: F401
+                   _check_visits, _state_kernels, batch_rewards, certified_etas,
+                   conditioning_inverse, reward_of, state_action_frequency)
 from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 COMMON_ROOT_TOL = 1e-6    # num/den roots closer than this in [0,1] flag a reducible fit
 SAME_ROW_TOL = 1e-12      # policy rows closer than this count as equal
 TRIM_TOL = 1e-13          # slope-numerator coefficients below this share of the largest are noise
+ZERO_DEN_TOL = 1e-12      # |D| below this share of D's largest coefficient: M is singular
 
 
 class DegreeFitError(ArithmeticError):
@@ -178,7 +179,8 @@ def _segment(start: np.ndarray, end: np.ndarray, ts) -> np.ndarray:
 
 class RewardLine(NamedTuple):
     """The reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1], as two
-    Chebyshev series on [0, 1]; calling it gives R at a scalar or an array of lam.
+    Chebyshev series on [0, 1].  Called on a scalar or an array of lam it gives R, or
+    ErgodicityError where D vanishes to rounding (gamma = 1, e.g. a multichain vertex).
 
     With M = I - gamma (p_lam - 1 mu^T) (`freq._anchored_system`, the
     gamma = 1 system of the solver core), rho^T M = mu^T for every gamma in
@@ -192,7 +194,10 @@ class RewardLine(NamedTuple):
     den: Chebyshev
 
     def __call__(self, lam):
-        return self.num(lam) / self.den(lam)
+        den = self.den(lam)
+        if np.any(np.abs(den) <= ZERO_DEN_TOL * np.max(np.abs(self.den.coef))):
+            raise ErgodicityError("stationary distribution is not unique where D vanishes")
+        return self.num(lam) / den
 
     def slope_numerator(self) -> Chebyshev:
         """g = N'D - ND', so R' = g / D^2; degree at most 2k - 2 once trimmed of the
@@ -217,9 +222,9 @@ def _line_form(model: PomdpModel, tau0: np.ndarray, tau1: np.ndarray) -> RewardL
 
 
 def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> RewardLine:
-    """The exact RewardLine along pi0 -> pi1: N and D interpolated at their k + 1
-    Chebyshev nodes from one `batch_rewards` call, which raises ErgodicityError at
-    gamma = 1 when the stationary law is not unique, and one batched determinant."""
+    """The exact RewardLine along pi0 -> pi1: N and D interpolated at k + 1 interior
+    Chebyshev nodes from one `batch_rewards` call (ErgodicityError at gamma = 1 when a
+    node's stationary law is not unique) and one batched determinant."""
     if pi0.kind != pi1.kind:
         raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
     return _line_form(model, state_conditionals(model, pi0), state_conditionals(model, pi1))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures, rational
+from pomdp_geometry import critical, fixtures, rational
 from pomdp_geometry.cli import emit_json, main
 from pomdp_geometry.freq import SMALL_STATES, batch_eta, state_action_frequency
 from pomdp_geometry.geometry import (
@@ -374,6 +374,17 @@ def test_bounds_rank_error_exits_one(capsys):
     code, out = run(capsys, "bounds", "--model", BLIND_GRAPH, "--active", "a1:o")
     assert code == 1
     assert "square" in json.loads(out)["error"]["message"]
+
+
+def test_bounds_model_mode_linalg_failure_exits_one(capsys, monkeypatch):
+    # a solver failure is a computational error, not bad input, though it is a ValueError
+    def no_convergence(beta):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(critical, "pseudoinverse", no_convergence)
+    code, out = run(capsys, "bounds", "--model", TWO_STATE, "--active", "a1:o2")
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "LinAlgError"
 
 
 # --------------------------------------------------------------------------

@@ -192,10 +192,33 @@ def test_reward_curve_full_line_fits_within_state_count():
     rng = np.random.default_rng(2)
     pi0 = Policy("observation", rng.dirichlet(np.ones(2), size=3))
     pi1 = Policy("observation", rng.dirichlet(np.ones(2), size=3))
-    f = reward_curve_on_line(m, pi0, pi1)
-    curve = fit_rational_curve(f, max_degree=m.n_states)
+    tau0, tau1 = state_conditionals(m, pi0), state_conditionals(m, pi1)
+
+    def direct(xs):
+        return batch_rewards(m, rational._segment(tau0, tau1, xs))
+
+    curve = fit_rational_curve(direct, max_degree=m.n_states)
     xs = np.linspace(0, 1, 33)
-    assert np.max(np.abs(curve(xs) - np.array([f(x) for x in xs]))) < 1e-6
+    assert np.max(np.abs(curve(xs) - direct(xs))) < 1e-6
+
+
+def test_reward_line_refuses_a_multichain_endpoint_at_gamma_one():
+    # action a1 keeps the state, a2 mixes both: the a1 vertex has two closed classes,
+    # every interior point of the line to the a2 vertex is unichain
+    alpha = np.zeros((2, 2, 2))
+    alpha[:, 0] = np.eye(2)
+    alpha[:, 1] = 0.5
+    m = fixtures.two_state_model().replace(alpha=alpha, gamma=1.0)
+    pi0, pi1 = (Policy.deterministic([a, a], 2, "state") for a in (0, 1))
+    line = reward_curve_on_line(m, pi0, pi1)
+    with pytest.raises(ErgodicityError, match="not unique"):
+        batch_rewards(m, pi0.matrix[None])
+    for ends in (0.0, np.array([0.0, 0.5])):
+        with pytest.raises(ErgodicityError, match="not unique"):
+            line(ends)
+    xs = np.linspace(0.01, 1.0, 9)
+    assert_allclose(line(xs), batch_rewards(m, rational._segment(pi0.matrix, pi1.matrix, xs)),
+                    rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
