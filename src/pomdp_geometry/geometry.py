@@ -9,7 +9,9 @@ This module builds both descriptions, checks membership, and enumerates the
 combinatorial face lattice of the constraint system together with a
 numerical certificate that the polynomial description carves out each face.
 Polynomials are stored in factored form; their A^|support|-term monomial
-expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.
+expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.  Constraints are
+evaluated together in one stacked pass over their factored forms, and faces are
+assembled from tables built once per free-action set.
 """
 
 from __future__ import annotations
@@ -284,19 +286,9 @@ class PolynomialConstraint:
         return self.terms.get(tuple(int(a) for a in assignment), 0.0)
 
     def evaluate(self, eta: np.ndarray) -> np.ndarray:
-        """Evaluate via marginals; broadcastable over leading axes of eta."""
-        eta = np.asarray(eta, dtype=float)
-        support = list(self.support_states)
-        k = len(support)
-        rho = eta[..., support, :].sum(axis=-1)  # (..., k)
-        total = np.prod(rho, axis=-1)
-        value = -self.offset * total
-        for i, s in enumerate(support):
-            others = [j for j in range(k) if j != i]
-            loo = np.prod(rho[..., others], axis=-1)
-            linear = np.einsum("a,...a->...", self.coeff[i], eta[..., s, :])
-            value = value + linear * loo
-        return value
+        """Evaluate via marginals, the one-constraint case of the stacked evaluation
+        `_stacked_values`; broadcastable over leading axes of eta."""
+        return _stacked_values([self], eta)[0][..., 0]
 
     def evaluate_monomials(self, eta: np.ndarray) -> float:
         """Evaluate from the stored monomial expansion (slow, exact form)."""
@@ -379,16 +371,9 @@ def transfer_inequality(
     support = _support(b)
     if label is None:
         label = f"transfer(c={c:g})"
-    return PolynomialConstraint(
-        label=label,
-        n_states=ns,
-        n_actions=na,
-        support_states=support,
-        coeff=b[list(support), :] if support else np.zeros((0, na)),
-        offset=float(c),
-        observation=observation,
-        action=action,
-    )
+    return PolynomialConstraint(label=label, n_states=ns, n_actions=na, support_states=support,
+                                coeff=b[list(support)], offset=float(c),
+                                observation=observation, action=action)
 
 
 def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[PolynomialConstraint]:
@@ -418,29 +403,22 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
 
     fragile = (np.abs(pinv) > SUPPORT_TOL) & (np.abs(pinv) <= NEAR_ZERO_FACTOR * SUPPORT_TOL)
     if np.any(fragile):
-        warnings.warn(
-            f"{int(np.count_nonzero(fragile))} pseudo-inverse entries sit "
-            f"within {NEAR_ZERO_FACTOR:g}x of the support cutoff "
-            f"{SUPPORT_TOL:g}; the constraint supports are numerically "
-            "fragile",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{int(np.count_nonzero(fragile))} pseudo-inverse entries sit within "
+                      f"{NEAR_ZERO_FACTOR:g}x of the support cutoff {SUPPORT_TOL:g}; the "
+                      "constraint supports are numerically fragile", RuntimeWarning, stacklevel=2)
 
     polys = []
     for o in range(no):
-        for a in range(na):
-            b = np.zeros((ns, na))
-            b[:, a] = pinv[o]
-            polys.append(
-                transfer_inequality(
-                    b,
-                    0.0,
-                    label=f"pi[{action_labels[a]}|{obs_names[o]}] >= 0",
-                    observation=obs_names[o],
-                    action=action_labels[a],
-                )
-            )
+        # the A constraints of observation o share the support of pseudo-inverse row o
+        support = _support(pinv[o])
+        weights = pinv[o, list(support)]
+        for a, action in enumerate(action_labels):
+            coeff = np.zeros((len(support), na))
+            coeff[:, a] = weights
+            polys.append(PolynomialConstraint(
+                label=f"pi[{action}|{obs_names[o]}] >= 0", n_states=ns, n_actions=na,
+                support_states=support, coeff=coeff, offset=0.0,
+                observation=obs_names[o], action=action))
     return polys
 
 
@@ -448,15 +426,39 @@ def model_constraint_polynomials(model: PomdpModel):
     return constraint_polynomials(model.beta, model.actions, obs_names=model.observations)
 
 
+def _stacked_values(polys, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K constraints polys at frequencies eta (..., S, A) in one pass: their values
+    (..., K) and their products of support marginals (..., K).
+
+    Supports are padded to the longest, kmax, with marginals 1.0 and zero coefficients.
+    A value is -offset * prod(rho), then + linear_i * prod_{j != i} rho_j for i = 0, 1,
+    ... in support order, each product taken left to right: the padding multiplies by
+    exact ones and adds nothing, so each value has the bits of its constraint alone."""
+    eta = np.ascontiguousarray(eta, dtype=float)
+    degrees = np.array([p.degree for p in polys], dtype=int)
+    kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (K, kmax)
+    states = np.zeros(kept.shape, dtype=int)
+    states[kept] = [s for p in polys for s in p.support_states]
+    coeff = np.zeros(kept.shape + eta.shape[-1:])
+    coeff[kept] = np.concatenate([p.coeff for p in polys])
+    rho = np.take(eta.sum(axis=-1), states, axis=-1)  # (..., K, kmax)
+    rho[..., ~kept] = 1.0
+    linear = np.einsum("kia,...kia->...ki", coeff, np.take(eta, states, axis=-2))
+    ones = np.ones(rho.shape[:-1])
+    total = reduce(np.multiply, np.moveaxis(rho, -1, 0), ones)
+    value = -np.array([p.offset for p in polys]) * total
+    for i in range(kept.shape[1]):
+        others = reduce(np.multiply, (rho[..., j] for j in range(kept.shape[1]) if j != i), ones)
+        np.add(value, linear[..., i] * others, out=value, where=kept[:, i])
+    return value, total
+
+
 def _constraint_values(polys, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every constraint at frequencies etas (..., S, A), one evaluation each: the raw
-    values (..., K) and the policy-scale values, each raw value divided by the product
-    of its support marginals.  At the frequency of a policy pi the policy-scale value
-    is the recovered pi(a|o); where a support marginal is 0 it is 0."""
-    rho = etas.sum(axis=-1)
-    raw = np.stack([p.evaluate(etas) for p in polys], axis=-1)
-    prods = np.stack([np.prod(rho[..., list(p.support_states)], axis=-1) for p in polys],
-                     axis=-1)
+    """Every constraint at frequencies etas (..., S, A) in one stacked evaluation: the
+    raw values (..., K) and the policy-scale values, each raw value divided by the
+    product of its support marginals.  At the frequency of a policy pi the
+    policy-scale value is the recovered pi(a|o); where a support marginal is 0 it is 0."""
+    raw, prods = _stacked_values(polys, etas)
     return raw, np.divide(raw, prods, out=np.zeros_like(raw), where=prods != 0.0)
 
 
@@ -561,8 +563,10 @@ def face_lattice(
     offending face and constraint.
 
     All faces x samples are certified in one batched pass (one draw, one
-    `certified_etas` solve, one evaluation per constraint) per block of
-    ``freq.BLOCK_ENTRIES`` S x S matrix entries.
+    `certified_etas` solve, one stacked evaluation of all constraints per
+    block); a block holds at most ``freq.BLOCK_ENTRIES`` entries, both of
+    the S x S systems and of the K x kmax x A frequency entries gathered
+    for the evaluation.
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
@@ -576,59 +580,52 @@ def face_lattice(
     if not tol > 0.0:  # pinned constraints evaluate to rounding noise, never to exactly 0
         raise ValueError(f"tol must be > 0, got {tol}")
     if no * na > FACE_COORD_CAP:
-        raise SizeCapError(
-            f"face lattice over {no * na} policy coordinates exceeds the "
-            f"cap of {FACE_COORD_CAP}"
-        )
+        raise SizeCapError(f"face lattice over {no * na} policy coordinates exceeds the "
+                           f"cap of {FACE_COORD_CAP}")
     _check_visits(model, "certification")
     polys = model_constraint_polynomials(model)
 
-    subsets = [
-        tuple(k for k in range(na) if mask >> k & 1) for mask in range(1, 1 << na)
-    ]
-    all_faces = sorted(
-        (sum(len(k) - 1 for k in combo), combo)
-        for combo in itertools.product(subsets, repeat=no)
-    )
-    all_faces = [(d, c) for d, c in all_faces if max_dim is None or d <= max_dim]
-    _check_cap(len(all_faces) * samples,
-               f"certifying {len(all_faces)} faces x {samples} samples")
-    index_of = {combo: i for i, (_, combo) in enumerate(all_faces)}
-
-    # dropping one free action of one observation gives a covered face, one
-    # dimension lower and so always inside the lattice
-    faces = [
-        FaceDescriptor(
-            free_actions=combo,
-            active_zeros=frozenset(
-                (model.actions[a], model.observations[o])
-                for o in range(no)
-                for a in range(na)
-                if a not in combo[o]
-            ),
-            dimension=dim,
-            subfaces=tuple(sorted(
-                index_of[combo[:o] + (tuple(k for k in free if k != drop),) + combo[o + 1:]]
-                for o, free in enumerate(combo)
-                if len(free) > 1
-                for drop in free
-            )),
-        )
-        for dim, combo in all_faces
-    ]
-    _certify_faces(model, faces, polys, np.random.default_rng(seed), samples, tol)
-
-    top_dim = max(f.dimension for f in faces)
-    f_vector = tuple(
-        sum(1 for f in faces if f.dimension == d) for d in range(top_dim + 1)
-    )
+    # tables over the 2^A - 1 free-action sets, in lexicographic order of their action
+    # tuples; a face is its tuple of ranks, one per observation, numbered as base-n digits
+    subsets = sorted(tuple(a for a in range(na) if mask >> a & 1) for mask in range(1, 1 << na))
+    n = len(subsets)
+    rank = {free: j for j, free in enumerate(subsets)}
+    free_rows = np.array([[a in free for a in range(na)] for free in subsets])
+    pinned = [[tuple((model.actions[a], name) for a in range(na) if a not in free)
+               for free in subsets] for name in model.observations]
+    # dropping one free action of one observation gives a covered face, one dimension
+    # lower and so always inside the lattice: drops[j, i] is the rank of set j without
+    # its i-th action, or j where there is none
+    drops = np.array([[rank[free[:i] + free[i + 1:]] if len(free) > 1 and i < len(free) else j
+                       for i in range(na)] for j, free in enumerate(subsets)])
+    digits = np.indices((n,) * no).reshape(no, -1).T
+    dims = (free_rows.sum(axis=1) - 1)[digits].sum(axis=1)
+    order = np.argsort(dims, kind="stable")  # face numbers by dimension, then lexicographically
+    if max_dim is not None:
+        order = order[dims[order] <= max_dim]
+    _check_cap(len(order) * samples, f"certifying {len(order)} faces x {samples} samples")
+    position = np.zeros(n**no, dtype=int)
+    position[order] = np.arange(len(order))
+    ranks = digits[order]
+    shift = drops[ranks] - ranks[..., None]  # (faces, O, A), 0 where nothing is dropped
+    covered = position[order[:, None, None] + shift * (n ** np.arange(no - 1, -1, -1))[:, None]]
+    covered[shift == 0] = len(order)  # sorted last, then left out
+    covered = np.sort(covered.reshape(len(order), -1))
+    covers = iter(covered[covered < len(order)].tolist())
+    combos = list(itertools.product(subsets, repeat=no))
+    zeros = list(map(frozenset, map(itertools.chain.from_iterable, itertools.product(*pinned))))
+    faces = [FaceDescriptor(combos[k], zeros[k], dim, tuple(itertools.islice(covers, count)))
+             for k, dim, count in zip(order.tolist(), dims[order].tolist(),
+                                      np.count_nonzero(shift, axis=(1, 2)).tolist())]
+    free = free_rows[ranks]  # (faces, O, A)
+    _certify_faces(model, faces, free, polys, np.random.default_rng(seed), samples, tol)
+    f_vector = tuple(np.bincount(dims[order]).tolist())
     return FaceLattice(faces=tuple(faces), f_vector=f_vector, certified=True)
 
 
-def _certify_faces(model, faces, polys, rng, samples, tol):
-    """Raise CertificationError at the first (face, sample, constraint) failure."""
-    free = np.array([[[a in k for a in range(model.n_actions)] for k in f.free_actions]
-                     for f in faces], dtype=bool)
+def _certify_faces(model, faces, free, polys, rng, samples, tol):
+    """Raise CertificationError at the first (face, sample, constraint) failure; free
+    (faces, O, A) marks the free actions of each face."""
     # normalised standard exponentials over a free set are Dirichlet(1, ..., 1)
     # on it; mixing in the face's barycentre keeps points off its edge
     mask = np.repeat(free, samples, axis=0)
@@ -639,7 +636,10 @@ def _certify_faces(model, faces, polys, rng, samples, tol):
                           model.action_index(p.action)) for p in polys]).T
     pinned = ~free[:, obs, act]  # (faces, constraints)
 
-    block = _block_len(model.n_states**2, BLOCK_ENTRIES)
+    # a block holds at most BLOCK_ENTRIES entries in the solve (S x S per point) and in
+    # the stacked evaluation (K x kmax x A gathered frequency entries per point)
+    gathered = len(polys) * max(p.degree for p in polys) * model.n_actions
+    block = _block_len(max(model.n_states**2, gathered), BLOCK_ENTRIES)
     for start in range(0, len(points), block):
         etas = certified_etas(model, compose(model.beta, points[start:start + block]))
         _, values = _constraint_values(polys, etas)

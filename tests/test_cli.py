@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import critical, fixtures, rational
+from pomdp_geometry import critical, fixtures, geometry, rational
 from pomdp_geometry.cli import emit_json, main
 from pomdp_geometry.freq import SMALL_STATES, batch_eta, state_action_frequency
 from pomdp_geometry.geometry import (
@@ -799,14 +799,15 @@ def test_constraints_never_build_the_monomial_dicts(tmp_path, capsys, monkeypatc
 
 def test_constraints_with_policy_evaluate_each_constraint_once(capsys, monkeypatch):
     calls = []
-    evaluate = PolynomialConstraint.evaluate
+    stacked = geometry._stacked_values
 
-    def counted(self, eta):
-        calls.append(self.label)
-        return evaluate(self, eta)
+    def counted(polys, eta):
+        calls.append([p.label for p in polys])
+        return stacked(polys, eta)
 
-    monkeypatch.setattr(PolynomialConstraint, "evaluate", counted)
+    monkeypatch.setattr(geometry, "_stacked_values", counted)
     code, out = run(capsys, "constraints", THREE_STATE, "--policy", "uniform")
     assert code == 0
-    assert len(calls) == len(set(calls)) == 6
+    assert len(calls) == 1  # one stacked evaluation of all constraints
+    assert len(calls[0]) == len(set(calls[0])) == 6
     assert out.encode() == (GOLDEN / "constraints_three_state.json").read_bytes()

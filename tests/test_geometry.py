@@ -5,10 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, freq, geometry
-from pomdp_geometry.freq import eta_for_tau, state_action_frequency, state_conditionals
+from pomdp_geometry.freq import batch_eta, eta_for_tau, state_action_frequency, state_conditionals
 from pomdp_geometry.geometry import (
     CertificationError,
     FeasibilityReport,
@@ -27,7 +29,7 @@ from pomdp_geometry.geometry import (
     pseudoinverse,
     transfer_inequality,
 )
-from pomdp_geometry.model import Policy
+from pomdp_geometry.model import Policy, compose
 
 # --------------------------------------------------------------------------
 # flow polytope
@@ -276,6 +278,55 @@ def test_evaluate_broadcasts():
         assert values[i] == pytest.approx(float(p.evaluate(stack[i])), abs=1e-14)
 
 
+def _evaluate_each(poly, eta):
+    """One constraint alone, support state by support state: the values the stacked
+    evaluation must reproduce bit for bit."""
+    support = list(poly.support_states)
+    rho = eta[..., support, :].sum(axis=-1)
+    value = -poly.offset * np.prod(rho, axis=-1)
+    for i, s in enumerate(support):
+        loo = np.prod(rho[..., [j for j in range(len(support)) if j != i]], axis=-1)
+        value = value + np.einsum("a,...a->...", poly.coeff[i], eta[..., s, :]) * loo
+    return value
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+@settings(max_examples=40)
+def test_stacked_values_match_each_constraint_bit_for_bit(seed, na):
+    rng = np.random.default_rng(seed)
+    ns = 6
+    m = fixtures.random_model(rng, ns, 3, na, 0.8, positive_mu=True)
+    # supports of 0 to 5 states, in random order, half of them with an offset
+    polys = []
+    for size in rng.permutation(6):
+        b = rng.normal(size=(ns, na))
+        b[rng.permutation(ns)[size:]] = 0.0
+        polys.append(transfer_inequality(b, float(rng.normal()) * (size % 2)))
+    # frequencies of six policies on leading axes (2, 3); the deterministic ones
+    # put exact zeros in eta, and one point gets a zero marginal
+    pis = rng.dirichlet(np.ones(na), size=(6, 3))
+    pis[::2] = np.eye(na)[rng.integers(0, na, size=(3, 1))]
+    etas = batch_eta(m, compose(m.beta, pis)).reshape(2, 3, ns, na)
+    widest = next(p for p in polys if p.degree == 5)
+    etas[1, 2, widest.support_states[0]] = 0.0
+
+    raw, prods = geometry._stacked_values(polys, etas)
+    expected = np.stack([_evaluate_each(p, etas) for p in polys], axis=-1)
+    assert raw.shape == (2, 3, 6)
+    assert raw.tobytes() == expected.tobytes()  # signed zeros included
+    rho = etas.sum(axis=-1)
+    assert prods.tobytes() == np.stack(
+        [np.prod(rho[..., list(p.support_states)], axis=-1) for p in polys], axis=-1).tobytes()
+    for k, p in enumerate(polys):
+        assert p.evaluate(etas).tobytes() == expected[..., k].tobytes()
+        scale = max(1.0, float(np.abs(p.coeff).sum()) + abs(p.offset))
+        for point in ((0, 0), (1, 2)):
+            assert abs(raw[point + (k,)] - p.evaluate_monomials(etas[point])) <= 1e-12 * scale
+    _, scaled = geometry._constraint_values(polys, etas)
+    assert prods[1, 2, polys.index(widest)] == 0.0
+    assert np.all(scaled[prods == 0.0] == 0.0)
+
+
 def test_transfer_inequality_general_linear_form():
     # clearing denominators of <b, tau> >= c multiplies the slack by the
     # product of support-state marginals
@@ -466,29 +517,65 @@ def test_terms_match_brute_force_expansion():
 
 
 def test_face_lattice_is_one_solve_and_one_evaluation_per_constraint(monkeypatch):
+    # each block of samples is one solve and one stacked evaluation of every
+    # constraint, whether the lattice fits one block or is split into several
     solves, evaluations = [], []
-    solve, evaluate = freq._linsolve, PolynomialConstraint.evaluate
+    solve, stacked = freq._linsolve, geometry._stacked_values
 
     def counting_solve(a, b):
         solves.append((a.shape[-1],) + a.shape[:-1])  # as (systems, S, S)
         return solve(a, b)
 
-    def counting_evaluate(self, eta):
-        evaluations.append(self.label)
-        return evaluate(self, eta)
+    def counting_stacked(polys, eta):
+        evaluations.append(([p.label for p in polys], eta.shape[0]))
+        return stacked(polys, eta)
 
     monkeypatch.setattr(freq, "_linsolve", counting_solve)
-    monkeypatch.setattr(PolynomialConstraint, "evaluate", counting_evaluate)
+    monkeypatch.setattr(geometry, "_stacked_values", counting_stacked)
     rng = np.random.default_rng(4)
     for shape, max_dim, samples in [((3, 3, 2), None, 3), ((4, 3, 3), None, 2),
                                     ((4, 3, 3), 1, 5), ((2, 2, 2), 0, 1)]:
         m = fixtures.random_model(rng, *shape, 0.8, positive_mu=True)
+        labels = [p.label for p in model_constraint_polynomials(m)]
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", freq.BLOCK_ENTRIES)
         solves.clear()
         evaluations.clear()
-        lattice = face_lattice(m, max_dim=max_dim, samples=samples, seed=1)
-        assert len(solves) == 1
-        assert solves[0][0] == lattice.n_faces * samples
-        assert sorted(evaluations) == sorted(p.label for p in model_constraint_polynomials(m))
+        whole = face_lattice(m, max_dim=max_dim, samples=samples, seed=1)
+        points = whole.n_faces * samples
+        assert [s[0] for s in solves] == [points]
+        assert evaluations == [(labels, points)]
+
+        kmax = max(p.degree for p in model_constraint_polynomials(m))
+        per_point = max(m.n_states**2, len(labels) * kmax * m.n_actions)
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", per_point * (points // 3))
+        solves.clear()
+        evaluations.clear()
+        assert face_lattice(m, max_dim=max_dim, samples=samples, seed=1) == whole
+        assert len(solves) == len(evaluations) >= 3
+        assert [s[0] for s in solves] == [n for _, n in evaluations]
+        assert sum(n for _, n in evaluations) == points
+        assert all(block == labels for block, _ in evaluations)
+
+
+def test_face_certification_blocks_bound_the_stacked_gather(monkeypatch):
+    # the stacked evaluation gathers K x kmax x A frequency entries per point,
+    # more than the S x S of the solve: blocks are sized by the larger
+    m = fixtures.random_model(np.random.default_rng(9), 4, 3, 3, 0.8, positive_mu=True)
+    whole = face_lattice(m, samples=2)
+    gathers = []
+    stacked = geometry._stacked_values
+
+    def recording(polys, eta):
+        kmax = max(p.degree for p in polys)
+        gathers.append(eta.shape[0] * len(polys) * kmax * eta.shape[-1])
+        return stacked(polys, eta)
+
+    budget = 5 * 9 * 4 * 3 + 7  # five points' gather: 9 constraints over 4 states, 3 actions
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(geometry, "_stacked_values", recording)
+    assert face_lattice(m, samples=2) == whole
+    assert len(gathers) == -(-whole.n_faces * 2 // 5)
+    assert max(gathers) <= budget
 
 
 def test_certification_error_names_a_pinned_constraint(monkeypatch):
