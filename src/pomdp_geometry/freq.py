@@ -17,7 +17,10 @@ through `_push`, and `GradientBundle.jacobian` solves the same S x S system
 with S*A right-hand sides.
 
 Every S x S solve goes through one primitive, `_linsolve`, on systems built
-batch-last, (S, S, N).  Direct solves, no iterative methods, in two branches:
+batch-last, (S, S, N), each written over the state kernel p it is built from;
+`_linsolve` consumes its system, as LAPACK's dgesv does, and never writes its
+right-hand sides, so a block holds one (S, S, N) array besides the elimination's
+step products.  Direct solves, no iterative methods, in two branches:
 up to SMALL_STATES states one Gaussian elimination with partial pivoting
 runs over all N systems at once, a few numpy operations per column, where
 LAPACK would be called once per tiny matrix; larger models call LAPACK's LU
@@ -113,30 +116,34 @@ def _state_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
 
 def _rho_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
     """I - gamma p^T for batch-last state kernels p (S, S, N): (I - gamma p^T) rho =
-    (1 - gamma) mu at gamma < 1."""
-    return np.eye(model.n_states)[:, :, None] - model.gamma * p.transpose(1, 0, 2)
+    (1 - gamma) mu at gamma < 1.  Written over p and returned as its transposed view."""
+    system = np.multiply(p, model.gamma, out=p).transpose(1, 0, 2)
+    return np.subtract(np.eye(model.n_states)[:, :, None], system, out=system)
 
 
 def _anchored_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
     """M = I - gamma (p - 1 mu^T) for batch-last state kernels p (S, S, N): rho^T M = mu^T
-    for every gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain."""
-    return np.eye(model.n_states)[:, :, None] - model.gamma * (p - model.mu[:, None])
+    for every gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain.
+    Written over p and returned in it."""
+    np.multiply(np.subtract(p, model.mu[:, None], out=p), model.gamma, out=p)
+    return np.subtract(np.eye(model.n_states)[:, :, None], p, out=p)
 
 
 def _linsolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The one S x S solve primitive: x[:, :, n] = a[:, :, n]^{-1} b[:, :, n] for batch-last
     systems a (S, S, N) and right-hand sides b (S, K, N), or (S, K, 1) shared by all N.
 
-    Up to SMALL_STATES states `_eliminate` solves all systems at once, on a copy of a;
-    larger ones go to LAPACK one matrix at a time.  Neither branch writes to a or b.  A
-    zero pivot raises np.linalg.LinAlgError("Singular matrix") on both branches.
+    Up to SMALL_STATES states `_eliminate` solves all systems at once in place of a;
+    larger ones go to LAPACK one matrix at a time.  Like LAPACK's dgesv it may overwrite
+    a, which the caller must not read afterwards; b is never written.  A zero pivot
+    raises np.linalg.LinAlgError("Singular matrix") on both branches.
     """
     ns, n = a.shape[0], a.shape[-1]
     if ns > SMALL_STATES:
         return np.linalg.solve(a.transpose(2, 0, 1), b.transpose(2, 0, 1)).transpose(1, 2, 0)
     x = np.empty((ns, b.shape[1], n))
     x[...] = b
-    return _eliminate(a.copy(), x)
+    return _eliminate(a, x)
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,7 +190,8 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
     each p^T - I with exactly one singular value below ERGODICITY_TOL (else
     ErgodicityError); eta = rho[..., None] * taus, also off the simplex.
     With values (gamma < 1), v (N, S) solves (I - gamma p) v = r_tau and
-    q = reward + gamma alpha v.  The systems are built batch-last, (S, S, N), for
+    q = reward + gamma alpha v.  The systems are built batch-last, (S, S, N), over the
+    state kernels, which are copied only when one block needs both, and consumed by
     `_linsolve`: one batched elimination up to SMALL_STATES states, LAPACK above, the
     branch chosen by S alone.  Partial pivoting never swaps rows of the gamma < 1
     rho-systems: on the simplex their columns are strictly diagonally dominant.
@@ -196,6 +204,7 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
         return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
     gamma, ns = model.gamma, model.n_states
     p = _state_kernels(model, taus)
+    p_values = p.copy() if rho and values else p
     x = v = q = None
     if rho and gamma < 1.0:
         x = _linsolve(_rho_system(model, p), ((1.0 - gamma) * model.mu)[:, None, None])
@@ -208,7 +217,8 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
                 f"values of (kernel^T - I) lie below {ERGODICITY_TOL}")
         x = _linsolve(_anchored_system(model, p).transpose(1, 0, 2), model.mu[:, None, None])
     if values:
-        system = np.eye(ns)[:, :, None] - gamma * p
+        system = np.multiply(p_values, gamma, out=p_values)
+        system = np.subtract(np.eye(ns)[:, :, None], system, out=system)
         v = _linsolve(system, _state_rewards(model, taus)[:, None])[:, 0].T
         q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
     return None if x is None else x[:, 0].T, v, q

@@ -627,11 +627,15 @@ def _certify_faces(model, faces, free, polys, rng, samples, tol):
     """Raise CertificationError at the first (face, sample, constraint) failure; free
     (faces, O, A) marks the free actions of each face."""
     # normalised standard exponentials over a free set are Dirichlet(1, ..., 1)
-    # on it; mixing in the face's barycentre keeps points off its edge
-    mask = np.repeat(free, samples, axis=0)
-    raw = rng.standard_exponential(mask.shape) * mask
-    points = (0.8 * raw / raw.sum(axis=-1, keepdims=True)
-              + 0.2 * mask / mask.sum(axis=-1, keepdims=True))
+    # on it; mixing in the face's barycentre keeps points off its edge.  Normalised in
+    # place: the points are the largest array certification holds
+    points = rng.standard_exponential((len(free) * samples,) + free.shape[1:])
+    by_face = points.reshape(len(free), samples, *free.shape[1:])
+    by_face *= free[:, None]
+    total = points.sum(axis=-1, keepdims=True)
+    points *= 0.8
+    points /= total
+    by_face += (0.2 * free / free.sum(axis=-1, keepdims=True))[:, None]
     obs, act = np.array([(model.observation_index(p.observation),
                           model.action_index(p.action)) for p in polys]).T
     pinned = ~free[:, obs, act]  # (faces, constraints)

@@ -1,5 +1,7 @@
 """Exact frequencies, the series oracle, values, gradients, conditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from pomdp_geometry.freq import (
 )
 from pomdp_geometry.geometry import face_lattice
 from pomdp_geometry.model import Policy, compose, kernels_for_tau, state_conditionals
+from pomdp_geometry.rational import reward_curve_on_line
 
 
 def stationary_distribution(kernel: np.ndarray) -> np.ndarray:
@@ -645,7 +648,7 @@ def test_linsolve_matches_lapack(ns, n, k, gamma, seed):
     for a in (shuffled, freq._rho_system(m, p)):
         b = rng.normal(size=(ns, k, n))
         reference = lapack_solve(a, b)
-        assert np.all(relative_gaps(freq._linsolve(a, b), reference) <= 1e-13)
+        assert np.all(relative_gaps(freq._linsolve(a.copy(), b), reference) <= 1e-13)
 
 
 @pytest.mark.parametrize("ns", [2, 3, SMALL_STATES])
@@ -663,15 +666,16 @@ def test_linsolve_hard_systems_match_lapack_to_their_conditioning(ns):
     cases = {
         "off-simplex rho": (eye - 0.9 * p_bent.transpose(1, 0, 2), 0.1 * mu),
         "off-simplex values": (eye - 0.9 * p_bent, freq._state_rewards(m, bent)[:, None]),
-        "rho at 1 - 1e-7": (freq._rho_system(m, p), (1.0 - near) * mu),
+        "rho at 1 - 1e-7": (freq._rho_system(m, p.copy()), (1.0 - near) * mu),
         "values at 1 - 1e-7": (eye - near * p, freq._state_rewards(m, taus)[:, None]),
-        "anchored at 1": (freq._anchored_system(m.replace(gamma=1.0), p).transpose(1, 0, 2), mu),
+        "anchored at 1": (freq._anchored_system(m.replace(gamma=1.0), p.copy()).transpose(1, 0, 2),
+                          mu),
     }
     off = cases["off-simplex rho"][0]
     assert np.any(np.abs(off[1:, 0]).max(axis=0) > np.abs(off[0, 0]))  # rows must swap
     eps = np.finfo(float).eps
     for name, (a, b) in cases.items():
-        x = freq._linsolve(a, b)
+        x = freq._linsolve(a.copy(), b)
         bound = np.maximum(1e-13, 4.0 * eps * np.linalg.cond(a.transpose(2, 0, 1)))
         assert np.all(relative_gaps(x, lapack_solve(a, b)) <= bound), name
         residual = np.einsum("stn,tkn->skn", a, x) - b
@@ -679,19 +683,19 @@ def test_linsolve_hard_systems_match_lapack_to_their_conditioning(ns):
 
 
 @pytest.mark.parametrize("ns", [3, SMALL_STATES, SMALL_STATES + 1])
-def test_linsolve_solves_each_system_alone_and_leaves_its_inputs(ns):
+def test_linsolve_solves_each_system_alone_and_never_writes_b(ns):
     # on both branches a system's bits do not depend on the rest of the batch, one
-    # system alone included, and neither a nor b is written to
+    # system alone included, and b is never written to; a is consumed, as by dgesv
     rng = np.random.default_rng(71 + ns)
     m = fixtures.random_model(rng, ns, 2, 2, 0.9)
     p = freq._state_kernels(m, compose(m.beta, rng.dirichlet(np.ones(2), size=(7, 2))))
     b = rng.normal(size=(ns, 2, 7))
     for a in (freq._rho_system(m, p), rng.normal(size=(ns, ns, 7))):
-        a_before, b_before = a.copy(), b.copy()
-        whole = freq._linsolve(a, b)
-        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+        b_before = b.copy()
+        whole = freq._linsolve(a.copy(), b)
+        assert np.array_equal(b, b_before)
         for cut in ((0, 1), (1, 3), (3, 7)):
-            part = freq._linsolve(a[..., slice(*cut)], b[..., slice(*cut)])
+            part = freq._linsolve(a[..., slice(*cut)].copy(), b[..., slice(*cut)])
             assert np.array_equal(part, whole[..., slice(*cut)])
 
 
@@ -704,5 +708,85 @@ def test_linsolve_raises_lapacks_error_on_a_singular_system(ns):
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         lapack_solve(a, b)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        freq._linsolve(a, b)
+        freq._linsolve(a.copy(), b)
     assert np.all(np.isfinite(freq._linsolve(a[..., :3], b[..., :3])))
+
+
+# --------------------------------------------------------------------------
+# the solver core builds each system over its kernel and eliminates it in place
+
+
+def reference_solve(m, taus, rho=True, values=False):
+    """`_solve` of one block as written with out-of-place builders and a copied system."""
+    gamma, ns = m.gamma, m.n_states
+    eye = np.eye(ns)[:, :, None]
+
+    def solve(a, b):
+        if ns > SMALL_STATES:
+            return lapack_solve(a, b)
+        x = np.empty((ns, b.shape[1], a.shape[-1]))
+        x[...] = b
+        return freq._eliminate(a.copy(), x)
+
+    p = freq._state_kernels(m, taus)
+    x = v = q = None
+    if rho and gamma < 1.0:
+        x = solve(eye - gamma * p.transpose(1, 0, 2), ((1.0 - gamma) * m.mu)[:, None, None])
+    elif rho:
+        x = solve((eye - gamma * (p - m.mu[:, None])).transpose(1, 0, 2), m.mu[:, None, None])
+    if values:
+        v = solve(eye - gamma * p, freq._state_rewards(m, taus)[:, None])[:, 0].T
+        q = m.reward + gamma * np.einsum("sat,nt->nsa", m.alpha, v)
+    return None if x is None else x[:, 0].T, v, q
+
+
+@pytest.mark.parametrize("ns", [1, 2, 3, SMALL_STATES, SMALL_STATES + 1])
+@pytest.mark.parametrize("gamma", [0.5, 1.0 - 1e-7, 1.0])
+def test_core_solves_in_place_with_the_bits_of_out_of_place_systems(ns, gamma):
+    rng = np.random.default_rng(83 + ns)
+    m = fixtures.random_model(rng, ns, 2, 3, gamma)
+    asks = [(True, False), (False, True), (True, True)] if gamma < 1.0 else [(True, False)]
+    for n in (1, 2, 7):
+        taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(n, 2)))
+        bend = 0.3 * rng.normal(size=taus.shape)
+        bent = taus + bend - bend.mean(axis=-1, keepdims=True)  # off the simplex, rows sum to 1
+        for t in (taus, bent):
+            for rho, values in asks:
+                got, expected = _solve(m, t, rho, values), reference_solve(m, t, rho, values)
+                for x, y in zip(got, expected):
+                    assert (x is None) == (y is None)
+                    assert x is None or x.tobytes() == y.tobytes(), (n, rho, values)
+
+
+@pytest.mark.parametrize("ns", [3, SMALL_STATES + 1])
+@pytest.mark.parametrize("gamma", [0.9, 1.0])
+def test_no_public_solve_writes_to_its_callers_arrays(ns, gamma):
+    rng = np.random.default_rng(89 + ns)
+    m = fixtures.random_model(rng, ns, 2, 3, gamma)
+    pi0, pi1 = (Policy("observation", rng.dirichlet(np.ones(3), size=2)) for _ in range(2))
+    taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(5, 2)))
+    arrays = (taus, m.alpha, m.beta, m.reward, m.mu, pi0.matrix, pi1.matrix)
+    before = [a.tobytes() for a in arrays]
+    calls = [lambda: batch_eta(m, taus), lambda: batch_rewards(m, taus),
+             lambda: certified_etas(m, taus), lambda: state_action_frequency(m, pi0),
+             lambda: value_bundle(m, pi0), lambda: reward_curve_on_line(m, pi0, pi1)]
+    if gamma < 1.0:
+        calls.append(lambda: policy_gradient(m, pi0).jacobian)
+    for call in calls:
+        call()
+        assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("ns", [4, SMALL_STATES])
+def test_batch_rewards_holds_one_system_and_one_elimination_product(ns):
+    # one (S, S, N) kernel becomes the system and is eliminated in place; the only other
+    # array of that size is the product of one elimination step
+    m = fixtures.random_model(np.random.default_rng(97), ns, 2, 2, 0.9)
+    taus = compose(m.beta, np.random.default_rng(98).dirichlet(np.ones(2), size=(10**4, 2)))
+    tracemalloc.start()
+    try:
+        batch_rewards(m, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * ns * ns * len(taus) * 8

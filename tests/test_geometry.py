@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -576,6 +577,43 @@ def test_face_certification_blocks_bound_the_stacked_gather(monkeypatch):
     assert face_lattice(m, samples=2) == whole
     assert len(gathers) == -(-whole.n_faces * 2 // 5)
     assert max(gathers) <= budget
+
+
+def test_face_samples_are_drawn_into_one_array(monkeypatch):
+    # the samples are normalised in place, with the bits of the out-of-place mix
+    # 0.8 raw / sum(raw) + 0.2 free / |free| over the repeated free mask, and the
+    # certification holds the points once beside blocks of BLOCK_ENTRIES entries
+    m = fixtures.random_model(np.random.default_rng(10), 4, 3, 3, 0.8, positive_mu=True)
+    samples, seed = 40, 3
+    drawn, peaks, certify = [], [], geometry._certify_faces
+
+    def recording(beta, pis):
+        drawn.append(pis.copy())
+        return compose(beta, pis)
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            certify(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2**14)
+    monkeypatch.setattr(geometry, "compose", recording)
+    whole = face_lattice(m, samples=samples, seed=seed)
+    free = np.array([[[a in acts for a in range(3)] for acts in face.free_actions]
+                     for face in whole.faces])
+    mask = np.repeat(free, samples, axis=0)
+    raw = np.random.default_rng(seed).standard_exponential(mask.shape) * mask
+    expected = (0.8 * raw / raw.sum(axis=-1, keepdims=True)
+                + 0.2 * mask / mask.sum(axis=-1, keepdims=True))
+    assert np.concatenate(drawn).tobytes() == expected.tobytes()
+
+    monkeypatch.setattr(geometry, "compose", compose)
+    monkeypatch.setattr(geometry, "_certify_faces", traced)
+    assert face_lattice(m, samples=samples, seed=seed) == whole
+    assert peaks[0] <= 2 * expected.nbytes
 
 
 def test_certification_error_names_a_pinned_constraint(monkeypatch):
