@@ -9,12 +9,13 @@ where P is the state-action kernel and (mu * tau)(s,a) = mu(s) tau(a|s).
 For gamma = 1 it is the unique stationary distribution of P, provided the
 stationary eigenspace is one-dimensional (the chain is unichain).
 
-Every solver goes through one batched S x S core, `_solve`: eta = rho * tau
-with (I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, or
-M^T rho = mu with M = I - (p - 1 mu^T) at gamma = 1; values solve
-(I - gamma p) v = r_tau.  P is never built: the certificates apply P^T
-through `_push`, and `GradientBundle.jacobian` solves the same S x S system
-with S*A right-hand sides.
+Every S x S system of the package is built here, one question per function.
+`_solve` gives the state marginals rho of a batch, any gamma, so eta = rho * tau:
+(I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, or M^T rho = mu with
+M = I - (p - 1 mu^T) at gamma = 1.  `_values` gives one policy's v and q at gamma < 1,
+(I - gamma p) v = r_tau.  `_reward_line_terms` gives a policy line's N = R det M and
+D = det M.  P is never built: the certificates apply P^T through `_push`, and
+`GradientBundle.jacobian` solves the rho-system with S*A right-hand sides.
 
 Every S x S solve goes through one primitive, `_linsolve`, on systems built
 batch-last, (S, S, N), each written over the state kernel p it is built from;
@@ -130,8 +131,9 @@ def _anchored_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
 
 
 def _linsolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The one S x S solve primitive: x[:, :, n] = a[:, :, n]^{-1} b[:, :, n] for batch-last
-    systems a (S, S, N) and right-hand sides b (S, K, N), or (S, K, 1) shared by all N.
+    """The one S x S solve primitive, under `_solve`, `_values` and `GradientBundle.jacobian`:
+    x[:, :, n] = a[:, :, n]^{-1} b[:, :, n] for batch-last systems a (S, S, N) and
+    right-hand sides b (S, K, N), or (S, K, 1) shared by all N.
 
     Up to SMALL_STATES states `_eliminate` solves all systems at once in place of a;
     larger ones go to LAPACK one matrix at a time.  Like LAPACK's dgesv it may overwrite
@@ -182,16 +184,14 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool = False):
-    """The solver core: conditionals taus (N, S, A) -> (rho, v, q), each None unless asked for.
+def _solve(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """The solver core: conditionals taus (N, S, A) -> state marginals rho (N, S), any gamma.
 
-    rho (N, S) solves (I - gamma p^T) rho = (1 - gamma) mu, or at gamma = 1
+    rho solves (I - gamma p^T) rho = (1 - gamma) mu, or at gamma = 1
     M^T rho = mu with M from `_anchored_system`, once one batched SVD shows
     each p^T - I with exactly one singular value below ERGODICITY_TOL (else
-    ErgodicityError); eta = rho[..., None] * taus, also off the simplex.
-    With values (gamma < 1), v (N, S) solves (I - gamma p) v = r_tau and
-    q = reward + gamma alpha v.  The systems are built batch-last, (S, S, N), over the
-    state kernels, which are copied only when one block needs both, and consumed by
+    ErgodicityError); eta = rho[..., None] * taus, also off the simplex.  The
+    systems are built batch-last, (S, S, N), over the state kernels and consumed by
     `_linsolve`: one batched elimination up to SMALL_STATES states, LAPACK above, the
     branch chosen by S alone.  Partial pivoting never swaps rows of the gamma < 1
     rho-systems: on the simplex their columns are strictly diagonally dominant.
@@ -199,16 +199,13 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
     """
     block = _block_len(model.n_states**2, BLOCK_ENTRIES)
     if len(taus) > block:
-        parts = [_solve(model, taus[i:i + block], rho, values)
-                 for i in range(0, len(taus), block)]
-        return tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
+        return np.concatenate([_solve(model, taus[i:i + block])
+                               for i in range(0, len(taus), block)])
     gamma, ns = model.gamma, model.n_states
     p = _state_kernels(model, taus)
-    p_values = p.copy() if rho and values else p
-    x = v = q = None
-    if rho and gamma < 1.0:
+    if gamma < 1.0:
         x = _linsolve(_rho_system(model, p), ((1.0 - gamma) * model.mu)[:, None, None])
-    elif rho:
+    else:
         sing = np.linalg.svd(p.transpose(2, 1, 0) - np.eye(ns), compute_uv=False)
         dims = np.count_nonzero(sing < ERGODICITY_TOL, axis=1)
         if np.any(dims != 1):
@@ -216,12 +213,18 @@ def _solve(model: PomdpModel, taus: np.ndarray, rho: bool = True, values: bool =
                 f"stationary distribution is not unique: {dims[dims != 1][0]} singular "
                 f"values of (kernel^T - I) lie below {ERGODICITY_TOL}")
         x = _linsolve(_anchored_system(model, p).transpose(1, 0, 2), model.mu[:, None, None])
-    if values:
-        system = np.multiply(p_values, gamma, out=p_values)
-        system = np.subtract(np.eye(ns)[:, :, None], system, out=system)
-        v = _linsolve(system, _state_rewards(model, taus)[:, None])[:, 0].T
-        q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
-    return None if x is None else x[:, 0].T, v, q
+    return x[:, 0].T
+
+
+def _values(model: PomdpModel, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One policy's unnormalized values at gamma < 1 from its conditionals tau (S, A):
+    v (S,) solves (I - gamma p) v = r_tau and q = reward + gamma alpha v (S, A).  The
+    system is built over the kernel of a one-point batch and consumed by `_linsolve`."""
+    gamma, p = model.gamma, _state_kernels(model, tau[None])
+    system = np.subtract(np.eye(model.n_states)[:, :, None], np.multiply(p, gamma, out=p), out=p)
+    v = _linsolve(system, _state_rewards(model, tau[None])[:, None])[:, 0].T
+    q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
+    return v[0], q[0]
 
 
 def _block_len(entries_per_item: int, budget: int) -> int:
@@ -248,21 +251,29 @@ def eta_for_tau(model: PomdpModel, tau: np.ndarray) -> np.ndarray:
 
     No validation of tau: used internally for finite differences and grids.
     """
-    rho, _, _ = _solve(model, tau[None])
-    return rho[0][:, None] * tau
+    return batch_eta(model, tau[None])[0]
 
 
 def batch_eta(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     """Frequencies for a batch of conditionals: taus (N, S, A) -> (N, S, A), any gamma."""
-    rho, _, _ = _solve(model, taus)
-    return rho[..., None] * taus
+    return _solve(model, taus)[..., None] * taus
 
 
 def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     """Normalized rewards for a batch of conditionals: taus (N, S, A) -> (N,), any gamma."""
-    rho, _, _ = _solve(model, taus)
     # one (S, N) layout for both factors, so the sum over s never depends on how taus is laid out
-    return (np.ascontiguousarray(rho.T) * _state_rewards(model, taus)).sum(axis=0)
+    rho = np.ascontiguousarray(_solve(model, taus).T)
+    return (rho * _state_rewards(model, taus)).sum(axis=0)
+
+
+def _reward_line_terms(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
+    """(N, 2): the numerator R det M and denominator det M of the reward R = <reward, eta>
+    of each conditional of taus (N, S, A), with M from `_anchored_system` (see
+    `rational.RewardLine`); ErgodicityError as `_solve` at gamma = 1."""
+    rewards = batch_rewards(model, taus)
+    system = _anchored_system(model, _state_kernels(model, taus))  # batch-last (S, S, N)
+    dets = np.linalg.det(system.transpose(2, 0, 1))
+    return np.stack([rewards * dets, dets], axis=1)
 
 
 def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
@@ -273,8 +284,7 @@ def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     gamma = 1 the solve is off by ~eps/(1-gamma)), checks the batch's
     fixed-point residual against 1e-10 and each point against `Frequency`.
     """
-    rho, _, _ = _solve(model, taus)
-    eta = rho[..., None] * taus
+    eta = _solve(model, taus)[..., None] * taus
     eta /= eta.sum(axis=(1, 2), keepdims=True)
     residual = fixed_point_residual(model, taus, eta)
     if residual > RESIDUAL_TOL:
@@ -393,9 +403,9 @@ def value_bundle(model: PomdpModel, pi: Policy, normalized: bool = True) -> Valu
     """
     if model.gamma == 1.0:
         return ValueBundle(V=None, Q=None, R=reward_of(model, pi))
-    _, v, q = _solve(model, state_conditionals(model, pi)[None], rho=False, values=True)
-    v = v[0] * ((1.0 - model.gamma) if normalized else 1.0)
-    return ValueBundle(V=v, Q=q[0], R=float(model.mu @ v))
+    v, q = _values(model, state_conditionals(model, pi))
+    v = v * ((1.0 - model.gamma) if normalized else 1.0)
+    return ValueBundle(V=v, Q=q, R=float(model.mu @ v))
 
 
 def policy_gradient(model: PomdpModel, pi: Policy) -> GradientBundle:
@@ -411,9 +421,9 @@ def policy_gradient(model: PomdpModel, pi: Policy) -> GradientBundle:
     if pi.kind != "observation":
         raise ValueError(f"policy_gradient needs an observation policy, got kind {pi.kind!r}")
     tau = state_conditionals(model, pi)
-    rho, _, q = _solve(model, tau[None], values=True)
-    grad = (model.beta * rho[0][:, None]).T @ q[0]
-    return GradientBundle(grad=grad, model=model, tau=tau, rho=rho[0])
+    rho = _solve(model, tau[None])[0]
+    grad = (model.beta * rho[:, None]).T @ _values(model, tau)[1]
+    return GradientBundle(grad=grad, model=model, tau=tau, rho=rho)
 
 
 def conditioning_inverse(model: PomdpModel, freq: Frequency) -> tuple[Policy, tuple[int, ...]]:

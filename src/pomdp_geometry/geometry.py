@@ -409,16 +409,12 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
 
     polys = []
     for o in range(no):
-        # the A constraints of observation o share the support of pseudo-inverse row o
-        support = _support(pinv[o])
-        weights = pinv[o, list(support)]
         for a, action in enumerate(action_labels):
-            coeff = np.zeros((len(support), na))
-            coeff[:, a] = weights
-            polys.append(PolynomialConstraint(
-                label=f"pi[{action}|{obs_names[o]}] >= 0", n_states=ns, n_actions=na,
-                support_states=support, coeff=coeff, offset=0.0,
-                observation=obs_names[o], action=action))
+            # pi[a|o] = sum_s pinv[o, s] tau[s, a] >= 0: pseudo-inverse row o in column a
+            b = np.zeros((ns, na))
+            b[:, a] = pinv[o]
+            polys.append(transfer_inequality(b, 0.0, label=f"pi[{action}|{obs_names[o]}] >= 0",
+                                             observation=obs_names[o], action=action))
     return polys
 
 

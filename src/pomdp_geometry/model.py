@@ -158,19 +158,17 @@ class Policy:
 
 @dataclass(frozen=True)
 class Frequency:
-    """A state-action frequency eta (S x A) together with its state marginal rho."""
+    """A state-action frequency eta (S x A) and its state marginal rho, summed from eta."""
 
     eta: np.ndarray
-    rho: np.ndarray
+    rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 2:
             raise ValueError(f"eta must be 2-d, got shape {eta.shape}")
         check_frequency(eta)
-        rho = np.asarray(self.rho, dtype=float)
-        if rho.shape != (eta.shape[0],):
-            raise ValueError(f"rho must have shape ({eta.shape[0]},), got {rho.shape}")
+        rho = eta.sum(axis=1)
         eta.setflags(write=False)
         rho.setflags(write=False)
         object.__setattr__(self, "eta", eta)
@@ -178,8 +176,8 @@ class Frequency:
 
     @classmethod
     def from_eta(cls, eta: np.ndarray) -> "Frequency":
-        eta = np.asarray(eta, dtype=float)
-        return cls(eta, eta.sum(axis=1))
+        """The frequency of eta (S, A), with its marginal rho summed from it."""
+        return cls(eta)
 
 
 def check_frequency(eta: np.ndarray) -> None:

@@ -23,9 +23,9 @@ from numpy.polynomial import Chebyshev, chebyshev
 from numpy.polynomial import polynomial as pol
 
 # reward_of is unused: perfbench/test_smoke.py checks the tracer wraps this binding site
-from .freq import (BLOCK_ENTRIES, ErgodicityError, _anchored_system, _block_len,  # noqa: F401
-                   _check_visits, _state_kernels, batch_rewards, certified_etas,
-                   conditioning_inverse, reward_of, state_action_frequency)
+from .freq import (BLOCK_ENTRIES, ErgodicityError, _block_len, _check_visits,  # noqa: F401
+                   _reward_line_terms, batch_rewards, certified_etas, conditioning_inverse,
+                   reward_of, state_action_frequency)
 from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
@@ -182,8 +182,8 @@ class RewardLine(NamedTuple):
     Chebyshev series on [0, 1].  Called on a scalar or an array of lam it gives R, or
     ErgodicityError where D vanishes to rounding (gamma = 1, e.g. a multichain vertex).
 
-    With M = I - gamma (p_lam - 1 mu^T) (`freq._anchored_system`, the
-    gamma = 1 system of the solver core), rho^T M = mu^T for every gamma in
+    With M = I - gamma (p_lam - 1 mu^T) (the gamma = 1 system of the solver
+    core, built in `freq._reward_line_terms`), rho^T M = mu^T for every gamma in
     (0, 1], and D = det(M) is det(I - gamma p_lam) / (1 - gamma) for gamma < 1
     (matrix determinant lemma), finite at gamma = 1.  Only the rows of the k
     states whose conditionals differ move with lam, so by Cramer's rule D
@@ -209,22 +209,15 @@ class RewardLine(NamedTuple):
 def _line_form(model: PomdpModel, tau0: np.ndarray, tau1: np.ndarray) -> RewardLine:
     """The RewardLine from the conditionals tau0 to tau1 (see `reward_curve_on_line`)."""
     k = len(_differing_rows(tau0, tau1))
-
-    def values(x: np.ndarray) -> np.ndarray:
-        taus = _segment(tau0, tau1, 0.5 * (x + 1.0))
-        rewards = batch_rewards(model, taus)
-        system = _anchored_system(model, _state_kernels(model, taus))  # batch-last (S, S, N)
-        dets = np.linalg.det(system.transpose(2, 0, 1))
-        return np.stack([rewards * dets, dets], axis=1)
-
-    coef = chebyshev.chebinterpolate(values, k)
+    coef = chebyshev.chebinterpolate(
+        lambda x: _reward_line_terms(model, _segment(tau0, tau1, 0.5 * (x + 1.0))), k)
     return RewardLine(*(Chebyshev(c, domain=[0, 1]) for c in coef.T))
 
 
 def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> RewardLine:
     """The exact RewardLine along pi0 -> pi1: N and D interpolated at k + 1 interior
-    Chebyshev nodes from one `batch_rewards` call (ErgodicityError at gamma = 1 when a
-    node's stationary law is not unique) and one batched determinant."""
+    Chebyshev nodes from `freq._reward_line_terms`, one `batch_rewards` call (ErgodicityError
+    at gamma = 1 when a node's stationary law is not unique) and one batched determinant."""
     if pi0.kind != pi1.kind:
         raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
     return _line_form(model, state_conditionals(model, pi0), state_conditionals(model, pi1))

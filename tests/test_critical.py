@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures
+from pomdp_geometry import critical, fixtures
 from pomdp_geometry.critical import (
     BoundInput,
     CriticalSet,
@@ -305,6 +305,22 @@ def test_merge_close_matches_the_chaining_loop():
         gaps = rng.choice([0.0, 0.5e-8, 0.999e-8, 1.001e-8, 0.1], size=n - 1)
         points = rng.permutation(np.concatenate([[rng.random()], rng.random() + np.cumsum(gaps)]))
         assert _merge_close(points, tol) == _merge_close_loop(points, tol)
+
+
+@pytest.mark.parametrize("patched, message", [
+    # a root finder that loses the interior minimum at p = 0.4248
+    (lambda points, tol: ([], False), "grid increments change sign near p=0.4248"),
+    # a root finder that reports an extremum the grid does not show
+    (lambda points, tol: ([0.05, *_merge_close(points, tol)[0]], False),
+     "reported extremum at p=0.05 has no matching sign change"),
+], ids=["root-dropped", "root-added"])
+def test_blind_grid_cross_check_refuses_a_wrong_root_set(monkeypatch, patched, message):
+    m = fixtures.blind_three_state_model(mu=dirac(0), gamma=0.5)
+    roots = blind_critical_points(m).interior_roots
+    assert [p for p, _ in roots] == pytest.approx([0.4248], abs=1e-4)
+    monkeypatch.setattr(critical, "_merge_close", patched)
+    with pytest.raises(ArithmeticError, match=message):
+        blind_critical_points(m)
 
 
 def test_critical_set_serialization():

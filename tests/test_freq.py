@@ -16,6 +16,7 @@ from pomdp_geometry.freq import (
     SMALL_STATES,
     ErgodicityError,
     _solve,
+    _values,
     batch_eta,
     batch_rewards,
     certified_etas,
@@ -487,9 +488,9 @@ def test_core_matches_state_action_equations():
         assert_allclose(batch_eta(m, bent[None])[0], eta, rtol=0, atol=1e-12)
         reward = np.sum(m.reward * eta)
         assert batch_rewards(m, bent[None])[0] == pytest.approx(reward, abs=1e-12)
-        _, v_core, q_core = _solve(m, bent[None], values=True)
-        assert_allclose(v_core[0], np.sum(bent * q, axis=1), rtol=0, atol=1e-12)
-        assert_allclose(q_core[0], q, rtol=0, atol=1e-12)
+        v_core, q_core = _values(m, bent)
+        assert_allclose(v_core, np.sum(bent * q, axis=1), rtol=0, atol=1e-12)
+        assert_allclose(q_core, q, rtol=0, atol=1e-12)
 
 
 def test_core_stationary_matches_state_action_kernel():
@@ -612,8 +613,24 @@ def test_certified_etas_checks_every_point_of_a_batch():
     # a conditional row off the simplex solves exactly but leaves a negative
     # entry, which the per-point checks of Frequency reject
     taus[2, 1] = [1.2, -0.1, -0.1]
-    assert fixed_point_residual(m, taus, _solve(m, taus)[0][..., None] * taus) < 1e-12
+    assert fixed_point_residual(m, taus, _solve(m, taus)[..., None] * taus) < 1e-12
     with pytest.raises(ValueError, match="negative entry"):
+        certified_etas(m, taus)
+
+
+def test_certified_etas_refuses_a_solve_off_the_fixed_point(monkeypatch):
+    m = fixtures.random_model(np.random.default_rng(41), 4, 3, 3, 0.9)
+    taus = compose(m.beta, np.random.default_rng(42).dirichlet(np.ones(3), size=(4, 3)))
+    certified_etas(m, taus)
+    solve = freq._solve
+
+    def off_by_a_millionth(model, taus):
+        rho = solve(model, taus)
+        rho[:, 1] *= 1.0 + 1e-6
+        return rho
+
+    monkeypatch.setattr(freq, "_solve", off_by_a_millionth)
+    with pytest.raises(ArithmeticError, match=r"fixed-point residual .* > 1e-10"):
         certified_etas(m, taus)
 
 
@@ -716,28 +733,32 @@ def test_linsolve_raises_lapacks_error_on_a_singular_system(ns):
 # the solver core builds each system over its kernel and eliminates it in place
 
 
-def reference_solve(m, taus, rho=True, values=False):
+def out_of_place_solve(a, b):
+    """`_linsolve` on a copy of the batch-last systems a, with b copied into a new array."""
+    ns = a.shape[0]
+    if ns > SMALL_STATES:
+        return lapack_solve(a, b)
+    x = np.empty((ns, b.shape[1], a.shape[-1]))
+    x[...] = b
+    return freq._eliminate(a.copy(), x)
+
+
+def reference_solve(m, taus):
     """`_solve` of one block as written with out-of-place builders and a copied system."""
-    gamma, ns = m.gamma, m.n_states
-    eye = np.eye(ns)[:, :, None]
+    gamma, eye, p = m.gamma, np.eye(m.n_states)[:, :, None], freq._state_kernels(m, taus)
+    if gamma < 1.0:
+        system, rhs = eye - gamma * p.transpose(1, 0, 2), ((1.0 - gamma) * m.mu)[:, None, None]
+    else:
+        system, rhs = (eye - gamma * (p - m.mu[:, None])).transpose(1, 0, 2), m.mu[:, None, None]
+    return out_of_place_solve(system, rhs)[:, 0].T
 
-    def solve(a, b):
-        if ns > SMALL_STATES:
-            return lapack_solve(a, b)
-        x = np.empty((ns, b.shape[1], a.shape[-1]))
-        x[...] = b
-        return freq._eliminate(a.copy(), x)
 
-    p = freq._state_kernels(m, taus)
-    x = v = q = None
-    if rho and gamma < 1.0:
-        x = solve(eye - gamma * p.transpose(1, 0, 2), ((1.0 - gamma) * m.mu)[:, None, None])
-    elif rho:
-        x = solve((eye - gamma * (p - m.mu[:, None])).transpose(1, 0, 2), m.mu[:, None, None])
-    if values:
-        v = solve(eye - gamma * p, freq._state_rewards(m, taus)[:, None])[:, 0].T
-        q = m.reward + gamma * np.einsum("sat,nt->nsa", m.alpha, v)
-    return None if x is None else x[:, 0].T, v, q
+def reference_values(m, tau):
+    """`_values` as written with an out-of-place builder and a copied system."""
+    taus = tau[None]
+    system = np.eye(m.n_states)[:, :, None] - m.gamma * freq._state_kernels(m, taus)
+    v = out_of_place_solve(system, freq._state_rewards(m, taus)[:, None])[:, 0].T
+    return v[0], (m.reward + m.gamma * np.einsum("sat,nt->nsa", m.alpha, v))[0]
 
 
 @pytest.mark.parametrize("ns", [1, 2, 3, SMALL_STATES, SMALL_STATES + 1])
@@ -745,17 +766,16 @@ def reference_solve(m, taus, rho=True, values=False):
 def test_core_solves_in_place_with_the_bits_of_out_of_place_systems(ns, gamma):
     rng = np.random.default_rng(83 + ns)
     m = fixtures.random_model(rng, ns, 2, 3, gamma)
-    asks = [(True, False), (False, True), (True, True)] if gamma < 1.0 else [(True, False)]
     for n in (1, 2, 7):
         taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(n, 2)))
         bend = 0.3 * rng.normal(size=taus.shape)
         bent = taus + bend - bend.mean(axis=-1, keepdims=True)  # off the simplex, rows sum to 1
         for t in (taus, bent):
-            for rho, values in asks:
-                got, expected = _solve(m, t, rho, values), reference_solve(m, t, rho, values)
-                for x, y in zip(got, expected):
-                    assert (x is None) == (y is None)
-                    assert x is None or x.tobytes() == y.tobytes(), (n, rho, values)
+            assert _solve(m, t).tobytes() == reference_solve(m, t).tobytes(), n
+            if gamma < 1.0:  # values exist for gamma < 1 only
+                for tau in t:
+                    for x, y in zip(_values(m, tau), reference_values(m, tau)):
+                        assert x.tobytes() == y.tobytes(), n
 
 
 @pytest.mark.parametrize("ns", [3, SMALL_STATES + 1])

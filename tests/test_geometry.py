@@ -213,6 +213,29 @@ def test_constraint_polynomial_exponent_matrices():
     assert str(p).startswith("pi[a1|o2] >= 0:")
 
 
+def test_constraint_polynomials_are_transfer_inequalities(monkeypatch):
+    m = fixtures.random_model(np.random.default_rng(7), 4, 3, 2, 0.9)
+    expected = model_constraint_polynomials(m)
+    built = []
+
+    def counting(b, c, **labels):
+        built.append((b.copy(), c, labels))
+        return transfer_inequality(b, c, **labels)
+
+    monkeypatch.setattr(geometry, "transfer_inequality", counting)
+    assert [p.to_dict() for p in model_constraint_polynomials(m)] == [
+        p.to_dict() for p in expected]
+    pinv = pseudoinverse(m.beta)
+    assert len(built) == len(expected) == 6
+    for (b, c, labels), poly in zip(built, expected):
+        o, a = m.observations.index(poly.observation), m.actions.index(poly.action)
+        column = np.zeros_like(b)
+        column[:, a] = pinv[o]
+        assert b.tobytes() == column.tobytes() and c == 0.0
+        assert labels == {"label": poly.label, "observation": poly.observation,
+                          "action": poly.action}
+
+
 def test_constraint_to_dict_builds_each_term_exponent_matrix():
     models = [fixtures.two_state_model(), fixtures.three_state_model(),
               fixtures.blind_three_state_model()]

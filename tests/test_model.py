@@ -193,6 +193,11 @@ def test_policy_constructors_and_row_checks():
 def test_frequency_invariants():
     f = Frequency.from_eta(np.array([[0.75, 0.0], [0.25, 0.0]]))
     assert_allclose(f.rho, [0.75, 0.25])
+    # rho is always the marginal of eta: the constructor takes eta alone
+    f = Frequency(np.array([[0.5, 0.25], [0.25, 0.0]]))
+    assert f.rho.tolist() == [0.75, 0.25] and not f.rho.flags.writeable
+    with pytest.raises(TypeError):
+        Frequency(f.eta, np.zeros(2))
     with pytest.raises(ValueError, match="sum to 1"):
         Frequency.from_eta(np.array([[0.5, 0.0], [0.25, 0.0]]))
     with pytest.raises(ValueError, match="negative"):
