@@ -320,7 +320,7 @@ def polar_degree_rank_one(k: int) -> int:
 # reward landscape scans and stationarity diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanGrid:
     """Rewards tabulated over a 1- or 2-axis slice of the policy polytope."""
 

@@ -60,7 +60,7 @@ class ErgodicityError(RuntimeError):
     """gamma = 1 was requested but the stationary distribution is not unique."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueBundle:
     """State values V, state-action values Q and the scalar reward R.
 
@@ -74,7 +74,7 @@ class ValueBundle:
     R: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientBundle:
     """Reward gradient over observation-policy coordinates plus the frequency Jacobian.
 
@@ -84,9 +84,9 @@ class GradientBundle:
     """
 
     grad: np.ndarray  # (O, A)
-    model: PomdpModel = field(repr=False, compare=False)
-    tau: np.ndarray = field(repr=False, compare=False)  # (S, A)
-    rho: np.ndarray = field(repr=False, compare=False)  # (S,)
+    model: PomdpModel = field(repr=False)
+    tau: np.ndarray = field(repr=False)  # (S, A)
+    rho: np.ndarray = field(repr=False)  # (S,)
 
     @cached_property
     def jacobian(self) -> np.ndarray:

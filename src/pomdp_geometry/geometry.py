@@ -10,8 +10,11 @@ combinatorial face lattice of the constraint system together with a
 numerical certificate that the polynomial description carves out each face.
 Polynomials are stored in factored form; their A^|support|-term monomial
 expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.  Constraints are
-evaluated together in one stacked pass over their factored forms, and faces are
-assembled from tables built once per free-action set.
+evaluated together in one stacked pass over their factored forms.  The faces
+themselves depend only on the observation and action labels and ``max_dim``: they
+are built once per such shape and reused by every later lattice of it; the last
+shape's tables are kept (up to ~118 MB at the largest shapes ``FACE_COORD_CAP``
+admits).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -75,7 +78,7 @@ def _check_cap(count: int, what: str) -> None:
 # linear description (fully observable case)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfspaceSystem:
     """Equality system ``<rows[i], eta> = rhs[i]`` plus optional ``eta >= 0``.
 
@@ -173,7 +176,7 @@ def pseudoinverse(beta: np.ndarray) -> np.ndarray:
     return (vt.T / sigma) @ u.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectivePolytope:
     """The set of state conditionals realizable by observation policies.
 
@@ -228,7 +231,7 @@ def effective_polytope(beta: np.ndarray) -> EffectivePolytope:
 # polynomial constraints on frequencies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolynomialConstraint:
     """A cleared-denominator inequality ``p(eta) >= 0`` on frequencies.
 
@@ -558,17 +561,19 @@ def face_lattice(
     exceed it, otherwise a :class:`CertificationError` identifies the first
     offending face and constraint.
 
-    All faces x samples are certified in one batched pass (one draw, one
-    `certified_etas` solve, one stacked evaluation of all constraints per
-    block); a block holds at most ``freq.BLOCK_ENTRIES`` entries, both of
-    the S x S systems and of the K x kmax x A frequency entries gathered
-    for the evaluation.
+    The faces, their free-action masks and the f-vector come from
+    `_face_tables`, built once per shape (labels and ``max_dim``) and reused.
+    All faces x samples are certified in one batched pass, block by block:
+    each block is one draw of its samples, one `certified_etas` solve and
+    one stacked evaluation of all constraints, and holds at most
+    ``freq.BLOCK_ENTRIES`` entries, both of the S x S systems and of the
+    K x kmax x A frequency entries gathered for the evaluation.
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
     observation kernel with independent columns.
     """
-    ns, no, na = model.n_states, model.n_observations, model.n_actions
+    no, na = model.n_observations, model.n_actions
     if max_dim is not None and max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     if samples < 1:
@@ -580,15 +585,34 @@ def face_lattice(
                            f"cap of {FACE_COORD_CAP}")
     _check_visits(model, "certification")
     polys = model_constraint_polynomials(model)
+    faces, free, f_vector = _face_tables(model.observations, model.actions, max_dim)
+    _check_cap(len(faces) * samples, f"certifying {len(faces)} faces x {samples} samples")
+    _certify_faces(model, faces, free, polys, np.random.default_rng(seed), samples, tol)
+    return FaceLattice(faces=faces, f_vector=f_vector, certified=True)
 
+
+@lru_cache(maxsize=1)
+def _face_tables(observations: tuple[str, ...], actions: tuple[str, ...],
+                 max_dim: int | None) -> tuple[tuple[FaceDescriptor, ...], np.ndarray,
+                                               tuple[int, ...]]:
+    """The model-free part of `face_lattice` for one shape: its faces, the read-only
+    (faces, O, A) mask of their free actions, and its f-vector.
+
+    The faces depend only on the labels and max_dim, so the tables of the last shape
+    asked for are kept and shared by every lattice of that shape.  One shape is kept,
+    and it holds on after its lattices are dropped: ~20 KB at 3 observations x 2
+    actions, ~63 MB at 4 x 4 and ~81 MB at 2 x 8 (50 625 and 65 025 faces), ~118 MB at
+    1 x 16 (65 535 faces), the largest FACE_COORD_CAP admits.
+    """
+    no, na = len(observations), len(actions)
     # tables over the 2^A - 1 free-action sets, in lexicographic order of their action
     # tuples; a face is its tuple of ranks, one per observation, numbered as base-n digits
     subsets = sorted(tuple(a for a in range(na) if mask >> a & 1) for mask in range(1, 1 << na))
     n = len(subsets)
     rank = {free: j for j, free in enumerate(subsets)}
     free_rows = np.array([[a in free for a in range(na)] for free in subsets])
-    pinned = [[tuple((model.actions[a], name) for a in range(na) if a not in free)
-               for free in subsets] for name in model.observations]
+    pinned = [[tuple((actions[a], name) for a in range(na) if a not in free)
+               for free in subsets] for name in observations]
     # dropping one free action of one observation gives a covered face, one dimension
     # lower and so always inside the lattice: drops[j, i] is the rank of set j without
     # its i-th action, or j where there is none
@@ -599,7 +623,6 @@ def face_lattice(
     order = np.argsort(dims, kind="stable")  # face numbers by dimension, then lexicographically
     if max_dim is not None:
         order = order[dims[order] <= max_dim]
-    _check_cap(len(order) * samples, f"certifying {len(order)} faces x {samples} samples")
     position = np.zeros(n**no, dtype=int)
     position[order] = np.arange(len(order))
     ranks = digits[order]
@@ -610,40 +633,41 @@ def face_lattice(
     covers = iter(covered[covered < len(order)].tolist())
     combos = list(itertools.product(subsets, repeat=no))
     zeros = list(map(frozenset, map(itertools.chain.from_iterable, itertools.product(*pinned))))
-    faces = [FaceDescriptor(combos[k], zeros[k], dim, tuple(itertools.islice(covers, count)))
-             for k, dim, count in zip(order.tolist(), dims[order].tolist(),
-                                      np.count_nonzero(shift, axis=(1, 2)).tolist())]
+    faces = tuple(FaceDescriptor(combos[k], zeros[k], dim, tuple(itertools.islice(covers, count)))
+                  for k, dim, count in zip(order.tolist(), dims[order].tolist(),
+                                           np.count_nonzero(shift, axis=(1, 2)).tolist()))
     free = free_rows[ranks]  # (faces, O, A)
-    _certify_faces(model, faces, free, polys, np.random.default_rng(seed), samples, tol)
-    f_vector = tuple(np.bincount(dims[order]).tolist())
-    return FaceLattice(faces=tuple(faces), f_vector=f_vector, certified=True)
+    free.flags.writeable = False
+    return faces, free, tuple(np.bincount(dims[order]).tolist())
 
 
 def _certify_faces(model, faces, free, polys, rng, samples, tol):
     """Raise CertificationError at the first (face, sample, constraint) failure; free
     (faces, O, A) marks the free actions of each face."""
-    # normalised standard exponentials over a free set are Dirichlet(1, ..., 1)
-    # on it; mixing in the face's barycentre keeps points off its edge.  Normalised in
-    # place: the points are the largest array certification holds
-    points = rng.standard_exponential((len(free) * samples,) + free.shape[1:])
-    by_face = points.reshape(len(free), samples, *free.shape[1:])
-    by_face *= free[:, None]
-    total = points.sum(axis=-1, keepdims=True)
-    points *= 0.8
-    points /= total
-    by_face += (0.2 * free / free.sum(axis=-1, keepdims=True))[:, None]
     obs, act = np.array([(model.observation_index(p.observation),
                           model.action_index(p.action)) for p in polys]).T
     pinned = ~free[:, obs, act]  # (faces, constraints)
+    mix = 0.2 * free / free.sum(axis=-1, keepdims=True)  # (faces, O, A)
 
     # a block holds at most BLOCK_ENTRIES entries in the solve (S x S per point) and in
     # the stacked evaluation (K x kmax x A gathered frequency entries per point)
     gathered = len(polys) * max(p.degree for p in polys) * model.n_actions
     block = _block_len(max(model.n_states**2, gathered), BLOCK_ENTRIES)
-    for start in range(0, len(points), block):
-        etas = certified_etas(model, compose(model.beta, points[start:start + block]))
+    n_points = len(faces) * samples
+    for start in range(0, n_points, block):
+        face_of = np.arange(start, min(start + block, n_points)) // samples
+        # normalised standard exponentials over a free set are Dirichlet(1, ..., 1) on it;
+        # mixing in the face's barycentre keeps points off its edge.  Each block draws its
+        # own points, the continuation of one draw over all faces x samples
+        points = rng.standard_exponential((len(face_of),) + free.shape[1:])
+        points *= free[face_of]
+        total = points.sum(axis=-1, keepdims=True)
+        points *= 0.8
+        points /= total
+        points += mix[face_of]
+        etas = certified_etas(model, compose(model.beta, points))
         _, values = _constraint_values(polys, etas)
-        on_face = pinned[np.arange(start, start + len(etas)) // samples]
+        on_face = pinned[face_of]
         bad = np.where(on_face, np.abs(values) > tol, values <= tol)
         if not bad.any():
             continue
@@ -651,6 +675,6 @@ def _certify_faces(model, faces, free, polys, rng, samples, tol):
         kind, expected = (("pinned", f"0 within {tol:g}") if on_face[n, k]
                           else ("free", f"to exceed {tol:g}"))
         raise CertificationError(
-            f"face {faces[(start + n) // samples].free_actions}: {kind} constraint "
+            f"face {faces[face_of[n]].free_actions}: {kind} constraint "
             f"{polys[k].label} evaluates to {values[n, k]:.3e}, expected {expected}"
         )

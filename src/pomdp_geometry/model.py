@@ -32,7 +32,7 @@ class ModelFormatError(ValueError):
     """A model document is structurally malformed (message names the offending path)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PomdpModel:
     states: tuple[str, ...]
     observations: tuple[str, ...]
@@ -118,7 +118,7 @@ def _resolve(model: PomdpModel, kind: str, key) -> int:
     return int(key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """A row-stochastic decision rule.
 
@@ -156,7 +156,7 @@ class Policy:
         return cls(kind, mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frequency:
     """A state-action frequency eta (S x A) and its state marginal rho, summed from eta."""
 

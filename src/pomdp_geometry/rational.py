@@ -39,7 +39,7 @@ class DegreeFitError(ArithmeticError):
     """No rational function of the allowed degree explains the sampled curve."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalCurve:
     """A univariate rational function num/den with ascending coefficients.
 
@@ -69,7 +69,7 @@ class RationalCurve:
         return pol.polyval(x, self.num) / pol.polyval(x, self.den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeCertificate:
     """A degree bound, the exact N / D degree k <= bound, and the held-out check points."""
 

@@ -589,6 +589,7 @@ INVALID_MODEL = {
     ("bounds_three_state", 0, ["bounds", "--model", THREE_STATE, "--active", "a1:o2"]),
     ("critical_blind_three_state", 0, ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
     ("error_critical_two_state", 1, ["critical", TWO_STATE]),
+    ("faces_max_dim_three_state", 0, ["faces", THREE_STATE, "--max-dim", "1"]),
 ])
 def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv):
     invalid = tmp_path / "invalid.json"

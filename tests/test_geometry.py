@@ -493,6 +493,49 @@ def test_face_lattice_size_cap():
         face_lattice(m)
 
 
+def test_face_tables_are_built_once_per_shape():
+    # the faces depend on the labels and max_dim alone: a second model of the
+    # same shape reuses them, anything else rebuilds them, and one shape is kept
+    tables = geometry._face_tables
+    tables.cache_clear()
+    rng = np.random.default_rng(12)
+    a, b = (fixtures.random_model(rng, 3, 3, 2, 0.8, positive_mu=True) for _ in range(2))
+    first = face_lattice(a, samples=2, seed=1)
+    second = face_lattice(b, samples=4, seed=2)
+    assert tables.cache_info().misses == 1 and tables.cache_info().hits == 1
+    assert second.faces is first.faces
+    faces, free, f_vector = tables.__wrapped__(a.observations, a.actions, None)
+    assert faces == first.faces and f_vector == first.f_vector == (8, 12, 6, 1)
+    assert not free.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tables(a.observations, a.actions, None)[1][0, 0, 0] = False
+
+    renamed = dataclasses.replace(b, actions=("left", "right"))
+    other = fixtures.random_model(rng, 4, 2, 3, 0.8, positive_mu=True)
+    for model, max_dim in [(renamed, None), (b, 1), (other, None), (a, None)]:
+        misses = tables.cache_info().misses
+        lattice = face_lattice(model, max_dim=max_dim, samples=2, seed=1)
+        assert tables.cache_info().misses == misses + 1
+        uncached = tables.__wrapped__(model.observations, model.actions, max_dim)
+        assert (lattice.faces, lattice.f_vector) == (uncached[0], uncached[2])
+    assert face_lattice(renamed).faces[0].active_zeros == {("right", o) for o in a.observations}
+    assert face_lattice(b, max_dim=1).f_vector == (8, 12)
+    again = face_lattice(a, samples=2, seed=1)
+    assert again.faces is not first.faces and again == first
+
+
+def test_face_lattice_refuses_too_many_samples_before_drawing(monkeypatch):
+    m = fixtures.random_model(np.random.default_rng(3), 3, 3, 2, 0.8, positive_mu=True)
+    face_lattice(m, samples=1)  # the tables of this shape are cached
+
+    def refuse(*args):
+        raise AssertionError("no sample may be drawn")
+
+    monkeypatch.setattr(geometry, "_certify_faces", refuse)
+    with pytest.raises(SizeCapError, match="certifying 27 faces x 38837 samples"):
+        face_lattice(m, samples=geometry.MONOMIAL_CAP // 27 + 1)
+
+
 def test_face_lattice_requires_positivity():
     m = fixtures.two_state_model(mu=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="visit every state"):
@@ -602,25 +645,17 @@ def test_face_certification_blocks_bound_the_stacked_gather(monkeypatch):
     assert max(gathers) <= budget
 
 
-def test_face_samples_are_drawn_into_one_array(monkeypatch):
-    # the samples are normalised in place, with the bits of the out-of-place mix
-    # 0.8 raw / sum(raw) + 0.2 free / |free| over the repeated free mask, and the
-    # certification holds the points once beside blocks of BLOCK_ENTRIES entries
+def test_face_samples_are_drawn_block_by_block(monkeypatch):
+    # each block draws and normalises its own points in place; consecutive draws
+    # continue one stream, so the blocks have the bits of the out-of-place mix
+    # 0.8 raw / sum(raw) + 0.2 free / |free| over one draw for all faces x samples
     m = fixtures.random_model(np.random.default_rng(10), 4, 3, 3, 0.8, positive_mu=True)
     samples, seed = 40, 3
-    drawn, peaks, certify = [], [], geometry._certify_faces
+    drawn = []
 
     def recording(beta, pis):
         drawn.append(pis.copy())
         return compose(beta, pis)
-
-    def traced(*args):
-        tracemalloc.start()
-        try:
-            certify(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
 
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2**14)
     monkeypatch.setattr(geometry, "compose", recording)
@@ -631,12 +666,36 @@ def test_face_samples_are_drawn_into_one_array(monkeypatch):
     raw = np.random.default_rng(seed).standard_exponential(mask.shape) * mask
     expected = (0.8 * raw / raw.sum(axis=-1, keepdims=True)
                 + 0.2 * mask / mask.sum(axis=-1, keepdims=True))
+    assert len(drawn) >= 3
     assert np.concatenate(drawn).tobytes() == expected.tobytes()
 
-    monkeypatch.setattr(geometry, "compose", compose)
-    monkeypatch.setattr(geometry, "_certify_faces", traced)
-    assert face_lattice(m, samples=samples, seed=seed) == whole
-    assert peaks[0] <= 2 * expected.nbytes
+
+@pytest.mark.parametrize("samples", [20, 120])
+def test_face_certification_holds_a_few_blocks(monkeypatch, samples):
+    # points are drawn per block, so certification holds a few blocks of
+    # BLOCK_ENTRIES entries whatever faces x samples is (here 27 faces x 20 or 120)
+    m = fixtures.random_model(np.random.default_rng(10), 4, 3, 3, 0.8, positive_mu=True)
+    faces, free, _ = geometry._face_tables(m.observations, m.actions, None)
+    polys = model_constraint_polynomials(m)
+    budget = 2**14
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", budget)
+    blocks = []
+    certify = freq.certified_etas
+
+    def counting(model, taus):
+        blocks.append(len(taus))
+        return certify(model, taus)
+
+    monkeypatch.setattr(geometry, "certified_etas", counting)
+    tracemalloc.start()
+    try:
+        geometry._certify_faces(m, faces, free, polys, np.random.default_rng(0), samples,
+                                geometry.CERT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) >= 3 and sum(blocks) == len(faces) * samples
+    assert peak <= 4 * budget * 8  # four blocks of float entries
 
 
 def test_certification_error_names_a_pinned_constraint(monkeypatch):

@@ -1,5 +1,6 @@
 """Domain types, validation and both file formats."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pomdp_geometry import fixtures
+from pomdp_geometry import critical, fixtures, freq, geometry, rational
 from pomdp_geometry import model as model_module
 from pomdp_geometry.model import (
     Frequency,
@@ -202,6 +203,36 @@ def test_frequency_invariants():
         Frequency.from_eta(np.array([[0.5, 0.0], [0.25, 0.0]]))
     with pytest.raises(ValueError, match="negative"):
         Frequency.from_eta(np.array([[1.1, -0.1], [0.0, 0.0]]))
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a generated __eq__ compares field tuples, and a tuple holding arrays of more
+    # than one entry has no truth value: every such dataclass compares by identity
+    holding = {cls.__name__: cls
+               for module in (model_module, freq, geometry, critical, rational)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__module__ == module.__name__
+               and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert set(holding) == {
+        "PomdpModel", "Policy", "Frequency", "ValueBundle", "GradientBundle", "ScanGrid",
+        "RationalCurve", "DegreeCertificate", "HalfspaceSystem", "EffectivePolytope",
+        "PolynomialConstraint"}
+    assert all(cls.__eq__ is object.__eq__ for cls in holding.values())
+    m = fixtures.three_state_model()
+    pairs = [
+        (Policy.uniform(2, 2), Policy.uniform(2, 2)),
+        (fixtures.three_state_model(), m),
+        (freq.state_action_frequency(m, Policy.uniform(3, 2)),
+         freq.state_action_frequency(m, Policy.uniform(3, 2))),
+        (geometry.model_constraint_polynomials(m)[0], geometry.model_constraint_polynomials(m)[0]),
+        (rational.RationalCurve(np.ones(2), np.ones(2), 0.0),
+         rational.RationalCurve(np.ones(2), np.ones(2), 0.0)),
+    ]
+    for a, b in pairs:
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b, a}) == 2
 
 
 def test_effective_policy_on_two_state_model():
