@@ -1,10 +1,13 @@
 """Command-line interface for model inspection and landscape analysis.
 
-Exit codes: 0 on success; 2 for input-side problems (unreadable files,
-malformed models or flags, models that fail validation); 1 for
-computational failures inside an analysis (rank deficiencies, ergodicity
-problems, fits or certifications that do not converge).  Errors are
-reported as a single JSON object on stdout so callers can parse them.
+Each subcommand returns its document: a dict that `emit_json` renders, or the
+CSV text of `freq --csv`, `scan` and `project`.  `main` alone writes stdout,
+once per call, and maps exceptions to exit codes through one refusal map:
+0 on success; 2 for input-side problems (`INPUT_ERRORS`: unreadable files,
+malformed models or flags, models that fail validation); 1 for computational
+failures inside an analysis (`COMPUTE_ERRORS`: rank deficiencies, ergodicity
+problems, solver failures, fits or certifications that do not converge).
+Errors are reported as a single JSON object on stdout so callers can parse them.
 All floating-point output is rendered with 17 significant digits, which
 makes repeated runs byte-identical for identical inputs and seeds; JSON
 writes non-finite floats as NaN, Infinity and -Infinity.
@@ -48,7 +51,18 @@ class CliInputError(ValueError):
     """Malformed command-line input (flags, inline matrices, labels)."""
 
 
+class _Refused(Exception):
+    """A refusal of the input that carries its own document: a model that failed
+    validation."""
+
+    def __init__(self, document):
+        super().__init__("model failed validation")
+        self.document = document
+
+
+# the refusal map: main reports these with exit code 2 ...
 INPUT_ERRORS = (
+    _Refused,
     ModelFormatError,
     CliInputError,
     FileNotFoundError,
@@ -58,8 +72,8 @@ INPUT_ERRORS = (
     json.JSONDecodeError,
 )
 
-# the typed errors (RankError, SizeCapError, CertificationError,
-# DegreeFitError, LinAlgError) subclass ArithmeticError or ValueError
+# ... and these with exit code 1; the typed errors (RankError, SizeCapError,
+# CertificationError, DegreeFitError, LinAlgError) subclass ArithmeticError or ValueError
 COMPUTE_ERRORS = (ErgodicityError, ArithmeticError, ValueError)
 
 
@@ -172,14 +186,9 @@ def _load_model(path: str, gamma: float | None, mu: str | None) -> PomdpModel:
     model = _read_model(path, gamma, mu)
     report = validate(model)
     if not report.ok:
-        raise _ValidationFailure(report)
+        violations = [asdict(v) for v in report.violations]
+        raise _Refused({"error": {"kind": "validation", "violations": violations}})
     return model
-
-
-class _ValidationFailure(Exception):
-    def __init__(self, report):
-        super().__init__("model failed validation")
-        self.report = report
 
 
 def _parse_mu(text: str, model: PomdpModel) -> np.ndarray:
@@ -266,6 +275,17 @@ def _at_least(*checks) -> None:
             raise CliInputError(f"{flag} must be >= {least}, got {value}")
 
 
+def _as_input_error(call, *args):
+    """call(*args), with a ValueError of the library reported as the user's CliInputError;
+    size caps, rank deficiencies and solver failures stay computational failures."""
+    try:
+        return call(*args)
+    except (geom.SizeCapError, geom.RankError, np.linalg.LinAlgError):
+        raise
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+
+
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     if text.strip() == "":
         return ()
@@ -279,14 +299,15 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 # subcommand implementations
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     report = validate(_read_model(args.model, args.gamma, args.mu))
-    violations = [asdict(v) for v in report.violations]
-    sys.stdout.write(emit_json({"ok": report.ok, "violations": violations}))
-    return 0 if report.ok else 2
+    document = {"ok": report.ok, "violations": [asdict(v) for v in report.violations]}
+    if not report.ok:
+        raise _Refused(document)
+    return document
 
 
-def _cmd_freq(args) -> int:
+def _cmd_freq(args) -> dict | str:
     model = _load_model(args.model, args.gamma, args.mu)
     pi = _parse_policy(args.policy, model)
     freq = state_action_frequency(model, pi)
@@ -297,47 +318,33 @@ def _cmd_freq(args) -> int:
         values = zip(freq.eta.ravel().tolist(), np.repeat(freq.rho, model.n_actions).tolist())
         cells = tuple(itertools.chain.from_iterable(k + v for k, v in zip(labels, values)))
         template = "%s,%s,%.17g,%.17g\n" * (model.n_states * model.n_actions)
-        sys.stdout.write("state,action,eta,rho\n" + template % cells)
-        return 0
-    payload = {
+        return "state,action,eta,rho\n" + template % cells
+    return {
         "eta": freq.eta,
         "rho": freq.rho,
         "reward": reward,
         "residual": fixed_point_residual(model, tau, freq.eta),
     }
-    sys.stdout.write(emit_json(payload))
-    return 0
 
 
-def _cmd_reward(args) -> int:
+def _cmd_reward(args) -> dict:
     model = _load_model(args.model, args.gamma, args.mu)
     pi = _parse_policy(args.policy, model)
     bundle = value_bundle(model, pi, normalized=not args.unnormalized)
-    payload = {
+    return {
         "reward": bundle.R,
         "state_values": bundle.V,
         "state_action_values": bundle.Q,
         "normalized": not args.unnormalized,
     }
-    sys.stdout.write(emit_json(payload))
-    return 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
     model = _load_model(args.model, args.gamma, args.mu)
     axes = _parse_pairs(args.axes, "axis", "observation:action",
                         model.observation_index, model.action_index)
     base = _parse_policy(args.policy, model) if args.policy else None
-    try:
-        grid = crit.landscape_scan(
-            model, axes, resolution=args.resolution, base_policy=base
-        )
-    except geom.SizeCapError:
-        raise
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    sys.stdout.write(grid.to_csv())
-    return 0
+    return _as_input_error(crit.landscape_scan, model, axes, args.resolution, base).to_csv()
 
 
 def _spliced_terms(poly, matrices: dict) -> _Spliced:
@@ -378,7 +385,7 @@ def _spliced_terms(poly, matrices: dict) -> _Spliced:
     return _Spliced(write)
 
 
-def _cmd_constraints(args) -> int:
+def _cmd_constraints(args) -> dict:
     model = _load_model(args.model, args.gamma, args.mu)
     polys = geom.model_constraint_polynomials(model)
     matrices = {}  # (depth, code row) -> exponent matrix text, shared by every term
@@ -390,11 +397,10 @@ def _cmd_constraints(args) -> int:
         values, report = geom._feasibility(model, freq.eta, polys)
         payload["values_at_policy"] = dict(zip([p.label for p in polys], values.tolist()))
         payload["feasibility"] = report.to_dict()
-    sys.stdout.write(emit_json(payload))
-    return 0
+    return payload
 
 
-def _cmd_faces(args) -> int:
+def _cmd_faces(args) -> dict:
     _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1))
     if not args.tol > 0.0:  # pinned constraints are rounding noise: 0 never certifies
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
@@ -406,7 +412,7 @@ def _cmd_faces(args) -> int:
         seed=args.seed,
         tol=args.tol,
     )
-    payload = {
+    return {
         "f_vector": list(lattice.f_vector),
         "n_faces": lattice.n_faces,
         "certified": lattice.certified,
@@ -420,19 +426,15 @@ def _cmd_faces(args) -> int:
             for f in lattice.faces
         ],
     }
-    sys.stdout.write(emit_json(payload))
-    return 0
 
 
-def _cmd_critical(args) -> int:
+def _cmd_critical(args) -> dict:
     _at_least(("--grid", args.grid, crit.MIN_GRID_CELLS))
     model = _load_model(args.model, args.gamma, args.mu)
-    result = crit.blind_critical_points(model, grid=args.grid)
-    sys.stdout.write(emit_json(result.to_dict()))
-    return 0
+    return crit.blind_critical_points(model, grid=args.grid).to_dict()
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> dict:
     modes = sum(
         [args.rank_one is not None, args.model is not None, args.d is not None]
     )
@@ -444,24 +446,17 @@ def _cmd_bounds(args) -> int:
     if args.rank_one is not None:
         k = args.rank_one
         t0, t1, t2 = crit.polar_degree_terms(k)
-        payload = {
+        return {
             "rank_one_k": k,
             "terms": [t0, t1, t2],
             "polar_degree": crit.polar_degree_rank_one(k),
         }
-        sys.stdout.write(emit_json(payload))
-        return 0
     if args.model is not None:
         model = _load_model(args.model, args.gamma, args.mu)
         active = (_parse_pairs(args.active, "active pair", "action:observation",
                                model.action_index, model.observation_index)
                   if args.active else [])
-        try:
-            inputs = crit.BoundInput.from_model(model, active)
-        except (geom.RankError, np.linalg.LinAlgError):
-            raise
-        except ValueError as exc:  # an empty face or a repeated pair
-            raise CliInputError(str(exc)) from exc
+        inputs = _as_input_error(crit.BoundInput.from_model, model, active)
     else:
         if args.states is None or args.actions is None or args.k is None:
             raise CliInputError(
@@ -473,11 +468,9 @@ def _cmd_bounds(args) -> int:
             raise CliInputError("--d and --k must have the same length")
         _at_least(("--states", args.states, 1), ("--actions", args.actions, 1),
                   *(("--d", d, 1) for d in degrees), *(("--k", k, 1) for k in mults))
-        try:  # the rules BoundInput.from_model applies to a model's face
-            m = crit._face_budget(args.states, args.actions,
-                                  {f"o{i + 1}": k for i, k in enumerate(mults)})
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        # the rules BoundInput.from_model applies to a model's face
+        m = _as_input_error(crit._face_budget, args.states, args.actions,
+                            {f"o{i + 1}": k for i, k in enumerate(mults)})
         inputs = crit.BoundInput(
             active_set=tuple(
                 (f"a*{j + 1}", f"o{i + 1}")
@@ -488,18 +481,16 @@ def _cmd_bounds(args) -> int:
             multiplicities=mults,
             m=m,
         )
-    payload = {
+    return {
         "active_set": [list(pair) for pair in inputs.active_set],
         "degrees": list(inputs.degrees),
         "multiplicities": list(inputs.multiplicities),
         "m": inputs.m,
         "bound": crit.critical_point_bound(inputs),
     }
-    sys.stdout.write(emit_json(payload))
-    return 0
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> str:
     _at_least(("--samples", args.samples, 0), ("--points", args.points, 1))
     model = _load_model(args.model, args.gamma, args.mu)
     ns, no, na = model.n_states, model.n_observations, model.n_actions
@@ -529,11 +520,10 @@ def _cmd_project(args) -> int:
             table = np.column_stack([np.repeat(np.arange(first, first + n_edges), len(ts)),
                                      np.tile(ts, n_edges), (etas @ basis).reshape(-1, 3)])
             chunks.append(row * len(table) % tuple(table.ravel().tolist()))
-    sys.stdout.write("".join(chunks))
-    return 0
+    return "".join(chunks)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     if not args.tol > 0.0:
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
     model = _load_model(args.model, args.gamma, args.mu)
@@ -544,14 +534,12 @@ def _cmd_oracle(args) -> int:
     horizon = (
         truncation_length(model.gamma, args.tol) if model.gamma < 1.0 else None
     )
-    payload = {
+    return {
         "tol": args.tol,
         "horizon": horizon,
         "max_abs_diff": diff,
         "within_tol": diff <= args.tol,
     }
-    sys.stdout.write(emit_json(payload))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -678,22 +666,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its document, or the document of its refusal, to
+    stdout once; returns the exit code."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _ValidationFailure as exc:
-        violations = [asdict(v) for v in exc.report.violations]
-        payload = {"error": {"kind": "validation", "violations": violations}}
-        sys.stdout.write(emit_json(payload))
-        return 2
-    except INPUT_ERRORS as exc:
-        payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(emit_json(payload))
-        return 2
-    except COMPUTE_ERRORS as exc:
-        payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(emit_json(payload))
-        return 1
+        document, code = args.func(args), 0
+    except INPUT_ERRORS + COMPUTE_ERRORS as exc:
+        document = exc.document if isinstance(exc, _Refused) else {
+            "error": {"kind": type(exc).__name__, "message": str(exc)}}
+        code = 2 if isinstance(exc, INPUT_ERRORS) else 1
+    sys.stdout.write(document if isinstance(document, str) else emit_json(document))
+    return code
 
 
 if __name__ == "__main__":

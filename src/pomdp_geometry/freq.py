@@ -9,13 +9,17 @@ where P is the state-action kernel and (mu * tau)(s,a) = mu(s) tau(a|s).
 For gamma = 1 it is the unique stationary distribution of P, provided the
 stationary eigenspace is one-dimensional (the chain is unichain).
 
-Every S x S system of the package is built here, one question per function.
-`_solve` gives the state marginals rho of a batch, any gamma, so eta = rho * tau:
-(I - gamma p^T) rho = (1 - gamma) mu for the state kernel p, or M^T rho = mu with
-M = I - (p - 1 mu^T) at gamma = 1.  `_values` gives one policy's v and q at gamma < 1,
-(I - gamma p) v = r_tau.  `_reward_line_terms` gives a policy line's N = R det M and
-D = det M.  P is never built: the certificates apply P^T through `_push`, and
-`GradientBundle.jacobian` solves the rho-system with S*A right-hand sides.
+Every S x S system of the package is I - gamma K for a batch of state kernels p,
+made by one builder, `_discounted_system`, over K = p.  The rho-system
+I - gamma p^T is its transposed view (the identity is symmetric).  The builder
+applied after p -= 1 mu^T gives M = I - gamma (p - 1 mu^T): rho^T M = mu^T for every
+gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain.  Each
+function asks one question: `_solve` gives the state marginals rho of a batch, any
+gamma, so eta = rho * tau, from (I - gamma p^T) rho = (1 - gamma) mu, or M^T rho = mu
+at gamma = 1.  `_values` gives one policy's v and q at gamma < 1, (I - gamma p) v =
+r_tau.  `_reward_line_terms` gives a policy line's N = R det M and D = det M, and
+`GradientBundle.jacobian` solves the rho-system with S*A right-hand sides.  P is
+never built: the certificates apply P^T through `_push`.
 
 Every S x S solve goes through one primitive, `_linsolve`, on systems built
 batch-last, (S, S, N), each written over the state kernel p it is built from;
@@ -94,7 +98,8 @@ class GradientBundle:
         rho(s) (e_{(s,a)} + gamma tau * Y[:, (s,a)]) with (I - gamma p^T) Y = alpha^T (S, S*A),
         since P^T x = tau(b|t) sum_{s,a} alpha(t|s,a) x(s,a) (see `_push`)."""
         gamma, (ns, na) = self.model.gamma, self.tau.shape
-        system = _rho_system(self.model, _state_kernels(self.model, self.tau[None]))
+        p = _state_kernels(self.model, self.tau[None])
+        system = _discounted_system(self.model, p).transpose(1, 0, 2)
         y = _linsolve(system, self.model.alpha.reshape(-1, ns).T[..., None])[..., 0]
         pushed = (self.tau[:, :, None] * y[:, None, :]).reshape(ns * na, ns * na)
         return (np.eye(ns * na) + gamma * pushed) * np.repeat(self.rho, na)
@@ -115,18 +120,10 @@ def _state_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     return (taus.transpose(1, 0, 2) @ model.reward[:, :, None])[..., 0]
 
 
-def _rho_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
-    """I - gamma p^T for batch-last state kernels p (S, S, N): (I - gamma p^T) rho =
-    (1 - gamma) mu at gamma < 1.  Written over p and returned as its transposed view."""
-    system = np.multiply(p, model.gamma, out=p).transpose(1, 0, 2)
-    return np.subtract(np.eye(model.n_states)[:, :, None], system, out=system)
-
-
-def _anchored_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
-    """M = I - gamma (p - 1 mu^T) for batch-last state kernels p (S, S, N): rho^T M = mu^T
-    for every gamma in (0, 1], and at gamma = 1 M is invertible exactly when p is unichain.
-    Written over p and returned in it."""
-    np.multiply(np.subtract(p, model.mu[:, None], out=p), model.gamma, out=p)
+def _discounted_system(model: PomdpModel, p: np.ndarray) -> np.ndarray:
+    """I - gamma p for batch-last kernels p (S, S, N), written over p and returned in it:
+    the one builder of every S x S system (see the module docstring)."""
+    np.multiply(p, model.gamma, out=p)
     return np.subtract(np.eye(model.n_states)[:, :, None], p, out=p)
 
 
@@ -188,7 +185,7 @@ def _solve(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     """The solver core: conditionals taus (N, S, A) -> state marginals rho (N, S), any gamma.
 
     rho solves (I - gamma p^T) rho = (1 - gamma) mu, or at gamma = 1
-    M^T rho = mu with M from `_anchored_system`, once one batched SVD shows
+    M^T rho = mu with M = I - (p - 1 mu^T), once one batched SVD shows
     each p^T - I with exactly one singular value below ERGODICITY_TOL (else
     ErgodicityError); eta = rho[..., None] * taus, also off the simplex.  The
     systems are built batch-last, (S, S, N), over the state kernels and consumed by
@@ -204,7 +201,7 @@ def _solve(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     gamma, ns = model.gamma, model.n_states
     p = _state_kernels(model, taus)
     if gamma < 1.0:
-        x = _linsolve(_rho_system(model, p), ((1.0 - gamma) * model.mu)[:, None, None])
+        rhs = ((1.0 - gamma) * model.mu)[:, None, None]
     else:
         sing = np.linalg.svd(p.transpose(2, 1, 0) - np.eye(ns), compute_uv=False)
         dims = np.count_nonzero(sing < ERGODICITY_TOL, axis=1)
@@ -212,18 +209,18 @@ def _solve(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
             raise ErgodicityError(
                 f"stationary distribution is not unique: {dims[dims != 1][0]} singular "
                 f"values of (kernel^T - I) lie below {ERGODICITY_TOL}")
-        x = _linsolve(_anchored_system(model, p).transpose(1, 0, 2), model.mu[:, None, None])
-    return x[:, 0].T
+        np.subtract(p, model.mu[:, None], out=p)
+        rhs = model.mu[:, None, None]
+    return _linsolve(_discounted_system(model, p).transpose(1, 0, 2), rhs)[:, 0].T
 
 
 def _values(model: PomdpModel, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One policy's unnormalized values at gamma < 1 from its conditionals tau (S, A):
     v (S,) solves (I - gamma p) v = r_tau and q = reward + gamma alpha v (S, A).  The
     system is built over the kernel of a one-point batch and consumed by `_linsolve`."""
-    gamma, p = model.gamma, _state_kernels(model, tau[None])
-    system = np.subtract(np.eye(model.n_states)[:, :, None], np.multiply(p, gamma, out=p), out=p)
+    system = _discounted_system(model, _state_kernels(model, tau[None]))
     v = _linsolve(system, _state_rewards(model, tau[None])[:, None])[:, 0].T
-    q = model.reward + gamma * np.einsum("sat,nt->nsa", model.alpha, v)
+    q = model.reward + model.gamma * np.einsum("sat,nt->nsa", model.alpha, v)
     return v[0], q[0]
 
 
@@ -268,11 +265,12 @@ def batch_rewards(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
 
 def _reward_line_terms(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     """(N, 2): the numerator R det M and denominator det M of the reward R = <reward, eta>
-    of each conditional of taus (N, S, A), with M from `_anchored_system` (see
+    of each conditional of taus (N, S, A), with M = I - gamma (p - 1 mu^T) (see
     `rational.RewardLine`); ErgodicityError as `_solve` at gamma = 1."""
     rewards = batch_rewards(model, taus)
-    system = _anchored_system(model, _state_kernels(model, taus))  # batch-last (S, S, N)
-    dets = np.linalg.det(system.transpose(2, 0, 1))
+    p = _state_kernels(model, taus)  # batch-last (S, S, N)
+    np.subtract(p, model.mu[:, None], out=p)
+    dets = np.linalg.det(_discounted_system(model, p).transpose(2, 0, 1))
     return np.stack([rewards * dets, dets], axis=1)
 
 

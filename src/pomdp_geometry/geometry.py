@@ -347,10 +347,10 @@ class PolynomialConstraint:
 
 
 def _support(rows: np.ndarray) -> tuple[int, ...]:
-    """Indices of the rows of a matrix, or the entries of a vector, whose largest magnitude
-    exceeds SUPPORT_TOL: the support states of a constraint."""
-    peaks = np.abs(rows).reshape(len(rows), -1).max(axis=1)
-    return tuple(np.flatnonzero(peaks > SUPPORT_TOL).tolist())
+    """Indices of the rows of a matrix, or the entries of a vector, with an entry above
+    SUPPORT_TOL in magnitude: the support states of a constraint."""
+    above = (np.abs(rows) > SUPPORT_TOL).reshape(len(rows), -1)
+    return tuple(np.flatnonzero(above.any(axis=1)).tolist())
 
 
 def transfer_inequality(
@@ -643,10 +643,10 @@ def _face_tables(observations: tuple[str, ...], actions: tuple[str, ...],
 
 def _certify_faces(model, faces, free, polys, rng, samples, tol):
     """Raise CertificationError at the first (face, sample, constraint) failure; free
-    (faces, O, A) marks the free actions of each face."""
-    obs, act = np.array([(model.observation_index(p.observation),
-                          model.action_index(p.action)) for p in polys]).T
-    pinned = ~free[:, obs, act]  # (faces, constraints)
+    (faces, O, A) marks the free actions of each face.  polys are read by position: one
+    constraint per (observation, action) in row-major order, as from
+    `model_constraint_polynomials`."""
+    pinned = ~free.reshape(len(free), -1)  # (faces, constraints)
     mix = 0.2 * free / free.sum(axis=-1, keepdims=True)  # (faces, O, A)
 
     # a block holds at most BLOCK_ENTRIES entries in the solve (S x S per point) and in

@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and byte-level determinism of the CLI."""
 
+import io
 import json
 import math
 import os
@@ -387,6 +388,17 @@ def test_bounds_model_mode_linalg_failure_exits_one(capsys, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "LinAlgError"
 
 
+def test_scan_solver_failure_exits_one(capsys, monkeypatch):
+    # as under bounds: a failed solve is a computational error, not bad input
+    def singular(model, taus):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(critical, "batch_rewards", singular)
+    code, out = run(capsys, "scan", TWO_STATE, "--axes", "o1:a1", "--resolution", "3")
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "LinAlgError"
+
+
 # --------------------------------------------------------------------------
 # project
 
@@ -555,11 +567,15 @@ def test_constraints_wide_support_exits_one(tmp_path, capsys, wide_blind_model):
 # golden snapshots of the commands built on the constraint polynomials
 
 
-@pytest.mark.parametrize("command, argv", [
+GOLDEN_COMMANDS = [
     ("faces", []),
     ("constraints", ["--policy", "uniform"]),
-])
-@pytest.mark.parametrize("model", ["two_state", "three_state"])
+]
+GOLDEN_MODELS = ["two_state", "three_state"]
+
+
+@pytest.mark.parametrize("command, argv", GOLDEN_COMMANDS)
+@pytest.mark.parametrize("model", GOLDEN_MODELS)
 def test_output_matches_golden_snapshot(capsys, command, argv, model):
     code, out = run(capsys, command, str(MODELS / f"{model}.json"), *argv)
     assert code == 0
@@ -580,7 +596,7 @@ INVALID_MODEL = {
 }
 
 
-@pytest.mark.parametrize("name, code, argv", [
+GOLDEN_JSON = [
     ("freq_three_state", 0, ["freq", THREE_STATE]),
     ("reward_three_state", 0, ["reward", THREE_STATE]),
     ("oracle_three_state", 0, ["oracle", THREE_STATE]),
@@ -590,7 +606,15 @@ INVALID_MODEL = {
     ("critical_blind_three_state", 0, ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
     ("error_critical_two_state", 1, ["critical", TWO_STATE]),
     ("faces_max_dim_three_state", 0, ["faces", THREE_STATE, "--max-dim", "1"]),
-])
+]
+GOLDEN_CSV = [
+    ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
+    ("scan_three_state", ["scan", THREE_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "4"]),
+    ("project_three_state", ["project", THREE_STATE, "--samples", "4", "--points", "3"]),
+]
+
+
+@pytest.mark.parametrize("name, code, argv", GOLDEN_JSON)
 def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(INVALID_MODEL))
@@ -600,15 +624,36 @@ def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv)
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
-    ("scan_three_state", ["scan", THREE_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "4"]),
-    ("project_three_state", ["project", THREE_STATE, "--samples", "4", "--points", "3"]),
-])
+@pytest.mark.parametrize("name, argv", GOLDEN_CSV)
 def test_csv_commands_match_golden_snapshot(capsys, name, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_main_writes_each_golden_document_in_one_write(tmp_path, monkeypatch):
+    # subcommands return their documents; main alone writes one, a refusal's included
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps(INVALID_MODEL))
+    argvs = ([[command, str(MODELS / f"{model}.json"), *flags]
+              for command, flags in GOLDEN_COMMANDS for model in GOLDEN_MODELS]
+             + [argv for _, _, argv in GOLDEN_JSON] + [argv for _, argv in GOLDEN_CSV])
+    assert len(argvs) == len(list(GOLDEN.iterdir()))
+    for argv in argvs:
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        main([str(invalid) if a == "INVALID" else a for a in argv])
+        assert out.writes == 1, argv
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)

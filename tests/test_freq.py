@@ -662,7 +662,7 @@ def test_linsolve_matches_lapack(ns, n, k, gamma, seed):
     # the rho-system of the solver core
     m = fixtures.random_model(rng, ns, 2, 2, gamma)
     p = freq._state_kernels(m, compose(m.beta, rng.dirichlet(np.ones(2), size=(n, 2))))
-    for a in (shuffled, freq._rho_system(m, p)):
+    for a in (shuffled, freq._discounted_system(m, p).transpose(1, 0, 2)):
         b = rng.normal(size=(ns, k, n))
         reference = lapack_solve(a, b)
         assert np.all(relative_gaps(freq._linsolve(a.copy(), b), reference) <= 1e-13)
@@ -683,10 +683,11 @@ def test_linsolve_hard_systems_match_lapack_to_their_conditioning(ns):
     cases = {
         "off-simplex rho": (eye - 0.9 * p_bent.transpose(1, 0, 2), 0.1 * mu),
         "off-simplex values": (eye - 0.9 * p_bent, freq._state_rewards(m, bent)[:, None]),
-        "rho at 1 - 1e-7": (freq._rho_system(m, p.copy()), (1.0 - near) * mu),
+        "rho at 1 - 1e-7": (freq._discounted_system(m, p.copy()).transpose(1, 0, 2),
+                            (1.0 - near) * mu),
         "values at 1 - 1e-7": (eye - near * p, freq._state_rewards(m, taus)[:, None]),
-        "anchored at 1": (freq._anchored_system(m.replace(gamma=1.0), p.copy()).transpose(1, 0, 2),
-                          mu),
+        "anchored at 1": (freq._discounted_system(m.replace(gamma=1.0), p - m.mu[:, None])
+                          .transpose(1, 0, 2), mu),
     }
     off = cases["off-simplex rho"][0]
     assert np.any(np.abs(off[1:, 0]).max(axis=0) > np.abs(off[0, 0]))  # rows must swap
@@ -707,7 +708,7 @@ def test_linsolve_solves_each_system_alone_and_never_writes_b(ns):
     m = fixtures.random_model(rng, ns, 2, 2, 0.9)
     p = freq._state_kernels(m, compose(m.beta, rng.dirichlet(np.ones(2), size=(7, 2))))
     b = rng.normal(size=(ns, 2, 7))
-    for a in (freq._rho_system(m, p), rng.normal(size=(ns, ns, 7))):
+    for a in (freq._discounted_system(m, p).transpose(1, 0, 2), rng.normal(size=(ns, ns, 7))):
         b_before = b.copy()
         whole = freq._linsolve(a.copy(), b)
         assert np.array_equal(b, b_before)
@@ -776,6 +777,19 @@ def test_core_solves_in_place_with_the_bits_of_out_of_place_systems(ns, gamma):
                 for tau in t:
                     for x, y in zip(_values(m, tau), reference_values(m, tau)):
                         assert x.tobytes() == y.tobytes(), n
+
+
+@pytest.mark.parametrize("ns", [1, 2, 3, SMALL_STATES, SMALL_STATES + 1])
+@pytest.mark.parametrize("gamma", [0.6, 0.9, 1.0])
+def test_reward_line_denominators_have_the_bits_of_out_of_place_systems(ns, gamma):
+    rng = np.random.default_rng(91 + ns)
+    m = fixtures.random_model(rng, ns, 2, 3, gamma)
+    taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(7, 2)))
+    p = freq._state_kernels(m, taus)
+    dets = np.linalg.det((np.eye(ns)[:, :, None] - gamma * (p - m.mu[:, None])).transpose(2, 0, 1))
+    terms = freq._reward_line_terms(m, taus)
+    assert terms[:, 1].tobytes() == dets.tobytes()
+    assert terms[:, 0].tobytes() == (batch_rewards(m, taus) * dets).tobytes()
 
 
 @pytest.mark.parametrize("ns", [3, SMALL_STATES + 1])

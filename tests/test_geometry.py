@@ -379,6 +379,18 @@ def test_transfer_inequality_merged_coefficients():
     assert poly.coefficient((0, 1)) == pytest.approx(1 + 20 - 3)
 
 
+def test_support_keeps_the_rows_whose_peak_exceeds_the_cutoff():
+    # one comparison per entry gives the rows of the peak rule, at and around the cutoff
+    above = np.nextafter(geometry.SUPPORT_TOL, 1.0)
+    entries = np.array([0.0, geometry.SUPPORT_TOL, -geometry.SUPPORT_TOL, above, -above])
+    rng = np.random.default_rng(29)
+    for shape in [(1,), (6,), (1, 1), (4, 3), (5, 2)]:
+        for _ in range(40):
+            rows = rng.choice(entries, size=shape)
+            peaks = np.abs(rows).reshape(len(rows), -1).max(axis=1)
+            assert geometry._support(rows) == tuple(np.flatnonzero(peaks > geometry.SUPPORT_TOL))
+
+
 def test_constraint_polynomials_accepts_counts_and_labels():
     m = fixtures.two_state_model()
     a = constraint_polynomials(m.beta, 2)
