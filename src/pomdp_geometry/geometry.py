@@ -10,19 +10,17 @@ combinatorial face lattice of the constraint system together with a
 numerical certificate that the polynomial description carves out each face.
 Polynomials are stored in factored form; their A^|support|-term monomial
 expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.  Constraints are
-evaluated together in one stacked pass over their factored forms.  The faces
-themselves depend only on the observation and action labels and ``max_dim``: they
-are built once per such shape and reused by every later lattice of it; the last
-shape's tables are kept (up to ~118 MB at the largest shapes ``FACE_COORD_CAP``
-admits).
+evaluated together in one stacked pass over their factored forms.  Faces are
+built on demand, from the product structure of the policy domain, and never kept
+between calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
+from itertools import chain, compress, islice, product, repeat
 
 import numpy as np
 
@@ -159,20 +157,19 @@ def pseudoinverse(beta: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of the observation kernel, shape ``(O, S)``.
 
     Raises :class:`RankError` when the kernel columns are linearly
-    dependent (rank decided at ``RANK_TOL`` relative to the top singular value),
-    since then observation policies cannot be recovered from their state
-    conditionals.
+    dependent (more observations than states, or rank decided at ``RANK_TOL``
+    relative to the top singular value), since then observation policies cannot
+    be recovered from their state conditionals.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2:
         raise ValueError("beta must be a (states, observations) matrix")
     u, sigma, vt = np.linalg.svd(beta, full_matrices=False)
-    if sigma[0] == 0.0 or np.min(sigma) <= RANK_TOL * sigma[0]:
-        raise RankError(
-            "observation kernel has linearly dependent columns "
-            f"(singular values {np.array2string(sigma, precision=3)}); "
-            "state conditionals do not determine the policy"
-        )
+    full = np.append(sigma, np.zeros(beta.shape[1] - len(sigma)))  # O - S more zeros if O > S
+    if full[0] == 0.0 or np.min(full) <= RANK_TOL * full[0]:
+        raise RankError("observation kernel has linearly dependent columns (singular values "
+                        f"{np.array2string(full, precision=3)}); state conditionals do not "
+                        "determine the policy")
     return (vt.T / sigma) @ u.T
 
 
@@ -217,10 +214,8 @@ class EffectivePolytope:
 
 def effective_polytope(beta: np.ndarray) -> EffectivePolytope:
     beta = np.asarray(beta, dtype=float)
-    pinv = pseudoinverse(beta)
-    _, sigma, vt = np.linalg.svd(beta.T, full_matrices=True)
-    rank = beta.shape[1]  # full column rank guaranteed by pseudoinverse()
-    kernel = vt[rank:].T.copy()
+    pinv = pseudoinverse(beta)  # refuses O > S and rank below O, so rank(beta) = O
+    kernel = np.linalg.svd(beta.T, full_matrices=True)[2][beta.shape[1]:].T.copy()
     beta = beta.copy()
     for arr in (beta, pinv, kernel):
         arr.flags.writeable = False
@@ -380,7 +375,8 @@ def transfer_inequality(
 
 
 def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[PolynomialConstraint]:
-    """Polynomial inequalities equivalent to recoverability of the policy.
+    """Polynomial inequalities for recoverability of the policy, equivalent to it only for
+    square beta: for S > O the equations putting each column of tau in col(beta) are missing.
 
     One polynomial per (action, observation) pair: nonnegativity of the
     entry ``(pinv @ tau)[o, a]`` of the recovered policy, with denominators
@@ -533,13 +529,47 @@ class FaceDescriptor:
 
 @dataclass(frozen=True)
 class FaceLattice:
-    faces: tuple[FaceDescriptor, ...]
+    """The faces of dimension 0 .. ``len(f_vector) - 1`` of the policy domain over these
+    observation and action labels.  ``faces`` is built from them on first read, in the
+    order of `face_lattice`, and kept."""
+
+    observations: tuple[str, ...]
+    actions: tuple[str, ...]
     f_vector: tuple[int, ...]  # face counts by dimension, 0 .. dim
     certified: bool
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return sum(self.f_vector)
+
+    @cached_property
+    def faces(self) -> tuple[FaceDescriptor, ...]:
+        rows, ranks, dims = _face_order(len(self.observations), len(self.actions),
+                                        len(self.f_vector) - 1)
+        (count, no), (n, na) = ranks.shape, rows.shape
+        sets = [tuple(compress(range(na), row)) for row in rows.tolist()]
+        pinned = [[tuple(zip(compress(self.actions, row), repeat(name)))
+                   for row in (~rows).tolist()] for name in self.observations]
+        # a covered face drops one free action, not the last, of one observation: set j
+        # without action a has rank drops[j, a], which is j where nothing is dropped
+        codes = rows @ (1 << np.arange(na))  # each set as a bit mask
+        rank_of = np.zeros(1 << na, dtype=int)
+        rank_of[codes] = np.arange(n)
+        drops = np.where(rows.sum(axis=1, keepdims=True) > 1,
+                         rank_of[codes[:, None] & ~(1 << np.arange(na))], np.arange(n)[:, None])
+        weights = n ** np.arange(no - 1, -1, -1)
+        numbers = ranks @ weights  # a face's ranks read as base-n digits
+        position = np.zeros(n**no, dtype=int)
+        position[numbers] = np.arange(count)
+        shift = drops[ranks] - ranks[..., None]  # (faces, O, A), 0 where nothing is dropped
+        covered = position[numbers[:, None, None] + shift * weights[:, None]]
+        covered = np.sort(np.where(shift == 0, count, covered).reshape(count, -1))  # none last
+        covers = iter(covered[covered < count].tolist())
+        combos = list(product(sets, repeat=no))
+        zeros = list(map(frozenset, map(chain.from_iterable, product(*pinned))))
+        return tuple(FaceDescriptor(combos[k], zeros[k], dim, tuple(islice(covers, c)))
+                     for k, dim, c in zip(numbers.tolist(), dims.tolist(),
+                                          np.count_nonzero(shift, axis=(1, 2)).tolist()))
 
 
 def face_lattice(
@@ -561,13 +591,12 @@ def face_lattice(
     exceed it, otherwise a :class:`CertificationError` identifies the first
     offending face and constraint.
 
-    The faces, their free-action masks and the f-vector come from
-    `_face_tables`, built once per shape (labels and ``max_dim``) and reused.
-    All faces x samples are certified in one batched pass, block by block:
-    each block is one draw of its samples, one `certified_etas` solve and
-    one stacked evaluation of all constraints, and holds at most
-    ``freq.BLOCK_ENTRIES`` entries, both of the S x S systems and of the
-    K x kmax x A frequency entries gathered for the evaluation.
+    Certification reads only the faces' free-action masks, from `_face_order` on every
+    call; the lattice builds its descriptors when ``faces`` is first read.  All faces x
+    samples are certified in one batched pass, block by block: each block is one draw
+    of its samples, one `certified_etas` solve and one stacked evaluation of all
+    constraints, and holds at most ``freq.BLOCK_ENTRIES`` entries, both of the S x S
+    systems and of the K x kmax x A frequency entries gathered for the evaluation.
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
@@ -585,63 +614,34 @@ def face_lattice(
                            f"cap of {FACE_COORD_CAP}")
     _check_visits(model, "certification")
     polys = model_constraint_polynomials(model)
-    faces, free, f_vector = _face_tables(model.observations, model.actions, max_dim)
-    _check_cap(len(faces) * samples, f"certifying {len(faces)} faces x {samples} samples")
-    _certify_faces(model, faces, free, polys, np.random.default_rng(seed), samples, tol)
-    return FaceLattice(faces=faces, f_vector=f_vector, certified=True)
+    rows, ranks, dims = _face_order(no, na, max_dim)
+    _check_cap(len(ranks) * samples, f"certifying {len(ranks)} faces x {samples} samples")
+    _certify_faces(model, rows[ranks], polys, np.random.default_rng(seed), samples, tol)
+    return FaceLattice(model.observations, model.actions, tuple(np.bincount(dims).tolist()), True)
 
 
-@lru_cache(maxsize=1)
-def _face_tables(observations: tuple[str, ...], actions: tuple[str, ...],
-                 max_dim: int | None) -> tuple[tuple[FaceDescriptor, ...], np.ndarray,
-                                               tuple[int, ...]]:
-    """The model-free part of `face_lattice` for one shape: its faces, the read-only
-    (faces, O, A) mask of their free actions, and its f-vector.
-
-    The faces depend only on the labels and max_dim, so the tables of the last shape
-    asked for are kept and shared by every lattice of that shape.  One shape is kept,
-    and it holds on after its lattices are dropped: ~20 KB at 3 observations x 2
-    actions, ~63 MB at 4 x 4 and ~81 MB at 2 x 8 (50 625 and 65 025 faces), ~118 MB at
-    1 x 16 (65 535 faces), the largest FACE_COORD_CAP admits.
-    """
-    no, na = len(observations), len(actions)
-    # tables over the 2^A - 1 free-action sets, in lexicographic order of their action
-    # tuples; a face is its tuple of ranks, one per observation, numbered as base-n digits
-    subsets = sorted(tuple(a for a in range(na) if mask >> a & 1) for mask in range(1, 1 << na))
-    n = len(subsets)
-    rank = {free: j for j, free in enumerate(subsets)}
-    free_rows = np.array([[a in free for a in range(na)] for free in subsets])
-    pinned = [[tuple((actions[a], name) for a in range(na) if a not in free)
-               for free in subsets] for name in observations]
-    # dropping one free action of one observation gives a covered face, one dimension
-    # lower and so always inside the lattice: drops[j, i] is the rank of set j without
-    # its i-th action, or j where there is none
-    drops = np.array([[rank[free[:i] + free[i + 1:]] if len(free) > 1 and i < len(free) else j
-                       for i in range(na)] for j, free in enumerate(subsets)])
-    digits = np.indices((n,) * no).reshape(no, -1).T
-    dims = (free_rows.sum(axis=1) - 1)[digits].sum(axis=1)
-    order = np.argsort(dims, kind="stable")  # face numbers by dimension, then lexicographically
+def _face_order(n_observations: int, n_actions: int,
+                max_dim: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The faces up to max_dim, by dimension and then lexicographically: the (2^A - 1, A)
+    rows of the nonempty free-action sets in lexicographic order of their action tuples,
+    the (faces, O) ranks of each face's sets among them, so that ``rows[ranks]`` is the
+    (faces, O, A) mask of their free actions, and the faces' dimensions."""
+    # each pass puts one more action j in front: the sets over actions j.. are {j}, then
+    # {j} joined to each set over actions j+1.., then those sets alone
+    rows = np.zeros((0, 0), dtype=bool)
+    for k in range(n_actions):
+        later, rows = rows, np.zeros((2 * len(rows) + 1, k + 1), dtype=bool)
+        rows[:len(later) + 1, 0] = True
+        rows[1:len(later) + 1, 1:] = rows[len(later) + 1:, 1:] = later
+    ranks = np.indices((len(rows),) * n_observations).reshape(n_observations, -1).T
+    dims = (rows.sum(axis=1) - 1)[ranks].sum(axis=1)
+    order = np.argsort(dims, kind="stable")
     if max_dim is not None:
         order = order[dims[order] <= max_dim]
-    position = np.zeros(n**no, dtype=int)
-    position[order] = np.arange(len(order))
-    ranks = digits[order]
-    shift = drops[ranks] - ranks[..., None]  # (faces, O, A), 0 where nothing is dropped
-    covered = position[order[:, None, None] + shift * (n ** np.arange(no - 1, -1, -1))[:, None]]
-    covered[shift == 0] = len(order)  # sorted last, then left out
-    covered = np.sort(covered.reshape(len(order), -1))
-    covers = iter(covered[covered < len(order)].tolist())
-    combos = list(itertools.product(subsets, repeat=no))
-    zeros = list(map(frozenset, map(itertools.chain.from_iterable, itertools.product(*pinned))))
-    faces = tuple(FaceDescriptor(combos[k], zeros[k], dim, tuple(itertools.islice(covers, count)))
-                  for k, dim, count in zip(order.tolist(), dims[order].tolist(),
-                                           np.count_nonzero(shift, axis=(1, 2)).tolist()))
-    free = free_rows[ranks]  # (faces, O, A)
-    free.flags.writeable = False
-    return faces, free, tuple(np.bincount(dims[order]).tolist())
+    return rows, ranks[order], dims[order]
 
 
-def _certify_faces(model, faces, free, polys, rng, samples, tol):
+def _certify_faces(model, free, polys, rng, samples, tol):
     """Raise CertificationError at the first (face, sample, constraint) failure; free
     (faces, O, A) marks the free actions of each face.  polys are read by position: one
     constraint per (observation, action) in row-major order, as from
@@ -653,7 +653,7 @@ def _certify_faces(model, faces, free, polys, rng, samples, tol):
     # the stacked evaluation (K x kmax x A gathered frequency entries per point)
     gathered = len(polys) * max(p.degree for p in polys) * model.n_actions
     block = _block_len(max(model.n_states**2, gathered), BLOCK_ENTRIES)
-    n_points = len(faces) * samples
+    n_points = len(free) * samples
     for start in range(0, n_points, block):
         face_of = np.arange(start, min(start + block, n_points)) // samples
         # normalised standard exponentials over a free set are Dirichlet(1, ..., 1) on it;
@@ -674,7 +674,6 @@ def _certify_faces(model, faces, free, polys, rng, samples, tol):
         n, k = np.argwhere(bad)[0]
         kind, expected = (("pinned", f"0 within {tol:g}") if on_face[n, k]
                           else ("free", f"to exceed {tol:g}"))
-        raise CertificationError(
-            f"face {faces[face_of[n]].free_actions}: {kind} constraint "
-            f"{polys[k].label} evaluates to {values[n, k]:.3e}, expected {expected}"
-        )
+        face = tuple(tuple(np.flatnonzero(row).tolist()) for row in free[face_of[n]])
+        raise CertificationError(f"face {face}: {kind} constraint {polys[k].label} evaluates "
+                                 f"to {values[n, k]:.3e}, expected {expected}")

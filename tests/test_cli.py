@@ -563,6 +563,17 @@ def test_constraints_wide_support_exits_one(tmp_path, capsys, wide_blind_model):
     assert "exceeds the cap" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["faces", "constraints"])
+def test_wide_observation_kernel_exits_one(tmp_path, capsys, command):
+    # more observations than states: the columns of beta are dependent
+    path = tmp_path / "wide.json"
+    model = fixtures.random_model(np.random.default_rng(0), 2, 3, 2, 0.8, positive_mu=True)
+    path.write_text(serialize_model(model))
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "RankError"
+
+
 # --------------------------------------------------------------------------
 # golden snapshots of the commands built on the constraint polynomials
 

@@ -14,6 +14,7 @@ from pomdp_geometry import fixtures, freq, geometry
 from pomdp_geometry.freq import batch_eta, eta_for_tau, state_action_frequency, state_conditionals
 from pomdp_geometry.geometry import (
     CertificationError,
+    FaceDescriptor,
     FeasibilityReport,
     HalfspaceSystem,
     PolynomialConstraint,
@@ -141,6 +142,19 @@ def test_pseudoinverse_blind_is_averaging():
 def test_pseudoinverse_rejects_dependent_columns():
     with pytest.raises(RankError, match="dependent"):
         pseudoinverse(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+
+def test_wide_observation_kernel_is_refused():
+    # with more observations than states the columns of beta are dependent, though a
+    # thin SVD has only S singular values and here none of them is small
+    m = fixtures.random_model(np.random.default_rng(0), 2, 3, 2, 0.8, positive_mu=True)
+    assert np.min(np.linalg.svd(m.beta, compute_uv=False)) > 0.1
+    calls = (pseudoinverse, effective_polytope, lambda beta: constraint_polynomials(beta, 2))
+    for call in calls:
+        with pytest.raises(RankError, match=r"dependent columns \(singular values \[.* 0\. *\]"):
+            call(m.beta)
+    with pytest.raises(RankError):
+        face_lattice(m)
 
 
 def test_effective_polytope_membership():
@@ -505,40 +519,61 @@ def test_face_lattice_size_cap():
         face_lattice(m)
 
 
-def test_face_tables_are_built_once_per_shape():
-    # the faces depend on the labels and max_dim alone: a second model of the
-    # same shape reuses them, anything else rebuilds them, and one shape is kept
-    tables = geometry._face_tables
-    tables.cache_clear()
-    rng = np.random.default_rng(12)
-    a, b = (fixtures.random_model(rng, 3, 3, 2, 0.8, positive_mu=True) for _ in range(2))
-    first = face_lattice(a, samples=2, seed=1)
-    second = face_lattice(b, samples=4, seed=2)
-    assert tables.cache_info().misses == 1 and tables.cache_info().hits == 1
-    assert second.faces is first.faces
-    faces, free, f_vector = tables.__wrapped__(a.observations, a.actions, None)
-    assert faces == first.faces and f_vector == first.f_vector == (8, 12, 6, 1)
-    assert not free.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        tables(a.observations, a.actions, None)[1][0, 0, 0] = False
+def reference_faces(observations, actions, max_dim=None):
+    """The face lattice from its definition: one nonempty free-action set per
+    observation, faces by dimension and then lexicographically, a subface for each
+    free action dropped where another stays, and the (action, observation) label
+    pairs left out pinned to zero."""
+    def dimension(face):
+        return sum(len(s) - 1 for s in face)
 
-    renamed = dataclasses.replace(b, actions=("left", "right"))
-    other = fixtures.random_model(rng, 4, 2, 3, 0.8, positive_mu=True)
-    for model, max_dim in [(renamed, None), (b, 1), (other, None), (a, None)]:
-        misses = tables.cache_info().misses
-        lattice = face_lattice(model, max_dim=max_dim, samples=2, seed=1)
-        assert tables.cache_info().misses == misses + 1
-        uncached = tables.__wrapped__(model.observations, model.actions, max_dim)
-        assert (lattice.faces, lattice.f_vector) == (uncached[0], uncached[2])
-    assert face_lattice(renamed).faces[0].active_zeros == {("right", o) for o in a.observations}
-    assert face_lattice(b, max_dim=1).f_vector == (8, 12)
-    again = face_lattice(a, samples=2, seed=1)
-    assert again.faces is not first.faces and again == first
+    na = len(actions)
+    subsets = sorted(s for k in range(1, na + 1) for s in itertools.combinations(range(na), k))
+    faces = sorted(itertools.product(subsets, repeat=len(observations)), key=dimension)
+    faces = [face for face in faces if max_dim is None or dimension(face) <= max_dim]
+    index = {face: i for i, face in enumerate(faces)}
+    return tuple(FaceDescriptor(
+        face,
+        frozenset((actions[a], o) for o, s in zip(observations, face) for a in range(na)
+                  if a not in s),
+        dimension(face),
+        tuple(sorted(index[face[:o] + (s[:i] + s[i + 1:],) + face[o + 1:]]
+                     for o, s in enumerate(face) if len(s) > 1 for i in range(len(s)))),
+    ) for face in faces)
+
+
+def test_face_lattice_matches_a_brute_force_reference(monkeypatch):
+    # faces are built from the labels and the f-vector when first read, not before,
+    # and equal the definition's on every shape, labelling and max_dim
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return FaceDescriptor(*fields)
+
+    monkeypatch.setattr(geometry, "FaceDescriptor", counting)
+    rng = np.random.default_rng(12)
+    for shape in [(3, 3, 2), (4, 2, 3), (3, 1, 4), (2, 2, 2), (5, 4, 2)]:
+        model = fixtures.random_model(rng, *shape, 0.8, positive_mu=True)
+        renamed = dataclasses.replace(model, actions=tuple(f"b{9 - a}" for a in range(shape[2])))
+        for m, max_dim in itertools.product((model, renamed), (None, 0, 1, 2, 9)):
+            built.clear()
+            lattice = face_lattice(m, max_dim=max_dim, samples=2, seed=1)
+            assert built == [] and "faces" not in vars(lattice)
+            expected = reference_faces(m.observations, m.actions, max_dim)
+            assert lattice.faces == expected
+            assert len(built) == len(lattice.faces) == lattice.n_faces
+            assert lattice.faces is lattice.faces and len(built) == lattice.n_faces  # kept
+            assert lattice.f_vector == tuple(np.bincount([f.dimension for f in expected]))
+    assert face_lattice(renamed).faces[0].active_zeros == {("b8", o) for o in model.observations}
+    # a lattice is its labels and f-vector: equal whatever model, samples, seed or
+    # max_dim beyond the top dimension gave it
+    other = fixtures.random_model(rng, 5, 4, 2, 0.8, positive_mu=True)
+    assert face_lattice(other, samples=1, seed=3) == face_lattice(model, max_dim=9)
 
 
 def test_face_lattice_refuses_too_many_samples_before_drawing(monkeypatch):
     m = fixtures.random_model(np.random.default_rng(3), 3, 3, 2, 0.8, positive_mu=True)
-    face_lattice(m, samples=1)  # the tables of this shape are cached
 
     def refuse(*args):
         raise AssertionError("no sample may be drawn")
@@ -687,7 +722,8 @@ def test_face_certification_holds_a_few_blocks(monkeypatch, samples):
     # points are drawn per block, so certification holds a few blocks of
     # BLOCK_ENTRIES entries whatever faces x samples is (here 27 faces x 20 or 120)
     m = fixtures.random_model(np.random.default_rng(10), 4, 3, 3, 0.8, positive_mu=True)
-    faces, free, _ = geometry._face_tables(m.observations, m.actions, None)
+    rows, ranks, _ = geometry._face_order(m.n_observations, m.n_actions, None)
+    faces = rows[ranks]  # (faces, O, A) free-action masks
     polys = model_constraint_polynomials(m)
     budget = 2**14
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", budget)
@@ -701,7 +737,7 @@ def test_face_certification_holds_a_few_blocks(monkeypatch, samples):
     monkeypatch.setattr(geometry, "certified_etas", counting)
     tracemalloc.start()
     try:
-        geometry._certify_faces(m, faces, free, polys, np.random.default_rng(0), samples,
+        geometry._certify_faces(m, faces, polys, np.random.default_rng(0), samples,
                                 geometry.CERT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
