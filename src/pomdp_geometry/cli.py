@@ -468,19 +468,8 @@ def _cmd_bounds(args) -> dict:
             raise CliInputError("--d and --k must have the same length")
         _at_least(("--states", args.states, 1), ("--actions", args.actions, 1),
                   *(("--d", d, 1) for d in degrees), *(("--k", k, 1) for k in mults))
-        # the rules BoundInput.from_model applies to a model's face
-        m = _as_input_error(crit._face_budget, args.states, args.actions,
-                            {f"o{i + 1}": k for i, k in enumerate(mults)})
-        inputs = crit.BoundInput(
-            active_set=tuple(
-                (f"a*{j + 1}", f"o{i + 1}")
-                for i, k_o in enumerate(mults)
-                for j in range(k_o)
-            ),
-            degrees=degrees,
-            multiplicities=mults,
-            m=m,
-        )
+        inputs = _as_input_error(crit.BoundInput.from_counts, args.states, args.actions,
+                                 {f"o{i + 1}": k for i, k in enumerate(mults)}, degrees)
     return {
         "active_set": [list(pair) for pair in inputs.active_set],
         "degrees": list(inputs.degrees),

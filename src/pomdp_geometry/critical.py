@@ -14,7 +14,8 @@ interpolated at S + 1 Chebyshev nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -208,13 +209,30 @@ class BoundInput:
     of the corresponding pseudo-inverse row (the degree of the matching
     constraint polynomial); ``multiplicities`` counts the pinned actions
     per active observation; ``m`` is the face codimension budget: ambient
-    policy dimension minus the number of pinned entries.
+    policy dimension minus the number of pinned entries.  `from_counts` builds
+    them from counts alone, `from_model` from a face of a model with square β.
     """
 
     active_set: tuple[tuple[str, str], ...]
     degrees: tuple[int, ...]
     multiplicities: tuple[int, ...]
     m: int
+
+    @classmethod
+    def from_counts(cls, n_states: int, n_actions: int, pinned: dict[str, int],
+                    degrees) -> "BoundInput":
+        """The face of an S-state, A-action model that pins ``pinned[o]`` actions of each
+        active observation o (in observation order, with constraint ``degrees``), its
+        pinned actions labelled (a*1, o), (a*2, o), ...; ValueError if the face is empty."""
+        for obs, count in pinned.items():
+            if count >= n_actions:
+                raise ValueError(f"all actions pinned to zero for observation {obs}: "
+                                 "the face is empty")
+        m = n_states * (n_actions - 1) - sum(pinned.values())
+        if m < 0:
+            raise ValueError("more pinned entries than policy dimensions")
+        labels = tuple((f"a*{j + 1}", obs) for obs, count in pinned.items() for j in range(count))
+        return cls(labels, tuple(degrees), tuple(pinned.values()), m)
 
     @classmethod
     def from_model(cls, model: PomdpModel, active_set) -> "BoundInput":
@@ -225,42 +243,16 @@ class BoundInput:
                 f"{model.n_observations} observations"
             )
         pinv = pseudoinverse(model.beta)
-        pairs = [(_resolve(model, "action", a), _resolve(model, "observation", o))
-                 for a, o in active_set]
+        pairs = sorted((_resolve(model, "observation", o), _resolve(model, "action", a))
+                       for a, o in active_set)
         if len(set(pairs)) != len(pairs):
             raise ValueError("active set contains repeated pairs")
-        per_obs: dict[int, int] = {}
-        for _, o_idx in pairs:
-            per_obs[o_idx] = per_obs.get(o_idx, 0) + 1
-        m = _face_budget(model.n_states, model.n_actions,
-                         {model.observations[o]: count for o, count in per_obs.items()})
-        active_obs = sorted(per_obs)
-        degrees = tuple(len(_support(pinv[o])) for o in active_obs)
-        multiplicities = tuple(per_obs[o] for o in active_obs)
-        labels = tuple(
-            (model.actions[a_idx], model.observations[o_idx])
-            for a_idx, o_idx in sorted(pairs, key=lambda t: (t[1], t[0]))
-        )
-        return cls(
-            active_set=labels,
-            degrees=degrees,
-            multiplicities=multiplicities,
-            m=m,
-        )
-
-
-def _face_budget(n_states: int, n_actions: int, pinned: dict[str, int]) -> int:
-    """The codimension budget m = S·(A − 1) − Σ k of the face that pins k actions
-    of each observation in ``pinned``; ValueError if the face is empty."""
-    for obs, count in pinned.items():
-        if count >= n_actions:
-            raise ValueError(
-                f"all actions pinned to zero for observation {obs}: the face is empty"
-            )
-    m = n_states * (n_actions - 1) - sum(pinned.values())
-    if m < 0:
-        raise ValueError("more pinned entries than policy dimensions")
-    return m
+        per_obs = Counter(o for o, _ in pairs)
+        inputs = cls.from_counts(model.n_states, model.n_actions,
+                                 {model.observations[o]: k for o, k in per_obs.items()},
+                                 [len(_support(pinv[o])) for o in per_obs])
+        return replace(inputs, active_set=tuple(
+            (model.actions[a], model.observations[o]) for o, a in pairs))
 
 
 def critical_point_bound(inputs: BoundInput) -> int:

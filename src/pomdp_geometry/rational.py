@@ -29,6 +29,7 @@ from .freq import (BLOCK_ENTRIES, ErgodicityError, _block_len, _check_visits,  #
 from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
+LINE_MISS_TOL = 1e-7      # an exact line may miss direct solves by this share of the reward scale
 COMMON_ROOT_TOL = 1e-6    # num/den roots closer than this in [0,1] flag a reducible fit
 SAME_ROW_TOL = 1e-12      # policy rows closer than this count as equal
 TRIM_TOL = 1e-13          # slope-numerator coefficients below this share of the largest are noise
@@ -194,10 +195,14 @@ class RewardLine(NamedTuple):
     den: Chebyshev
 
     def __call__(self, lam):
+        return self.num(lam) / self.denominator(lam)
+
+    def denominator(self, lam):
+        """D at lam, or ErgodicityError where D vanishes to rounding."""
         den = self.den(lam)
         if np.any(np.abs(den) <= ZERO_DEN_TOL * np.max(np.abs(self.den.coef))):
             raise ErgodicityError("stationary distribution is not unique where D vanishes")
-        return self.num(lam) / den
+        return den
 
     def slope_numerator(self) -> Chebyshev:
         """g = N'D - ND', so R' = g / D^2; degree at most 2k - 2 once trimmed of the
@@ -230,8 +235,8 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
     where the two matrices differ.  The reward is interpolated exactly as
     N / D of degree k, the number of states whose conditionals differ, and
     checked at the k + 2 Chebyshev points interleaving the nodes against
-    one batched certified solve; a miss above 1e-7 of the reward scale
-    raises DegreeFitError.  Valid for every gamma in (0, 1].
+    one batched certified solve; a miss above LINE_MISS_TOL (1e-7) of the
+    reward scale raises DegreeFitError.  Valid for every gamma in (0, 1].
     """
     if pi0.kind != "observation" or pi1.kind != "observation":
         raise ValueError("line_degree_certificate needs observation policies")
@@ -242,7 +247,7 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
     witness = chebyshev_grid(fitted + 2)
     etas = certified_etas(model, _segment(tau0, tau1, witness))
     miss = float(np.max(np.abs(line(witness) - np.sum(etas * model.reward, axis=(1, 2)))))
-    tol = FIT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(model.reward))))
+    tol = LINE_MISS_TOL * max(1.0, float(np.max(np.abs(model.reward))))
     if not miss <= tol:
         raise DegreeFitError(
             f"the degree-{fitted} N / D form misses direct solves by {miss:.3e} > {tol:.3e}")
@@ -263,7 +268,9 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
         c(lam) = lam D(1) / D(lam),
 
     a degree-one rational reparametrization of [0, 1], where D is the
-    denominator of the line's N / D form (any gamma in (0, 1]).
+    denominator of the line's N / D form (any gamma in (0, 1]).  Where D(1)
+    or D(lam) vanishes (gamma = 1, a chain that is not unichain there) it
+    raises ErgodicityError, as `RewardLine` does.
     """
     if pi0.kind != "state" or pi1.kind != "state":
         raise ValueError("interpolation_speed needs state policies")
@@ -272,8 +279,8 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
         raise ValueError(
             f"policies differ on {len(differing)} states ({differing.tolist()}); "
             "the closed form needs at most one")
-    den = _line_form(model, pi0.matrix, pi1.matrix).den
-    return float(lam * den(1.0) / den(lam))
+    line = _line_form(model, pi0.matrix, pi1.matrix)
+    return float(lam * line.denominator(1.0) / line.denominator(lam))
 
 
 # --------------------------------------------------------------------------

@@ -37,12 +37,10 @@ from pomdp_geometry.model import Policy, state_conditionals
 from pomdp_geometry.rational import (
     best_deterministic,
     degree_bound,
-    fit_rational_curve,
     improvement_path,
     interpolation_speed,
     line_degree_certificate,
 )
-from pomdp_geometry.rational import _segment
 
 MAX = "strict local max"
 MIN = "strict local min"
@@ -165,12 +163,10 @@ def test_04_degree_bounds():
         base = rng.dirichlet(np.ones(2), size=3)
         other = base.copy()
         other[int(rng.integers(0, 3))] = rng.dirichlet(np.ones(2))
-        # fitted to direct solves, not to the exact line, which is degree <= 1 by construction
-        curve = fit_rational_curve(
-            lambda x: batch_rewards(model, _segment(base, other, x)), max_degree=1
-        )
-        assert len(curve.num) - 1 <= 1
-        assert curve.fit_residual <= 1e-7
+        # the exact line, checked against direct solves at its k + 2 witness points
+        cert = line_degree_certificate(
+            model, Policy("observation", base), Policy("observation", other))
+        assert cert.fitted_degree <= cert.bound == 1
 
 
 @criterion(5, "one-state lines interpolate frequencies with a monotone speed")

@@ -371,6 +371,26 @@ def test_bounds_model_mode_refusals_exit_two(capsys, active):
     assert json.loads(out)["error"]["kind"] == "CliInputError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--states", "3", "--actions", "2", "--d", "2,2", "--k", "1"],
+     "--d and --k must have the same length"),
+    (["bounds", "--states", "3", "--actions", "2", "--d", "2.5", "--k", "1"],
+     "--d must be comma-separated integers"),
+    (["freq", THREE_STATE, "--mu", "abc"],
+     "--mu must be 'uniform', a state label, or comma-separated numbers; got 'abc'"),
+    (["freq", THREE_STATE, "--policy", "[1,"],
+     "cannot parse policy '[1,': Expecting value: line 1 column 4 (char 3)"),
+    (["project", "ONE_STATE"], "3-d projection needs at least 3 state-action pairs"),
+], ids=["bounds-lengths", "bounds-degree-text", "mu-text", "policy-text", "project-pairs"])
+def test_input_refusals_name_the_fault(tmp_path, capsys, argv, message):
+    one_state = tmp_path / "one_state.json"
+    model = fixtures.random_model(np.random.default_rng(0), 1, 1, 2, 0.5)  # 2 pairs
+    one_state.write_text(serialize_model(model))
+    code, out = run(capsys, *[str(one_state) if a == "ONE_STATE" else a for a in argv])
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "CliInputError", "message": message}
+
+
 def test_bounds_rank_error_exits_one(capsys):
     code, out = run(capsys, "bounds", "--model", BLIND_GRAPH, "--active", "a1:o")
     assert code == 1
@@ -617,6 +637,10 @@ GOLDEN_JSON = [
     ("critical_blind_three_state", 0, ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
     ("error_critical_two_state", 1, ["critical", TWO_STATE]),
     ("faces_max_dim_three_state", 0, ["faces", THREE_STATE, "--max-dim", "1"]),
+    ("bounds_inline", 0, ["bounds", "--states", "3", "--actions", "2",
+                          "--d", "2,3", "--k", "1,1"]),
+    ("error_bounds_inline", 2, ["bounds", "--states", "3", "--actions", "2",
+                                "--d", "2", "--k", "2"]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),

@@ -1,6 +1,8 @@
 """Exact blind-controller critical points, face bounds, scans, KKT residuals."""
 
+import dataclasses
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from pomdp_geometry.critical import (
     polar_degree_terms,
 )
 from pomdp_geometry.freq import batch_rewards, reward_of
-from pomdp_geometry.geometry import RankError, model_constraint_polynomials
-from pomdp_geometry.model import Policy, PomdpModel
+from pomdp_geometry.geometry import RankError, face_lattice, model_constraint_polynomials
+from pomdp_geometry.model import Policy, PomdpModel, load_model_text
 from pomdp_geometry.rational import best_deterministic
 
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 MAX = "strict local max"
 MIN = "strict local min"
 
@@ -422,6 +425,49 @@ def test_bound_input_refuses_bad_shapes():
         BoundInput.from_model(m2, [("a1", "o2"), ("a1", "o2")])
     with pytest.raises(ValueError, match="empty"):
         BoundInput.from_model(m2, [("a1", "o2"), ("a2", "o2")])
+
+
+def test_bound_input_from_counts_labels_and_refusals():
+    bi = BoundInput.from_counts(3, 2, {"o1": 1, "o3": 1}, [2, 3])
+    assert bi == BoundInput(active_set=(("a*1", "o1"), ("a*1", "o3")), degrees=(2, 3),
+                            multiplicities=(1, 1), m=1)
+    assert critical_point_bound(bi) == 18
+    assert BoundInput.from_counts(2, 3, {"o2": 2}, (1,)).active_set == (
+        ("a*1", "o2"), ("a*2", "o2"))
+    assert BoundInput.from_counts(2, 2, {}, ()) == BoundInput((), (), (), 2)
+    with pytest.raises(ValueError, match="^all actions pinned to zero for observation o2: "
+                                         "the face is empty$"):
+        BoundInput.from_counts(3, 2, {"o1": 1, "o2": 2}, [1, 1])
+    with pytest.raises(ValueError, match="^more pinned entries than policy dimensions$"):
+        BoundInput.from_counts(1, 2, {"o1": 1, "o2": 1}, [2, 2])
+
+
+def test_bound_input_from_model_is_from_counts_with_the_model_labels():
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        ns, na = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+        beta = np.tril(rng.random((ns, ns)) * (rng.random((ns, ns)) < 0.6)) + np.eye(ns)
+        m = fixtures.random_model(rng, ns, ns, na, 0.9).replace(
+            beta=beta / beta.sum(axis=1, keepdims=True))
+        polys = {(p.action, p.observation): p for p in model_constraint_polynomials(m)}
+        pinned = {o: int(rng.integers(1, na)) for o in m.observations if rng.random() < 0.6}
+        labels = tuple((a, o) for o, k in pinned.items()
+                       for a in sorted(rng.choice(m.actions, size=k, replace=False).tolist(),
+                                       key=m.action_index))
+        degrees = [polys[next(pair for pair in labels if pair[1] == o)].degree for o in pinned]
+        expected = dataclasses.replace(
+            BoundInput.from_counts(ns, na, pinned, degrees), active_set=labels)
+        shuffled = [labels[i] for i in rng.permutation(len(labels))]
+        assert BoundInput.from_model(m, shuffled) == expected
+
+
+def test_face_bounds_on_the_three_state_lattice():
+    # the bound on each of the 27 faces, in lattice order, as a fixed table: a change
+    # in how BoundInput is built cannot move a face's bound unnoticed
+    m = load_model_text((MODELS / "three_state.json").read_text())
+    faces = face_lattice(m).faces
+    assert [face_critical_bound(m, face.active_zeros) for face in faces] == (
+        [4] * 8 + [2] * 4 + [8] * 4 + [2] * 4 + [0] + [2] * 4 + [0, 0])
 
 
 def test_polar_degree_rank_one_collapses_to_k():

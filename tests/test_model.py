@@ -349,6 +349,40 @@ def test_graph_format_errors():
         parse_graph_model("gamma: 0.5\nwhat is this\n")
 
 
+GRAPH_EDGES = "s1 a1 -> s2\ns1 a2 -> s1\ns2 a1 -> s1\ns2 a2 -> s2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("gamma: 0.5\ns1 -> s2\n",
+     "line 2: edge must be 'state action -> state [reward]', got 's1 -> s2'"),
+    ("gamma: 0.5\ns1 a1 -> s2 lots\n", "line 2: reward 'lots' is not a number"),
+    ("gamma: 0.5\ndiscount: 0.5\n" + GRAPH_EDGES, "line 2: unknown header 'discount'"),
+    ("gamma: 0.5\ngamma: 0.9\n" + GRAPH_EDGES, "line 2: duplicate header 'gamma'"),
+    ("gamma: 0.5\n", "document: no edges found"),
+    ("gamma: half\n" + GRAPH_EDGES, "gamma: 'half' is not a number"),
+    ("gamma: 0.5\nstates: s1\n" + GRAPH_EDGES, "line 3: undeclared state 's2'"),
+    ("gamma: 0.5\nobservations: o1 o2\n" + GRAPH_EDGES,
+     "observations: 'beta: blind' needs exactly one observation"),
+    ("gamma: 0.5\nbeta: identity\nobservations: o\n" + GRAPH_EDGES,
+     "observations: 'beta: identity' needs 2 observations, got 1"),
+    ("gamma: 0.5\nbeta: 1 0\n" + GRAPH_EDGES, "beta: expected 2 rows separated by ';', got 1"),
+    ("gamma: 0.5\nbeta: 1 0; x 1\n" + GRAPH_EDGES, "beta: rows must be numbers"),
+    ("gamma: 0.5\nbeta: 1 0; 1\n" + GRAPH_EDGES,
+     "beta: rows must all have the same number of entries"),
+    ("gamma: 0.5\nbeta: 1 0; 0 1\nobservations: o\n" + GRAPH_EDGES,
+     "observations: beta has 2 columns but 1 observations given"),
+    ("gamma: 0.5\nmu: 1\n" + GRAPH_EDGES,
+     "mu: expected 'uniform', a state label, or 2 numbers, got '1'"),
+    ("gamma: 0.5\nmu: 1 x\n" + GRAPH_EDGES, "mu: '1 x' is not a state label or numbers"),
+], ids=["edge-syntax", "reward", "unknown-header", "duplicate-header", "no-edges", "gamma",
+        "undeclared-label", "blind-observations", "identity-observations", "beta-rows",
+        "beta-number", "beta-ragged", "beta-observations", "mu-count", "mu-number"])
+def test_graph_format_refusals_name_the_fault(text, message):
+    with pytest.raises(ModelFormatError) as info:
+        parse_graph_model(text)
+    assert str(info.value) == message
+
+
 GRAPH_CASES = {
     "bundled": fixtures.GRAPH_BLIND_THREE_STATE,
     "blind-inferred": "gamma: 0.9\ns1 a1 -> s2 1\ns1 a2 -> s1\ns2 a1 -> s1 -0.5\ns2 a2 -> s2 2\n",

@@ -10,7 +10,7 @@ from pomdp_geometry import fixtures, rational
 from pomdp_geometry.freq import (ErgodicityError, batch_rewards, eta_for_tau, reward_of,
                                  state_action_frequency)
 from pomdp_geometry.geometry import face_lattice
-from pomdp_geometry.model import Policy, state_conditionals
+from pomdp_geometry.model import Policy, parse_graph_model, state_conditionals
 from pomdp_geometry.rational import (
     DegreeCertificate,
     DegreeFitError,
@@ -160,6 +160,20 @@ def test_line_degree_certificate_checks_exact_form(gamma):
         assert np.max(np.abs(g(inner) / line.den(inner) ** 2 - central)) <= 1e-8 * scale
 
 
+def test_line_degree_certificate_fails_when_direct_solves_disagree(monkeypatch):
+    # frequencies off by 1e-5 of themselves put the exact line ~1e-6 away from the
+    # solves, above the 1e-7 tolerance: a certificate that always passed would not see it
+    m = fixtures.three_state_model()
+    pi0 = Policy.uniform(m.n_observations, m.n_actions)
+    pi1 = Policy.deterministic([0] * m.n_observations, m.n_actions)
+    assert line_degree_certificate(m, pi0, pi1).fitted_degree == 3
+    solve = rational.certified_etas
+    monkeypatch.setattr(rational, "certified_etas",
+                        lambda *args: solve(*args) * (1.0 + 1e-5))
+    with pytest.raises(DegreeFitError, match="misses direct solves by 1.3.*e-06 > 1.3.*e-07"):
+        line_degree_certificate(m, pi0, pi1)
+
+
 def test_fitting_a_reward_line_solves_nothing(monkeypatch):
     # vary only o2 in the two-state model: a degree-1 line
     m = fixtures.two_state_model()
@@ -300,6 +314,17 @@ def test_interpolation_speed_rejects_two_state_changes():
     pi1 = Policy("state", np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="differ on 2 states"):
         interpolation_speed(m, pi0, pi1, 0.5)
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+def test_interpolation_speed_refuses_where_the_line_is_not_unichain(lam):
+    # a1 stays, a2 switches: at lam = 1 both states are absorbing, D(1) = 0
+    m = parse_graph_model("gamma: 1\nbeta: identity\n"
+                          "s1 a1 -> s1\ns1 a2 -> s2\ns2 a1 -> s2\ns2 a2 -> s1\n")
+    pi0 = Policy("state", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    pi1 = Policy("state", np.array([[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ErgodicityError, match="not unique"):
+        interpolation_speed(m, pi0, pi1, lam)
 
 
 def test_one_state_line_values_are_collinear():
