@@ -347,13 +347,14 @@ def _cmd_scan(args) -> str:
     return _as_input_error(crit.landscape_scan, model, axes, args.resolution, base).to_csv()
 
 
-def _spliced_terms(poly, matrices: dict) -> _Spliced:
+def _spliced_terms(poly, matrices: dict, numbers: dict) -> _Spliced:
     """The "terms" list of ``poly.to_dict()`` as emit_json writes it, written
     straight from the factored expansion (expanded here, so its size cap is
     checked now).  A term's code row holds, per state, its action on the
     support and A off it.  Each exponent row is then a unit row or zero, so a
     matrix text is joined once per (depth, code row) from A + 1 row texts and
-    shared through ``matrices``."""
+    shared through ``matrices``; each distinct coefficient (they are subset sums of
+    one pseudo-inverse row, so few are) is formatted once and shared through ``numbers``."""
     assignments, values = poly._expansion
 
     def write(out, depth):
@@ -371,6 +372,8 @@ def _spliced_terms(poly, matrices: dict) -> _Spliced:
             if text is None:
                 text = matrices[depth, code] = _join_scalars([rows[c] for c in code], depth + 2)
             texts.append(text)
+        # kept coefficients exceed 1e-14 * scale in magnitude: 0.0 and -0.0 never share a key
+        coefs = [numbers.get(v) or numbers.setdefault(v, _float_text(v)) for v in values.tolist()]
         pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
         opening, middle = "," + pad + "{" + inner + '"exponents": ', "," + inner + '"coefficient": '
         closing = pad + "}"
@@ -378,7 +381,7 @@ def _spliced_terms(poly, matrices: dict) -> _Spliced:
         out.append("[")
         out.extend(itertools.chain.from_iterable(zip(
             itertools.repeat(opening), texts, itertools.repeat(middle),
-            map(_float_text, values.tolist()), itertools.repeat(closing))))
+            coefs, itertools.repeat(closing))))
         out[first] = opening[1:]  # no comma before the first term
         out.append("\n" + "  " * depth + "]")
 
@@ -389,7 +392,8 @@ def _cmd_constraints(args) -> dict:
     model = _load_model(args.model, args.gamma, args.mu)
     polys = geom.model_constraint_polynomials(model)
     matrices = {}  # (depth, code row) -> exponent matrix text, shared by every term
-    payload = {"polynomials": [{**p._header(), "terms": _spliced_terms(p, matrices)}
+    numbers = {}  # coefficient -> its text, shared by every term
+    payload = {"polynomials": [{**p._header(), "terms": _spliced_terms(p, matrices, numbers)}
                                for p in polys]}
     if args.policy:
         pi = _parse_policy(args.policy, model)

@@ -18,13 +18,14 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, _check_cap, _support, pseudoinverse
 from .model import Policy, PomdpModel, _resolve, compose
-from .rational import reward_curve_on_line
+from .rational import _line_form, _slope_coef
 
 # interior roots closer than this are reported once
 MERGE_TOL = 1e-8
@@ -87,12 +88,12 @@ class CriticalSet:
 def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     """Locate all critical points of a blind two-action reward curve.
 
-    The reward is R = N / D with N and D polynomials of degree at most the
-    number of states, the exact reward line from p = 0 to p = 1.  The
-    critical points are the real roots in (0, 1) of its slope numerator g
-    (D > 0 for every gamma in (0, 1] on unichain lines), found by colleague matrix
-    and classified by the sign of g', which is that of R''.  The endpoints
-    are classified by the exact one-sided slopes R' = g / D^2.
+    The reward is R = N / D with N and D polynomials of degree at most the number of
+    states, the exact reward line from p = 0 to p = 1, read as Chebyshev coefficient
+    arrays.  The critical points are the real roots in (0, 1) of its slope numerator g
+    (D > 0 for every gamma in (0, 1] on unichain lines), found by colleague matrix and
+    classified by the sign of g', which is that of R''.  The endpoints are classified
+    by the exact one-sided slopes R' = g / D^2.
     At gamma = 1 R is the mean reward, the same for every mu on a unichain
     line; a point where the chain is not unichain raises ErgodicityError.
     A dense grid, the `landscape_scan` of pi(a1|o), cross-validates the
@@ -120,25 +121,24 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             duplicates_merged=False,
         )
 
-    # from the a2 vertex at p = 0 to the a1 vertex at p = 1
-    line = reward_curve_on_line(model, *(Policy.deterministic([a], 2) for a in (1, 0)))
-    g = line.slope_numerator()
-    dg = g.deriv()
-    candidates = g.roots()
+    # from the a2 vertex at p = 0 to the a1 vertex at p = 1, p = 0.5 (x + 1) on the series' x
+    line = _line_form(model, *compose(model.beta, np.array([[[0.0, 1.0]], [[1.0, 0.0]]])))
+    g = _slope_coef(line.num.coef, line.den.coef)
+    candidates = 0.5 + 0.5 * chebyshev.chebroots(g)
     x = candidates[np.isreal(candidates)].real
     x = x[(x > 0.0) & (x < 1.0)]
 
     merged, duplicates_merged = _merge_close(x, MERGE_TOL)
     # at a root of g, R'' = g' / D^2 with D > 0
-    curvatures = dg(np.array(merged))
+    curvatures = chebyshev.chebval(-1.0 + 2.0 * np.array(merged), chebyshev.chebder(g, 1, 2.0))
     roots = [(p, "max" if bend < 0 else "min" if bend > 0 else "saddle/flat")
              for p, bend in zip(merged, curvatures)]
 
     _cross_validate(ps, rewards, roots, scale, grid)
 
     thr = BOUNDARY_SLOPE_TOL * scale
-    ends = np.array([0.0, 1.0])
-    slope0, slope1 = g(ends) / line.den(ends) ** 2
+    ends = np.array([-1.0, 1.0])  # p = 0 and p = 1
+    slope0, slope1 = chebyshev.chebval(ends, g) / chebyshev.chebval(ends, line.den.coef) ** 2
     return CriticalSet(
         interior_roots=tuple(roots),
         boundary={0.0: _boundary_class(-slope0, thr), 1.0: _boundary_class(slope1, thr)},
@@ -330,12 +330,12 @@ class ScanGrid:
 
 def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray) -> np.ndarray:
     """Policy rows with entry a_idx set to each value and the rest rescaled to fill 1 - value."""
-    rest = np.delete(base_row, a_idx)
-    total = rest.sum()
-    if total <= 1e-15:
-        rest, total = np.ones_like(rest), rest.size
-    others = ((1.0 - values)[:, None] * rest) / total
-    return np.insert(others, a_idx, values, axis=1)
+    others = np.arange(base_row.size) != a_idx
+    weights = base_row if base_row[others].sum() > 1e-15 else others.astype(float)
+    rows, total = np.empty((len(values), base_row.size)), weights[others].sum()
+    for j, weight in enumerate(weights.tolist()):  # by columns: an (N, 1) * (A,) broadcast is slow
+        rows[:, j] = values if j == a_idx else ((1.0 - values) * weight) / total
+    return rows
 
 
 def landscape_scan(

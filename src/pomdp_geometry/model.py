@@ -355,13 +355,15 @@ def effective_policy(pi: Policy, beta: np.ndarray) -> Policy:
 
 def compose(beta: np.ndarray, pis: np.ndarray) -> np.ndarray:
     """tau(a|s) = sum_o beta(o|s) pi(a|o) for one observation-policy matrix (O, A) or a
-    stack (N, O, A), the stack as one (S, O) @ (O, N*A) product instead of N tiny ones.
+    stack (N, O, A), the stack as one (S, O) @ (O, N*A) product instead of N tiny ones (at
+    O = 1 a broadcast product: one term per entry, so the matmul's bits without its call).
     A stack's result is an (N, S, A) view of an (S, N, A) array.  A single matrix is the
     plain product; it comes here only so that beta o pi is composed in one place."""
     if pis.ndim == 2:
         return beta @ pis
     n, no, na = pis.shape
-    flat = beta @ pis.transpose(1, 0, 2).reshape(no, n * na)
+    cols = pis.transpose(1, 0, 2).reshape(no, n * na)
+    flat = beta * cols if no == 1 else beta @ cols
     return flat.reshape(beta.shape[0], n, na).transpose(1, 0, 2)
 
 

@@ -205,17 +205,26 @@ class RewardLine(NamedTuple):
         return den
 
     def slope_numerator(self) -> Chebyshev:
-        """g = N'D - ND', so R' = g / D^2; degree at most 2k - 2 once trimmed of the
-        cancellation noise that would send colleague-matrix roots to infinity."""
-        g = self.num.deriv() * self.den - self.num * self.den.deriv()
-        return g.trim(TRIM_TOL * float(np.max(np.abs(g.coef))))
+        """g = N'D - ND', so R' = g / D^2, from `_slope_coef`; degree at most 2k - 2."""
+        return Chebyshev(_slope_coef(self.num.coef, self.den.coef), domain=[0, 1])
+
+
+def _slope_coef(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The one place g = N'D - ND' is formed: Chebyshev coefficients on [0, 1] (d/dlam = 2 d/dx)
+    from those of N and D, trimmed of noise that would send colleague roots to infinity."""
+    g = chebyshev.chebsub(chebyshev.chebmul(chebyshev.chebder(num, 1, 2.0), den),
+                          chebyshev.chebmul(num, chebyshev.chebder(den, 1, 2.0)))
+    return chebyshev.chebtrim(g, TRIM_TOL * float(np.max(np.abs(g))))
 
 
 def _line_form(model: PomdpModel, tau0: np.ndarray, tau1: np.ndarray) -> RewardLine:
-    """The RewardLine from the conditionals tau0 to tau1 (see `reward_curve_on_line`)."""
+    """The RewardLine from tau0 to tau1 (see `reward_curve_on_line`), `chebinterpolate` inlined."""
     k = len(_differing_rows(tau0, tau1))
-    coef = chebyshev.chebinterpolate(
-        lambda x: _reward_line_terms(model, _segment(tau0, tau1, 0.5 * (x + 1.0))), k)
+    x = chebyshev.chebpts1(k + 1)
+    coef = np.dot(chebyshev.chebvander(x, k).T,
+                  _reward_line_terms(model, _segment(tau0, tau1, 0.5 * (x + 1.0))))
+    coef[0] /= k + 1
+    coef[1:] /= 0.5 * (k + 1)
     return RewardLine(*(Chebyshev(c, domain=[0, 1]) for c in coef.T))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import critical, fixtures, geometry, rational
+from pomdp_geometry import cli, critical, fixtures, geometry, rational
 from pomdp_geometry.cli import emit_json, main
 from pomdp_geometry.freq import SMALL_STATES, batch_eta, state_action_frequency
 from pomdp_geometry.geometry import (
@@ -641,6 +641,8 @@ GOLDEN_JSON = [
                           "--d", "2,3", "--k", "1,1"]),
     ("error_bounds_inline", 2, ["bounds", "--states", "3", "--actions", "2",
                                 "--d", "2", "--k", "2"]),
+    ("critical_blind_three_state_default", 0,
+     ["critical", str(MODELS / "blind_three_state.json")]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
@@ -800,6 +802,22 @@ def test_constraints_on_a_full_support_model_match_the_recursive_renderer(tmp_pa
     polys = model_constraint_polynomials(model)
     assert {p.degree for p in polys} == {5}
     assert out == _render_reference({"polynomials": [p.to_dict() for p in polys]}, 0) + "\n"
+
+
+def test_constraints_format_each_distinct_coefficient_once(tmp_path, capsys, monkeypatch):
+    # the 3^5 coefficients of each constraint are subset sums of one pseudo-inverse
+    # row, so far fewer are distinct; each distinct one is formatted once
+    model = fixtures.random_model(np.random.default_rng(11), 5, 5, 3, 0.8, positive_mu=True)
+    path = tmp_path / "square.json"
+    path.write_text(serialize_model(model))
+    formatted = []
+    float_text = cli._float_text
+    monkeypatch.setattr(cli, "_float_text", lambda value: formatted.append(value)
+                        or float_text(value))
+    code, _ = run(capsys, "constraints", str(path))
+    assert code == 0
+    kept = [v for p in model_constraint_polynomials(model) for v in p._expansion[1].tolist()]
+    assert len(formatted) == len(set(kept)) < len(kept)
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from pomdp_geometry.critical import (
 )
 from pomdp_geometry.freq import batch_rewards, reward_of
 from pomdp_geometry.geometry import RankError, face_lattice, model_constraint_polynomials
-from pomdp_geometry.model import Policy, PomdpModel, load_model_text
-from pomdp_geometry.rational import best_deterministic
+from pomdp_geometry.model import Policy, PomdpModel, compose, load_model_text
+from pomdp_geometry.rational import TRIM_TOL, best_deterministic, reward_curve_on_line
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 MAX = "strict local max"
@@ -286,6 +286,67 @@ def test_blind_scan_is_the_blind_line_bit_for_bit():
         taus = np.repeat(np.stack([ps, 1.0 - ps], axis=-1)[:, None], ns, axis=1)
         assert np.array_equal(scan.coordinates[:, 0], ps)
         assert np.array_equal(scan.rewards, batch_rewards(m, taus))
+
+
+def _blind_by_class(m, grid=10_000):
+    """The blind critical set of a non-flat model through numpy's Chebyshev class: two
+    vertex Policy objects, `reward_curve_on_line`, `slope_numerator`, `deriv`, `roots`
+    and `line.den`, with the slope numerator checked against the class operators."""
+    rewards = landscape_scan(m, [(0, 0)], resolution=grid + 1).rewards
+    scale = max(1.0, float(np.max(np.abs(rewards))))
+    line = reward_curve_on_line(m, Policy.deterministic([1], 2), Policy.deterministic([0], 2))
+    g = line.slope_numerator()
+    by_operators = line.num.deriv() * line.den - line.num * line.den.deriv()
+    by_operators = by_operators.trim(TRIM_TOL * float(np.max(np.abs(by_operators.coef))))
+    assert g.coef.tobytes() == by_operators.coef.tobytes()
+    candidates = g.roots()
+    x = candidates[np.isreal(candidates)].real
+    merged, duplicates = _merge_close(x[(x > 0.0) & (x < 1.0)], critical.MERGE_TOL)
+    roots = tuple((p, "max" if bend < 0 else "min" if bend > 0 else "saddle/flat")
+                  for p, bend in zip(merged, g.deriv()(np.array(merged))))
+    thr = critical.BOUNDARY_SLOPE_TOL * scale
+    slope0, slope1 = g(np.array([0.0, 1.0])) / line.den(np.array([0.0, 1.0])) ** 2
+    boundary = {0.0: critical._boundary_class(-slope0, thr),
+                1.0: critical._boundary_class(slope1, thr)}
+    return CriticalSet(roots, boundary, False, duplicates)
+
+
+def test_blind_path_on_coefficient_arrays_is_the_class_path_bit_for_bit():
+    rng = np.random.default_rng(53)
+    gammas = [float(rng.uniform(0.3, 0.99)) for _ in range(105)] + [1.0] * 15
+    n_roots = 0
+    for i, gamma in enumerate(gammas):
+        # dense alpha: every chain is unichain, also at gamma = 1
+        m = fixtures.random_model(rng, 2 + i % 7, 1, 2, gamma)
+        cs = blind_critical_points(m)
+        assert cs == _blind_by_class(m)
+        n_roots += cs.n_interior
+    assert n_roots >= 20
+
+
+def test_compose_of_a_one_observation_stack_is_the_matmul_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for ns, na, n in itertools.product((1, 2, 4, 8), (2, 3), (1, 7, 1000)):
+        beta = rng.random((ns, 1))
+        pis = rng.dirichlet(np.ones(na), size=(n, 1))
+        product = beta @ pis.transpose(1, 0, 2).reshape(1, n * na)
+        tau = compose(beta, pis)
+        assert tau.shape == (n, ns, na)
+        assert tau.tobytes() == product.reshape(ns, n, na).transpose(1, 0, 2).tobytes()
+
+
+def test_pinned_rows_are_the_delete_and_insert_rows_bit_for_bit():
+    rng = np.random.default_rng(61)
+    values = np.linspace(0.0, 1.0, 101)
+    for na in range(2, 6):
+        for a_idx in range(na):
+            for base in (rng.dirichlet(np.ones(na)), np.eye(na)[a_idx]):
+                rest = np.delete(base, a_idx)
+                total = rest.sum()
+                if total <= 1e-15:
+                    rest, total = np.ones_like(rest), rest.size
+                rows = np.insert(((1.0 - values)[:, None] * rest) / total, a_idx, values, axis=1)
+                assert critical._pinned_rows(base, a_idx, values).tobytes() == rows.tobytes()
 
 
 def _merge_close_loop(points, tol):
