@@ -40,6 +40,7 @@ from .model import (
     ModelFormatError,
     Policy,
     PomdpModel,
+    _csv_field,
     compose,
     load_model_text,
     validate,
@@ -246,7 +247,7 @@ def _parse_policy(text: str, model: PomdpModel) -> Policy:
         return Policy(kind, matrix)
     except (CliInputError, FileNotFoundError):
         raise
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CliInputError(f"cannot parse policy {text!r}: {exc}") from exc
 
 
@@ -314,7 +315,8 @@ def _cmd_freq(args) -> dict | str:
     tau = state_conditionals(model, pi)
     reward = float(np.sum(model.reward * freq.eta))
     if args.csv:
-        labels = [(s, a) for s in model.states for a in model.actions]
+        actions = [_csv_field(a) for a in model.actions]
+        labels = [(s, a) for s in map(_csv_field, model.states) for a in actions]
         values = zip(freq.eta.ravel().tolist(), np.repeat(freq.rho, model.n_actions).tolist())
         cells = tuple(itertools.chain.from_iterable(k + v for k, v in zip(labels, values)))
         template = "%s,%s,%.17g,%.17g\n" * (model.n_states * model.n_actions)
@@ -405,7 +407,8 @@ def _cmd_constraints(args) -> dict:
 
 
 def _cmd_faces(args) -> dict:
-    _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1))
+    _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1),
+              ("--seed", args.seed, 0))
     if not args.tol > 0.0:  # pinned constraints are rounding noise: 0 never certifies
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
     model = _load_model(args.model, args.gamma, args.mu)
@@ -448,6 +451,7 @@ def _cmd_bounds(args) -> dict:
             "inline --states/--actions/--d/--k"
         )
     if args.rank_one is not None:
+        _at_least(("--rank-one", args.rank_one, 1))
         k = args.rank_one
         t0, t1, t2 = crit.polar_degree_terms(k)
         return {
@@ -484,7 +488,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_project(args) -> str:
-    _at_least(("--samples", args.samples, 0), ("--points", args.points, 1))
+    _at_least(("--samples", args.samples, 0), ("--points", args.points, 1),
+              ("--seed", args.seed, 0))
     model = _load_model(args.model, args.gamma, args.mu)
     ns, no, na = model.n_states, model.n_observations, model.n_actions
     dim = ns * na

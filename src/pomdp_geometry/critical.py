@@ -8,8 +8,8 @@ number of critical points per face of the policy polytope for the general
 case.  A blind controller moves every state at once with p = pi(a1|o),
 a policy line on which every state varies.  The reward is then
 R(p) = N(p) / D(p), the exact `RewardLine` of :mod:`pomdp_geometry.rational`:
-N and D are polynomials of degree at most the number of states S,
-interpolated at S + 1 Chebyshev nodes.
+N and D are Chebyshev coefficient arrays of degree at most the number of
+states S, interpolated at S + 1 Chebyshev nodes.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from numpy.polynomial import chebyshev
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, _check_cap, _support, pseudoinverse
-from .model import Policy, PomdpModel, _resolve, compose
-from .rational import _line_form, _slope_coef
+from .model import Policy, PomdpModel, _csv_field, _resolve, compose
+from .rational import _line_form
 
 # interior roots closer than this are reported once
 MERGE_TOL = 1e-8
@@ -88,9 +88,9 @@ class CriticalSet:
 def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     """Locate all critical points of a blind two-action reward curve.
 
-    The reward is R = N / D with N and D polynomials of degree at most the number of
-    states, the exact reward line from p = 0 to p = 1, read as Chebyshev coefficient
-    arrays.  The critical points are the real roots in (0, 1) of its slope numerator g
+    The reward is R = N / D, the exact reward line from p = 0 to p = 1, with N and D
+    Chebyshev coefficient arrays of degree at most the number of states.  The critical
+    points are the real roots in (0, 1) of its `slope_numerator()` g = N'D - ND'
     (D > 0 for every gamma in (0, 1] on unichain lines), found by colleague matrix and
     classified by the sign of g', which is that of R''.  The endpoints are classified
     by the exact one-sided slopes R' = g / D^2.
@@ -123,7 +123,7 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
 
     # from the a2 vertex at p = 0 to the a1 vertex at p = 1, p = 0.5 (x + 1) on the series' x
     line = _line_form(model, *compose(model.beta, np.array([[[0.0, 1.0]], [[1.0, 0.0]]])))
-    g = _slope_coef(line.num.coef, line.den.coef)
+    g = line.slope_numerator()
     candidates = 0.5 + 0.5 * chebyshev.chebroots(g)
     x = candidates[np.isreal(candidates)].real
     x = x[(x > 0.0) & (x < 1.0)]
@@ -138,7 +138,7 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
 
     thr = BOUNDARY_SLOPE_TOL * scale
     ends = np.array([-1.0, 1.0])  # p = 0 and p = 1
-    slope0, slope1 = chebyshev.chebval(ends, g) / chebyshev.chebval(ends, line.den.coef) ** 2
+    slope0, slope1 = chebyshev.chebval(ends, g) / chebyshev.chebval(ends, line.den) ** 2
     return CriticalSet(
         interior_roots=tuple(roots),
         boundary={0.0: _boundary_class(-slope0, thr), 1.0: _boundary_class(slope1, thr)},
@@ -322,7 +322,7 @@ class ScanGrid:
     shape: tuple[int, ...]
 
     def to_csv(self) -> str:
-        headers = [f"pi[{a}|{o}]" for o, a in self.axes] + ["reward"]
+        headers = [_csv_field(f"pi[{a}|{o}]") for o, a in self.axes] + ["reward"]
         table = np.column_stack([self.coordinates, self.rewards])
         row = ",".join(["%.17g"] * table.shape[1]) + "\n"
         return ",".join(headers) + "\n" + row * len(table) % tuple(table.ravel().tolist())

@@ -285,7 +285,7 @@ def certified_etas(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     eta = _solve(model, taus)[..., None] * taus
     eta /= eta.sum(axis=(1, 2), keepdims=True)
     residual = fixed_point_residual(model, taus, eta)
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # NaN fails
         raise ArithmeticError(
             f"frequency solve left fixed-point residual {residual:.3e} > {RESIDUAL_TOL}")
     eta = _scrub(eta)

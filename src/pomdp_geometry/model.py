@@ -118,6 +118,14 @@ def _resolve(model: PomdpModel, kind: str, key) -> int:
     return int(key)
 
 
+def _csv_field(label: str) -> str:
+    """A label as one RFC 4180 field: quoted, its quotes doubled, only when it holds a comma,
+    a double quote, CR or LF, so plain labels keep their bytes."""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
 @dataclass(frozen=True, eq=False)
 class Policy:
     """A row-stochastic decision rule.
@@ -136,10 +144,10 @@ class Policy:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise ValueError(f"policy matrix must be 2-d, got shape {mat.shape}")
-        if np.min(mat) < -ROW_TOL:
-            raise ValueError(f"policy matrix has negative entry {np.min(mat)}")
+        if not np.min(mat) >= -ROW_TOL:  # written so that NaN fails
+            raise ValueError(f"policy matrix has NaN or negative entry {np.min(mat)}")
         rowdev = np.max(np.abs(mat.sum(axis=1) - 1.0))
-        if rowdev > ROW_TOL:
+        if not rowdev <= ROW_TOL:
             raise ValueError(f"policy rows must sum to 1 within {ROW_TOL}, worst deviation {rowdev}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -182,11 +190,11 @@ class Frequency:
 
 def check_frequency(eta: np.ndarray) -> None:
     """Raise ValueError unless each trailing (S, A) slice of eta is a distribution."""
-    if np.min(eta) < -FREQ_NEG_TOL:
-        raise ValueError(f"eta has negative entry {np.min(eta)}")
+    if not np.min(eta) >= -FREQ_NEG_TOL:  # written so that NaN fails
+        raise ValueError(f"eta has NaN or negative entry {np.min(eta)}")
     mass = eta.sum(axis=(-2, -1))
     worst = mass.flat[np.argmax(np.abs(mass - 1.0))]
-    if abs(worst - 1.0) > FREQ_SUM_TOL:
+    if not abs(worst - 1.0) <= FREQ_SUM_TOL:
         raise ValueError(f"eta must sum to 1 within {FREQ_SUM_TOL}, got {worst}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import Chebyshev, chebyshev
+from numpy.polynomial import chebyshev
 from numpy.polynomial import polynomial as pol
 
 # reward_of is unused: perfbench/test_smoke.py checks the tracer wraps this binding site
@@ -179,59 +179,58 @@ def _segment(start: np.ndarray, end: np.ndarray, ts) -> np.ndarray:
 
 
 class RewardLine(NamedTuple):
-    """The reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1], as two
-    Chebyshev series on [0, 1].  Called on a scalar or an array of lam it gives R, or
-    ErgodicityError where D vanishes to rounding (gamma = 1, e.g. a multichain vertex).
+    """The reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1], as read-only
+    Chebyshev coefficient arrays in x = 2 lam - 1.  Called on a scalar or an array of lam
+    it gives R, or ErgodicityError where D vanishes to rounding (gamma = 1, multichain).
 
     With M = I - gamma (p_lam - 1 mu^T) (the gamma = 1 system of the solver
     core, built in `freq._reward_line_terms`), rho^T M = mu^T for every gamma in
     (0, 1], and D = det(M) is det(I - gamma p_lam) / (1 - gamma) for gamma < 1
     (matrix determinant lemma), finite at gamma = 1.  Only the rows of the k
     states whose conditionals differ move with lam, so by Cramer's rule D
-    and N = R D have degree at most k = den.degree().
+    and N = R D have degree at most k = len(den) - 1.
     """
 
-    num: Chebyshev
-    den: Chebyshev
+    num: np.ndarray
+    den: np.ndarray
 
     def __call__(self, lam):
-        return self.num(lam) / self.denominator(lam)
+        num = chebyshev.chebval(-1.0 + 2.0 * np.asarray(lam), self.num)
+        return num / self.denominator(lam)
 
     def denominator(self, lam):
         """D at lam, or ErgodicityError where D vanishes to rounding."""
-        den = self.den(lam)
-        if np.any(np.abs(den) <= ZERO_DEN_TOL * np.max(np.abs(self.den.coef))):
+        den = chebyshev.chebval(-1.0 + 2.0 * np.asarray(lam), self.den)
+        if np.any(np.abs(den) <= ZERO_DEN_TOL * np.max(np.abs(self.den))):
             raise ErgodicityError("stationary distribution is not unique where D vanishes")
         return den
 
-    def slope_numerator(self) -> Chebyshev:
-        """g = N'D - ND', so R' = g / D^2, from `_slope_coef`; degree at most 2k - 2."""
-        return Chebyshev(_slope_coef(self.num.coef, self.den.coef), domain=[0, 1])
-
-
-def _slope_coef(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The one place g = N'D - ND' is formed: Chebyshev coefficients on [0, 1] (d/dlam = 2 d/dx)
-    from those of N and D, trimmed of noise that would send colleague roots to infinity."""
-    g = chebyshev.chebsub(chebyshev.chebmul(chebyshev.chebder(num, 1, 2.0), den),
-                          chebyshev.chebmul(num, chebyshev.chebder(den, 1, 2.0)))
-    return chebyshev.chebtrim(g, TRIM_TOL * float(np.max(np.abs(g))))
+    def slope_numerator(self) -> np.ndarray:
+        """g = N'D - ND' (R' = g / D^2, degree <= 2k - 2), formed only here: Chebyshev
+        coefficients on [0, 1] (d/dlam = 2 d/dx) trimmed of noise that sends roots to infinity."""
+        g = chebyshev.chebsub(chebyshev.chebmul(chebyshev.chebder(self.num, 1, 2.0), self.den),
+                              chebyshev.chebmul(self.num, chebyshev.chebder(self.den, 1, 2.0)))
+        return chebyshev.chebtrim(g, TRIM_TOL * float(np.max(np.abs(g))))
 
 
 def _line_form(model: PomdpModel, tau0: np.ndarray, tau1: np.ndarray) -> RewardLine:
-    """The RewardLine from tau0 to tau1 (see `reward_curve_on_line`), `chebinterpolate` inlined."""
+    """The RewardLine tau0 -> tau1 (`reward_curve_on_line`) as arrays, `chebinterpolate` inlined."""
     k = len(_differing_rows(tau0, tau1))
     x = chebyshev.chebpts1(k + 1)
     coef = np.dot(chebyshev.chebvander(x, k).T,
                   _reward_line_terms(model, _segment(tau0, tau1, 0.5 * (x + 1.0))))
     coef[0] /= k + 1
     coef[1:] /= 0.5 * (k + 1)
-    return RewardLine(*(Chebyshev(c, domain=[0, 1]) for c in coef.T))
+    coef = coef.T.copy()  # rows N and D, contiguous
+    coef.setflags(write=False)
+    return RewardLine(*coef)
 
 
 def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> RewardLine:
-    """The exact RewardLine along pi0 -> pi1: N and D interpolated at k + 1 interior
-    Chebyshev nodes from `freq._reward_line_terms`, one `batch_rewards` call (ErgodicityError
-    at gamma = 1 when a node's stationary law is not unique) and one batched determinant."""
+    """The exact RewardLine along pi0 -> pi1: the coefficient arrays of N and D, interpolated
+    at k + 1 interior Chebyshev nodes from `freq._reward_line_terms`, one `batch_rewards`
+    call (ErgodicityError at gamma = 1 when a node's stationary law is not unique) and one
+    batched determinant; numpy's `Chebyshev` class on domain [0, 1] reads them bit for bit."""
     if pi0.kind != pi1.kind:
         raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
     return _line_form(model, state_conditionals(model, pi0), state_conditionals(model, pi1))
@@ -252,7 +251,7 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
     differing = _differing_rows(pi0.matrix, pi1.matrix)
     tau0, tau1 = state_conditionals(model, pi0), state_conditionals(model, pi1)
     line = _line_form(model, tau0, tau1)
-    fitted = line.den.degree()
+    fitted = len(line.den) - 1
     witness = chebyshev_grid(fitted + 2)
     etas = certified_etas(model, _segment(tau0, tau1, witness))
     miss = float(np.max(np.abs(line(witness) - np.sum(etas * model.reward, axis=(1, 2)))))

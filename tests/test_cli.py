@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and byte-level determinism of the CLI."""
 
+import csv
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from pomdp_geometry.geometry import (
     feasibility_report,
     model_constraint_polynomials,
 )
-from pomdp_geometry.model import Policy, load_model_text, serialize_model
+from pomdp_geometry.model import Policy, _csv_field, load_model_text, serialize_model
 from pomdp_geometry.rational import _edge_blocks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -171,6 +172,42 @@ def test_bad_policy_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("policy, message", [
+    ("[[null, 1], [0, 1], [1, 0]]", "NaN or negative entry nan"),
+    ('[[{"a": 1}, 0], [0, 1], [1, 0]]', "float() argument must be"),
+], ids=["nan-entry", "dict-entry"])
+def test_unreadable_policy_entries_exit_two(capsys, policy, message):
+    # a null entry parses as NaN, a dict entry raises TypeError: both are the user's input
+    code, out = run(capsys, "freq", THREE_STATE, "--policy", policy)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "CliInputError"
+    assert error["message"].startswith(f"cannot parse policy {policy!r}: ")
+    assert message in error["message"]
+
+
+def test_csv_labels_round_trip_through_a_csv_reader(tmp_path, capsys):
+    # labels holding a comma, a double quote, CR or LF are quoted per RFC 4180, plain ones not
+    assert [_csv_field(label) for label in ("s1", "a\rb", "a\nb", 'a"b')] == [
+        "s1", '"a\rb"', '"a\nb"', '"a""b"']
+    labels = {"states": ["s,1", 's"2'], "observations": ['o"1', "o2"], "actions": ["a,1", "a2"]}
+    model = fixtures.two_state_model().replace(**labels)
+    path = tmp_path / "labels.json"
+    path.write_text(serialize_model(model))
+    code, out = run(capsys, "freq", str(path), "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == ["state", "action", "eta", "rho"]
+    assert {len(row) for row in rows} == {4}
+    assert [row[:2] for row in rows[1:]] == [[s, a] for s in labels["states"]
+                                             for a in labels["actions"]]
+    code, out = run(capsys, "scan", str(path), "--axes", 'o"1:a2,o2:a2', "--resolution", "2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == ['pi[a2|o"1]', "pi[a2|o2]", "reward"]
+    assert {len(row) for row in rows} == {3} and len(rows) == 5
+
+
 def test_mu_overrides(capsys):
     code, out = run(capsys, "freq", TWO_STATE, "--mu", "s2", "--policy", "det:a1,a1")
     assert code == 0
@@ -273,8 +310,12 @@ def test_faces_rejects_empty_requests(capsys, flag, value, least):
     (["faces", THREE_STATE, "--tol", "-1"], "--tol must be > 0, got -1.0"),
     (["faces", THREE_STATE, "--tol", "nan"], "--tol must be > 0, got nan"),
     (["faces", THREE_STATE, "--tol", "0"], "--tol must be > 0, got 0.0"),
+    (["faces", THREE_STATE, "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["project", THREE_STATE, "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["bounds", "--rank-one", "0"], "--rank-one must be >= 1, got 0"),
 ], ids=["project-samples", "project-points", "critical-grid", "oracle-tol-zero",
-        "oracle-tol-negative", "faces-tol-negative", "faces-tol-nan", "faces-tol-zero"])
+        "oracle-tol-negative", "faces-tol-negative", "faces-tol-nan", "faces-tol-zero",
+        "faces-seed", "project-seed", "bounds-rank-one"])
 def test_flag_out_of_range_exits_two(capsys, argv, message):
     code, out = run(capsys, *argv)
     assert code == 2
@@ -643,6 +684,7 @@ GOLDEN_JSON = [
                                 "--d", "2", "--k", "2"]),
     ("critical_blind_three_state_default", 0,
      ["critical", str(MODELS / "blind_three_state.json")]),
+    ("error_freq_nan_policy", 2, ["freq", THREE_STATE, "--policy", "[[null, 1], [0, 1], [1, 0]]"]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),

@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import critical, fixtures
@@ -290,13 +291,13 @@ def test_blind_scan_is_the_blind_line_bit_for_bit():
 
 def _blind_by_class(m, grid=10_000):
     """The blind critical set of a non-flat model through numpy's Chebyshev class: two
-    vertex Policy objects, `reward_curve_on_line`, `slope_numerator`, `deriv`, `roots`
-    and `line.den`, with the slope numerator checked against the class operators."""
+    vertex Policy objects, `reward_curve_on_line`, its arrays and `slope_numerator` as
+    series, `deriv` and `roots`, with the slope numerator checked against the class operators."""
     rewards = landscape_scan(m, [(0, 0)], resolution=grid + 1).rewards
     scale = max(1.0, float(np.max(np.abs(rewards))))
     line = reward_curve_on_line(m, Policy.deterministic([1], 2), Policy.deterministic([0], 2))
-    g = line.slope_numerator()
-    by_operators = line.num.deriv() * line.den - line.num * line.den.deriv()
+    g, num, den = (Chebyshev(c, domain=[0, 1]) for c in (line.slope_numerator(), *line))
+    by_operators = num.deriv() * den - num * den.deriv()
     by_operators = by_operators.trim(TRIM_TOL * float(np.max(np.abs(by_operators.coef))))
     assert g.coef.tobytes() == by_operators.coef.tobytes()
     candidates = g.roots()
@@ -305,7 +306,7 @@ def _blind_by_class(m, grid=10_000):
     roots = tuple((p, "max" if bend < 0 else "min" if bend > 0 else "saddle/flat")
                   for p, bend in zip(merged, g.deriv()(np.array(merged))))
     thr = critical.BOUNDARY_SLOPE_TOL * scale
-    slope0, slope1 = g(np.array([0.0, 1.0])) / line.den(np.array([0.0, 1.0])) ** 2
+    slope0, slope1 = g(np.array([0.0, 1.0])) / den(np.array([0.0, 1.0])) ** 2
     boundary = {0.0: critical._boundary_class(-slope0, thr),
                 1.0: critical._boundary_class(slope1, thr)}
     return CriticalSet(roots, boundary, False, duplicates)

@@ -634,6 +634,15 @@ def test_certified_etas_refuses_a_solve_off_the_fixed_point(monkeypatch):
         certified_etas(m, taus)
 
 
+def test_certified_etas_refuses_a_nan_residual():
+    # one NaN conditional leaves a NaN solve and a NaN residual, which fails the check
+    m = fixtures.random_model(np.random.default_rng(41), 4, 3, 3, 0.9)
+    taus = compose(m.beta, np.random.default_rng(42).dirichlet(np.ones(3), size=(4, 3)))
+    taus[1, 2, 0] = np.nan
+    with pytest.raises(ArithmeticError, match=r"fixed-point residual nan > 1e-10"):
+        certified_etas(m, taus)
+
+
 # --------------------------------------------------------------------------
 # the S x S solve primitive: one batched elimination up to SMALL_STATES, LAPACK above
 

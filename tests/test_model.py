@@ -191,6 +191,26 @@ def test_policy_constructors_and_row_checks():
         Policy("belief", np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("matrix", [[[np.nan, 1.0], [0.0, 1.0]], [[np.nan, np.nan]],
+                                    [[np.inf, 0.0]], [[np.inf, -np.inf]]],
+                         ids=["one-nan", "all-nan", "inf", "inf-minus-inf"])
+def test_policy_refuses_non_finite_entries(matrix):
+    # each refusal is written so that a NaN comparison fails it
+    with pytest.raises(ValueError, match="NaN or negative entry|sum to 1"):
+        Policy("observation", np.array(matrix))
+
+
+@pytest.mark.parametrize("eta", [np.full((2, 2), np.nan), np.array([[np.nan, 1.0], [0.0, 0.0]]),
+                                 np.stack([np.full((2, 2), 0.25), np.full((2, 2), np.nan)])],
+                         ids=["all-nan", "one-nan", "batch"])
+def test_frequency_checks_refuse_nan(eta):
+    with pytest.raises(ValueError, match="NaN or negative entry nan"):
+        model_module.check_frequency(eta)
+    if eta.ndim == 2:
+        with pytest.raises(ValueError, match="NaN or negative entry nan"):
+            Frequency(eta)
+
+
 def test_frequency_invariants():
     f = Frequency.from_eta(np.array([[0.75, 0.0], [0.25, 0.0]]))
     assert_allclose(f.rho, [0.75, 0.25])

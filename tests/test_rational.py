@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, rational
@@ -140,7 +141,7 @@ def test_line_degree_certificate_checks_exact_form(gamma):
         assert cert.fitted_degree <= cert.bound
         assert len(cert.witness_grid) == cert.fitted_degree + 2
         tau0, tau1 = state_conditionals(m, pi0), state_conditionals(m, pi1)
-        num, den = _line_form(m, tau0, tau1)
+        num, den = (Chebyshev(c, domain=[0, 1]) for c in _line_form(m, tau0, tau1))
         for x in cert.witness_grid:
             direct = np.sum(m.reward * eta_for_tau(m, tau0 + x * (tau1 - tau0)))
             assert num(x) / den(x) == pytest.approx(direct, rel=0, abs=1e-9)
@@ -151,13 +152,13 @@ def test_line_degree_certificate_checks_exact_form(gamma):
         direct = batch_rewards(m, rational._segment(tau0, tau1, xs))
         assert np.max(np.abs(line(xs) - direct)) <= 1e-12 * scale
         # g = N'D - ND' loses its leading term: degree at most 2k - 2
-        g = line.slope_numerator()
-        assert g.degree() <= max(0, 2 * line.den.degree() - 2)
+        g, den = (Chebyshev(c, domain=[0, 1]) for c in (line.slope_numerator(), line.den))
+        assert g.degree() <= max(0, 2 * den.degree() - 2)
         # R' = g / D^2 against central differences of direct solves
         inner, h = np.linspace(0.05, 0.95, 7), 1e-5
         lo, hi = (batch_rewards(m, rational._segment(tau0, tau1, inner + d)) for d in (-h, h))
         central = (hi - lo) / (2 * h)
-        assert np.max(np.abs(g(inner) / line.den(inner) ** 2 - central)) <= 1e-8 * scale
+        assert np.max(np.abs(g(inner) / den(inner) ** 2 - central)) <= 1e-8 * scale
 
 
 def test_line_degree_certificate_fails_when_direct_solves_disagree(monkeypatch):
