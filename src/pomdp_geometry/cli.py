@@ -3,10 +3,12 @@
 Each subcommand returns its document: a dict that `emit_json` renders, or the
 CSV text of `freq --csv`, `scan` and `project`.  `main` alone writes stdout,
 once per call, and maps exceptions to exit codes through one refusal map:
-0 on success; 2 for input-side problems (`INPUT_ERRORS`: unreadable files,
-malformed models or flags, models that fail validation); 1 for computational
-failures inside an analysis (`COMPUTE_ERRORS`: rank deficiencies, ergodicity
-problems, solver failures, fits or certifications that do not converge).
+0 on success; 2 for input-side problems (`INPUT_ERRORS`: unreadable files, models
+that fail validation, and every `InputError`: malformed models, flags or policies, and
+arguments a library function refuses); 1 for computational failures inside an
+analysis (`COMPUTE_ERRORS`: rank deficiencies, size caps, ergodicity problems, solver
+failures, fits or certifications that do not converge).  Any other exception, an
+untyped `ValueError` included, is a bug and propagates.
 Errors are reported as a single JSON object on stdout so callers can parse them.
 All floating-point output is rendered with 17 significant digits, which
 makes repeated runs byte-identical for identical inputs and seeds; JSON
@@ -37,7 +39,7 @@ from .freq import (
     value_bundle,
 )
 from .model import (
-    ModelFormatError,
+    InputError,
     Policy,
     PomdpModel,
     _csv_field,
@@ -46,10 +48,6 @@ from .model import (
     validate,
 )
 from .rational import _edge_blocks, _edge_count
-
-
-class CliInputError(ValueError):
-    """Malformed command-line input (flags, inline matrices, labels)."""
 
 
 class _Refused(Exception):
@@ -64,18 +62,18 @@ class _Refused(Exception):
 # the refusal map: main reports these with exit code 2 ...
 INPUT_ERRORS = (
     _Refused,
-    ModelFormatError,
-    CliInputError,
+    InputError,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
     UnicodeDecodeError,
-    json.JSONDecodeError,
 )
 
-# ... and these with exit code 1; the typed errors (RankError, SizeCapError,
-# CertificationError, DegreeFitError, LinAlgError) subclass ArithmeticError or ValueError
-COMPUTE_ERRORS = (ErgodicityError, ArithmeticError, ValueError)
+# ... and these with exit code 1 (CertificationError and DegreeFitError are
+# ArithmeticErrors); RankError, SizeCapError and LinAlgError are ValueErrors, named
+# here so that no other ValueError passes for a refusal
+COMPUTE_ERRORS = (ErgodicityError, ArithmeticError, geom.RankError, geom.SizeCapError,
+                  np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +200,12 @@ def _parse_mu(text: str, model: PomdpModel) -> np.ndarray:
     try:
         values = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
-        raise CliInputError(
+        raise InputError(
             f"--mu must be 'uniform', a state label, or comma-separated "
             f"numbers; got {text!r}"
         ) from exc
     if values.shape != (model.n_states,):
-        raise CliInputError(
+        raise InputError(
             f"--mu has {values.size} entries but the model has "
             f"{model.n_states} states"
         )
@@ -216,15 +214,14 @@ def _parse_mu(text: str, model: PomdpModel) -> np.ndarray:
 
 def _parse_policy(text: str, model: PomdpModel) -> Policy:
     n_obs, n_act = model.n_observations, model.n_actions
+    if text == "uniform":
+        return Policy.uniform(n_obs, n_act)
+    labels = text[4:].split(",") if text.startswith("det:") else None
+    if labels is not None and len(labels) != n_obs:
+        raise InputError(f"det: policy needs {n_obs} action labels, got {len(labels)}")
+    # a failure to read, parse or build the policy is reported with its text
     try:
-        if text == "uniform":
-            return Policy.uniform(n_obs, n_act)
-        if text.startswith("det:"):
-            labels = text[4:].split(",")
-            if len(labels) != n_obs:
-                raise CliInputError(
-                    f"det: policy needs {n_obs} action labels, got {len(labels)}"
-                )
+        if labels is not None:
             indices = [model.action_index(lbl.strip()) for lbl in labels]
             return Policy.deterministic(indices, n_act)
         if text.lstrip().startswith(("[", "{")):
@@ -239,16 +236,12 @@ def _parse_policy(text: str, model: PomdpModel) -> Policy:
             kind = "observation"
             matrix = np.array(payload, dtype=float)
         expected_rows = n_obs if kind == "observation" else model.n_states
-        if matrix.shape != (expected_rows, n_act):
-            raise CliInputError(
-                f"policy matrix must be {expected_rows} x {n_act} for kind "
-                f"{kind!r}; got {matrix.shape}"
-            )
-        return Policy(kind, matrix)
-    except (CliInputError, FileNotFoundError):
-        raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot parse policy {text!r}: {exc}") from exc
+        if matrix.shape == (expected_rows, n_act):
+            return Policy(kind, matrix)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot parse policy {text!r}: {exc}") from exc
+    raise InputError(f"policy matrix must be {expected_rows} x {n_act} for kind "
+                     f"{kind!r}; got {matrix.shape}")
 
 
 def _parse_pairs(text: str, what: str, shape: str, first_index,
@@ -258,33 +251,21 @@ def _parse_pairs(text: str, what: str, shape: str, first_index,
     for chunk in text.split(","):
         parts = [part.strip() for part in chunk.strip().split(":")]
         if len(parts) != 2:
-            raise CliInputError(f"{what} {chunk!r} must look like {shape}")
+            raise InputError(f"{what} {chunk!r} must look like {shape}")
         try:
             first_index(parts[0])
             second_index(parts[1])
-        except KeyError as exc:
-            raise CliInputError(str(exc)) from exc
+        except KeyError as exc:  # its str() is the repr of the message
+            raise InputError(exc.args[0]) from exc
         pairs.append(tuple(parts))
     return pairs
 
 
 def _at_least(*checks) -> None:
-    """CliInputError for the first (flag, value, least) whose value is set and
-    not >= least (NaN included)."""
+    """InputError for the first (flag, value, least) whose value is not >= least."""
     for flag, value, least in checks:
-        if value is not None and not value >= least:
-            raise CliInputError(f"{flag} must be >= {least}, got {value}")
-
-
-def _as_input_error(call, *args):
-    """call(*args), with a ValueError of the library reported as the user's CliInputError;
-    size caps, rank deficiencies and solver failures stay computational failures."""
-    try:
-        return call(*args)
-    except (geom.SizeCapError, geom.RankError, np.linalg.LinAlgError):
-        raise
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+        if not value >= least:
+            raise InputError(f"{flag} must be >= {least}, got {value}")
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -293,7 +274,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise CliInputError(f"{flag} must be comma-separated integers") from exc
+        raise InputError(f"{flag} must be comma-separated integers") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +327,7 @@ def _cmd_scan(args) -> str:
     axes = _parse_pairs(args.axes, "axis", "observation:action",
                         model.observation_index, model.action_index)
     base = _parse_policy(args.policy, model) if args.policy else None
-    return _as_input_error(crit.landscape_scan, model, axes, args.resolution, base).to_csv()
+    return crit.landscape_scan(model, axes, args.resolution, base).to_csv()
 
 
 def _spliced_terms(poly, matrices: dict, numbers: dict) -> _Spliced:
@@ -407,10 +388,6 @@ def _cmd_constraints(args) -> dict:
 
 
 def _cmd_faces(args) -> dict:
-    _at_least(("--max-dim", args.max_dim, 0), ("--samples", args.samples, 1),
-              ("--seed", args.seed, 0))
-    if not args.tol > 0.0:  # pinned constraints are rounding noise: 0 never certifies
-        raise CliInputError(f"--tol must be > 0, got {args.tol}")
     model = _load_model(args.model, args.gamma, args.mu)
     lattice = geom.face_lattice(
         model,
@@ -436,7 +413,6 @@ def _cmd_faces(args) -> dict:
 
 
 def _cmd_critical(args) -> dict:
-    _at_least(("--grid", args.grid, crit.MIN_GRID_CELLS))
     model = _load_model(args.model, args.gamma, args.mu)
     return crit.blind_critical_points(model, grid=args.grid).to_dict()
 
@@ -446,12 +422,11 @@ def _cmd_bounds(args) -> dict:
         [args.rank_one is not None, args.model is not None, args.d is not None]
     )
     if modes != 1:
-        raise CliInputError(
+        raise InputError(
             "choose exactly one of --rank-one, --model with --active, or "
             "inline --states/--actions/--d/--k"
         )
     if args.rank_one is not None:
-        _at_least(("--rank-one", args.rank_one, 1))
         k = args.rank_one
         t0, t1, t2 = crit.polar_degree_terms(k)
         return {
@@ -464,20 +439,17 @@ def _cmd_bounds(args) -> dict:
         active = (_parse_pairs(args.active, "active pair", "action:observation",
                                model.action_index, model.observation_index)
                   if args.active else [])
-        inputs = _as_input_error(crit.BoundInput.from_model, model, active)
+        inputs = crit.BoundInput.from_model(model, active)
     else:
         if args.states is None or args.actions is None or args.k is None:
-            raise CliInputError(
+            raise InputError(
                 "inline mode needs --states, --actions, --d and --k"
             )
         degrees = _parse_int_list(args.d, "--d")
         mults = _parse_int_list(args.k, "--k")
-        if len(degrees) != len(mults):
-            raise CliInputError("--d and --k must have the same length")
-        _at_least(("--states", args.states, 1), ("--actions", args.actions, 1),
-                  *(("--d", d, 1) for d in degrees), *(("--k", k, 1) for k in mults))
-        inputs = _as_input_error(crit.BoundInput.from_counts, args.states, args.actions,
-                                 {f"o{i + 1}": k for i, k in enumerate(mults)}, degrees)
+        inputs = crit.BoundInput.from_counts(args.states, args.actions,
+                                             {f"o{i + 1}": k for i, k in enumerate(mults)},
+                                             degrees)
     return {
         "active_set": [list(pair) for pair in inputs.active_set],
         "degrees": list(inputs.degrees),
@@ -494,7 +466,7 @@ def _cmd_project(args) -> str:
     ns, no, na = model.n_states, model.n_observations, model.n_actions
     dim = ns * na
     if dim < 3:
-        raise CliInputError(
+        raise InputError(
             "3-d projection needs at least 3 state-action pairs"
         )
     edge_rows = (_edge_count(no, na) + _edge_count(ns, na)) * args.points
@@ -522,8 +494,6 @@ def _cmd_project(args) -> str:
 
 
 def _cmd_oracle(args) -> dict:
-    if not args.tol > 0.0:
-        raise CliInputError(f"--tol must be > 0, got {args.tol}")
     model = _load_model(args.model, args.gamma, args.mu)
     pi = _parse_policy(args.policy, model)
     freq = state_action_frequency(model, pi)

@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, _check_cap, _support, pseudoinverse
-from .model import Policy, PomdpModel, _csv_field, _resolve, compose
+from .model import InputError, Policy, PomdpModel, _csv_field, _resolve, compose
 from .rational import _line_form
 
 # interior roots closer than this are reported once
@@ -102,12 +102,12 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     :class:`ArithmeticError` is raised rather than returning a suspect answer.
     """
     if model.n_observations != 1 or model.n_actions != 2:
-        raise ValueError(
+        raise InputError(
             "exact enumeration needs a single observation and two actions; "
             f"got {model.n_observations} observations, {model.n_actions} actions"
         )
     if grid < MIN_GRID_CELLS:
-        raise ValueError(f"grid must have at least {MIN_GRID_CELLS} cells")
+        raise InputError(f"grid must be >= {MIN_GRID_CELLS}, got {grid}")
 
     scan = landscape_scan(model, [(0, 0)], resolution=grid + 1)
     ps, rewards = scan.coordinates[:, 0], scan.rewards
@@ -223,16 +223,26 @@ class BoundInput:
                     degrees) -> "BoundInput":
         """The face of an S-state, A-action model that pins ``pinned[o]`` actions of each
         active observation o (in observation order, with constraint ``degrees``), its
-        pinned actions labelled (a*1, o), (a*2, o), ...; ValueError if the face is empty."""
+        pinned actions labelled (a*1, o), (a*2, o), ...; InputError if a count or degree
+        is below 1 or the face is empty."""
+        degrees = tuple(degrees)
+        if len(degrees) != len(pinned):
+            raise InputError(f"degrees has {len(degrees)} entries for {len(pinned)} "
+                             "pinned observations")
+        for name, value in (("n_states", n_states), ("n_actions", n_actions),
+                            *((f"pinned[{o!r}]", k) for o, k in pinned.items()),
+                            *((f"degrees[{i}]", d) for i, d in enumerate(degrees))):
+            if value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
         for obs, count in pinned.items():
             if count >= n_actions:
-                raise ValueError(f"all actions pinned to zero for observation {obs}: "
+                raise InputError(f"all actions pinned to zero for observation {obs}: "
                                  "the face is empty")
         m = n_states * (n_actions - 1) - sum(pinned.values())
         if m < 0:
-            raise ValueError("more pinned entries than policy dimensions")
+            raise InputError("more pinned entries than policy dimensions")
         labels = tuple((f"a*{j + 1}", obs) for obs, count in pinned.items() for j in range(count))
-        return cls(labels, tuple(degrees), tuple(pinned.values()), m)
+        return cls(labels, degrees, tuple(pinned.values()), m)
 
     @classmethod
     def from_model(cls, model: PomdpModel, active_set) -> "BoundInput":
@@ -246,7 +256,7 @@ class BoundInput:
         pairs = sorted((_resolve(model, "observation", o), _resolve(model, "action", a))
                        for a, o in active_set)
         if len(set(pairs)) != len(pairs):
-            raise ValueError("active set contains repeated pairs")
+            raise InputError("active set contains repeated pairs")
         per_obs = Counter(o for o, _ in pairs)
         inputs = cls.from_counts(model.n_states, model.n_actions,
                                  {model.observations[o]: k for o, k in per_obs.items()},
@@ -291,7 +301,7 @@ def polar_degree_terms(k: int) -> tuple[int, int, int]:
     where the intermediate factorial expressions would be undefined.
     """
     if k < 1:
-        raise ValueError("k must be a positive integer")
+        raise InputError(f"k must be >= 1, got {k}")
     t0 = (k + 1) * k * k // 2
     t1 = k * k * (k - 1) + 2 * k
     t2 = 2 * k + k * (k - 1) * (k - 2) // 2
@@ -353,11 +363,11 @@ def landscape_scan(
     """
     pairs = [(_resolve(model, "observation", o), _resolve(model, "action", a)) for o, a in axes]
     if not 1 <= len(pairs) <= 2:
-        raise ValueError("axes must contain one or two (observation, action) pairs")
+        raise InputError("axes must contain one or two (observation, action) pairs")
     if len({o for o, _ in pairs}) != len(pairs):
-        raise ValueError("axes must address distinct observations")
+        raise InputError("axes must address distinct observations")
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise InputError("resolution must be at least 2")
     _check_cap(resolution ** len(pairs), f"scanning {resolution}^{len(pairs)} points")
     if base_policy is None:
         base_policy = Policy.uniform(model.n_observations, model.n_actions)
@@ -365,7 +375,7 @@ def landscape_scan(
         model.n_observations,
         model.n_actions,
     ):
-        raise ValueError("base_policy must be an observation policy for this model")
+        raise InputError("base_policy must be an observation policy for this model")
 
     ticks = np.linspace(0.0, 1.0, resolution)
     grids = np.meshgrid(*([ticks] * len(pairs)), indexing="ij")

@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import Frequency, PomdpModel, Policy, check_frequency, state_conditionals
+from .model import Frequency, InputError, PomdpModel, Policy, check_frequency, state_conditionals
 
 RESIDUAL_TOL = 1e-10    # fixed-point residual any returned frequency must meet
 ERGODICITY_TOL = 1e-8   # singular-value threshold for stationary-space dimension
@@ -236,9 +236,9 @@ def _scrub(eta: np.ndarray) -> np.ndarray:
 
 
 def _check_visits(model: PomdpModel, what: str) -> None:
-    """ValueError unless every policy visits every state: gamma < 1 with mu > 0, or alpha > 0."""
+    """InputError unless every policy visits every state: gamma < 1 with mu > 0, or alpha > 0."""
     if not (model.gamma < 1.0 and np.all(model.mu > 0.0)) and not np.all(model.alpha > 0.0):
-        raise ValueError(
+        raise InputError(
             f"{what} requires every policy to visit every state: need gamma < 1 with "
             "positive mu, or a positive transition kernel")
 
@@ -319,9 +319,9 @@ def _push(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def truncation_length(gamma: float, tol: float) -> int:
     """Number of terms after which the tail of the discounted series is below tol."""
     if not (0.0 < gamma < 1.0):
-        raise ValueError(f"truncation length needs gamma in (0,1), got {gamma}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise InputError(f"truncation length needs gamma in (0,1), got {gamma}")
+    if not tol > 0.0:  # NaN fails
+        raise InputError(f"tol must be > 0, got {tol}")
     return max(0, math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma)))
 
 
@@ -337,8 +337,8 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
     a tol that trend cannot meet by the step cap is refused early).
     P^T is applied by `_push`; beyond MAX_SERIES_STEPS steps it raises ArithmeticError.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not tol > 0.0:  # NaN fails: it would run every step of the cap before refusing
+        raise InputError(f"tol must be > 0, got {tol}")
     tau = state_conditionals(model, pi)
     start = model.mu[:, None] * tau
     if model.gamma < 1.0:
@@ -415,9 +415,9 @@ def policy_gradient(model: PomdpModel, pi: Policy) -> GradientBundle:
     first access.
     """
     if model.gamma >= 1.0:
-        raise ValueError("policy_gradient requires gamma < 1")
+        raise InputError("policy_gradient requires gamma < 1")
     if pi.kind != "observation":
-        raise ValueError(f"policy_gradient needs an observation policy, got kind {pi.kind!r}")
+        raise InputError(f"policy_gradient needs an observation policy, got kind {pi.kind!r}")
     tau = state_conditionals(model, pi)
     rho = _solve(model, tau[None])[0]
     grad = (model.beta * rho[:, None]).T @ _values(model, tau)[1]

@@ -25,7 +25,7 @@ from itertools import chain, compress, islice, product, repeat
 import numpy as np
 
 from .freq import BLOCK_ENTRIES, _block_len, _check_visits, certified_etas
-from .model import PomdpModel, compose
+from .model import InputError, PomdpModel, compose
 
 # support cutoff for pseudo-inverse entries when building polynomial
 # constraints; entries within NEAR_ZERO_FACTOR of the cutoff trigger a
@@ -93,9 +93,9 @@ class HalfspaceSystem:
         rows = np.asarray(self.rows, dtype=float)
         rhs = np.asarray(self.rhs, dtype=float)
         if rows.ndim != 3 or rhs.ndim != 1 or rows.shape[0] != rhs.shape[0]:
-            raise ValueError("rows must be (m, S, A) with matching rhs (m,)")
+            raise InputError("rows must be (m, S, A) with matching rhs (m,)")
         if len(self.labels) != rows.shape[0]:
-            raise ValueError("one label per row required")
+            raise InputError("one label per row required")
         rows.flags.writeable = False
         rhs.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -163,7 +163,7 @@ def pseudoinverse(beta: np.ndarray) -> np.ndarray:
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2:
-        raise ValueError("beta must be a (states, observations) matrix")
+        raise InputError("beta must be a (states, observations) matrix")
     u, sigma, vt = np.linalg.svd(beta, full_matrices=False)
     full = np.append(sigma, np.zeros(beta.shape[1] - len(sigma)))  # O - S more zeros if O > S
     if full[0] == 0.0 or np.min(full) <= RANK_TOL * full[0]:
@@ -252,7 +252,7 @@ class PolynomialConstraint:
     def __post_init__(self):
         coeff = np.asarray(self.coeff, dtype=float)
         if coeff.shape != (len(self.support_states), self.n_actions):
-            raise ValueError("coeff must be (len(support_states), n_actions)")
+            raise InputError("coeff must be (len(support_states), n_actions)")
         coeff.flags.writeable = False
         object.__setattr__(self, "coeff", coeff)
 
@@ -364,7 +364,7 @@ def transfer_inequality(
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
-        raise ValueError("b must be a (states, actions) matrix")
+        raise InputError("b must be a (states, actions) matrix")
     ns, na = b.shape
     support = _support(b)
     if label is None:
@@ -390,6 +390,7 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
     on.
     """
     beta = np.asarray(beta, dtype=float)
+    pinv = pseudoinverse(beta)
     ns, no = beta.shape
     if isinstance(actions, (int, np.integer)):
         action_labels = [f"a{i + 1}" for i in range(int(actions))]
@@ -398,7 +399,6 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
     na = len(action_labels)
     if obs_names is None:
         obs_names = [f"o{i + 1}" for i in range(no)]
-    pinv = pseudoinverse(beta)
 
     fragile = (np.abs(pinv) > SUPPORT_TOL) & (np.abs(pinv) <= NEAR_ZERO_FACTOR * SUPPORT_TOL)
     if np.any(fragile):
@@ -604,11 +604,13 @@ def face_lattice(
     """
     no, na = model.n_observations, model.n_actions
     if max_dim is not None and max_dim < 0:
-        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
+        raise InputError(f"max_dim must be >= 0, got {max_dim}")
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise InputError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if not tol > 0.0:  # pinned constraints evaluate to rounding noise, never to exactly 0
-        raise ValueError(f"tol must be > 0, got {tol}")
+        raise InputError(f"tol must be > 0, got {tol}")
     if no * na > FACE_COORD_CAP:
         raise SizeCapError(f"face lattice over {no * na} policy coordinates exceeds the "
                            f"cap of {FACE_COORD_CAP}")

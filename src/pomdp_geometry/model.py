@@ -28,7 +28,13 @@ FREQ_NEG_TOL = 1e-12  # how negative a frequency entry may be
 _MODEL_KEYS = ("states", "observations", "actions", "alpha", "beta", "reward", "gamma", "mu")
 
 
-class ModelFormatError(ValueError):
+class InputError(ValueError):
+    """An argument outside what a function accepts (a kind, shape or range), or a model
+    outside the function's documented domain.  Computational failures have their own
+    types (`RankError`, `SizeCapError`, `ErgodicityError`, `ArithmeticError`)."""
+
+
+class ModelFormatError(InputError):
     """A model document is structurally malformed (message names the offending path)."""
 
 
@@ -56,7 +62,7 @@ class PomdpModel:
         ):
             arr = np.asarray(value, dtype=float)
             if arr.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+                raise InputError(f"{name}: expected shape {shape}, got {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -140,15 +146,15 @@ class Policy:
 
     def __post_init__(self):
         if self.kind not in ("observation", "state"):
-            raise ValueError(f"policy kind must be 'observation' or 'state', got {self.kind!r}")
+            raise InputError(f"policy kind must be 'observation' or 'state', got {self.kind!r}")
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2:
-            raise ValueError(f"policy matrix must be 2-d, got shape {mat.shape}")
+            raise InputError(f"policy matrix must be 2-d, got shape {mat.shape}")
         if not np.min(mat) >= -ROW_TOL:  # written so that NaN fails
-            raise ValueError(f"policy matrix has NaN or negative entry {np.min(mat)}")
+            raise InputError(f"policy matrix has NaN or negative entry {np.min(mat)}")
         rowdev = np.max(np.abs(mat.sum(axis=1) - 1.0))
         if not rowdev <= ROW_TOL:
-            raise ValueError(f"policy rows must sum to 1 within {ROW_TOL}, worst deviation {rowdev}")
+            raise InputError(f"policy rows must sum to 1 within {ROW_TOL}, worst deviation {rowdev}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -174,7 +180,7 @@ class Frequency:
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 2:
-            raise ValueError(f"eta must be 2-d, got shape {eta.shape}")
+            raise InputError(f"eta must be 2-d, got shape {eta.shape}")
         check_frequency(eta)
         rho = eta.sum(axis=1)
         eta.setflags(write=False)
@@ -189,13 +195,13 @@ class Frequency:
 
 
 def check_frequency(eta: np.ndarray) -> None:
-    """Raise ValueError unless each trailing (S, A) slice of eta is a distribution."""
+    """Raise InputError unless each trailing (S, A) slice of eta is a distribution."""
     if not np.min(eta) >= -FREQ_NEG_TOL:  # written so that NaN fails
-        raise ValueError(f"eta has NaN or negative entry {np.min(eta)}")
+        raise InputError(f"eta has NaN or negative entry {np.min(eta)}")
     mass = eta.sum(axis=(-2, -1))
     worst = mass.flat[np.argmax(np.abs(mass - 1.0))]
     if not abs(worst - 1.0) <= FREQ_SUM_TOL:
-        raise ValueError(f"eta must sum to 1 within {FREQ_SUM_TOL}, got {worst}")
+        raise InputError(f"eta must sum to 1 within {FREQ_SUM_TOL}, got {worst}")
 
 
 @dataclass(frozen=True)
@@ -352,10 +358,10 @@ def effective_policy(pi: Policy, beta: np.ndarray) -> Policy:
     Returns the state policy tau with tau(a|s) = sum_o beta(o|s) pi(a|o).
     """
     if pi.kind != "observation":
-        raise ValueError(f"effective_policy needs an observation policy, got kind {pi.kind!r}")
+        raise InputError(f"effective_policy needs an observation policy, got kind {pi.kind!r}")
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 2 or beta.shape[1] != pi.matrix.shape[0]:
-        raise ValueError(
+        raise InputError(
             f"beta shape {beta.shape} is incompatible with a policy over "
             f"{pi.matrix.shape[0]} observations")
     return Policy("state", compose(beta, pi.matrix))
@@ -379,12 +385,12 @@ def state_conditionals(model: PomdpModel, pi: Policy) -> np.ndarray:
     """The S x A action-conditional matrix tau induced by pi (composing with beta if needed)."""
     if pi.kind == "observation":
         if pi.matrix.shape != (model.n_observations, model.n_actions):
-            raise ValueError(
+            raise InputError(
                 f"observation policy shape {pi.matrix.shape} does not match "
                 f"({model.n_observations}, {model.n_actions})")
         return compose(model.beta, pi.matrix)
     if pi.matrix.shape != (model.n_states, model.n_actions):
-        raise ValueError(
+        raise InputError(
             f"state policy shape {pi.matrix.shape} does not match "
             f"({model.n_states}, {model.n_actions})")
     return pi.matrix

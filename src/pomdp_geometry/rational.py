@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as pol
 from .freq import (BLOCK_ENTRIES, ErgodicityError, _block_len, _check_visits,  # noqa: F401
                    _reward_line_terms, batch_rewards, certified_etas, conditioning_inverse,
                    reward_of, state_action_frequency)
-from .model import Frequency, PomdpModel, Policy, _resolve, compose, state_conditionals
+from .model import Frequency, InputError, PomdpModel, Policy, _resolve, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 LINE_MISS_TOL = 1e-7      # an exact line may miss direct solves by this share of the reward scale
@@ -56,7 +56,7 @@ class RationalCurve:
         num = np.atleast_1d(np.asarray(self.num, dtype=float))
         den = np.atleast_1d(np.asarray(self.den, dtype=float))
         if not np.any(den != 0.0):
-            raise ValueError("denominator must not be identically zero")
+            raise InputError("denominator must not be identically zero")
         num.setflags(write=False)
         den.setflags(write=False)
         object.__setattr__(self, "num", num)
@@ -80,7 +80,7 @@ class DegreeCertificate:
 
     def __post_init__(self):
         if self.fitted_degree > self.bound:
-            raise ValueError(
+            raise InputError(
                 f"fitted degree {self.fitted_degree} exceeds the bound {self.bound}")
 
 
@@ -115,7 +115,7 @@ def fit_rational_curve(f: Callable[[np.ndarray], np.ndarray], max_degree: int) -
     num/den root in [0, 1] within 1e-6.
     """
     if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+        raise InputError(f"max_degree must be >= 0, got {max_degree}")
     best_residual = np.inf
     for k in range(max_degree + 1):
         nodes = chebyshev_grid(4 * (k + 1))
@@ -232,7 +232,7 @@ def reward_curve_on_line(model: PomdpModel, pi0: Policy, pi1: Policy) -> RewardL
     call (ErgodicityError at gamma = 1 when a node's stationary law is not unique) and one
     batched determinant; numpy's `Chebyshev` class on domain [0, 1] reads them bit for bit."""
     if pi0.kind != pi1.kind:
-        raise ValueError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
+        raise InputError(f"policies must share a kind, got {pi0.kind!r} and {pi1.kind!r}")
     return _line_form(model, state_conditionals(model, pi0), state_conditionals(model, pi1))
 
 
@@ -247,7 +247,7 @@ def line_degree_certificate(model: PomdpModel, pi0: Policy, pi1: Policy) -> Degr
     reward scale raises DegreeFitError.  Valid for every gamma in (0, 1].
     """
     if pi0.kind != "observation" or pi1.kind != "observation":
-        raise ValueError("line_degree_certificate needs observation policies")
+        raise InputError("line_degree_certificate needs observation policies")
     differing = _differing_rows(pi0.matrix, pi1.matrix)
     tau0, tau1 = state_conditionals(model, pi0), state_conditionals(model, pi1)
     line = _line_form(model, tau0, tau1)
@@ -281,10 +281,10 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
     raises ErgodicityError, as `RewardLine` does.
     """
     if pi0.kind != "state" or pi1.kind != "state":
-        raise ValueError("interpolation_speed needs state policies")
+        raise InputError("interpolation_speed needs state policies")
     differing = _differing_rows(pi0.matrix, pi1.matrix)
     if len(differing) > 1:
-        raise ValueError(
+        raise InputError(
             f"policies differ on {len(differing)} states ({differing.tolist()}); "
             "the closed form needs at most one")
     line = _line_form(model, pi0.matrix, pi1.matrix)
@@ -317,7 +317,7 @@ def best_deterministic(model: PomdpModel, kind: str = "state") -> tuple[Policy, 
     by `batch_rewards` in blocks of at most BLOCK_ENTRIES policy entries.
     """
     if kind not in ("observation", "state"):
-        raise ValueError(f"policy kind must be 'observation' or 'state', got {kind!r}")
+        raise InputError(f"policy kind must be 'observation' or 'state', got {kind!r}")
     n_rows = model.n_states if kind == "state" else model.n_observations
     na = model.n_actions
     eye = np.eye(na)
@@ -371,11 +371,11 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
     more than 1e-12 of the reward scale raises ArithmeticError.
     """
     if pi.kind != "observation":
-        raise ValueError("vertex_improvement needs an observation policy")
+        raise InputError("vertex_improvement needs an observation policy")
     o = _resolve(model, "observation", obs)
     compatible = int(np.sum(model.beta[:, o] > 0.0))
     if compatible > 1:
-        raise ValueError(
+        raise InputError(
             f"observation {model.observations[o]!r} is compatible with {compatible} "
             "states; the vertex argument needs at most one")
     # one row per vertex action, then pi itself
@@ -405,10 +405,10 @@ def improvement_path(model: PomdpModel, pi: Policy,
     """
     ns, na = model.n_states, model.n_actions
     if model.n_observations != ns or np.max(np.abs(model.beta - np.eye(ns))) > 1e-12:
-        raise ValueError("improvement_path needs a fully observable model (identity beta)")
+        raise InputError("improvement_path needs a fully observable model (identity beta)")
     _check_visits(model, "improvement_path")
     if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+        raise InputError(f"steps must be >= 2, got {steps}")
     if pi.kind == "observation":
         pi = Policy("state", pi.matrix)  # identity beta: same matrix
 

@@ -181,7 +181,7 @@ def test_unreadable_policy_entries_exit_two(capsys, policy, message):
     code, out = run(capsys, "freq", THREE_STATE, "--policy", policy)
     assert code == 2
     error = json.loads(out)["error"]
-    assert error["kind"] == "CliInputError"
+    assert error["kind"] == "InputError"
     assert error["message"].startswith(f"cannot parse policy {policy!r}: ")
     assert message in error["message"]
 
@@ -298,33 +298,35 @@ def test_faces_rejects_empty_requests(capsys, flag, value, least):
     code, out = run(capsys, "faces", TWO_STATE, flag, value)
     assert code == 2
     assert json.loads(out)["error"] == {
-        "kind": "CliInputError", "message": f"{flag} must be >= {least}, got {value}"}
+        "kind": "InputError",
+        "message": f"{flag[2:].replace('-', '_')} must be >= {least}, got {value}"}
 
 
 @pytest.mark.parametrize("argv, message", [
     (["project", THREE_STATE, "--samples", "-1"], "--samples must be >= 0, got -1"),
     (["project", THREE_STATE, "--points", "0"], "--points must be >= 1, got 0"),
-    (["critical", BLIND_GRAPH, "--grid", "5"], "--grid must be >= 100, got 5"),
-    (["oracle", THREE_STATE, "--tol", "0"], "--tol must be > 0, got 0.0"),
-    (["oracle", THREE_STATE, "--tol", "-1"], "--tol must be > 0, got -1.0"),
-    (["faces", THREE_STATE, "--tol", "-1"], "--tol must be > 0, got -1.0"),
-    (["faces", THREE_STATE, "--tol", "nan"], "--tol must be > 0, got nan"),
-    (["faces", THREE_STATE, "--tol", "0"], "--tol must be > 0, got 0.0"),
-    (["faces", THREE_STATE, "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["critical", BLIND_GRAPH, "--grid", "5"], "grid must be >= 100, got 5"),
+    (["oracle", THREE_STATE, "--tol", "0"], "tol must be > 0, got 0.0"),
+    (["oracle", THREE_STATE, "--tol", "-1"], "tol must be > 0, got -1.0"),
+    (["oracle", THREE_STATE, "--tol", "nan"], "tol must be > 0, got nan"),
+    (["faces", THREE_STATE, "--tol", "-1"], "tol must be > 0, got -1.0"),
+    (["faces", THREE_STATE, "--tol", "nan"], "tol must be > 0, got nan"),
+    (["faces", THREE_STATE, "--tol", "0"], "tol must be > 0, got 0.0"),
+    (["faces", THREE_STATE, "--seed", "-1"], "seed must be >= 0, got -1"),
     (["project", THREE_STATE, "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["bounds", "--rank-one", "0"], "--rank-one must be >= 1, got 0"),
+    (["bounds", "--rank-one", "0"], "k must be >= 1, got 0"),
 ], ids=["project-samples", "project-points", "critical-grid", "oracle-tol-zero",
-        "oracle-tol-negative", "faces-tol-negative", "faces-tol-nan", "faces-tol-zero",
+        "oracle-tol-negative", "oracle-tol-nan", "faces-tol-negative", "faces-tol-nan", "faces-tol-zero",
         "faces-seed", "project-seed", "bounds-rank-one"])
 def test_flag_out_of_range_exits_two(capsys, argv, message):
     code, out = run(capsys, *argv)
     assert code == 2
-    assert json.loads(out)["error"] == {"kind": "CliInputError", "message": message}
+    assert json.loads(out)["error"] == {"kind": "InputError", "message": message}
 
 
-def test_faces_positivity_failure_exits_one(capsys):
+def test_faces_positivity_failure_exits_two(capsys):
     code, out = run(capsys, "faces", TWO_STATE, "--mu", "s1")
-    assert code == 1
+    assert code == 2
     assert "visit every state" in json.loads(out)["error"]["message"]
 
 
@@ -357,9 +359,9 @@ def test_critical_mean_reward_does_not_depend_on_start(capsys):
     assert_allclose(roots, [roots[0]] * 4, atol=1e-12, rtol=0)
 
 
-def test_critical_wrong_shape_exits_one(capsys):
+def test_critical_wrong_shape_exits_two(capsys):
     code, out = run(capsys, "critical", TWO_STATE)
-    assert code == 1
+    assert code == 2
     assert "single observation" in json.loads(out)["error"]["message"]
 
 
@@ -401,7 +403,7 @@ def test_bounds_mode_conflicts_exit_two(capsys):
 def test_bounds_inline_refuses_what_model_mode_refuses(capsys, flags):
     code, out = run(capsys, "bounds", *flags)
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "CliInputError"
+    assert json.loads(out)["error"]["kind"] == "InputError"
 
 
 @pytest.mark.parametrize("active", ["a1:o2,a2:o2", "a1:o2,a1:o2"],
@@ -409,12 +411,12 @@ def test_bounds_inline_refuses_what_model_mode_refuses(capsys, flags):
 def test_bounds_model_mode_refusals_exit_two(capsys, active):
     code, out = run(capsys, "bounds", "--model", TWO_STATE, "--active", active)
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "CliInputError"
+    assert json.loads(out)["error"]["kind"] == "InputError"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["bounds", "--states", "3", "--actions", "2", "--d", "2,2", "--k", "1"],
-     "--d and --k must have the same length"),
+     "degrees has 2 entries for 1 pinned observations"),
     (["bounds", "--states", "3", "--actions", "2", "--d", "2.5", "--k", "1"],
      "--d must be comma-separated integers"),
     (["freq", THREE_STATE, "--mu", "abc"],
@@ -422,14 +424,16 @@ def test_bounds_model_mode_refusals_exit_two(capsys, active):
     (["freq", THREE_STATE, "--policy", "[1,"],
      "cannot parse policy '[1,': Expecting value: line 1 column 4 (char 3)"),
     (["project", "ONE_STATE"], "3-d projection needs at least 3 state-action pairs"),
-], ids=["bounds-lengths", "bounds-degree-text", "mu-text", "policy-text", "project-pairs"])
+    (["scan", THREE_STATE, "--axes", "o1:a9"], "unknown action label 'a9'; known: ['a1', 'a2']"),
+], ids=["bounds-lengths", "bounds-degree-text", "mu-text", "policy-text", "project-pairs",
+        "scan-label"])
 def test_input_refusals_name_the_fault(tmp_path, capsys, argv, message):
     one_state = tmp_path / "one_state.json"
     model = fixtures.random_model(np.random.default_rng(0), 1, 1, 2, 0.5)  # 2 pairs
     one_state.write_text(serialize_model(model))
     code, out = run(capsys, *[str(one_state) if a == "ONE_STATE" else a for a in argv])
     assert code == 2
-    assert json.loads(out)["error"] == {"kind": "CliInputError", "message": message}
+    assert json.loads(out)["error"] == {"kind": "InputError", "message": message}
 
 
 def test_bounds_rank_error_exits_one(capsys):
@@ -458,6 +462,24 @@ def test_scan_solver_failure_exits_one(capsys, monkeypatch):
     code, out = run(capsys, "scan", TWO_STATE, "--axes", "o1:a1", "--resolution", "3")
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "LinAlgError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", TWO_STATE, "--axes", "o1:a1", "--resolution", "3"],
+    ["critical", BLIND_GRAPH],
+], ids=["scan", "critical"])
+def test_untyped_value_error_is_not_a_refusal(capsys, monkeypatch, argv):
+    # only InputError and the named computational errors are refusals: any other
+    # ValueError is a bug, and main lets it propagate instead of printing it as one
+    assert ValueError not in cli.INPUT_ERRORS + cli.COMPUTE_ERRORS
+
+    def untyped(model, taus):
+        raise ValueError("untyped")
+
+    monkeypatch.setattr(critical, "batch_rewards", untyped)
+    with pytest.raises(ValueError, match="^untyped$"):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 # --------------------------------------------------------------------------
@@ -676,7 +698,7 @@ GOLDEN_JSON = [
     ("validate_invalid", 2, ["validate", "INVALID"]),
     ("bounds_three_state", 0, ["bounds", "--model", THREE_STATE, "--active", "a1:o2"]),
     ("critical_blind_three_state", 0, ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
-    ("error_critical_two_state", 1, ["critical", TWO_STATE]),
+    ("error_critical_two_state", 2, ["critical", TWO_STATE]),
     ("faces_max_dim_three_state", 0, ["faces", THREE_STATE, "--max-dim", "1"]),
     ("bounds_inline", 0, ["bounds", "--states", "3", "--actions", "2",
                           "--d", "2,3", "--k", "1,1"]),
@@ -685,6 +707,7 @@ GOLDEN_JSON = [
     ("critical_blind_three_state_default", 0,
      ["critical", str(MODELS / "blind_three_state.json")]),
     ("error_freq_nan_policy", 2, ["freq", THREE_STATE, "--policy", "[[null, 1], [0, 1], [1, 0]]"]),
+    ("error_faces_unvisited", 2, ["faces", str(MODELS / "blind_three_state.json"), "--mu", "s1"]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
