@@ -191,73 +191,51 @@ def _load_model(path: str, gamma: float | None, mu: str | None) -> PomdpModel:
 
 
 def _parse_mu(text: str, model: PomdpModel) -> np.ndarray:
+    """The start distribution a --mu value names; `PomdpModel.replace` checks its length."""
     if text == "uniform":
         return np.full(model.n_states, 1.0 / model.n_states)
     if text in model.states:
-        mu = np.zeros(model.n_states)
-        mu[model.state_index(text)] = 1.0
-        return mu
+        return np.eye(model.n_states)[model.state_index(text)]
     try:
-        values = np.array([float(x) for x in text.split(",")])
+        return np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
         raise InputError(
             f"--mu must be 'uniform', a state label, or comma-separated "
             f"numbers; got {text!r}"
         ) from exc
-    if values.shape != (model.n_states,):
-        raise InputError(
-            f"--mu has {values.size} entries but the model has "
-            f"{model.n_states} states"
-        )
-    return values
 
 
 def _parse_policy(text: str, model: PomdpModel) -> Policy:
-    n_obs, n_act = model.n_observations, model.n_actions
+    """The policy a --policy value names; its shape is checked by the library function
+    that uses it (`state_conditionals`, or `landscape_scan` for a base policy)."""
     if text == "uniform":
-        return Policy.uniform(n_obs, n_act)
-    labels = text[4:].split(",") if text.startswith("det:") else None
-    if labels is not None and len(labels) != n_obs:
-        raise InputError(f"det: policy needs {n_obs} action labels, got {len(labels)}")
+        return Policy.uniform(model.n_observations, model.n_actions)
     # a failure to read, parse or build the policy is reported with its text
     try:
-        if labels is not None:
-            indices = [model.action_index(lbl.strip()) for lbl in labels]
-            return Policy.deterministic(indices, n_act)
+        if text.startswith("det:"):
+            indices = [model.action_index(lbl.strip()) for lbl in text[4:].split(",")]
+            return Policy.deterministic(indices, model.n_actions)
         if text.lstrip().startswith(("[", "{")):
             payload = json.loads(text)
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         if isinstance(payload, dict):
-            kind = payload.get("kind", "observation")
-            matrix = np.array(payload["matrix"], dtype=float)
-        else:
-            kind = "observation"
-            matrix = np.array(payload, dtype=float)
-        expected_rows = n_obs if kind == "observation" else model.n_states
-        if matrix.shape == (expected_rows, n_act):
-            return Policy(kind, matrix)
+            return Policy(payload.get("kind", "observation"),
+                          np.array(payload["matrix"], dtype=float))
+        return Policy("observation", np.array(payload, dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot parse policy {text!r}: {exc}") from exc
-    raise InputError(f"policy matrix must be {expected_rows} x {n_act} for kind "
-                     f"{kind!r}; got {matrix.shape}")
 
 
-def _parse_pairs(text: str, what: str, shape: str, first_index,
-                 second_index) -> list[tuple[str, str]]:
-    """Comma-separated label pairs, each label checked by its model index lookup."""
+def _parse_pairs(text: str, what: str, shape: str) -> list[tuple[str, str]]:
+    """Comma-separated label pairs; the library function that takes them resolves the labels."""
     pairs = []
     for chunk in text.split(","):
-        parts = [part.strip() for part in chunk.strip().split(":")]
+        parts = tuple(part.strip() for part in chunk.strip().split(":"))
         if len(parts) != 2:
             raise InputError(f"{what} {chunk!r} must look like {shape}")
-        try:
-            first_index(parts[0])
-            second_index(parts[1])
-        except KeyError as exc:  # its str() is the repr of the message
-            raise InputError(exc.args[0]) from exc
-        pairs.append(tuple(parts))
+        pairs.append(parts)
     return pairs
 
 
@@ -324,8 +302,7 @@ def _cmd_reward(args) -> dict:
 
 def _cmd_scan(args) -> str:
     model = _load_model(args.model, args.gamma, args.mu)
-    axes = _parse_pairs(args.axes, "axis", "observation:action",
-                        model.observation_index, model.action_index)
+    axes = _parse_pairs(args.axes, "axis", "observation:action")
     base = _parse_policy(args.policy, model) if args.policy else None
     return crit.landscape_scan(model, axes, args.resolution, base).to_csv()
 
@@ -436,8 +413,7 @@ def _cmd_bounds(args) -> dict:
         }
     if args.model is not None:
         model = _load_model(args.model, args.gamma, args.mu)
-        active = (_parse_pairs(args.active, "active pair", "action:observation",
-                               model.action_index, model.observation_index)
+        active = (_parse_pairs(args.active, "active pair", "action:observation")
                   if args.active else [])
         inputs = crit.BoundInput.from_model(model, active)
     else:

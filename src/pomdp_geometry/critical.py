@@ -24,7 +24,7 @@ from numpy.polynomial import chebyshev
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, _check_cap, _support, pseudoinverse
-from .model import InputError, Policy, PomdpModel, _csv_field, _resolve, compose
+from .model import InputError, Policy, PomdpModel, _csv_field, compose
 from .rational import _line_form
 
 # interior roots closer than this are reported once
@@ -246,6 +246,9 @@ class BoundInput:
 
     @classmethod
     def from_model(cls, model: PomdpModel, active_set) -> "BoundInput":
+        """The face pinning active_set's (action, observation) labels or indices; they are
+        resolved (InputError) before the square-beta check (RankError)."""
+        pairs = sorted((model.observation_index(o), model.action_index(a)) for a, o in active_set)
         if model.n_states != model.n_observations:
             raise RankError(
                 "the per-face bound needs a square invertible observation "
@@ -253,8 +256,6 @@ class BoundInput:
                 f"{model.n_observations} observations"
             )
         pinv = pseudoinverse(model.beta)
-        pairs = sorted((_resolve(model, "observation", o), _resolve(model, "action", a))
-                       for a, o in active_set)
         if len(set(pairs)) != len(pairs):
             raise InputError("active set contains repeated pairs")
         per_obs = Counter(o for o, _ in pairs)
@@ -361,7 +362,7 @@ def landscape_scan(
     proportionally to the base policy (uniform by default).  Two axes must
     address distinct observations so the sweeps do not fight over a row.
     """
-    pairs = [(_resolve(model, "observation", o), _resolve(model, "action", a)) for o, a in axes]
+    pairs = [(model.observation_index(o), model.action_index(a)) for o, a in axes]
     if not 1 <= len(pairs) <= 2:
         raise InputError("axes must contain one or two (observation, action) pairs")
     if len({o for o, _ in pairs}) != len(pairs):

@@ -79,14 +79,14 @@ class PomdpModel:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def state_index(self, label: str) -> int:
-        return _index_of(label, self.states, "state")
+    def state_index(self, key) -> int:
+        return _resolve(self, "state", key)
 
-    def observation_index(self, label: str) -> int:
-        return _index_of(label, self.observations, "observation")
+    def observation_index(self, key) -> int:
+        return _resolve(self, "observation", key)
 
-    def action_index(self, label: str) -> int:
-        return _index_of(label, self.actions, "action")
+    def action_index(self, key) -> int:
+        return _resolve(self, "action", key)
 
     def replace(self, **changes) -> "PomdpModel":
         """A copy with some fields replaced (e.g. gamma or mu overrides)."""
@@ -107,21 +107,21 @@ class PomdpModel:
         }
 
 
-def _index_of(label, labels, kind):
-    try:
-        return labels.index(str(label))
-    except ValueError:
-        raise KeyError(f"unknown {kind} label {label!r}; known: {list(labels)}") from None
+def _in_range(key, n: int, kind: str) -> int:
+    if not (isinstance(key, (int, np.integer)) and 0 <= key < n):
+        raise InputError(f"unknown {kind} index {key!r}; known: 0 to {n - 1}")
+    return int(key)
 
 
 def _resolve(model: PomdpModel, kind: str, key) -> int:
-    """Index of a state, observation or action label, or an int index in range; else KeyError."""
+    """Index of a state, observation or action label, or of an int index in range; an
+    unknown label or an index out of range raises InputError naming the known ones."""
     labels = getattr(model, kind + "s")
-    if not isinstance(key, (int, np.integer)):
-        return _index_of(key, labels, kind)
-    if not 0 <= key < len(labels):
-        raise KeyError(f"unknown {kind} index {key!r}; known: 0 to {len(labels) - 1}")
-    return int(key)
+    if isinstance(key, (int, np.integer)):
+        return _in_range(key, len(labels), kind)
+    if str(key) not in labels:
+        raise InputError(f"unknown {kind} label {key!r}; known: {list(labels)}")
+    return labels.index(str(key))
 
 
 def _csv_field(label: str) -> str:
@@ -148,8 +148,8 @@ class Policy:
         if self.kind not in ("observation", "state"):
             raise InputError(f"policy kind must be 'observation' or 'state', got {self.kind!r}")
         mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2:
-            raise InputError(f"policy matrix must be 2-d, got shape {mat.shape}")
+        if mat.ndim != 2 or not mat.size:
+            raise InputError(f"policy matrix must be 2-d and non-empty, got shape {mat.shape}")
         if not np.min(mat) >= -ROW_TOL:  # written so that NaN fails
             raise InputError(f"policy matrix has NaN or negative entry {np.min(mat)}")
         rowdev = np.max(np.abs(mat.sum(axis=1) - 1.0))
@@ -164,10 +164,9 @@ class Policy:
 
     @classmethod
     def deterministic(cls, action_indices, n_actions: int, kind: str = "observation") -> "Policy":
-        mat = np.zeros((len(action_indices), n_actions))
-        for row, a in enumerate(action_indices):
-            mat[row, a] = 1.0
-        return cls(kind, mat)
+        """Row k plays action action_indices[k]; one outside 0 ... A - 1 is an InputError."""
+        return cls(kind, np.eye(n_actions)[[_in_range(a, n_actions, "action")
+                                            for a in action_indices]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +178,8 @@ class Frequency:
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
-        if eta.ndim != 2:
-            raise InputError(f"eta must be 2-d, got shape {eta.shape}")
+        if eta.ndim != 2 or not eta.size:
+            raise InputError(f"eta must be 2-d and non-empty, got shape {eta.shape}")
         check_frequency(eta)
         rho = eta.sum(axis=1)
         eta.setflags(write=False)

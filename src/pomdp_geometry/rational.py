@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as pol
 from .freq import (BLOCK_ENTRIES, ErgodicityError, _block_len, _check_visits,  # noqa: F401
                    _reward_line_terms, batch_rewards, certified_etas, conditioning_inverse,
                    reward_of, state_action_frequency)
-from .model import Frequency, InputError, PomdpModel, Policy, _resolve, compose, state_conditionals
+from .model import Frequency, InputError, PomdpModel, Policy, compose, state_conditionals
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 LINE_MISS_TOL = 1e-7      # an exact line may miss direct solves by this share of the reward scale
@@ -90,7 +90,7 @@ def degree_bound(model: PomdpModel, varying_obs: Iterable) -> int:
     The bound is the number of states compatible with the varying
     observations: |{s : beta(o|s) > 0 for some o in varying_obs}|.
     """
-    indices = [_resolve(model, "observation", o) for o in varying_obs]
+    indices = [model.observation_index(o) for o in varying_obs]
     if not indices:
         return 0
     support = np.any(model.beta[:, indices] > 0.0, axis=1)
@@ -282,12 +282,13 @@ def interpolation_speed(model: PomdpModel, pi0: Policy, pi1: Policy, lam: float)
     """
     if pi0.kind != "state" or pi1.kind != "state":
         raise InputError("interpolation_speed needs state policies")
-    differing = _differing_rows(pi0.matrix, pi1.matrix)
+    tau0, tau1 = state_conditionals(model, pi0), state_conditionals(model, pi1)
+    differing = _differing_rows(tau0, tau1)
     if len(differing) > 1:
         raise InputError(
             f"policies differ on {len(differing)} states ({differing.tolist()}); "
             "the closed form needs at most one")
-    line = _line_form(model, pi0.matrix, pi1.matrix)
+    line = _line_form(model, tau0, tau1)
     return float(lam * line.denominator(1.0) / line.denominator(lam))
 
 
@@ -372,7 +373,8 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
     """
     if pi.kind != "observation":
         raise InputError("vertex_improvement needs an observation policy")
-    o = _resolve(model, "observation", obs)
+    state_conditionals(model, pi)  # refuses a policy of the wrong shape
+    o = model.observation_index(obs)
     compatible = int(np.sum(model.beta[:, o] > 0.0))
     if compatible > 1:
         raise InputError(

@@ -167,7 +167,7 @@ def test_policy_inline_and_file(tmp_path, capsys):
 def test_bad_policy_exits_two(capsys):
     code, out = run(capsys, "freq", TWO_STATE, "--policy", "[[1.0, 0.0]]")
     assert code == 2
-    assert "2 x 2" in json.loads(out)["error"]["message"]
+    assert "does not match (2, 2)" in json.loads(out)["error"]["message"]
     code, out = run(capsys, "freq", TWO_STATE, "--policy", "det:a1")
     assert code == 2
 
@@ -218,7 +218,7 @@ def test_mu_overrides(capsys):
     assert code == 2  # does not sum to one -> validation failure
     code, out = run(capsys, "freq", TWO_STATE, "--mu", "0.5,0.3,0.2")
     assert code == 2
-    assert "2 states" in json.loads(out)["error"]["message"]
+    assert json.loads(out)["error"]["message"] == "mu: expected shape (2,), got (3,)"
 
 
 def test_oracle_beyond_the_step_cap_exits_one(capsys):
@@ -425,8 +425,13 @@ def test_bounds_model_mode_refusals_exit_two(capsys, active):
      "cannot parse policy '[1,': Expecting value: line 1 column 4 (char 3)"),
     (["project", "ONE_STATE"], "3-d projection needs at least 3 state-action pairs"),
     (["scan", THREE_STATE, "--axes", "o1:a9"], "unknown action label 'a9'; known: ['a1', 'a2']"),
+    (["freq", THREE_STATE, "--policy", "det:a9,a1,a1"],
+     "cannot parse policy 'det:a9,a1,a1': unknown action label 'a9'; known: ['a1', 'a2']"),
+    # the label is resolved before the square-beta check, which would exit 1
+    (["bounds", "--model", BLIND_GRAPH, "--active", "a9:o"],
+     "unknown action label 'a9'; known: ['a1', 'a2']"),
 ], ids=["bounds-lengths", "bounds-degree-text", "mu-text", "policy-text", "project-pairs",
-        "scan-label"])
+        "scan-label", "policy-label", "bounds-label-nonsquare"])
 def test_input_refusals_name_the_fault(tmp_path, capsys, argv, message):
     one_state = tmp_path / "one_state.json"
     model = fixtures.random_model(np.random.default_rng(0), 1, 1, 2, 0.5)  # 2 pairs
@@ -708,6 +713,8 @@ GOLDEN_JSON = [
      ["critical", str(MODELS / "blind_three_state.json")]),
     ("error_freq_nan_policy", 2, ["freq", THREE_STATE, "--policy", "[[null, 1], [0, 1], [1, 0]]"]),
     ("error_faces_unvisited", 2, ["faces", str(MODELS / "blind_three_state.json"), "--mu", "s1"]),
+    ("error_freq_det_label", 2, ["freq", THREE_STATE, "--policy", "det:a9,a1,a1"]),
+    ("error_scan_label", 2, ["scan", THREE_STATE, "--axes", "o9:a1"]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),

@@ -24,7 +24,7 @@ from pomdp_geometry.critical import (
 )
 from pomdp_geometry.freq import batch_rewards, reward_of
 from pomdp_geometry.geometry import RankError, face_lattice, model_constraint_polynomials
-from pomdp_geometry.model import Policy, PomdpModel, compose, load_model_text
+from pomdp_geometry.model import InputError, Policy, PomdpModel, compose, load_model_text
 from pomdp_geometry.rational import TRIM_TOL, best_deterministic, reward_curve_on_line
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -600,13 +600,13 @@ def test_landscape_scan_csv_round_trip():
 def test_indices_must_be_in_range(bad):
     # a negative index once aliased o3 / a2, an index past the end raised IndexError
     m = fixtures.three_state_model()
-    with pytest.raises(KeyError, match="unknown observation index"):
+    with pytest.raises(InputError, match="unknown observation index"):
         face_critical_bound(m, [(0, bad)])
-    with pytest.raises(KeyError, match="unknown action index"):
+    with pytest.raises(InputError, match="unknown action index"):
         face_critical_bound(m, [(bad, 0)])
-    with pytest.raises(KeyError, match="unknown observation index"):
+    with pytest.raises(InputError, match="unknown observation index"):
         landscape_scan(m, [(bad, 0)], resolution=3)
-    with pytest.raises(KeyError, match="unknown action index"):
+    with pytest.raises(InputError, match="unknown action index"):
         landscape_scan(m, [(0, bad)], resolution=3)
     assert face_critical_bound(m, [(np.int64(1), np.int64(2))]) == (
         face_critical_bound(m, [("a2", "o3")]))

@@ -13,6 +13,7 @@ THREE = fixtures.three_state_model()
 BLIND = fixtures.blind_three_state_model()
 TWO_MDP = TWO.replace(beta=np.eye(2))  # fully observable; a_k jumps to s_k
 UNVISITED = TWO.replace(mu=np.array([1.0, 0.0]))  # s2 unreachable under "always a1"
+THREE_MDP = THREE.replace(beta=np.eye(3))  # o_k is seen in s_k alone
 
 UNIFORM = pg.Policy.uniform(2, 2)
 STATE_UNIFORM = pg.Policy.uniform(2, 2, kind="state")
@@ -26,10 +27,13 @@ BAD_CALLS = [
     ("model-shape", lambda: TWO.replace(mu=np.ones(3) / 3), "mu: expected shape"),
     ("policy-kind", lambda: pg.Policy("joint", [[1.0]]), "policy kind"),
     ("policy-ndim", lambda: pg.Policy("observation", [1.0]), "2-d"),
+    ("policy-empty", lambda: pg.Policy("observation", np.zeros((0, 2))),
+     r"2-d and non-empty, got shape \(0, 2\)"),
     ("policy-negative", lambda: pg.Policy("observation", [[1.5, -0.5]]), "negative entry"),
     ("policy-nan", lambda: pg.Policy("observation", [[NAN, 1.0]]), "NaN"),
     ("policy-row-sum", lambda: pg.Policy("observation", [[0.5, 0.4]]), "sum to 1"),
     ("frequency-ndim", lambda: pg.Frequency(np.full(4, 0.25)), "2-d"),
+    ("frequency-empty", lambda: pg.Frequency([[]]), r"2-d and non-empty, got shape \(1, 0\)"),
     ("frequency-negative", lambda: pg.Frequency([[1.5, -0.5]]), "negative entry"),
     ("frequency-mass", lambda: pg.Frequency([[0.5, 0.4]]), "sum to 1"),
     ("effective-policy-kind", lambda: pg.effective_policy(STATE_UNIFORM, TWO.beta),
@@ -41,6 +45,18 @@ BAD_CALLS = [
     ("kernels-state-shape",
      lambda: pg.transition_kernels(TWO, pg.Policy.uniform(3, 2, kind="state")),
      "state policy shape"),
+    ("state-label", lambda: TWO.state_index("s9"), r"unknown state label 's9'; known: \['s1', 's2'\]"),
+    ("state-index", lambda: TWO.state_index(2), "unknown state index 2; known: 0 to 1"),
+    ("observation-label", lambda: TWO.observation_index("o9"), "unknown observation label 'o9'"),
+    ("observation-index", lambda: TWO.observation_index(-1), "unknown observation index -1"),
+    ("action-label", lambda: TWO.action_index("a9"), "unknown action label 'a9'"),
+    ("action-index", lambda: TWO.action_index(np.int64(2)), "unknown action index"),
+    ("deterministic-negative", lambda: pg.Policy.deterministic([-1, 0], 2),
+     "unknown action index -1; known: 0 to 1"),
+    ("deterministic-past-end", lambda: pg.Policy.deterministic([2, 0], 2),
+     "unknown action index 2; known: 0 to 1"),
+    ("deterministic-float", lambda: pg.Policy.deterministic([0.5, 0], 2),
+     "unknown action index 0.5; known: 0 to 1"),
     ("json-document", lambda: pg.parse_model("[]"), "expected a JSON object"),
     ("graph-document", lambda: pg.parse_graph_model("gamma: 0.5"), "no edges"),
     # freq
@@ -89,12 +105,23 @@ BAD_CALLS = [
      "the face is empty"),
     ("counts-over-pinned", lambda: pg.BoundInput.from_counts(1, 2, {"o1": 1, "o2": 1}, [2, 2]),
      "more pinned entries"),
+    ("face-bound-label", lambda: pg.face_critical_bound(TWO, [("a9", "o1")]),
+     "unknown action label 'a9'"),
+    ("face-bound-index", lambda: pg.face_critical_bound(TWO, [(0, 2)]),
+     "unknown observation index 2"),
+    # labels are resolved before the square-beta check, which raises RankError
+    ("from-model-label", lambda: pg.BoundInput.from_model(BLIND, [("a1", "o9")]),
+     "unknown observation label 'o9'"),
+    ("from-model-index", lambda: pg.BoundInput.from_model(BLIND, [(2, 0)]),
+     "unknown action index 2"),
     ("face-bound-repeated", lambda: pg.face_critical_bound(TWO, [("a1", "o2"), ("a1", "o2")]),
      "repeated pairs"),
     ("face-bound-empty", lambda: pg.face_critical_bound(TWO, [("a1", "o2"), ("a2", "o2")]),
      "the face is empty"),
     ("polar-terms", lambda: pg.polar_degree_terms(0), "k must be >= 1, got 0"),
     ("polar-degree", lambda: pg.polar_degree_rank_one(0), "k must be >= 1, got 0"),
+    ("scan-label", lambda: pg.landscape_scan(TWO, [("o9", "a1")]), "unknown observation label"),
+    ("scan-index", lambda: pg.landscape_scan(TWO, [(0, 2)]), "unknown action index 2"),
     ("scan-axes", lambda: pg.landscape_scan(TWO, [("o1", "a1"), ("o2", "a1"), ("o1", "a2")]),
      "one or two"),
     ("scan-distinct", lambda: pg.landscape_scan(TWO, [("o1", "a1"), ("o1", "a2")]), "distinct"),
@@ -104,17 +131,27 @@ BAD_CALLS = [
      "base_policy"),
     # rational
     ("curve-denominator", lambda: pg.RationalCurve([1.0], [0.0], 0.0), "identically zero"),
+    ("degree-bound-label", lambda: pg.degree_bound(TWO, ["o9"]), "unknown observation label"),
+    ("degree-bound-index", lambda: pg.degree_bound(TWO, [2]), "unknown observation index 2"),
     ("certificate-degree", lambda: pg.DegreeCertificate(1, 2, np.zeros(3)), "exceeds the bound"),
     ("fit-degree", lambda: pg.fit_rational_curve(lambda x: x, -1), "max_degree must be >= 0"),
     ("line-kinds", lambda: pg.reward_curve_on_line(TWO, UNIFORM, STATE_UNIFORM), "share a kind"),
     ("line-certificate-kind", lambda: pg.line_degree_certificate(TWO, STATE_A1, STATE_A2),
      "observation policies"),
     ("speed-kind", lambda: pg.interpolation_speed(TWO, UNIFORM, UNIFORM, 0.5), "state policies"),
+    ("speed-shape", lambda: pg.interpolation_speed(THREE, STATE_UNIFORM, STATE_UNIFORM, 0.5),
+     r"state policy shape \(2, 2\) does not match \(3, 2\)"),
     ("speed-rows", lambda: pg.interpolation_speed(TWO, STATE_A1, STATE_A2, 0.5),
      "differ on 2 states"),
     ("best-kind", lambda: pg.best_deterministic(TWO, kind="joint"), "policy kind"),
     ("vertex-kind", lambda: pg.vertex_improvement(TWO, STATE_UNIFORM, "o1"),
      "observation policy"),
+    ("vertex-label", lambda: pg.vertex_improvement(TWO, UNIFORM, "o9"),
+     "unknown observation label"),
+    ("vertex-index", lambda: pg.vertex_improvement(TWO, UNIFORM, 2),
+     "unknown observation index 2"),
+    ("vertex-shape", lambda: pg.vertex_improvement(THREE_MDP, UNIFORM, "o1"),
+     r"observation policy shape \(2, 2\) does not match \(3, 2\)"),
     ("vertex-observation", lambda: pg.vertex_improvement(TWO, UNIFORM, "o1"),
      "compatible with 2 states"),
     ("path-beta", lambda: pg.improvement_path(TWO, UNIFORM, 8), "identity beta"),

@@ -12,6 +12,7 @@ from pomdp_geometry import critical, fixtures, freq, geometry, rational
 from pomdp_geometry import model as model_module
 from pomdp_geometry.model import (
     Frequency,
+    InputError,
     ModelFormatError,
     PomdpModel,
     Policy,
@@ -480,7 +481,7 @@ def test_model_replace_and_indexing():
     assert m.state_index("s2") == 1
     assert m.observation_index("o1") == 0
     assert m.action_index("a2") == 1
-    with pytest.raises(KeyError, match="unknown state"):
+    with pytest.raises(InputError, match="unknown state"):
         m.state_index("nope")
     changed = m.replace(gamma=0.25)
     assert changed.gamma == 0.25 and m.gamma == 0.5

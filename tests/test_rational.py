@@ -11,7 +11,7 @@ from pomdp_geometry import fixtures, rational
 from pomdp_geometry.freq import (ErgodicityError, batch_rewards, eta_for_tau, reward_of,
                                  state_action_frequency)
 from pomdp_geometry.geometry import face_lattice
-from pomdp_geometry.model import Policy, parse_graph_model, state_conditionals
+from pomdp_geometry.model import InputError, Policy, parse_graph_model, state_conditionals
 from pomdp_geometry.rational import (
     DegreeCertificate,
     DegreeFitError,
@@ -372,9 +372,9 @@ def test_vertex_improvement_at_mean_reward():
 @pytest.mark.parametrize("bad", [-1, 2, np.int64(-2)])
 def test_observation_indices_must_be_in_range(bad):
     m = fixtures.two_state_model()
-    with pytest.raises(KeyError, match="unknown observation index"):
+    with pytest.raises(InputError, match="unknown observation index"):
         degree_bound(m, [bad])
-    with pytest.raises(KeyError, match="unknown observation index"):
+    with pytest.raises(InputError, match="unknown observation index"):
         vertex_improvement(m, Policy.uniform(2, 2), bad)
 
 
