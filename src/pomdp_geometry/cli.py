@@ -18,6 +18,7 @@ writes non-finite floats as NaN, Infinity and -Infinity.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import itertools
 import json
@@ -229,9 +230,15 @@ def _parse_policy(text: str, model: PomdpModel) -> Policy:
 
 
 def _parse_pairs(text: str, what: str, shape: str) -> list[tuple[str, str]]:
-    """Comma-separated label pairs; the library function that takes them resolves the labels."""
+    """Label pairs read as one CSV record, quoted as the CSV writers quote a label (`_csv_field`),
+    so '"o1:a,1",o2:a2' names action 'a,1'; the library function that takes them resolves
+    the labels."""
+    try:
+        chunks = next(csv.reader([text], skipinitialspace=True, strict=True)) or [""]
+    except csv.Error as exc:
+        raise InputError(f"cannot read {text!r} as one CSV record of {shape} pairs: {exc}") from exc
     pairs = []
-    for chunk in text.split(","):
+    for chunk in chunks:
         parts = tuple(part.strip() for part in chunk.strip().split(":"))
         if len(parts) != 2:
             raise InputError(f"{what} {chunk!r} must look like {shape}")
@@ -532,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep one or two policy entries, CSV out")
     common(p)
     p.add_argument(
-        "--axes", required=True, help="observation:action[,observation:action]"
+        "--axes", required=True,
+        help='observation:action[,observation:action]; quote a pair holding a comma: "o1:a,1"'
     )
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--policy", default=None, help="base policy (default uniform)")
@@ -569,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--mu", default=None)
     p.add_argument(
-        "--active", default=None, help="pinned entries action:observation[,...]"
+        "--active", default=None,
+        help='pinned entries action:observation[,...]; quote a pair holding a comma: "a,1:o1"'
     )
     p.add_argument("--states", type=int, default=None)
     p.add_argument("--actions", type=int, default=None)

@@ -30,18 +30,29 @@ up to SMALL_STATES states one Gaussian elimination with partial pivoting
 runs over all N systems at once, a few numpy operations per column, where
 LAPACK would be called once per tiny matrix; larger models call LAPACK's LU
 (np.linalg.solve).  The branch depends on S alone, never on N, and both
-branches solve each system on its own, so splitting a batch into blocks of
-two or more points never changes a bit.  A one-point batch can differ in the
-last bit: numpy's matmul takes a matrix-vector path for it in
-`_state_kernels`.  For gamma < 1 the rho-systems I - gamma p^T are strictly
-diagonally dominant by columns on the simplex (|1 - gamma p(s|s)| > gamma
-sum_{t != s} p(t|s)), elimination keeps them so, and partial pivoting never
-swaps a row there; conditionals off the simplex, the gamma = 1 system M^T and
-the value systems I - gamma p can need swaps.
+branches solve each system on its own.  `_solve` splits a batch into
+near-equal blocks, so no block holds a single point while a block has room
+for two, and splitting a batch of two or more points never changes a bit.
+A one-point batch can differ in the last bit: numpy's matmul takes a
+matrix-vector path for it in `_state_kernels`.  For gamma < 1 the rho-systems
+I - gamma p^T are strictly diagonally dominant by columns on the simplex
+(|1 - gamma p(s|s)| > gamma sum_{t != s} p(t|s)), elimination keeps them so,
+and partial pivoting never swaps a row there; conditionals off the simplex,
+the gamma = 1 system M^T and the value systems I - gamma p can need swaps.
+
+Importing this module sets two glibc malloc thresholds for the whole process,
+where the C library has `mallopt` (glibc; not macOS or Windows): allocations
+up to 32 MiB, four full solver blocks, come from the heap instead of fresh
+mappings, and the heap is trimmed only past 64 MiB of free space at its top.
+Freed (S, S, N) temporaries then stay mapped and are reused, so a warm batched
+solve faults in no new pages.  The price: every caller in the process gets these
+thresholds, and up to 64 MiB of freed memory per malloc arena stays mapped for
+reuse.  No result depends on them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,6 +69,27 @@ BLOCK_ENTRIES = 2**20   # a batched solve holds at most this many S x S matrix e
 # that takes 0.07-0.44 of LAPACK's time for S <= 7, 0.6-0.95 at S = 8, 9, more from S ~ 10-16
 SMALL_STATES = 8
 MAX_SERIES_STEPS = 1 << 22  # the series oracle refuses to push P^T more often
+# glibc's mallopt parameters (malloc.h) and values: four full solver blocks of float64
+# entries, which is also the most glibc's own dynamic threshold reaches on 64-bit
+# hosts, and a trim threshold twice the mmap threshold, glibc's own rule
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 4 * 8 * BLOCK_ENTRIES
+
+
+def _keep_freed_blocks() -> None:
+    """Keep freed solver blocks in the heap for reuse (see the module docstring);
+    nothing is set where the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS), no CDLL(None) (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
+
+
+_keep_freed_blocks()
 
 
 class ErgodicityError(RuntimeError):
@@ -192,12 +224,13 @@ def _solve(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     `_linsolve`: one batched elimination up to SMALL_STATES states, LAPACK above, the
     branch chosen by S alone.  Partial pivoting never swaps rows of the gamma < 1
     rho-systems: on the simplex their columns are strictly diagonally dominant.
-    Batches beyond BLOCK_ENTRIES S x S entries are solved block by block.
+    Batches beyond BLOCK_ENTRIES S x S entries are solved in ceil(N / block) near-equal
+    blocks, so no block holds one point while a block has room for two.
     """
     block = _block_len(model.n_states**2, BLOCK_ENTRIES)
     if len(taus) > block:
-        return np.concatenate([_solve(model, taus[i:i + block])
-                               for i in range(0, len(taus), block)])
+        return np.concatenate([_solve(model, part)
+                               for part in np.array_split(taus, -(-len(taus) // block))])
     gamma, ns = model.gamma, model.n_states
     p = _state_kernels(model, taus)
     if gamma < 1.0:

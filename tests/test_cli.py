@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from pomdp_geometry.geometry import (
     feasibility_report,
     model_constraint_polynomials,
 )
-from pomdp_geometry.model import Policy, _csv_field, load_model_text, serialize_model
+from pomdp_geometry.model import InputError, Policy, _csv_field, load_model_text, serialize_model
 from pomdp_geometry.rational import _edge_blocks
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -267,6 +268,50 @@ def test_scan_bad_axes_exits_two(capsys):
     assert code == 2
     code, out = run(capsys, "scan", TWO_STATE, "--axes", "o9:a1")
     assert code == 2
+
+
+def test_pair_flags_name_a_comma_label_by_quoting_its_pair(tmp_path, capsys):
+    # --axes and --active are one CSV record, quoted as the writers quote labels
+    model = fixtures.two_state_model().replace(actions=("a,1", "a2"))
+    path = tmp_path / "comma.json"
+    path.write_text(serialize_model(model))
+    code, out = run(capsys, "scan", str(path), "--axes", '"o1:a,1", o2:a2', "--resolution", "3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    _, plain = run(capsys, "scan", TWO_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "3")
+    assert rows[0] == ["pi[a,1|o1]", "pi[a2|o2]", "reward"]
+    assert out.split("\n", 1)[1] == plain.split("\n", 1)[1]
+    code, out = run(capsys, "bounds", "--model", str(path), "--active", '"a,1:o2"')
+    assert code == 0
+    _, plain = run(capsys, "bounds", "--model", TWO_STATE, "--active", "a1:o2")
+    assert json.loads(out) == dict(json.loads(plain), active_set=[["a,1", "o2"]])
+    code, out = run(capsys, "scan", str(path), "--axes", "o1:a,1")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        "axis '1' must look like observation:action")
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("o1:a1", [("o1", "a1")]),
+    (" o1 : a1 , o2:a2", [("o1", "a1"), ("o2", "a2")]),
+    ('o1:a"b', [("o1", 'a"b')]),
+    ('"o1:a,1",o2:a2', [("o1", "a,1"), ("o2", "a2")]),
+    ('"o1:a""1", "o2:a,2"', [("o1", 'a"1'), ("o2", "a,2")]),
+])
+def test_parse_pairs_reads_one_csv_record(text, pairs):
+    assert cli._parse_pairs(text, "axis", "observation:action") == pairs
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "axis '' must look like observation:action"),
+    ("o1:a1,", "axis '' must look like observation:action"),
+    ("o1-a1", "axis 'o1-a1' must look like observation:action"),
+    ('"o1:a1', "cannot read '\"o1:a1' as one CSV record of observation:action pairs"),
+    ('"o1:a,1" x', "cannot read '\"o1:a,1\" x' as one CSV record of observation:action pairs"),
+])
+def test_parse_pairs_refuses_what_is_not_one_record_of_pairs(text, message):
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        cli._parse_pairs(text, "axis", "observation:action")
 
 
 def test_constraints_with_policy(capsys):

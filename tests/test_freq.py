@@ -1,5 +1,6 @@
 """Exact frequencies, the series oracle, values, gradients, conditioning."""
 
+import platform
 import tracemalloc
 
 import numpy as np
@@ -586,6 +587,22 @@ def test_blocked_solves_match_unsplit_ones(monkeypatch):
     assert len(calls) > solves + 1
 
 
+def test_a_split_batch_has_the_bits_of_the_unsplit_one(monkeypatch):
+    # 2 * 3 + 1 points with room for three 4 x 4 systems per block go as 3 + 2 + 2: a block of
+    # one point would build its kernels on numpy's matrix-vector path, with other last bits
+    rng = np.random.default_rng(61)
+    batches = []
+    for _ in range(8):
+        m = fixtures.random_model(rng, 4, 2, 3, 0.9)
+        taus = compose(m.beta, rng.dirichlet(np.ones(3), size=(7, 2)))
+        batches.append((m, taus, batch_eta(m, taus)))
+    calls = count_solves(monkeypatch)
+    monkeypatch.setattr(freq, "BLOCK_ENTRIES", 3 * 16)
+    for m, taus, whole in batches:
+        assert batch_eta(m, taus).tobytes() == whole.tobytes()
+    assert [n for n, *_ in calls] == [3, 2, 2] * len(batches)
+
+
 def test_multichain_point_in_a_later_block_is_rejected(monkeypatch):
     # action a1 jumps to s1, action a2 stays: "always a2" has two closed classes
     alpha = np.zeros((2, 2, 2))
@@ -833,3 +850,26 @@ def test_batch_rewards_holds_one_system_and_one_elimination_product(ns):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * ns * ns * len(taus) * 8
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+@pytest.mark.parametrize("ns", [2, 3, 4, 8])
+def test_warm_batched_solves_fault_no_pages(ns):
+    # importing freq keeps freed (S, S, N) blocks in the heap, so once warm the 10^4-point
+    # solves reuse them instead of faulting in fresh pages (thousands of faults without it)
+    import resource  # POSIX only, like glibc
+
+    rng = np.random.default_rng(ns)
+    m = fixtures.random_model(rng, ns, 2, 2, 0.9)
+    taus = compose(m.beta, rng.dirichlet(np.ones(2), size=(10**4, 2)))
+    blind = fixtures.random_model(rng, ns, 1, 2, 0.9)
+
+    def solves():
+        batch_rewards(m, taus)
+        blind_critical_points(blind)
+
+    solves()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        solves()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
