@@ -229,20 +229,27 @@ def _parse_policy(text: str, model: PomdpModel) -> Policy:
         raise InputError(f"cannot parse policy {text!r}: {exc}") from exc
 
 
-def _parse_pairs(text: str, what: str, shape: str) -> list[tuple[str, str]]:
+def _parse_pairs(text: str, what: str, shape: str, labels=((), ())) -> list[tuple[str, str]]:
     """Label pairs read as one CSV record, quoted as the CSV writers quote a label (`_csv_field`),
     so '"o1:a,1",o2:a2' names action 'a,1'; the library function that takes them resolves
-    the labels."""
+    the labels.  A pair with one colon splits there; a pair with several splits at the one
+    colon whose halves are both known, labels holding the known labels of each side."""
     try:
         chunks = next(csv.reader([text], skipinitialspace=True, strict=True)) or [""]
     except csv.Error as exc:
         raise InputError(f"cannot read {text!r} as one CSV record of {shape} pairs: {exc}") from exc
     pairs = []
     for chunk in chunks:
-        parts = tuple(part.strip() for part in chunk.strip().split(":"))
-        if len(parts) != 2:
+        splits = [(chunk[:i].strip(), chunk[i + 1:].strip())
+                  for i, char in enumerate(chunk) if char == ":"]
+        if len(splits) > 1:
+            splits = [pair for pair in splits if pair[0] in labels[0] and pair[1] in labels[1]]
+            if len(splits) > 1:
+                raise InputError(f"{what} {chunk!r} is ambiguous: it splits into known labels as "
+                                 + " and as ".join(map(repr, splits)))
+        if len(splits) != 1:
             raise InputError(f"{what} {chunk!r} must look like {shape}")
-        pairs.append(parts)
+        pairs.append(splits[0])
     return pairs
 
 
@@ -309,7 +316,8 @@ def _cmd_reward(args) -> dict:
 
 def _cmd_scan(args) -> str:
     model = _load_model(args.model, args.gamma, args.mu)
-    axes = _parse_pairs(args.axes, "axis", "observation:action")
+    axes = _parse_pairs(args.axes, "axis", "observation:action",
+                        (model.observations, model.actions))
     base = _parse_policy(args.policy, model) if args.policy else None
     return crit.landscape_scan(model, axes, args.resolution, base).to_csv()
 
@@ -420,8 +428,8 @@ def _cmd_bounds(args) -> dict:
         }
     if args.model is not None:
         model = _load_model(args.model, args.gamma, args.mu)
-        active = (_parse_pairs(args.active, "active pair", "action:observation")
-                  if args.active else [])
+        active = (_parse_pairs(args.active, "active pair", "action:observation",
+                               (model.actions, model.observations)) if args.active else [])
         inputs = crit.BoundInput.from_model(model, active)
     else:
         if args.states is None or args.actions is None or args.k is None:
@@ -540,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--axes", required=True,
-        help='observation:action[,observation:action]; quote a pair holding a comma: "o1:a,1"'
+        help='observation:action[,observation:action]; quote a pair holding a comma: "o1:a,1"; '
+             'a pair holding several colons splits where both sides are known labels'
     )
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--policy", default=None, help="base policy (default uniform)")
@@ -578,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None)
     p.add_argument(
         "--active", default=None,
-        help='pinned entries action:observation[,...]; quote a pair holding a comma: "a,1:o1"'
+        help='pinned entries action:observation[,...]; quote a pair holding a comma: "a,1:o1"; '
+             'a pair holding several colons splits where both sides are known labels'
     )
     p.add_argument("--states", type=int, default=None)
     p.add_argument("--actions", type=int, default=None)

@@ -10,9 +10,10 @@ combinatorial face lattice of the constraint system together with a
 numerical certificate that the polynomial description carves out each face.
 Polynomials are stored in factored form; their A^|support|-term monomial
 expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.  Constraints are
-evaluated together in one stacked pass over their factored forms.  Faces are
-built on demand, from the product structure of the policy domain, and never kept
-between calls.
+evaluated together in one stacked pass over a packed table of their factored
+forms, packed from constraint objects or, for face certification, straight from
+the pseudo-inverse.  Faces are built on demand, from the product structure of the
+policy domain, and never kept between calls.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
 from itertools import chain, compress, islice, product, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,20 +401,16 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
     na = len(action_labels)
     if obs_names is None:
         obs_names = [f"o{i + 1}" for i in range(no)]
-
-    fragile = (np.abs(pinv) > SUPPORT_TOL) & (np.abs(pinv) <= NEAR_ZERO_FACTOR * SUPPORT_TOL)
-    if np.any(fragile):
-        warnings.warn(f"{int(np.count_nonzero(fragile))} pseudo-inverse entries sit within "
-                      f"{NEAR_ZERO_FACTOR:g}x of the support cutoff {SUPPORT_TOL:g}; the "
-                      "constraint supports are numerically fragile", RuntimeWarning, stacklevel=2)
+    _warn_fragile(pinv, stacklevel=3)
 
     polys = []
+    labels = iter(_constraint_labels(obs_names, action_labels))
     for o in range(no):
         for a, action in enumerate(action_labels):
             # pi[a|o] = sum_s pinv[o, s] tau[s, a] >= 0: pseudo-inverse row o in column a
             b = np.zeros((ns, na))
             b[:, a] = pinv[o]
-            polys.append(transfer_inequality(b, 0.0, label=f"pi[{action}|{obs_names[o]}] >= 0",
+            polys.append(transfer_inequality(b, 0.0, label=next(labels),
                                              observation=obs_names[o], action=action))
     return polys
 
@@ -421,40 +419,109 @@ def model_constraint_polynomials(model: PomdpModel):
     return constraint_polynomials(model.beta, model.actions, obs_names=model.observations)
 
 
-def _stacked_values(polys, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The K constraints polys at frequencies eta (..., S, A) in one pass: their values
-    (..., K) and their products of support marginals (..., K).
+def _constraint_labels(observations, actions) -> tuple[str, ...]:
+    """The labels of the constraints pi[a|o] >= 0, one per (observation, action) in
+    row-major order."""
+    return tuple(f"pi[{action}|{name}] >= 0" for name in observations for action in actions)
 
-    Supports are padded to the longest, kmax, with marginals 1.0 and zero coefficients.
-    A value is -offset * prod(rho), then + linear_i * prod_{j != i} rho_j for i = 0, 1,
-    ... in support order, each product taken left to right: the padding multiplies by
-    exact ones and adds nothing, so each value has the bits of its constraint alone."""
-    eta = np.ascontiguousarray(eta, dtype=float)
+
+def _warn_fragile(pinv: np.ndarray, stacklevel: int) -> None:
+    """RuntimeWarning when a pseudo-inverse entry sits within NEAR_ZERO_FACTOR of the
+    support cutoff, with stacklevel as for `warnings.warn` called here."""
+    size = np.abs(pinv)
+    fragile = np.count_nonzero((size > SUPPORT_TOL) & (size <= NEAR_ZERO_FACTOR * SUPPORT_TOL))
+    if fragile:
+        warnings.warn(f"{fragile} pseudo-inverse entries sit within "
+                      f"{NEAR_ZERO_FACTOR:g}x of the support cutoff {SUPPORT_TOL:g}; the "
+                      "constraint supports are numerically fragile", RuntimeWarning,
+                      stacklevel=stacklevel)
+
+
+class _Packed(NamedTuple):
+    """K constraints as one table, supports padded to the longest, kmax: the support
+    states (K, kmax), which of them are kept (K, kmax), the support rows of the
+    coefficients (K, kmax, A) and the offsets (K,); padding holds state 0 and zeros."""
+
+    labels: tuple[str, ...]
+    states: np.ndarray
+    kept: np.ndarray
+    coeff: np.ndarray
+    offsets: np.ndarray
+
+
+def _pack(polys) -> _Packed:
+    """The packed table of the constraints polys, in their order."""
     degrees = np.array([p.degree for p in polys], dtype=int)
     kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (K, kmax)
     states = np.zeros(kept.shape, dtype=int)
     states[kept] = [s for p in polys for s in p.support_states]
-    coeff = np.zeros(kept.shape + eta.shape[-1:])
+    coeff = np.zeros(kept.shape + (polys[0].n_actions,))
     coeff[kept] = np.concatenate([p.coeff for p in polys])
+    return _Packed(tuple(p.label for p in polys), states, kept, coeff,
+                   np.array([p.offset for p in polys], dtype=float))
+
+
+def _model_packed(model: PomdpModel) -> _Packed:
+    """``_pack(model_constraint_polynomials(model))``, built from the pseudo-inverse in one
+    pass: the constraints of observation o share the support of pinv's row o, and
+    constraint (o, a) holds that row's support entries in column a alone."""
+    pinv = pseudoinverse(model.beta)
+    _warn_fragile(pinv, stacklevel=4)
+    no, na = model.n_observations, model.n_actions
+    above = np.abs(pinv) > SUPPORT_TOL  # (O, S): the support of each observation's row
+    degrees = above.sum(axis=1)
+    kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (O, kmax)
+    states = np.zeros(kept.shape, dtype=int)
+    states[kept] = np.nonzero(above)[1]
+    entries = np.zeros(kept.shape)
+    entries[kept] = pinv[above]
+    coeff = np.zeros((no, na) + kept.shape[1:] + (na,))
+    coeff[:, np.arange(na), :, np.arange(na)] = entries  # (A, O, kmax) on the diagonal
+    return _Packed(_constraint_labels(model.observations, model.actions),
+                   np.repeat(states, na, axis=0), np.repeat(kept, na, axis=0),
+                   coeff.reshape(no * na, -1, na), np.zeros(no * na))
+
+
+def _stacked_values(polys, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K constraints polys at frequencies eta (..., S, A) in one pass, `_packed_values`
+    of their packed table `_pack(polys)`.  Face certification packs the model's own
+    constraints straight from the pseudo-inverse (`_model_packed`) instead."""
+    return _packed_values(_pack(polys), eta)
+
+
+def _packed_values(packed: _Packed, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K packed constraints at frequencies eta (..., S, A): their values (..., K) and
+    their products of support marginals (..., K).
+
+    Padded support entries get marginals 1.0 and zero coefficients.  A value is
+    -offset * prod(rho), then + linear_i * prod_{j != i} rho_j for i = 0, 1, ... in
+    support order, each product taken left to right: the padding multiplies by exact ones
+    and adds nothing, so each value has the bits of its constraint alone."""
+    eta = np.ascontiguousarray(eta, dtype=float)
+    states, kept = packed.states, packed.kept
     rho = np.take(eta.sum(axis=-1), states, axis=-1)  # (..., K, kmax)
     rho[..., ~kept] = 1.0
-    linear = np.einsum("kia,...kia->...ki", coeff, np.take(eta, states, axis=-2))
+    linear = np.einsum("kia,...kia->...ki", packed.coeff, np.take(eta, states, axis=-2))
     ones = np.ones(rho.shape[:-1])
     total = reduce(np.multiply, np.moveaxis(rho, -1, 0), ones)
-    value = -np.array([p.offset for p in polys]) * total
+    value = -packed.offsets * total
     for i in range(kept.shape[1]):
         others = reduce(np.multiply, (rho[..., j] for j in range(kept.shape[1]) if j != i), ones)
         np.add(value, linear[..., i] * others, out=value, where=kept[:, i])
     return value, total
 
 
+def _policy_scale(raw: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """Each raw constraint value divided by the product of its support marginals: at the
+    frequency of a policy pi the recovered pi(a|o); where a support marginal is 0 it is 0."""
+    return np.divide(raw, prods, out=np.zeros_like(raw), where=prods != 0.0)
+
+
 def _constraint_values(polys, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every constraint at frequencies etas (..., S, A) in one stacked evaluation: the
-    raw values (..., K) and the policy-scale values, each raw value divided by the
-    product of its support marginals.  At the frequency of a policy pi the
-    policy-scale value is the recovered pi(a|o); where a support marginal is 0 it is 0."""
+    raw values (..., K) and the policy-scale values (`_policy_scale`)."""
     raw, prods = _stacked_values(polys, etas)
-    return raw, np.divide(raw, prods, out=np.zeros_like(raw), where=prods != 0.0)
+    return raw, _policy_scale(raw, prods)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +659,14 @@ def face_lattice(
     offending face and constraint.
 
     Certification reads only the faces' free-action masks, from `_face_order` on every
-    call; the lattice builds its descriptors when ``faces`` is first read.  All faces x
-    samples are certified in one batched pass, block by block: each block is one draw
-    of its samples, one `certified_etas` solve and one stacked evaluation of all
-    constraints, and holds at most ``freq.BLOCK_ENTRIES`` entries, both of the S x S
-    systems and of the K x kmax x A frequency entries gathered for the evaluation.
+    call, and the model's packed constraint table, built from the pseudo-inverse by
+    `_model_packed` with no `PolynomialConstraint` (the table `_pack` makes of
+    `model_constraint_polynomials`); the lattice builds its descriptors when ``faces``
+    is first read.  All faces x samples are certified in one batched pass, block by
+    block: each block is one draw of its samples, one `certified_etas` solve and one
+    stacked evaluation of all constraints (`_packed_values`), and holds at most
+    ``freq.BLOCK_ENTRIES`` entries, both of the S x S systems and of the K x kmax x A
+    frequency entries gathered for the evaluation.
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
@@ -615,10 +685,10 @@ def face_lattice(
         raise SizeCapError(f"face lattice over {no * na} policy coordinates exceeds the "
                            f"cap of {FACE_COORD_CAP}")
     _check_visits(model, "certification")
-    polys = model_constraint_polynomials(model)
+    packed = _model_packed(model)
     rows, ranks, dims = _face_order(no, na, max_dim)
     _check_cap(len(ranks) * samples, f"certifying {len(ranks)} faces x {samples} samples")
-    _certify_faces(model, rows[ranks], polys, np.random.default_rng(seed), samples, tol)
+    _certify_faces(model, rows[ranks], packed, np.random.default_rng(seed), samples, tol)
     return FaceLattice(model.observations, model.actions, tuple(np.bincount(dims).tolist()), True)
 
 
@@ -643,17 +713,16 @@ def _face_order(n_observations: int, n_actions: int,
     return rows, ranks[order], dims[order]
 
 
-def _certify_faces(model, free, polys, rng, samples, tol):
+def _certify_faces(model, free, packed, rng, samples, tol):
     """Raise CertificationError at the first (face, sample, constraint) failure; free
-    (faces, O, A) marks the free actions of each face.  polys are read by position: one
-    constraint per (observation, action) in row-major order, as from
-    `model_constraint_polynomials`."""
+    (faces, O, A) marks the free actions of each face.  The packed constraints are read by
+    position: one per (observation, action) in row-major order, as from `_model_packed`."""
     pinned = ~free.reshape(len(free), -1)  # (faces, constraints)
     mix = 0.2 * free / free.sum(axis=-1, keepdims=True)  # (faces, O, A)
 
     # a block holds at most BLOCK_ENTRIES entries in the solve (S x S per point) and in
     # the stacked evaluation (K x kmax x A gathered frequency entries per point)
-    gathered = len(polys) * max(p.degree for p in polys) * model.n_actions
+    gathered = packed.coeff.size  # K x kmax x A
     block = _block_len(max(model.n_states**2, gathered), BLOCK_ENTRIES)
     n_points = len(free) * samples
     for start in range(0, n_points, block):
@@ -668,7 +737,7 @@ def _certify_faces(model, free, polys, rng, samples, tol):
         points /= total
         points += mix[face_of]
         etas = certified_etas(model, compose(model.beta, points))
-        _, values = _constraint_values(polys, etas)
+        values = _policy_scale(*_packed_values(packed, etas))
         on_face = pinned[face_of]
         bad = np.where(on_face, np.abs(values) > tol, values <= tol)
         if not bad.any():
@@ -677,5 +746,5 @@ def _certify_faces(model, free, polys, rng, samples, tol):
         kind, expected = (("pinned", f"0 within {tol:g}") if on_face[n, k]
                           else ("free", f"to exceed {tol:g}"))
         face = tuple(tuple(np.flatnonzero(row).tolist()) for row in free[face_of[n]])
-        raise CertificationError(f"face {face}: {kind} constraint {polys[k].label} evaluates "
+        raise CertificationError(f"face {face}: {kind} constraint {packed.labels[k]} evaluates "
                                  f"to {values[n, k]:.3e}, expected {expected}")

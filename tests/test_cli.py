@@ -291,6 +291,50 @@ def test_pair_flags_name_a_comma_label_by_quoting_its_pair(tmp_path, capsys):
         "axis '1' must look like observation:action")
 
 
+def test_pair_flags_name_a_colon_label(tmp_path, capsys):
+    # a pair with several colons splits at the one colon that leaves two known labels
+    model = fixtures.two_state_model().replace(actions=("a:1", "a2"))
+    path = tmp_path / "colon.json"
+    path.write_text(serialize_model(model))
+    for axes in ("o1:a:1, o2:a2", '"o1 : a:1",o2:a2'):
+        code, out = run(capsys, "scan", str(path), "--axes", axes, "--resolution", "3")
+        assert code == 0
+        _, plain = run(capsys, "scan", TWO_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "3")
+        assert out.split("\n", 1) == ["pi[a:1|o1],pi[a2|o2],reward", plain.split("\n", 1)[1]]
+    code, out = run(capsys, "bounds", "--model", str(path), "--active", "a:1:o2")
+    assert code == 0
+    _, plain = run(capsys, "bounds", "--model", TWO_STATE, "--active", "a1:o2")
+    assert json.loads(out) == dict(json.loads(plain), active_set=[["a:1", "o2"]])
+    # one colon splits as before, and the library refuses the unknown label
+    for flag, pair, message in [
+            ("--axes", "o1:a1", "unknown action label 'a1'; known: ['a:1', 'a2']"),
+            ("--active", "a:1", "unknown observation label '1'; known: ['o1', 'o2']"),
+            ("--axes", "o1:a:9", "axis 'o1:a:9' must look like observation:action"),
+            ("--active", "a:1:o9", "active pair 'a:1:o9' must look like action:observation")]:
+        args = (["scan", str(path), "--axes", pair] if flag == "--axes"
+                else ["bounds", "--model", str(path), "--active", pair])
+        code, out = run(capsys, *args)
+        assert (code, json.loads(out)["error"]["message"]) == (2, message)
+
+
+@pytest.mark.parametrize("text, labels, result", [
+    ("o1:a:1", (("o1",), ("a:1",)), [("o1", "a:1")]),
+    ("o:1:a", (("o:1",), ("a",)), [("o:1", "a")]),
+    (" o:1 : a:1 ,o2:a2", (("o:1", "o2"), ("a:1", "a2")), [("o:1", "a:1"), ("o2", "a2")]),
+    ("o1:a9", (("o1",), ("a1",)), [("o1", "a9")]),  # one colon: the library checks labels
+    ("o1:a:9", (("o1",), ("a:1",)), "axis 'o1:a:9' must look like observation:action"),
+    ("o1:a:1", ((), ()), "axis 'o1:a:1' must look like observation:action"),
+    ("o:x:a", (("o", "o:x"), ("x:a", "a")),
+     "axis 'o:x:a' is ambiguous: it splits into known labels as ('o', 'x:a') and as ('o:x', 'a')"),
+])
+def test_parse_pairs_splits_at_the_colon_between_known_labels(text, labels, result):
+    if isinstance(result, list):
+        assert cli._parse_pairs(text, "axis", "observation:action", labels) == result
+    else:
+        with pytest.raises(InputError, match="^" + re.escape(result) + "$"):
+            cli._parse_pairs(text, "axis", "observation:action", labels)
+
+
 @pytest.mark.parametrize("text, pairs", [
     ("o1:a1", [("o1", "a1")]),
     (" o1 : a1 , o2:a2", [("o1", "a1"), ("o2", "a2")]),

@@ -420,6 +420,33 @@ def test_near_threshold_entries_warn():
         constraint_polynomials(beta, 2)
 
 
+def _packing_models():
+    """240 random models (kind, model): S = 2-6, O = 1..S, A = 2-4; dense, 0/1 and blind
+    beta in turn; every fourth model with other action labels."""
+    rng = np.random.default_rng(30)
+    for k in range(240):
+        kind = ("dense", "0/1", "blind")[k % 3]
+        ns, na = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        no = 1 if kind == "blind" else int(rng.integers(1, ns + 1))
+        m = fixtures.random_model(rng, ns, no, na, 0.8, deterministic_beta=kind == "0/1")
+        if k % 4 == 0:
+            m = m.replace(actions=tuple(f"b:{na - a}" for a in range(na)))
+        yield kind, m
+
+
+def test_model_packed_is_the_packed_constraint_polynomials():
+    uneven = 0
+    for kind, m in _packing_models():
+        packed, expected = geometry._model_packed(m), geometry._pack(model_constraint_polynomials(m))
+        assert packed.labels == expected.labels
+        for got, want in zip(packed[1:], expected[1:]):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+        degrees = packed.kept.sum(axis=1)
+        uneven += kind == "0/1" and bool(np.any(degrees != degrees.max()))
+    assert uneven >= 20  # 0/1 beta whose observations cover different numbers of states
+
+
 # --------------------------------------------------------------------------
 # feasibility verdicts
 
@@ -596,6 +623,31 @@ def test_face_lattice_rejects_a_tolerance_that_cannot_certify(tol):
         face_lattice(fixtures.two_state_model(), tol=tol)
 
 
+def test_face_lattice_builds_no_constraint_objects(monkeypatch):
+    m = fixtures.random_model(np.random.default_rng(12), 4, 3, 2, 0.8, positive_mu=True)
+    expected = face_lattice(m, samples=2, seed=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certification built a constraint")
+
+    monkeypatch.setattr(geometry, "transfer_inequality", refuse)
+    monkeypatch.setattr(PolynomialConstraint, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built a constraint"):
+        model_constraint_polynomials(m)
+    lattice = face_lattice(m, samples=2, seed=5)
+    assert lattice.certified and lattice == expected
+
+
+def test_face_lattice_warns_of_fragile_supports():
+    # pinv[1, 0] = -eps / (1 - eps), just above the support cutoff in magnitude
+    eps = 2 * geometry.SUPPORT_TOL
+    m = fixtures.two_state_model().replace(beta=np.array([[1.0, 0.0], [eps, 1.0 - eps]]))
+    assert geometry.SUPPORT_TOL < -pseudoinverse(m.beta)[1, 0] < 1.01 * eps
+    with pytest.warns(RuntimeWarning, match="1 pseudo-inverse entries .* support cutoff") as seen:
+        assert face_lattice(m).certified
+    assert [w.filename for w in seen] == [__file__]  # reported at the caller
+
+
 def test_certification_error_names_the_face():
     # certify against a model whose beta is swapped relative to the
     # constraints by monkeypatching the sampled policies is intrusive;
@@ -634,18 +686,18 @@ def test_face_lattice_is_one_solve_and_one_evaluation_per_constraint(monkeypatch
     # each block of samples is one solve and one stacked evaluation of every
     # constraint, whether the lattice fits one block or is split into several
     solves, evaluations = [], []
-    solve, stacked = freq._linsolve, geometry._stacked_values
+    solve, stacked = freq._linsolve, geometry._packed_values
 
     def counting_solve(a, b):
         solves.append((a.shape[-1],) + a.shape[:-1])  # as (systems, S, S)
         return solve(a, b)
 
-    def counting_stacked(polys, eta):
-        evaluations.append(([p.label for p in polys], eta.shape[0]))
-        return stacked(polys, eta)
+    def counting_stacked(packed, eta):
+        evaluations.append((list(packed.labels), eta.shape[0]))
+        return stacked(packed, eta)
 
     monkeypatch.setattr(freq, "_linsolve", counting_solve)
-    monkeypatch.setattr(geometry, "_stacked_values", counting_stacked)
+    monkeypatch.setattr(geometry, "_packed_values", counting_stacked)
     rng = np.random.default_rng(4)
     for shape, max_dim, samples in [((3, 3, 2), None, 3), ((4, 3, 3), None, 2),
                                     ((4, 3, 3), 1, 5), ((2, 2, 2), 0, 1)]:
@@ -677,16 +729,16 @@ def test_face_certification_blocks_bound_the_stacked_gather(monkeypatch):
     m = fixtures.random_model(np.random.default_rng(9), 4, 3, 3, 0.8, positive_mu=True)
     whole = face_lattice(m, samples=2)
     gathers = []
-    stacked = geometry._stacked_values
+    stacked = geometry._packed_values
 
-    def recording(polys, eta):
-        kmax = max(p.degree for p in polys)
-        gathers.append(eta.shape[0] * len(polys) * kmax * eta.shape[-1])
-        return stacked(polys, eta)
+    def recording(packed, eta):
+        kmax = packed.kept.shape[1]
+        gathers.append(eta.shape[0] * len(packed.labels) * kmax * eta.shape[-1])
+        return stacked(packed, eta)
 
     budget = 5 * 9 * 4 * 3 + 7  # five points' gather: 9 constraints over 4 states, 3 actions
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", budget)
-    monkeypatch.setattr(geometry, "_stacked_values", recording)
+    monkeypatch.setattr(geometry, "_packed_values", recording)
     assert face_lattice(m, samples=2) == whole
     assert len(gathers) == -(-whole.n_faces * 2 // 5)
     assert max(gathers) <= budget
@@ -724,7 +776,7 @@ def test_face_certification_holds_a_few_blocks(monkeypatch, samples):
     m = fixtures.random_model(np.random.default_rng(10), 4, 3, 3, 0.8, positive_mu=True)
     rows, ranks, _ = geometry._face_order(m.n_observations, m.n_actions, None)
     faces = rows[ranks]  # (faces, O, A) free-action masks
-    polys = model_constraint_polynomials(m)
+    packed = geometry._model_packed(m)
     budget = 2**14
     monkeypatch.setattr(geometry, "BLOCK_ENTRIES", budget)
     blocks = []
@@ -737,7 +789,7 @@ def test_face_certification_holds_a_few_blocks(monkeypatch, samples):
     monkeypatch.setattr(geometry, "certified_etas", counting)
     tracemalloc.start()
     try:
-        geometry._certify_faces(m, faces, polys, np.random.default_rng(0), samples,
+        geometry._certify_faces(m, faces, packed, np.random.default_rng(0), samples,
                                 geometry.CERT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -750,12 +802,15 @@ def test_certification_error_names_a_pinned_constraint(monkeypatch):
     # shift pi[a2|o1] by 0.5 times its product of marginals: it no longer
     # vanishes on the faces that pin a2 at o1, the first being the vertex
     # with a1 at both observations
-    def shifted(model):
-        polys = model_constraint_polynomials(model)
-        return [dataclasses.replace(p, offset=p.offset - 0.5)
-                if p.label == "pi[a2|o1] >= 0" else p for p in polys]
+    packed_of = geometry._model_packed
 
-    monkeypatch.setattr(geometry, "model_constraint_polynomials", shifted)
+    def shifted(model):
+        packed = packed_of(model)
+        offsets = packed.offsets.copy()
+        offsets[packed.labels.index("pi[a2|o1] >= 0")] -= 0.5
+        return packed._replace(offsets=offsets)
+
+    monkeypatch.setattr(geometry, "_model_packed", shifted)
     m = fixtures.two_state_model()
     with pytest.raises(CertificationError) as info:
         face_lattice(m, samples=2, seed=0)
