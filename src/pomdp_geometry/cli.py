@@ -373,7 +373,7 @@ def _cmd_constraints(args) -> dict:
     if args.policy:
         pi = _parse_policy(args.policy, model)
         freq = state_action_frequency(model, pi)
-        values, report = geom._feasibility(model, freq.eta, polys)
+        values, report = geom._feasibility(model, freq.eta, geom._pack(polys))
         payload["values_at_policy"] = dict(zip([p.label for p in polys], values.tolist()))
         payload["feasibility"] = report.to_dict()
     return payload

@@ -9,11 +9,12 @@ This module builds both descriptions, checks membership, and enumerates the
 combinatorial face lattice of the constraint system together with a
 numerical certificate that the polynomial description carves out each face.
 Polynomials are stored in factored form; their A^|support|-term monomial
-expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.  Constraints are
-evaluated together in one stacked pass over a packed table of their factored
-forms, packed from constraint objects or, for face certification, straight from
-the pseudo-inverse.  Faces are built on demand, from the product structure of the
-policy domain, and never kept between calls.
+expansion is derived on demand, up to ``MONOMIAL_CAP`` terms.  A model's
+constraints are built once, as one packed table of their factored forms taken
+straight from the pseudo-inverse; the constraint objects, face certification and
+feasibility verdicts all read that table, and constraints are evaluated together
+in one stacked pass over it.  Faces are built on demand, from the product
+structure of the policy domain, and never kept between calls.
 """
 
 from __future__ import annotations
@@ -287,8 +288,8 @@ class PolynomialConstraint:
 
     def evaluate(self, eta: np.ndarray) -> np.ndarray:
         """Evaluate via marginals, the one-constraint case of the stacked evaluation
-        `_stacked_values`; broadcastable over leading axes of eta."""
-        return _stacked_values([self], eta)[0][..., 0]
+        `_packed_values`; broadcastable over leading axes of eta."""
+        return _packed_values(_pack([self]), eta)[0][..., 0]
 
     def evaluate_monomials(self, eta: np.ndarray) -> float:
         """Evaluate from the stored monomial expansion (slow, exact form)."""
@@ -362,7 +363,9 @@ def transfer_inequality(
 
     The support is the set of states where ``b`` has any entry above
     ``SUPPORT_TOL`` in magnitude; the constraint keeps the support rows of
-    ``b`` and the offset ``c`` (its factored form).
+    ``b`` and the offset ``c`` (its factored form).  This is the public
+    one-constraint form: the constraint (o, a) of `constraint_polynomials` has the
+    bits of this one with ``b`` holding pseudo-inverse row o in column a and ``c = 0``.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
@@ -385,56 +388,29 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
     cleared over the support states of the corresponding pseudo-inverse
     row.  On the image of a policy ``pi`` the polynomial evaluates to
     ``pi[o, a]`` times the product of support-state marginals, so interior
-    policies make every polynomial strictly positive.
+    policies make every polynomial strictly positive.  The polynomials are the rows
+    of the packed constraint table `_constraint_table`, in its order.
 
     ``actions`` is the action count or a sequence of action labels; ``beta``
     alone does not determine how many frequency columns the polynomials act
     on.
     """
     beta = np.asarray(beta, dtype=float)
-    pinv = pseudoinverse(beta)
-    ns, no = beta.shape
     if isinstance(actions, (int, np.integer)):
-        action_labels = [f"a{i + 1}" for i in range(int(actions))]
-    else:
-        action_labels = [str(a) for a in actions]
-    na = len(action_labels)
-    if obs_names is None:
-        obs_names = [f"o{i + 1}" for i in range(no)]
-    _warn_fragile(pinv, stacklevel=3)
-
-    polys = []
-    labels = iter(_constraint_labels(obs_names, action_labels))
-    for o in range(no):
-        for a, action in enumerate(action_labels):
-            # pi[a|o] = sum_s pinv[o, s] tau[s, a] >= 0: pseudo-inverse row o in column a
-            b = np.zeros((ns, na))
-            b[:, a] = pinv[o]
-            polys.append(transfer_inequality(b, 0.0, label=next(labels),
-                                             observation=obs_names[o], action=action))
-    return polys
+        actions = [f"a{i + 1}" for i in range(int(actions))]
+    actions = [str(a) for a in actions]
+    if obs_names is None:  # the table refuses a beta that is not a matrix
+        obs_names = [f"o{i + 1}" for i in range(beta.shape[1] if beta.ndim == 2 else 0)]
+    table = _constraint_table(beta, obs_names, actions, stacklevel=3)
+    return [PolynomialConstraint(label, len(beta), len(actions), tuple(states[kept].tolist()),
+                                 coeff[kept], 0.0, observation, action)
+            for label, states, kept, coeff, (observation, action)
+            in zip(table.labels, table.states, table.kept, table.coeff,
+                   product(obs_names, actions))]
 
 
 def model_constraint_polynomials(model: PomdpModel):
     return constraint_polynomials(model.beta, model.actions, obs_names=model.observations)
-
-
-def _constraint_labels(observations, actions) -> tuple[str, ...]:
-    """The labels of the constraints pi[a|o] >= 0, one per (observation, action) in
-    row-major order."""
-    return tuple(f"pi[{action}|{name}] >= 0" for name in observations for action in actions)
-
-
-def _warn_fragile(pinv: np.ndarray, stacklevel: int) -> None:
-    """RuntimeWarning when a pseudo-inverse entry sits within NEAR_ZERO_FACTOR of the
-    support cutoff, with stacklevel as for `warnings.warn` called here."""
-    size = np.abs(pinv)
-    fragile = np.count_nonzero((size > SUPPORT_TOL) & (size <= NEAR_ZERO_FACTOR * SUPPORT_TOL))
-    if fragile:
-        warnings.warn(f"{fragile} pseudo-inverse entries sit within "
-                      f"{NEAR_ZERO_FACTOR:g}x of the support cutoff {SUPPORT_TOL:g}; the "
-                      "constraint supports are numerically fragile", RuntimeWarning,
-                      stacklevel=stacklevel)
 
 
 class _Packed(NamedTuple):
@@ -449,26 +425,27 @@ class _Packed(NamedTuple):
     offsets: np.ndarray
 
 
-def _pack(polys) -> _Packed:
-    """The packed table of the constraints polys, in their order."""
-    degrees = np.array([p.degree for p in polys], dtype=int)
-    kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (K, kmax)
-    states = np.zeros(kept.shape, dtype=int)
-    states[kept] = [s for p in polys for s in p.support_states]
-    coeff = np.zeros(kept.shape + (polys[0].n_actions,))
-    coeff[kept] = np.concatenate([p.coeff for p in polys])
-    return _Packed(tuple(p.label for p in polys), states, kept, coeff,
-                   np.array([p.offset for p in polys], dtype=float))
+def _constraint_table(beta, observations, actions, stacklevel: int) -> _Packed:
+    """The packed table of the constraints pi[a|o] >= 0, one per (observation, action) in
+    row-major order, built from the pseudo-inverse in one pass: the constraints of
+    observation o share the support of pinv's row o, its entries above SUPPORT_TOL in
+    magnitude, and constraint (o, a) holds that row's support entries in column a alone.
 
-
-def _model_packed(model: PomdpModel) -> _Packed:
-    """``_pack(model_constraint_polynomials(model))``, built from the pseudo-inverse in one
-    pass: the constraints of observation o share the support of pinv's row o, and
-    constraint (o, a) holds that row's support entries in column a alone."""
-    pinv = pseudoinverse(model.beta)
-    _warn_fragile(pinv, stacklevel=4)
-    no, na = model.n_observations, model.n_actions
-    above = np.abs(pinv) > SUPPORT_TOL  # (O, S): the support of each observation's row
+    Refuses observation labels that do not match beta's columns, and warns
+    (RuntimeWarning, stacklevel as for `warnings.warn` called here) when a
+    pseudo-inverse entry sits within NEAR_ZERO_FACTOR of the support cutoff."""
+    pinv = pseudoinverse(beta)
+    no, na = len(pinv), len(actions)
+    if len(observations) != no:
+        raise InputError(f"{len(observations)} observation labels for {no} observations")
+    size = np.abs(pinv)
+    above = size > SUPPORT_TOL  # (O, S): the support of each observation's row
+    fragile = np.count_nonzero(above & (size <= NEAR_ZERO_FACTOR * SUPPORT_TOL))
+    if fragile:
+        warnings.warn(f"{fragile} pseudo-inverse entries sit within "
+                      f"{NEAR_ZERO_FACTOR:g}x of the support cutoff {SUPPORT_TOL:g}; the "
+                      "constraint supports are numerically fragile", RuntimeWarning,
+                      stacklevel=stacklevel)
     degrees = above.sum(axis=1)
     kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (O, kmax)
     states = np.zeros(kept.shape, dtype=int)
@@ -477,16 +454,29 @@ def _model_packed(model: PomdpModel) -> _Packed:
     entries[kept] = pinv[above]
     coeff = np.zeros((no, na) + kept.shape[1:] + (na,))
     coeff[:, np.arange(na), :, np.arange(na)] = entries  # (A, O, kmax) on the diagonal
-    return _Packed(_constraint_labels(model.observations, model.actions),
-                   np.repeat(states, na, axis=0), np.repeat(kept, na, axis=0),
+    labels = tuple(f"pi[{action}|{name}] >= 0" for name in observations for action in actions)
+    return _Packed(labels, np.repeat(states, na, axis=0), np.repeat(kept, na, axis=0),
                    coeff.reshape(no * na, -1, na), np.zeros(no * na))
 
 
-def _stacked_values(polys, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The K constraints polys at frequencies eta (..., S, A) in one pass, `_packed_values`
-    of their packed table `_pack(polys)`.  Face certification packs the model's own
-    constraints straight from the pseudo-inverse (`_model_packed`) instead."""
-    return _packed_values(_pack(polys), eta)
+def _model_packed(model: PomdpModel) -> _Packed:
+    """The model's packed constraint table, `_constraint_table` of its beta and labels."""
+    return _constraint_table(model.beta, model.observations, model.actions, stacklevel=4)
+
+
+def _pack(polys) -> _Packed | None:
+    """The packed table of constraints a caller holds as objects, in their order; None
+    for no constraints.  The model's own table is `_model_packed`."""
+    if not polys:
+        return None
+    degrees = np.array([p.degree for p in polys], dtype=int)
+    kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (K, kmax)
+    states = np.zeros(kept.shape, dtype=int)
+    states[kept] = [s for p in polys for s in p.support_states]
+    coeff = np.zeros(kept.shape + (polys[0].n_actions,))
+    coeff[kept] = np.concatenate([p.coeff for p in polys])
+    return _Packed(tuple(p.label for p in polys), states, kept, coeff,
+                   np.array([p.offset for p in polys], dtype=float))
 
 
 def _packed_values(packed: _Packed, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,13 +505,6 @@ def _policy_scale(raw: np.ndarray, prods: np.ndarray) -> np.ndarray:
     """Each raw constraint value divided by the product of its support marginals: at the
     frequency of a policy pi the recovered pi(a|o); where a support marginal is 0 it is 0."""
     return np.divide(raw, prods, out=np.zeros_like(raw), where=prods != 0.0)
-
-
-def _constraint_values(polys, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every constraint at frequencies etas (..., S, A) in one stacked evaluation: the
-    raw values (..., K) and the policy-scale values (`_policy_scale`)."""
-    raw, prods = _stacked_values(polys, etas)
-    return raw, _policy_scale(raw, prods)
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +536,24 @@ def feasibility_report(
     entries above ``-ENTRY_TOL``); the polynomial layer requires every
     constraint's policy-scale value, the recovered pi(a|o), to clear
     ``-CERT_TOL``, as in face certification.  ``min_polynomial`` reports the
-    smallest raw cleared-denominator value.
+    smallest raw cleared-denominator value, 0.0 for no constraints.  The constraints
+    are ``polys`` when given, else the model's own, read from its packed table.
     """
     eta = np.asarray(eta, dtype=float)
-    if polys is None:
-        polys = model_constraint_polynomials(model)
-    return _feasibility(model, eta, polys)[1]
+    return _feasibility(model, eta, _model_packed(model) if polys is None else _pack(polys))[1]
 
 
-def _feasibility(model, eta, polys) -> tuple[np.ndarray, FeasibilityReport]:
-    """`feasibility_report` of a float array eta, with the raw constraint values
-    (K,) it was judged from: one evaluation per constraint."""
+def _feasibility(model, eta, packed) -> tuple[np.ndarray, FeasibilityReport]:
+    """`feasibility_report` of a float array eta against the packed constraints (None for
+    none), with the raw constraint values (K,) it was judged from: one evaluation each."""
     eq_resid = kirchhoff_residual(model, eta)
     min_entry = float(np.min(eta))
-    raw, scaled = _constraint_values(polys, eta) if polys else (np.zeros(1), np.zeros(1))
-    ok = eq_resid <= CERT_TOL and min_entry >= -ENTRY_TOL and np.min(scaled) >= -CERT_TOL
-    return raw[:len(polys)], FeasibilityReport(
+    raw, prods = _packed_values(packed, eta) if packed else (np.zeros(0), np.zeros(0))
+    ok = (eq_resid <= CERT_TOL and min_entry >= -ENTRY_TOL
+          and np.all(_policy_scale(raw, prods) >= -CERT_TOL))
+    return raw, FeasibilityReport(
         equality_residual=eq_resid, min_entry=min_entry,
-        min_polynomial=float(np.min(raw)), feasible=bool(ok))
+        min_polynomial=float(np.min(raw)) if raw.size else 0.0, feasible=bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +642,11 @@ def face_lattice(
     offending face and constraint.
 
     Certification reads only the faces' free-action masks, from `_face_order` on every
-    call, and the model's packed constraint table, built from the pseudo-inverse by
-    `_model_packed` with no `PolynomialConstraint` (the table `_pack` makes of
-    `model_constraint_polynomials`); the lattice builds its descriptors when ``faces``
-    is first read.  All faces x samples are certified in one batched pass, block by
-    block: each block is one draw of its samples, one `certified_etas` solve and one
-    stacked evaluation of all constraints (`_packed_values`), and holds at most
+    call, and the model's packed constraint table `_model_packed`, with no
+    `PolynomialConstraint`; the lattice builds its descriptors when ``faces`` is first
+    read.  All faces x samples are certified in one batched pass, block by block: each
+    block is one draw of its samples, one `certified_etas` solve and one stacked
+    evaluation of all constraints (`_packed_values`), and holds at most
     ``freq.BLOCK_ENTRIES`` entries, both of the S x S systems and of the K x kmax x A
     frequency entries gathered for the evaluation.
 

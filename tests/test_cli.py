@@ -804,6 +804,8 @@ GOLDEN_JSON = [
     ("error_faces_unvisited", 2, ["faces", str(MODELS / "blind_three_state.json"), "--mu", "s1"]),
     ("error_freq_det_label", 2, ["freq", THREE_STATE, "--policy", "det:a9,a1,a1"]),
     ("error_scan_label", 2, ["scan", THREE_STATE, "--axes", "o9:a1"]),
+    ("constraints_blind_three_state", 0,
+     ["constraints", str(MODELS / "blind_three_state.json"), "--policy", "uniform"]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
@@ -1059,13 +1061,13 @@ def test_constraints_never_build_the_monomial_dicts(tmp_path, capsys, monkeypatc
 
 def test_constraints_with_policy_evaluate_each_constraint_once(capsys, monkeypatch):
     calls = []
-    stacked = geometry._stacked_values
+    stacked = geometry._packed_values
 
-    def counted(polys, eta):
-        calls.append([p.label for p in polys])
-        return stacked(polys, eta)
+    def counted(packed, eta):
+        calls.append(list(packed.labels))
+        return stacked(packed, eta)
 
-    monkeypatch.setattr(geometry, "_stacked_values", counted)
+    monkeypatch.setattr(geometry, "_packed_values", counted)
     code, out = run(capsys, "constraints", THREE_STATE, "--policy", "uniform")
     assert code == 0
     assert len(calls) == 1  # one stacked evaluation of all constraints

@@ -227,27 +227,27 @@ def test_constraint_polynomial_exponent_matrices():
     assert str(p).startswith("pi[a1|o2] >= 0:")
 
 
-def test_constraint_polynomials_are_transfer_inequalities(monkeypatch):
-    m = fixtures.random_model(np.random.default_rng(7), 4, 3, 2, 0.9)
-    expected = model_constraint_polynomials(m)
-    built = []
-
-    def counting(b, c, **labels):
-        built.append((b.copy(), c, labels))
-        return transfer_inequality(b, c, **labels)
-
-    monkeypatch.setattr(geometry, "transfer_inequality", counting)
-    assert [p.to_dict() for p in model_constraint_polynomials(m)] == [
-        p.to_dict() for p in expected]
-    pinv = pseudoinverse(m.beta)
-    assert len(built) == len(expected) == 6
-    for (b, c, labels), poly in zip(built, expected):
-        o, a = m.observations.index(poly.observation), m.actions.index(poly.action)
-        column = np.zeros_like(b)
-        column[:, a] = pinv[o]
-        assert b.tobytes() == column.tobytes() and c == 0.0
-        assert labels == {"label": poly.label, "observation": poly.observation,
-                          "action": poly.action}
+def test_constraint_polynomials_are_transfer_inequalities():
+    # constraint (o, a) is the one-constraint form of pseudo-inverse row o in column a
+    for _, m in _packing_models():
+        pinv = pseudoinverse(m.beta)
+        polys = model_constraint_polynomials(m)
+        pairs = list(itertools.product(enumerate(m.observations), enumerate(m.actions)))
+        assert len(polys) == len(pairs)
+        for poly, ((o, name), (a, action)) in zip(polys, pairs):
+            b = np.zeros((m.n_states, m.n_actions))
+            b[:, a] = pinv[o]
+            want = transfer_inequality(b, 0.0, label=f"pi[{action}|{name}] >= 0",
+                                       observation=name, action=action)
+            # to_dict is the header and the terms, with exponent matrices that the
+            # support fixes; built in full only where the expansion is small
+            assert poly._header() == want._header() and poly.terms == want.terms
+            assert poly.degree > 4 or poly.to_dict() == want.to_dict()
+            assert (poly.n_states, poly.n_actions) == (want.n_states, want.n_actions)
+            assert poly.support_states == want.support_states
+            assert poly.coeff.shape == want.coeff.shape
+            assert poly.coeff.tobytes() == want.coeff.tobytes()  # signed zeros included
+            assert poly.offset == want.offset
 
 
 def test_constraint_to_dict_builds_each_term_exponent_matrix():
@@ -348,7 +348,7 @@ def test_stacked_values_match_each_constraint_bit_for_bit(seed, na):
     widest = next(p for p in polys if p.degree == 5)
     etas[1, 2, widest.support_states[0]] = 0.0
 
-    raw, prods = geometry._stacked_values(polys, etas)
+    raw, prods = geometry._packed_values(geometry._pack(polys), etas)
     expected = np.stack([_evaluate_each(p, etas) for p in polys], axis=-1)
     assert raw.shape == (2, 3, 6)
     assert raw.tobytes() == expected.tobytes()  # signed zeros included
@@ -360,7 +360,7 @@ def test_stacked_values_match_each_constraint_bit_for_bit(seed, na):
         scale = max(1.0, float(np.abs(p.coeff).sum()) + abs(p.offset))
         for point in ((0, 0), (1, 2)):
             assert abs(raw[point + (k,)] - p.evaluate_monomials(etas[point])) <= 1e-12 * scale
-    _, scaled = geometry._constraint_values(polys, etas)
+    scaled = geometry._policy_scale(*geometry._packed_values(geometry._pack(polys), etas))
     assert prods[1, 2, polys.index(widest)] == 0.0
     assert np.all(scaled[prods == 0.0] == 0.0)
 
@@ -416,8 +416,9 @@ def test_constraint_polynomials_accepts_counts_and_labels():
 def test_near_threshold_entries_warn():
     eps = 5e-11
     beta = np.array([[1.0, 0.0], [eps, 1.0 - eps]])
-    with pytest.warns(RuntimeWarning, match="support cutoff"):
+    with pytest.warns(RuntimeWarning, match="support cutoff") as seen:
         constraint_polynomials(beta, 2)
+    assert [w.filename for w in seen] == [__file__]  # reported at the caller
 
 
 def _packing_models():
@@ -479,6 +480,46 @@ def test_feasibility_report_flags_polynomial_violation():
     assert rep.equality_residual <= 1e-10
     assert rep.min_polynomial < -0.2
     assert not rep.feasible
+
+
+def _report_bits(report):
+    return np.array(dataclasses.astuple(report)[:3]).tobytes(), report.feasible
+
+
+def test_feasibility_report_reads_the_model_table_by_default(monkeypatch):
+    # the default constraints are the model's own packed table: the bits of the
+    # constraint objects, with no object built
+    rng = np.random.default_rng(31)
+    cases = []
+    for _, m in _packing_models():
+        # frequencies of an observation policy, then of a state policy, which the
+        # polynomial layer may refuse
+        for tau in (compose(m.beta, rng.dirichlet(np.ones(m.n_actions), m.n_observations)),
+                    rng.dirichlet(np.ones(m.n_actions), m.n_states)):
+            eta = eta_for_tau(m, tau)
+            polys = model_constraint_polynomials(m)
+            report = feasibility_report(m, eta)
+            assert _report_bits(report) == _report_bits(feasibility_report(m, eta, polys=polys))
+            raw = [geometry._feasibility(m, eta, table)[0].tobytes()
+                   for table in (geometry._model_packed(m), geometry._pack(polys))]
+            assert raw[0] == raw[1]
+            cases.append((m, eta, report))
+    assert 0 < sum(report.feasible for _, _, report in cases) < len(cases)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict built a constraint")
+
+    monkeypatch.setattr(PolynomialConstraint, "__post_init__", refuse)
+    for m, eta, report in cases:
+        assert _report_bits(feasibility_report(m, eta)) == _report_bits(report)
+    # no constraints: the linear layer alone decides
+    m = fixtures.two_state_model()
+    eta = eta_for_tau(m, np.eye(2))
+    assert not feasibility_report(m, eta).feasible
+    alone = feasibility_report(m, eta, polys=[])
+    assert alone.min_polynomial == 0.0 and alone.feasible
+    assert not feasibility_report(fixtures.three_state_model(), np.full((3, 2), 1 / 6),
+                                  polys=[]).feasible
 
 
 def test_feasibility_report_judges_wide_supports_on_the_policy_scale():

@@ -78,6 +78,8 @@ BAD_CALLS = [
     ("effective-polytope-ndim", lambda: pg.effective_polytope(np.ones(3)), "beta must be"),
     ("constraints-ndim", lambda: pg.constraint_polynomials(np.ones(3), ("a1", "a2")),
      "beta must be"),
+    ("constraints-observations", lambda: pg.constraint_polynomials(np.eye(2), 2, obs_names=["o"]),
+     "1 observation labels for 2 observations"),
     ("polynomial-coeff", lambda: pg.PolynomialConstraint("p", 2, 2, (0,), np.zeros((2, 2)), 0.0),
      "coeff must be"),
     ("transfer-ndim", lambda: pg.transfer_inequality(np.ones(3), 0.0), "b must be"),
