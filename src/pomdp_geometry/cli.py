@@ -229,7 +229,7 @@ def _parse_policy(text: str, model: PomdpModel) -> Policy:
         raise InputError(f"cannot parse policy {text!r}: {exc}") from exc
 
 
-def _parse_pairs(text: str, what: str, shape: str, labels=((), ())) -> list[tuple[str, str]]:
+def _parse_pairs(text: str, what: str, shape: str, labels) -> list[tuple[str, str]]:
     """Label pairs read as one CSV record, quoted as the CSV writers quote a label (`_csv_field`),
     so '"o1:a,1",o2:a2' names action 'a,1'; the library function that takes them resolves
     the labels.  A pair with one colon splits there; a pair with several splits at the one
@@ -365,7 +365,8 @@ def _spliced_terms(poly, matrices: dict, numbers: dict) -> _Spliced:
 
 def _cmd_constraints(args) -> dict:
     model = _load_model(args.model, args.gamma, args.mu)
-    polys = geom.model_constraint_polynomials(model)
+    table = geom._model_packed(model)
+    polys = geom._unpack(table, model.n_states, model.observations, model.actions)
     matrices = {}  # (depth, code row) -> exponent matrix text, shared by every term
     numbers = {}  # coefficient -> its text, shared by every term
     payload = {"polynomials": [{**p._header(), "terms": _spliced_terms(p, matrices, numbers)}
@@ -373,8 +374,8 @@ def _cmd_constraints(args) -> dict:
     if args.policy:
         pi = _parse_policy(args.policy, model)
         freq = state_action_frequency(model, pi)
-        values, report = geom._feasibility(model, freq.eta, geom._pack(polys))
-        payload["values_at_policy"] = dict(zip([p.label for p in polys], values.tolist()))
+        values, report = geom._feasibility(model, freq.eta, table)
+        payload["values_at_policy"] = dict(zip(table.labels, values.tolist()))
         payload["feasibility"] = report.to_dict()
     return payload
 

@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
-from .geometry import RankError, _check_cap, _support, pseudoinverse
+from .geometry import RankError, _check_cap, _model_packed
 from .model import InputError, Policy, PomdpModel, _csv_field, compose
 from .rational import _line_form
 
@@ -205,10 +205,10 @@ class BoundInput:
     """Inputs of the per-face critical-point bound.
 
     ``active_set`` lists the (action, observation) pairs pinned to zero on
-    the face.  ``degrees`` holds, per active observation, the support size
-    of the corresponding pseudo-inverse row (the degree of the matching
-    constraint polynomial); ``multiplicities`` counts the pinned actions
-    per active observation; ``m`` is the face codimension budget: ambient
+    the face.  ``degrees`` holds, per active observation, the degree of its
+    constraint polynomials, the support size of its row in the model's
+    constraint table; ``multiplicities`` counts the pinned actions per
+    active observation; ``m`` is the face codimension budget: ambient
     policy dimension minus the number of pinned entries.  `from_counts` builds
     them from counts alone, `from_model` from a face of a model with square β.
     """
@@ -255,13 +255,13 @@ class BoundInput:
                 f"kernel; got {model.n_states} states and "
                 f"{model.n_observations} observations"
             )
-        pinv = pseudoinverse(model.beta)
+        degrees = _model_packed(model).kept[::model.n_actions].sum(axis=1).tolist()
         if len(set(pairs)) != len(pairs):
             raise InputError("active set contains repeated pairs")
         per_obs = Counter(o for o, _ in pairs)
         inputs = cls.from_counts(model.n_states, model.n_actions,
                                  {model.observations[o]: k for o, k in per_obs.items()},
-                                 [len(_support(pinv[o])) for o in per_obs])
+                                 [degrees[o] for o in per_obs])
         return replace(inputs, active_set=tuple(
             (model.actions[a], model.observations[o]) for o, a in pairs))
 

@@ -19,6 +19,8 @@ structure of the policy domain, and never kept between calls.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
@@ -291,17 +293,6 @@ class PolynomialConstraint:
         `_packed_values`; broadcastable over leading axes of eta."""
         return _packed_values(_pack([self]), eta)[0][..., 0]
 
-    def evaluate_monomials(self, eta: np.ndarray) -> float:
-        """Evaluate from the stored monomial expansion (slow, exact form)."""
-        eta = np.asarray(eta, dtype=float)
-        total = 0.0
-        for assignment, c in self.terms.items():
-            mono = 1.0
-            for s, a in zip(self.support_states, assignment):
-                mono *= eta[s, a]
-            total += c * mono
-        return total
-
     def exponent_matrix(self, assignment) -> np.ndarray:
         """Dense (n_states, n_actions) exponent matrix of one monomial."""
         exps = np.zeros((self.n_states, self.n_actions), dtype=int)
@@ -344,13 +335,6 @@ class PolynomialConstraint:
         return f"{self.label}: {body} >= 0"
 
 
-def _support(rows: np.ndarray) -> tuple[int, ...]:
-    """Indices of the rows of a matrix, or the entries of a vector, with an entry above
-    SUPPORT_TOL in magnitude: the support states of a constraint."""
-    above = (np.abs(rows) > SUPPORT_TOL).reshape(len(rows), -1)
-    return tuple(np.flatnonzero(above.any(axis=1)).tolist())
-
-
 def transfer_inequality(
     b: np.ndarray,
     c: float,
@@ -371,7 +355,7 @@ def transfer_inequality(
     if b.ndim != 2:
         raise InputError("b must be a (states, actions) matrix")
     ns, na = b.shape
-    support = _support(b)
+    support = tuple(np.flatnonzero((np.abs(b) > SUPPORT_TOL).any(axis=1)).tolist())
     if label is None:
         label = f"transfer(c={c:g})"
     return PolynomialConstraint(label=label, n_states=ns, n_actions=na, support_states=support,
@@ -401,16 +385,11 @@ def constraint_polynomials(beta: np.ndarray, actions, obs_names=None) -> list[Po
     actions = [str(a) for a in actions]
     if obs_names is None:  # the table refuses a beta that is not a matrix
         obs_names = [f"o{i + 1}" for i in range(beta.shape[1] if beta.ndim == 2 else 0)]
-    table = _constraint_table(beta, obs_names, actions, stacklevel=3)
-    return [PolynomialConstraint(label, len(beta), len(actions), tuple(states[kept].tolist()),
-                                 coeff[kept], 0.0, observation, action)
-            for label, states, kept, coeff, (observation, action)
-            in zip(table.labels, table.states, table.kept, table.coeff,
-                   product(obs_names, actions))]
+    return _unpack(_constraint_table(beta, obs_names, actions), len(beta), obs_names, actions)
 
 
 def model_constraint_polynomials(model: PomdpModel):
-    return constraint_polynomials(model.beta, model.actions, obs_names=model.observations)
+    return _unpack(_model_packed(model), model.n_states, model.observations, model.actions)
 
 
 class _Packed(NamedTuple):
@@ -425,14 +404,23 @@ class _Packed(NamedTuple):
     offsets: np.ndarray
 
 
-def _constraint_table(beta, observations, actions, stacklevel: int) -> _Packed:
+def _stack_level() -> int:
+    """The stacklevel at which `warnings.warn`, called from this package, names the first
+    frame outside it, as pandas' find_stack_level does: the caller's line."""
+    frame, level, package = sys._getframe(1), 1, os.path.dirname(__file__) + os.sep
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+def _constraint_table(beta, observations, actions) -> _Packed:
     """The packed table of the constraints pi[a|o] >= 0, one per (observation, action) in
     row-major order, built from the pseudo-inverse in one pass: the constraints of
     observation o share the support of pinv's row o, its entries above SUPPORT_TOL in
     magnitude, and constraint (o, a) holds that row's support entries in column a alone.
 
     Refuses observation labels that do not match beta's columns, and warns
-    (RuntimeWarning, stacklevel as for `warnings.warn` called here) when a
+    (RuntimeWarning, reported at the first frame outside this package) when a
     pseudo-inverse entry sits within NEAR_ZERO_FACTOR of the support cutoff."""
     pinv = pseudoinverse(beta)
     no, na = len(pinv), len(actions)
@@ -445,7 +433,7 @@ def _constraint_table(beta, observations, actions, stacklevel: int) -> _Packed:
         warnings.warn(f"{fragile} pseudo-inverse entries sit within "
                       f"{NEAR_ZERO_FACTOR:g}x of the support cutoff {SUPPORT_TOL:g}; the "
                       "constraint supports are numerically fragile", RuntimeWarning,
-                      stacklevel=stacklevel)
+                      stacklevel=_stack_level())
     degrees = above.sum(axis=1)
     kept = np.arange(degrees.max(initial=0)) < degrees[:, None]  # (O, kmax)
     states = np.zeros(kept.shape, dtype=int)
@@ -461,7 +449,17 @@ def _constraint_table(beta, observations, actions, stacklevel: int) -> _Packed:
 
 def _model_packed(model: PomdpModel) -> _Packed:
     """The model's packed constraint table, `_constraint_table` of its beta and labels."""
-    return _constraint_table(model.beta, model.observations, model.actions, stacklevel=4)
+    return _constraint_table(model.beta, model.observations, model.actions)
+
+
+def _unpack(table: _Packed, n_states: int, observations, actions) -> list[PolynomialConstraint]:
+    """The constraint objects of the rows of a `_constraint_table`, one per (observation,
+    action) in row-major order, each with its kept support states and coefficient rows."""
+    return [PolynomialConstraint(label, n_states, len(actions), tuple(states[kept].tolist()),
+                                 coeff[kept], 0.0, observation, action)
+            for label, states, kept, coeff, (observation, action)
+            in zip(table.labels, table.states, table.kept, table.coeff,
+                   product(observations, actions))]
 
 
 def _pack(polys) -> _Packed | None:

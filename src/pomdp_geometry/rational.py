@@ -375,7 +375,7 @@ def vertex_improvement(model: PomdpModel, pi: Policy, obs) -> Policy:
         raise InputError("vertex_improvement needs an observation policy")
     state_conditionals(model, pi)  # refuses a policy of the wrong shape
     o = model.observation_index(obs)
-    compatible = int(np.sum(model.beta[:, o] > 0.0))
+    compatible = degree_bound(model, [o])
     if compatible > 1:
         raise InputError(
             f"observation {model.observations[o]!r} is compatible with {compatible} "

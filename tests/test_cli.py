@@ -343,7 +343,7 @@ def test_parse_pairs_splits_at_the_colon_between_known_labels(text, labels, resu
     ('"o1:a""1", "o2:a,2"', [("o1", 'a"1'), ("o2", "a,2")]),
 ])
 def test_parse_pairs_reads_one_csv_record(text, pairs):
-    assert cli._parse_pairs(text, "axis", "observation:action") == pairs
+    assert cli._parse_pairs(text, "axis", "observation:action", ((), ())) == pairs
 
 
 @pytest.mark.parametrize("text, message", [
@@ -355,7 +355,7 @@ def test_parse_pairs_reads_one_csv_record(text, pairs):
 ])
 def test_parse_pairs_refuses_what_is_not_one_record_of_pairs(text, message):
     with pytest.raises(InputError, match="^" + re.escape(message)):
-        cli._parse_pairs(text, "axis", "observation:action")
+        cli._parse_pairs(text, "axis", "observation:action", ((), ()))
 
 
 def test_constraints_with_policy(capsys):
@@ -541,7 +541,7 @@ def test_bounds_model_mode_linalg_failure_exits_one(capsys, monkeypatch):
     def no_convergence(beta):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(critical, "pseudoinverse", no_convergence)
+    monkeypatch.setattr(geometry, "pseudoinverse", no_convergence)
     code, out = run(capsys, "bounds", "--model", TWO_STATE, "--active", "a1:o2")
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "LinAlgError"
@@ -806,6 +806,7 @@ GOLDEN_JSON = [
     ("error_scan_label", 2, ["scan", THREE_STATE, "--axes", "o9:a1"]),
     ("constraints_blind_three_state", 0,
      ["constraints", str(MODELS / "blind_three_state.json"), "--policy", "uniform"]),
+    ("bounds_two_state", 0, ["bounds", "--model", TWO_STATE, "--active", "a1:o1,a2:o2"]),
 ]
 GOLDEN_CSV = [
     ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
@@ -1072,4 +1073,24 @@ def test_constraints_with_policy_evaluate_each_constraint_once(capsys, monkeypat
     assert code == 0
     assert len(calls) == 1  # one stacked evaluation of all constraints
     assert len(calls[0]) == len(set(calls[0])) == 6
+    assert out.encode() == (GOLDEN / "constraints_three_state.json").read_bytes()
+
+
+def test_constraints_with_policy_read_the_one_table_they_built(capsys, monkeypatch):
+    # the table the polynomials come from is the one their values are taken from
+    builds = []
+    build = geometry._constraint_table
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    def refuse(polys):
+        raise AssertionError("constraint objects packed again")
+
+    monkeypatch.setattr(geometry, "_constraint_table", counted)
+    monkeypatch.setattr(geometry, "_pack", refuse)
+    code, out = run(capsys, "constraints", THREE_STATE, "--policy", "uniform")
+    assert code == 0
+    assert len(builds) == 1
     assert out.encode() == (GOLDEN / "constraints_three_state.json").read_bytes()

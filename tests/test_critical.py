@@ -437,18 +437,22 @@ def test_bound_accepts_indices():
 
 
 def test_bound_degrees_are_the_constraint_degrees():
-    # lower-triangular kernels give pseudo-inverse rows of every support size
-    rng = np.random.default_rng(53)
-    for _ in range(30):
-        ns, na = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-        beta = np.tril(rng.random((ns, ns)) * (rng.random((ns, ns)) < 0.6)) + np.eye(ns)
-        m = fixtures.random_model(rng, ns, ns, na, 0.9).replace(
-            beta=beta / beta.sum(axis=1, keepdims=True))
-        polys = {(p.action, p.observation): p for p in model_constraint_polynomials(m)}
-        pairs = [(m.actions[int(rng.integers(na))], o) for o in m.observations
-                 if rng.random() < 0.7]
-        bi = BoundInput.from_model(m, pairs)
-        assert bi.degrees == tuple(polys[pair].degree for pair in sorted(pairs, key=lambda t: t[1]))
+    # lower-triangular kernels give pseudo-inverse rows of every support size; dense and
+    # 0/1 kernels give rows of full and of single-state support
+    for kind in ("triangular", "dense", "0/1"):
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            ns, na = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            beta = np.tril(rng.random((ns, ns)) * (rng.random((ns, ns)) < 0.6)) + np.eye(ns)
+            m = fixtures.random_model(rng, ns, ns, na, 0.9, deterministic_beta=kind == "0/1")
+            if kind == "triangular":
+                m = m.replace(beta=beta / beta.sum(axis=1, keepdims=True))
+            polys = {(p.action, p.observation): p for p in model_constraint_polynomials(m)}
+            pairs = [(m.actions[int(rng.integers(na))], o) for o in m.observations
+                     if rng.random() < 0.7]
+            bi = BoundInput.from_model(m, pairs)
+            assert bi.degrees == tuple(polys[pair].degree
+                                       for pair in sorted(pairs, key=lambda t: t[1]))
 
 
 def test_bound_matches_bruteforce_composition_sum():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pomdp_geometry import fixtures, freq, geometry
+from pomdp_geometry import critical, fixtures, freq, geometry
 from pomdp_geometry.freq import batch_eta, eta_for_tau, state_action_frequency, state_conditionals
 from pomdp_geometry.geometry import (
     CertificationError,
@@ -293,6 +293,18 @@ def test_on_image_identity():
                 )
 
 
+def _evaluate_monomials(poly, eta):
+    """Evaluate from the stored monomial expansion (slow, exact form)."""
+    eta = np.asarray(eta, dtype=float)
+    total = 0.0
+    for assignment, c in poly.terms.items():
+        mono = 1.0
+        for s, a in zip(poly.support_states, assignment):
+            mono *= eta[s, a]
+        total += c * mono
+    return total
+
+
 def test_evaluate_matches_monomial_expansion():
     m = fixtures.three_state_model()
     polys = model_constraint_polynomials(m)
@@ -301,7 +313,7 @@ def test_evaluate_matches_monomial_expansion():
         eta = rng.normal(size=(3, 2))  # arbitrary, not a frequency
         for p in polys:
             assert float(p.evaluate(eta)) == pytest.approx(
-                p.evaluate_monomials(eta), abs=1e-10
+                _evaluate_monomials(p, eta), abs=1e-10
             )
 
 
@@ -359,7 +371,7 @@ def test_stacked_values_match_each_constraint_bit_for_bit(seed, na):
         assert p.evaluate(etas).tobytes() == expected[..., k].tobytes()
         scale = max(1.0, float(np.abs(p.coeff).sum()) + abs(p.offset))
         for point in ((0, 0), (1, 2)):
-            assert abs(raw[point + (k,)] - p.evaluate_monomials(etas[point])) <= 1e-12 * scale
+            assert abs(raw[point + (k,)] - _evaluate_monomials(p, etas[point])) <= 1e-12 * scale
     scaled = geometry._policy_scale(*geometry._packed_values(geometry._pack(polys), etas))
     assert prods[1, 2, polys.index(widest)] == 0.0
     assert np.all(scaled[prods == 0.0] == 0.0)
@@ -402,7 +414,8 @@ def test_support_keeps_the_rows_whose_peak_exceeds_the_cutoff():
         for _ in range(40):
             rows = rng.choice(entries, size=shape)
             peaks = np.abs(rows).reshape(len(rows), -1).max(axis=1)
-            assert geometry._support(rows) == tuple(np.flatnonzero(peaks > geometry.SUPPORT_TOL))
+            support = transfer_inequality(rows.reshape(len(rows), -1), 0.0).support_states
+            assert support == tuple(np.flatnonzero(peaks > geometry.SUPPORT_TOL))
 
 
 def test_constraint_polynomials_accepts_counts_and_labels():
@@ -416,9 +429,19 @@ def test_constraint_polynomials_accepts_counts_and_labels():
 def test_near_threshold_entries_warn():
     eps = 5e-11
     beta = np.array([[1.0, 0.0], [eps, 1.0 - eps]])
-    with pytest.warns(RuntimeWarning, match="support cutoff") as seen:
-        constraint_polynomials(beta, 2)
-    assert [w.filename for w in seen] == [__file__]  # reported at the caller
+    m = fixtures.two_state_model().replace(beta=beta)
+    eta = state_action_frequency(m, Policy.uniform(2, 2)).eta
+    # every entry point reports the warning at its caller's line, however deep the
+    # table build sits below it
+    for call in (lambda: constraint_polynomials(beta, 2),
+                 lambda: model_constraint_polynomials(m),
+                 lambda: feasibility_report(m, eta),
+                 lambda: face_lattice(m),
+                 lambda: critical.BoundInput.from_model(m, [("a1", "o2")]),
+                 lambda: critical.face_critical_bound(m, [("a1", "o2")])):
+        with pytest.warns(RuntimeWarning, match="support cutoff") as seen:
+            call()
+        assert [w.filename for w in seen] == [__file__]  # reported at the caller
 
 
 def _packing_models():
