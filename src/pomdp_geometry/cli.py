@@ -8,7 +8,8 @@ that fail validation, and every `InputError`: malformed models, flags or policie
 arguments a library function refuses); 1 for computational failures inside an
 analysis (`COMPUTE_ERRORS`: rank deficiencies, size caps, ergodicity problems, solver
 failures, fits or certifications that do not converge).  Any other exception, an
-untyped `ValueError` included, is a bug and propagates.
+untyped `ValueError` included, is a bug and propagates.  Warnings raised while a
+command runs go to stderr as usual, reported against the model file it read.
 Errors are reported as a single JSON object on stdout so callers can parse them.
 All floating-point output is rendered with 17 significant digits, which
 makes repeated runs byte-identical for identical inputs and seeds; JSON
@@ -23,6 +24,7 @@ import functools
 import itertools
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -633,12 +635,19 @@ def main(argv=None) -> int:
     """Run one subcommand and write its document, or the document of its refusal, to
     stdout once; returns the exit code."""
     args = _parser().parse_args(argv)
-    try:
-        document, code = args.func(args), 0
-    except INPUT_ERRORS + COMPUTE_ERRORS as exc:
-        document = exc.document if isinstance(exc, _Refused) else {
-            "error": {"kind": type(exc).__name__, "message": str(exc)}}
-        code = 2 if isinstance(exc, INPUT_ERRORS) else 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            document, code = args.func(args), 0
+        except INPUT_ERRORS + COMPUTE_ERRORS as exc:
+            document = exc.document if isinstance(exc, _Refused) else {
+                "error": {"kind": type(exc).__name__, "message": str(exc)}}
+            code = 2 if isinstance(exc, INPUT_ERRORS) else 1
+    # a warning of the package names the first frame outside it, here the interpreter's or
+    # the console script's: a command reports each warning against the model file it read
+    for caught_warning in caught:
+        where = ((args.model, 0) if args.model is not None
+                 else (caught_warning.filename, caught_warning.lineno))
+        warnings.warn_explicit(caught_warning.message, caught_warning.category, *where)
     sys.stdout.write(document if isinstance(document, str) else emit_json(document))
     return code
 

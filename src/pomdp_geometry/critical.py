@@ -14,6 +14,7 @@ states S, interpolated at S + 1 Chebyshev nodes.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -23,7 +24,7 @@ from numpy.polynomial import chebyshev
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
-from .geometry import RankError, _check_cap, _model_packed
+from .geometry import RankError, SizeCapError, _check_cap, _model_packed
 from .model import InputError, Policy, PomdpModel, _csv_field, compose
 from .rational import _line_form
 
@@ -41,6 +42,10 @@ MIN_GRID_CELLS = 100
 
 # kkt_residual counts a policy entry above this as carrying probability
 ACTIVE_TOL = 1e-9
+
+# critical_point_bound refuses a bound that may have more decimal digits than this:
+# CPython's default limit on int-to-text conversion, so every bound it returns prints
+BOUND_DIGITS_CAP = 4300
 
 BOUNDARY_MAX = "strict local max"
 BOUNDARY_MIN = "strict local min"
@@ -277,17 +282,33 @@ def critical_point_bound(inputs: BoundInput) -> int:
     to ``x^m`` by one exact-integer recurrence.  An empty active set leaves
     no observations to absorb the budget: the bound is 1 when ``m`` is zero
     and 0 otherwise — no interior critical points exist.
+
+    Before any arithmetic, a recurrence of more than ``MONOMIAL_CAP`` steps
+    (degrees x ``m``) and a bound that may have more than ``BOUND_DIGITS_CAP``
+    decimal digits are refused with :class:`SizeCapError`; the digits are
+    estimated from above as those of prefactor x C(m + n - 1, n - 1) x
+    (largest degree - 1)^m for n degrees.
     """
-    if inputs.m < 0:
+    m, degrees, n = inputs.m, inputs.degrees, len(inputs.degrees)
+    if m < 0:
         return 0
+    if not n:
+        return int(m == 0)
+    _check_cap(n * m, f"a bound recurrence over {n} degrees to m = {m}")
+    digits = (sum(k * math.log10(d) for d, k in zip(degrees, inputs.multiplicities))
+              + (math.lgamma(m + n) - math.lgamma(m + 1) - math.lgamma(n)) / math.log(10)
+              + m * math.log10(max(max(degrees) - 1, 1)))
+    if digits >= BOUND_DIGITS_CAP:
+        raise SizeCapError(f"a bound of up to {math.floor(digits) + 1} decimal digits exceeds "
+                           f"the cap of {BOUND_DIGITS_CAP}")
     prefactor = 1
-    for d, k in zip(inputs.degrees, inputs.multiplicities):
+    for d, k in zip(degrees, inputs.multiplicities):
         prefactor *= d**k
-    c = [1] + [0] * inputs.m
-    for d in inputs.degrees:
-        for j in range(1, inputs.m + 1):
+    c = [1] + [0] * m
+    for d in degrees:
+        for j in range(1, m + 1):
             c[j] += (d - 1) * c[j - 1]
-    return prefactor * c[inputs.m]
+    return prefactor * c[m]
 
 
 def face_critical_bound(model: PomdpModel, active_set) -> int:

@@ -349,12 +349,20 @@ def _push(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return tau * flat[..., None]
 
 
+def _check_tol(tol: float) -> None:
+    """InputError unless 0 < tol < inf: no result meets a tol of zero or below (NaN fails
+    too), and an infinite one overflows the series horizon or admits anything."""
+    if not tol > 0.0:
+        raise InputError(f"tol must be > 0, got {tol}")
+    if tol == math.inf:
+        raise InputError(f"tol must be finite, got {tol}")
+
+
 def truncation_length(gamma: float, tol: float) -> int:
     """Number of terms after which the tail of the discounted series is below tol."""
     if not (0.0 < gamma < 1.0):
         raise InputError(f"truncation length needs gamma in (0,1), got {gamma}")
-    if not tol > 0.0:  # NaN fails
-        raise InputError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     return max(0, math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma)))
 
 
@@ -370,8 +378,7 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
     a tol that trend cannot meet by the step cap is refused early).
     P^T is applied by `_push`; beyond MAX_SERIES_STEPS steps it raises ArithmeticError.
     """
-    if not tol > 0.0:  # NaN fails: it would run every step of the cap before refusing
-        raise InputError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)  # a NaN tol would run every step of the cap before refusing
     tau = state_conditionals(model, pi)
     start = model.mu[:, None] * tau
     if model.gamma < 1.0:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .freq import BLOCK_ENTRIES, _block_len, _check_visits, certified_etas
+from .freq import BLOCK_ENTRIES, _block_len, _check_tol, _check_visits, certified_etas
 from .model import InputError, PomdpModel, compose
 
 # support cutoff for pseudo-inverse entries when building polynomial
@@ -50,12 +50,9 @@ CERT_TOL = 1e-8
 # how negative an entry of a feasible frequency may be
 ENTRY_TOL = 1e-10
 
-# refuse to enumerate face lattices beyond this many policy coordinates
-FACE_COORD_CAP = 16
-
-# refuse to expand a constraint polynomial into more monomials than this, and
-# to allocate a sweep of more points than this (scan grid, face samples,
-# projected points)
+# refuse to expand a constraint polynomial into more monomials than this, to
+# enumerate a face lattice of more faces, and to allocate a sweep of more points
+# (scan grid, face samples, projected points)
 MONOMIAL_CAP = 2**20
 
 
@@ -650,7 +647,9 @@ def face_lattice(
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
-    observation kernel with independent columns.
+    observation kernel with independent columns.  A lattice of more than
+    ``MONOMIAL_CAP`` faces, (2^A - 1)^O of them, is refused (SizeCapError)
+    before anything is built, and so are more faces x samples than that.
     """
     no, na = model.n_observations, model.n_actions
     if max_dim is not None and max_dim < 0:
@@ -659,11 +658,8 @@ def face_lattice(
         raise InputError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    if not tol > 0.0:  # pinned constraints evaluate to rounding noise, never to exactly 0
-        raise InputError(f"tol must be > 0, got {tol}")
-    if no * na > FACE_COORD_CAP:
-        raise SizeCapError(f"face lattice over {no * na} policy coordinates exceeds the "
-                           f"cap of {FACE_COORD_CAP}")
+    _check_tol(tol)  # pinned constraints evaluate to rounding noise, never to exactly 0
+    _check_cap((2**na - 1) ** no, f"a face lattice of (2^{na} - 1)^{no} faces")
     _check_visits(model, "certification")
     packed = _model_packed(model)
     rows, ranks, dims = _face_order(no, na, max_dim)

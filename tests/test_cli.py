@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -33,11 +34,19 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 TWO_STATE = str(MODELS / "two_state.json")
 THREE_STATE = str(MODELS / "three_state.json")
 BLIND_GRAPH = str(MODELS / "blind_three_state.graph")
+BLIND_JSON = str(MODELS / "blind_three_state.json")
+POMDPGEO = shutil.which("pomdpgeo")  # the installed console script, if any
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_module(*argv):
+    """`python -m pomdp_geometry.cli` in a subprocess that imports src/."""
+    return subprocess.run([sys.executable, "-m", "pomdp_geometry.cli", *argv], capture_output=True,
+                          check=False, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 # --------------------------------------------------------------------------
@@ -401,11 +410,14 @@ def test_faces_rejects_empty_requests(capsys, flag, value, least):
     (["faces", THREE_STATE, "--tol", "-1"], "tol must be > 0, got -1.0"),
     (["faces", THREE_STATE, "--tol", "nan"], "tol must be > 0, got nan"),
     (["faces", THREE_STATE, "--tol", "0"], "tol must be > 0, got 0.0"),
+    (["oracle", THREE_STATE, "--tol", "inf"], "tol must be finite, got inf"),
+    (["faces", THREE_STATE, "--tol", "inf"], "tol must be finite, got inf"),
     (["faces", THREE_STATE, "--seed", "-1"], "seed must be >= 0, got -1"),
     (["project", THREE_STATE, "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["bounds", "--rank-one", "0"], "k must be >= 1, got 0"),
 ], ids=["project-samples", "project-points", "critical-grid", "oracle-tol-zero",
         "oracle-tol-negative", "oracle-tol-nan", "faces-tol-negative", "faces-tol-nan", "faces-tol-zero",
+        "oracle-tol-inf", "faces-tol-inf",
         "faces-seed", "project-seed", "bounds-rank-one"])
 def test_flag_out_of_range_exits_two(capsys, argv, message):
     code, out = run(capsys, *argv)
@@ -528,6 +540,19 @@ def test_input_refusals_name_the_fault(tmp_path, capsys, argv, message):
     code, out = run(capsys, *[str(one_state) if a == "ONE_STATE" else a for a in argv])
     assert code == 2
     assert json.loads(out)["error"] == {"kind": "InputError", "message": message}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--states", "20000", "--actions", "2", "--d", "3", "--k", "1"],
+     "a bound of up to 6021 decimal digits exceeds the cap of 4300"),  # 3 * 2^19999
+    (["--states", "100000", "--actions", "100000", "--d", "2", "--k", "1"],
+     "a bound recurrence over 1 degrees to m = 9999899999 exceeds the cap of 1048576"),
+], ids=["digits", "steps"])
+def test_bounds_refuse_a_large_budget_at_once(capsys, flags, message):
+    start = time.perf_counter()
+    code, out = run(capsys, "bounds", *flags)
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(out)["error"]) == (1, {"kind": "SizeCapError", "message": message})
 
 
 def test_bounds_rank_error_exits_one(capsys):
@@ -721,13 +746,22 @@ def test_successive_calls_match_separate_runs(capsys):
         ["bounds", "--model", THREE_STATE, "--active", "a1:o2"],
     ]
     in_process = [run(capsys, *argv) for argv in argvs]
-    separate = []
-    for argv in argvs:
-        proc = subprocess.run([sys.executable, "-m", "pomdp_geometry.cli", *argv],
-                              capture_output=True, check=False, text=True,
-                              env={**os.environ, "PYTHONPATH": str(SRC)})
-        separate.append((proc.returncode, proc.stdout))
+    separate = [(proc.returncode, proc.stdout) for proc in (run_module(*argv) for argv in argvs)]
     assert in_process == separate
+
+
+def test_fragile_support_warning_names_the_model_file(tmp_path):
+    # under python -m the first frame outside the package is runpy's
+    eps = 5e-11
+    path = tmp_path / "fragile.json"
+    path.write_text(serialize_model(fixtures.two_state_model().replace(
+        beta=np.array([[1.0, 0.0], [eps, 1.0 - eps]]))))
+    for argv in (["constraints", str(path)], ["faces", str(path)],
+                 ["bounds", "--model", str(path), "--active", "a1:o2"]):
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stderr) == (0, (
+            f"{path}:0: RuntimeWarning: 1 pseudo-inverse entries sit within 100x of the "
+            "support cutoff 1e-12; the constraint supports are numerically fragile\n"))
 
 
 def test_constraints_wide_support_exits_one(tmp_path, capsys, wide_blind_model):
@@ -752,28 +786,10 @@ def test_wide_observation_kernel_exits_one(tmp_path, capsys, command):
 
 
 # --------------------------------------------------------------------------
-# golden snapshots of the commands built on the constraint polynomials
-
-
-GOLDEN_COMMANDS = [
-    ("faces", []),
-    ("constraints", ["--policy", "uniform"]),
-]
-GOLDEN_MODELS = ["two_state", "three_state"]
-
-
-@pytest.mark.parametrize("command, argv", GOLDEN_COMMANDS)
-@pytest.mark.parametrize("model", GOLDEN_MODELS)
-def test_output_matches_golden_snapshot(capsys, command, argv, model):
-    code, out = run(capsys, command, str(MODELS / f"{model}.json"), *argv)
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"{command}_{model}.json").read_bytes()
-
-
-# --------------------------------------------------------------------------
-# golden snapshots of the other JSON commands, taken from the recursive
-# renderer that emit_json replaced; validate_invalid has the messages'
-# plain float repr
+# golden runs: (file, exit code, argv), one per file under tests/golden, run in-process
+# and through an installed pomdpgeo.  Documents of commands other than faces and
+# constraints came from the recursive renderer emit_json replaced; validate_invalid has
+# the messages' plain float repr
 
 
 INVALID_MODEL = {
@@ -783,53 +799,64 @@ INVALID_MODEL = {
     "gamma": 1.5, "mu": [1.2, -0.1],
 }
 
-
-GOLDEN_JSON = [
-    ("freq_three_state", 0, ["freq", THREE_STATE]),
-    ("reward_three_state", 0, ["reward", THREE_STATE]),
-    ("oracle_three_state", 0, ["oracle", THREE_STATE]),
-    ("validate_two_state", 0, ["validate", TWO_STATE]),
-    ("validate_invalid", 2, ["validate", "INVALID"]),
-    ("bounds_three_state", 0, ["bounds", "--model", THREE_STATE, "--active", "a1:o2"]),
-    ("critical_blind_three_state", 0, ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
-    ("error_critical_two_state", 2, ["critical", TWO_STATE]),
-    ("faces_max_dim_three_state", 0, ["faces", THREE_STATE, "--max-dim", "1"]),
-    ("bounds_inline", 0, ["bounds", "--states", "3", "--actions", "2",
-                          "--d", "2,3", "--k", "1,1"]),
-    ("error_bounds_inline", 2, ["bounds", "--states", "3", "--actions", "2",
-                                "--d", "2", "--k", "2"]),
-    ("critical_blind_three_state_default", 0,
-     ["critical", str(MODELS / "blind_three_state.json")]),
-    ("error_freq_nan_policy", 2, ["freq", THREE_STATE, "--policy", "[[null, 1], [0, 1], [1, 0]]"]),
-    ("error_faces_unvisited", 2, ["faces", str(MODELS / "blind_three_state.json"), "--mu", "s1"]),
-    ("error_freq_det_label", 2, ["freq", THREE_STATE, "--policy", "det:a9,a1,a1"]),
-    ("error_scan_label", 2, ["scan", THREE_STATE, "--axes", "o9:a1"]),
-    ("constraints_blind_three_state", 0,
-     ["constraints", str(MODELS / "blind_three_state.json"), "--policy", "uniform"]),
-    ("bounds_two_state", 0, ["bounds", "--model", TWO_STATE, "--active", "a1:o1,a2:o2"]),
+GOLDEN_RUNS = [
+    ("faces_two_state.json", 0, ["faces", TWO_STATE]),
+    ("faces_three_state.json", 0, ["faces", THREE_STATE]),
+    ("constraints_two_state.json", 0, ["constraints", TWO_STATE, "--policy", "uniform"]),
+    ("constraints_three_state.json", 0, ["constraints", THREE_STATE, "--policy", "uniform"]),
+    ("freq_three_state.json", 0, ["freq", THREE_STATE]),
+    ("reward_three_state.json", 0, ["reward", THREE_STATE]),
+    ("oracle_three_state.json", 0, ["oracle", THREE_STATE]),
+    ("validate_two_state.json", 0, ["validate", TWO_STATE]),
+    ("validate_invalid.json", 2, ["validate", "INVALID"]),
+    ("bounds_three_state.json", 0, ["bounds", "--model", THREE_STATE, "--active", "a1:o2"]),
+    ("critical_blind_three_state.json", 0,
+     ["critical", BLIND_GRAPH, "--gamma", "0.5", "--mu", "s1"]),
+    ("error_critical_two_state.json", 2, ["critical", TWO_STATE]),
+    ("faces_max_dim_three_state.json", 0, ["faces", THREE_STATE, "--max-dim", "1"]),
+    ("bounds_inline.json", 0, ["bounds", "--states", "3", "--actions", "2",
+                               "--d", "2,3", "--k", "1,1"]),
+    ("error_bounds_inline.json", 2, ["bounds", "--states", "3", "--actions", "2",
+                                     "--d", "2", "--k", "2"]),
+    ("critical_blind_three_state_default.json", 0, ["critical", BLIND_JSON]),
+    ("error_freq_nan_policy.json", 2,
+     ["freq", THREE_STATE, "--policy", "[[null, 1], [0, 1], [1, 0]]"]),
+    ("error_faces_unvisited.json", 2, ["faces", BLIND_JSON, "--mu", "s1"]),
+    ("error_freq_det_label.json", 2, ["freq", THREE_STATE, "--policy", "det:a9,a1,a1"]),
+    ("error_scan_label.json", 2, ["scan", THREE_STATE, "--axes", "o9:a1"]),
+    ("constraints_blind_three_state.json", 0, ["constraints", BLIND_JSON, "--policy", "uniform"]),
+    ("bounds_two_state.json", 0, ["bounds", "--model", TWO_STATE, "--active", "a1:o1,a2:o2"]),
+    ("freq_csv_three_state.csv", 0, ["freq", THREE_STATE, "--csv"]),
+    ("scan_three_state.csv", 0,
+     ["scan", THREE_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "4"]),
+    ("project_three_state.csv", 0, ["project", THREE_STATE, "--samples", "4", "--points", "3"]),
 ]
-GOLDEN_CSV = [
-    ("freq_csv_three_state", ["freq", THREE_STATE, "--csv"]),
-    ("scan_three_state", ["scan", THREE_STATE, "--axes", "o1:a1,o2:a2", "--resolution", "4"]),
-    ("project_three_state", ["project", THREE_STATE, "--samples", "4", "--points", "3"]),
-]
+golden_runs = pytest.mark.parametrize("name, code, argv", GOLDEN_RUNS,
+                                      ids=[name for name, _, _ in GOLDEN_RUNS])
 
 
-@pytest.mark.parametrize("name, code, argv", GOLDEN_JSON)
-def test_json_commands_match_golden_snapshot(tmp_path, capsys, name, code, argv):
-    invalid = tmp_path / "invalid.json"
-    invalid.write_text(json.dumps(INVALID_MODEL))
-    argv = [str(invalid) if a == "INVALID" else a for a in argv]
-    got_code, out = run(capsys, *argv)
-    assert got_code == code
-    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+@pytest.fixture
+def invalid_model(tmp_path):
+    """argv with its INVALID placeholder replaced by the path of INVALID_MODEL's file."""
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(INVALID_MODEL))
+    return lambda argv: [str(path) if a == "INVALID" else a for a in argv]
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_CSV)
-def test_csv_commands_match_golden_snapshot(capsys, name, argv):
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+@golden_runs
+def test_golden_run_matches_its_file(capsys, invalid_model, name, code, argv):
+    got_code, out = run(capsys, *invalid_model(argv))
+    assert (got_code, out.encode()) == (code, (GOLDEN / name).read_bytes())
+
+
+@golden_runs
+@pytest.mark.skipif(POMDPGEO is None, reason="no pomdpgeo console script on PATH")
+def test_installed_script_matches_each_golden_run(invalid_model, name, code, argv):
+    # without PYTHONPATH the script imports the installed package, not src/
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([POMDPGEO, *invalid_model(argv)],
+                          capture_output=True, check=False, env=env)
+    assert (proc.returncode, proc.stdout) == (code, (GOLDEN / name).read_bytes())
 
 
 class _CountingStdout(io.StringIO):
@@ -842,18 +869,13 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
-def test_main_writes_each_golden_document_in_one_write(tmp_path, monkeypatch):
+def test_main_writes_each_golden_document_in_one_write(invalid_model, monkeypatch):
     # subcommands return their documents; main alone writes one, a refusal's included
-    invalid = tmp_path / "invalid.json"
-    invalid.write_text(json.dumps(INVALID_MODEL))
-    argvs = ([[command, str(MODELS / f"{model}.json"), *flags]
-              for command, flags in GOLDEN_COMMANDS for model in GOLDEN_MODELS]
-             + [argv for _, _, argv in GOLDEN_JSON] + [argv for _, argv in GOLDEN_CSV])
-    assert len(argvs) == len(list(GOLDEN.iterdir()))
-    for argv in argvs:
+    assert sorted(name for name, _, _ in GOLDEN_RUNS) == sorted(p.name for p in GOLDEN.iterdir())
+    for _, _, argv in GOLDEN_RUNS:
         out = _CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)
-        main([str(invalid) if a == "INVALID" else a for a in argv])
+        main(invalid_model(argv))
         assert out.writes == 1, argv
 
 

@@ -23,7 +23,13 @@ from pomdp_geometry.critical import (
     polar_degree_terms,
 )
 from pomdp_geometry.freq import batch_rewards, reward_of
-from pomdp_geometry.geometry import RankError, face_lattice, model_constraint_polynomials
+from pomdp_geometry.geometry import (
+    MONOMIAL_CAP,
+    RankError,
+    SizeCapError,
+    face_lattice,
+    model_constraint_polynomials,
+)
 from pomdp_geometry.model import InputError, Policy, PomdpModel, compose, load_model_text
 from pomdp_geometry.rational import TRIM_TOL, best_deterministic, reward_curve_on_line
 
@@ -429,6 +435,18 @@ def test_bound_empty_active_set_means_no_interior_critical_points():
 def test_bound_m_zero_gives_one():
     bi = BoundInput(active_set=(), degrees=(), multiplicities=(), m=0)
     assert critical_point_bound(bi) == 1
+
+
+def test_bound_is_exact_up_to_its_caps():
+    # the digit estimate is exact for one degree: 3 * 2^13999 has 4215 digits, the cap 4300
+    assert critical_point_bound(BoundInput.from_counts(14000, 2, {"o1": 1}, [3])) == 3 * 2**13999
+    assert critical_point_bound(BoundInput((("a1", "o1"),), (2,), (1,), MONOMIAL_CAP)) == 2
+    # no degree, no recurrence: m = 10^10 allocates nothing
+    assert critical_point_bound(BoundInput((), (), (), 10**10)) == 0
+    with pytest.raises(SizeCapError, match="4300"):
+        critical_point_bound(BoundInput.from_counts(14300, 2, {"o1": 1}, [3]))
+    with pytest.raises(SizeCapError, match="1048576"):
+        critical_point_bound(BoundInput((("a1", "o1"),), (2,), (1,), MONOMIAL_CAP + 1))
 
 
 def test_bound_accepts_indices():

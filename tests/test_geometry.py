@@ -603,11 +603,23 @@ def test_face_lattice_max_dim():
     assert lattice.n_faces == 8
 
 
-def test_face_lattice_size_cap():
-    rng = np.random.default_rng(1)
-    m = fixtures.random_model(rng, 2, 9, 2, 0.5)
-    with pytest.raises(SizeCapError, match="cap"):
+def test_face_lattice_size_cap(monkeypatch):
+    # (2^2 - 1)^13 = 1594323 faces, refused before anything is built
+    m = fixtures.random_model(np.random.default_rng(1), 2, 13, 2, 0.5)
+    monkeypatch.setattr(geometry, "_face_order", None)
+    with pytest.raises(SizeCapError, match=r"a face lattice of \(2\^2 - 1\)\^13 faces exceeds "
+                                           "the cap of 1048576"):
         face_lattice(m)
+
+
+@pytest.mark.parametrize("shape, max_dim, f_vector", [
+    ((2, 2, 9), 1, (81, 648)),  # O x A = 18 policy coordinates, 729 faces up to dimension 1
+    ((20, 20, 1), None, (1,)),  # 20 coordinates, one face
+], ids=["2x2x9-max-dim-1", "20x20x1"])
+def test_face_lattice_is_sized_by_its_faces(shape, max_dim, f_vector):
+    m = fixtures.random_model(np.random.default_rng(0), *shape, 0.8, positive_mu=True)
+    lattice = face_lattice(m, max_dim=max_dim)
+    assert lattice.certified and lattice.f_vector == f_vector
 
 
 def reference_faces(observations, actions, max_dim=None):

@@ -20,6 +20,7 @@ STATE_UNIFORM = pg.Policy.uniform(2, 2, kind="state")
 STATE_A1 = pg.Policy("state", [[1.0, 0.0], [1.0, 0.0]])
 STATE_A2 = pg.Policy("state", [[0.0, 1.0], [0.0, 1.0]])
 NAN = float("nan")
+INF = float("inf")
 
 # (id, call with one bad argument, pattern the message must match)
 BAD_CALLS = [
@@ -66,6 +67,12 @@ BAD_CALLS = [
     ("truncation-tol", lambda: pg.truncation_length(0.9, 0.0), "tol must be > 0"),
     ("truncation-tol-nan", lambda: pg.truncation_length(0.9, NAN), "tol must be > 0, got nan"),
     ("oracle-tol", lambda: pg.truncated_series_oracle(TWO, UNIFORM, -1.0), "tol must be > 0"),
+    ("truncation-tol-inf", lambda: pg.truncation_length(0.9, INF), "tol must be finite, got inf"),
+    ("oracle-tol-inf", lambda: pg.truncated_series_oracle(TWO, UNIFORM, INF),
+     "tol must be finite, got inf"),
+    ("oracle-tol-inf-mean",
+     lambda: pg.truncated_series_oracle(TWO.replace(gamma=1.0), UNIFORM, INF),
+     "tol must be finite, got inf"),
     ("gradient-gamma", lambda: pg.policy_gradient(TWO.replace(gamma=1.0), UNIFORM),
      "gamma < 1"),
     ("gradient-kind", lambda: pg.policy_gradient(TWO, STATE_UNIFORM), "observation policy"),
@@ -87,6 +94,7 @@ BAD_CALLS = [
     ("faces-samples", lambda: pg.face_lattice(THREE, samples=0), "samples must be >= 1, got 0"),
     ("faces-tol", lambda: pg.face_lattice(THREE, tol=0.0), "tol must be > 0, got 0.0"),
     ("faces-tol-nan", lambda: pg.face_lattice(THREE, tol=NAN), "tol must be > 0, got nan"),
+    ("faces-tol-inf", lambda: pg.face_lattice(THREE, tol=INF), "tol must be finite, got inf"),
     ("faces-seed", lambda: pg.face_lattice(THREE, seed=-1), "seed must be >= 0, got -1"),
     ("faces-unvisited", lambda: pg.face_lattice(UNVISITED), "visit every state"),
     # critical
