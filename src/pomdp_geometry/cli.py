@@ -113,8 +113,8 @@ def emit_json(obj) -> str:
 
     One walk appends chunks to a single list that is joined once.  A
     `_Spliced` value writes its own pieces into the list for the depth it
-    sits at: that is how `constraints` writes its monomial terms, straight
-    from each polynomial's factored expansion.
+    sits at: that is how `constraints` writes its monomial terms and `faces`
+    its faces, from texts formatted once per document.
     """
     out = []
     put = out.append
@@ -324,42 +324,56 @@ def _cmd_scan(args) -> str:
     return crit.landscape_scan(model, axes, args.resolution, base).to_csv()
 
 
-def _spliced_terms(poly, matrices: dict, numbers: dict) -> _Spliced:
-    """The "terms" list of ``poly.to_dict()`` as emit_json writes it, written
-    straight from the factored expansion (expanded here, so its size cap is
-    checked now).  A term's code row holds, per state, its action on the
-    support and A off it.  Each exponent row is then a unit row or zero, so a
-    matrix text is joined once per (depth, code row) from A + 1 row texts and
-    shared through ``matrices``; each distinct coefficient (they are subset sums of
-    one pseudo-inverse row, so few are) is formatted once and shared through ``numbers``."""
-    assignments, values = poly._expansion
+def _term_prefixes(n_states: int, n_actions: int, support: tuple[int, ...],
+                   depth: int) -> list[str]:
+    """The text of each term of a constraint on an ascending support up to its coefficient,
+    as emit_json writes a "terms" list at this depth, one per flat index of the A^degree
+    table of action assignments, each with the comma that separates it from the term
+    before.  An exponent row is the unit row of the action of a support state, or zero."""
+    rows = [_join_scalars(["1" if a == code else "0" for a in range(n_actions)], depth + 3)
+            for code in range(n_actions + 1)]  # code n_actions: the zero row
+    inner = "\n" + "  " * (depth + 3)
+    texts = [",\n" + "  " * (depth + 1) + "{\n" + "  " * (depth + 2) + '"exponents": [' + inner]
+    for s in range(n_states):
+        after = ("," + inner if s + 1 < n_states
+                 else "\n" + "  " * (depth + 2) + "],\n" + "  " * (depth + 2) + '"coefficient": ')
+        choices = [row + after for row in (rows[:-1] if s in support else rows[-1:])]
+        texts = [text + choice for text in texts for choice in choices]
+    return texts
+
+
+def _coefficient_texts(expansions) -> list[list[str]]:
+    """The coefficient texts of each expansion of `geometry._expansions`.  A constraint's
+    coefficients are subset sums of one pseudo-inverse row, so few are distinct: each
+    distinct one in the document is formatted once (kept coefficients exceed 1e-14 * scale
+    in magnitude, so 0.0 and -0.0 never share a text)."""
+    distinct, inverse = np.unique(np.concatenate([values for _, values in expansions]),
+                                  return_inverse=True)
+    texts = np.array([_float_text(v) for v in distinct.tolist()], dtype=object)[inverse]
+    return [part.tolist() for part in
+            np.split(texts, np.cumsum([len(values) for _, values in expansions])[:-1])]
+
+
+def _spliced_terms(n_states: int, n_actions: int, support: tuple[int, ...], flat: np.ndarray,
+                   coefficients: list[str], prefixes: dict) -> _Spliced:
+    """The "terms" list of a constraint's ``to_dict()`` as emit_json writes it, from the
+    flat indices of its kept monomials (`geometry._expansions`) and their coefficient
+    texts.  The `_term_prefixes` of each (depth, support) are joined once per document and
+    shared through ``prefixes``."""
 
     def write(out, depth):
-        if not len(values):
+        if not coefficients:
             out.append("[]")
             return
-        na = poly.n_actions
-        codes = np.full((len(values), poly.n_states), na)
-        codes[:, list(poly.support_states)] = assignments
-        rows = [_join_scalars(["1" if a == code else "0" for a in range(na)], depth + 3)
-                for code in range(na + 1)]
-        texts = []
-        for code in map(tuple, codes.tolist()):
-            text = matrices.get((depth, code))
-            if text is None:
-                text = matrices[depth, code] = _join_scalars([rows[c] for c in code], depth + 2)
-            texts.append(text)
-        # kept coefficients exceed 1e-14 * scale in magnitude: 0.0 and -0.0 never share a key
-        coefs = [numbers.get(v) or numbers.setdefault(v, _float_text(v)) for v in values.tolist()]
-        pad, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-        opening, middle = "," + pad + "{" + inner + '"exponents": ', "," + inner + '"coefficient": '
-        closing = pad + "}"
+        texts = prefixes.get((depth, support))
+        if texts is None:
+            texts = prefixes[depth, support] = _term_prefixes(n_states, n_actions, support, depth)
         first = len(out) + 1
         out.append("[")
         out.extend(itertools.chain.from_iterable(zip(
-            itertools.repeat(opening), texts, itertools.repeat(middle),
-            coefs, itertools.repeat(closing))))
-        out[first] = opening[1:]  # no comma before the first term
+            map(texts.__getitem__, flat.tolist()), coefficients,
+            itertools.repeat("\n" + "  " * (depth + 1) + "}"))))
+        out[first] = out[first][1:]  # no comma before the first term
         out.append("\n" + "  " * depth + "]")
 
     return _Spliced(write)
@@ -368,11 +382,15 @@ def _spliced_terms(poly, matrices: dict, numbers: dict) -> _Spliced:
 def _cmd_constraints(args) -> dict:
     model = _load_model(args.model, args.gamma, args.mu)
     table = geom._model_packed(model)
-    polys = geom._unpack(table, model.n_states, model.observations, model.actions)
-    matrices = {}  # (depth, code row) -> exponent matrix text, shared by every term
-    numbers = {}  # coefficient -> its text, shared by every term
-    payload = {"polynomials": [{**p._header(), "terms": _spliced_terms(p, matrices, numbers)}
-                               for p in polys]}
+    expansions = geom._expansions(table)
+    prefixes = {}  # (depth, support) -> the term texts up to each coefficient
+    payload = {"polynomials": [
+        {**geom._header(label, observation, action, support),
+         "terms": _spliced_terms(model.n_states, model.n_actions, support, flat, coefficients,
+                                 prefixes)}
+        for (label, observation, action, support, _), (flat, _), coefficients
+        in zip(geom._table_rows(table, model.observations, model.actions), expansions,
+               _coefficient_texts(expansions))]}
     if args.policy:
         pi = _parse_policy(args.policy, model)
         freq = state_action_frequency(model, pi)
@@ -380,6 +398,48 @@ def _cmd_constraints(args) -> dict:
         payload["values_at_policy"] = dict(zip(table.labels, values.tolist()))
         payload["feasibility"] = report.to_dict()
     return payload
+
+
+def _spliced_faces(lattice: geom.FaceLattice) -> _Spliced:
+    """The "faces" list as emit_json writes the dicts of the lattice's descriptors (free
+    actions, pinned (action, observation) pairs in sorted order, subfaces), written from
+    its arrays (`FaceLattice._graph`).  Each free-action set and each pinned pair is
+    formatted once per document, and the pairs are sorted once: by one rank over all O x A
+    pairs, in which each face's pinned pairs are picked.  A model file has at least one
+    observation and one action, so every face and every free set has an entry."""
+    rows, ranks, dims, covers, counts = lattice._graph()
+    no, na = ranks.shape[1], rows.shape[1]
+    order = sorted(range(no * na),
+                   key=lambda k: (lattice.actions[k % na], lattice.observations[k // na]))
+    pinned = (~rows[ranks]).reshape(len(ranks), -1)[:, order]
+
+    def write(out, depth):
+        sets = [_join_scalars([str(a) for a in np.flatnonzero(row).tolist()], depth + 3)
+                for row in rows]
+        pairs = [_join_scalars([json.dumps(lattice.actions[k % na]),
+                                json.dumps(lattice.observations[k // na])], depth + 3)
+                 for k in order]
+        key = ("\n" + "  " * (depth + 2) + '"{}": ').format
+        opening, sep = "[\n" + "  " * (depth + 3), ",\n" + "  " * (depth + 3)
+        closing = "\n" + "  " * (depth + 2) + "]"
+        heads = [",\n" + "  " * (depth + 1) + "{" + key("dimension") + str(d) + ","
+                 + key("free_actions") + opening for d in range(len(lattice.f_vector))]
+        zeros, subfaces = closing + "," + key("active_zeros"), "," + key("subfaces")
+        tail = "\n" + "  " * (depth + 1) + "}"
+        covers_left = iter(map(str, covers))
+        first = len(out)
+        for dim, face_ranks, face_pinned, n_covers in zip(
+                dims.tolist(), ranks.tolist(), pinned.tolist(), counts):
+            pairs_pinned = list(itertools.compress(pairs, face_pinned))
+            out += (heads[dim], sep.join([sets[r] for r in face_ranks]), zeros,
+                    opening + sep.join(pairs_pinned) + closing if pairs_pinned else "[]",
+                    subfaces,
+                    opening + sep.join(itertools.islice(covers_left, n_covers)) + closing
+                    if n_covers else "[]", tail)
+        out[first] = "[" + out[first][1:]  # no comma before the first face
+        out.append("\n" + "  " * depth + "]")
+
+    return _Spliced(write)
 
 
 def _cmd_faces(args) -> dict:
@@ -395,15 +455,7 @@ def _cmd_faces(args) -> dict:
         "f_vector": list(lattice.f_vector),
         "n_faces": lattice.n_faces,
         "certified": lattice.certified,
-        "faces": [
-            {
-                "dimension": f.dimension,
-                "free_actions": [list(k) for k in f.free_actions],
-                "active_zeros": sorted(list(pair) for pair in f.active_zeros),
-                "subfaces": list(f.subfaces),
-            }
-            for f in lattice.faces
-        ],
+        "faces": _spliced_faces(lattice),
     }
 
 

@@ -342,11 +342,13 @@ def fixed_point_residual(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) ->
     return float(np.max(np.abs(defect)))
 
 
-def _push(model: PomdpModel, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _push(model: PomdpModel, tau: np.ndarray, eta: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
     """(P^T eta)(t, b) = tau(b|t) sum_{s,a} alpha(t|s,a) eta(s,a), batched over leading
-    axes, without building the state-action kernel P."""
+    axes, without building the state-action kernel P; written into ``out`` when given,
+    which may be eta itself."""
     flat = eta.reshape(eta.shape[:-2] + (-1,)) @ model.alpha.reshape(-1, model.n_states)
-    return tau * flat[..., None]
+    return np.multiply(tau, flat[..., None], out=out)
 
 
 def _check_tol(tol: float) -> None:
@@ -389,8 +391,9 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
                 f"beyond the cap of {MAX_SERIES_STEPS}")
         term = start.copy()
         acc = start.copy()
-        for _ in range(horizon):
-            term = model.gamma * _push(model, tau, term)
+        for _ in range(horizon):  # each step in place: term <- gamma * P^T term
+            _push(model, tau, term, out=term)
+            term *= model.gamma
             acc += term
         # the kept terms have exact total mass sum_{t<=T} gamma^t; scaling by
         # it keeps the result a distribution and stays within tol of the limit
@@ -410,7 +413,7 @@ def _cesaro_average(model: PomdpModel, tau: np.ndarray, start: np.ndarray,
     while horizon <= MAX_SERIES_STEPS:
         while steps < horizon:
             acc += dist
-            dist = _push(model, tau, dist)
+            _push(model, tau, dist, out=dist)
             steps += 1
         average = acc / steps
         if previous is not None:

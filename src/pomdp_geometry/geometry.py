@@ -265,14 +265,11 @@ class PolynomialConstraint:
     @cached_property
     def _expansion(self) -> tuple[np.ndarray, np.ndarray]:
         """Kept monomials in lexicographic order: action assignments (n, degree)
-        and their merged coefficients ``sum_i coeff[i, f(i)] - offset`` (n,)."""
-        _check_cap(self.n_actions**self.degree,
-                   f"{self.label}: expansion into {self.n_actions}^{self.degree} monomials")
-        scale = max(1.0, float(np.max(np.abs(self.coeff), initial=0.0)), abs(self.offset))
-        # axis i holds the action of support state i
-        merged = reduce(np.add.outer, self.coeff, np.zeros(())) - self.offset
-        keep = np.abs(merged) > 1e-14 * scale
-        return np.argwhere(keep), merged[keep]
+        and their merged coefficients ``sum_i coeff[i, f(i)] - offset`` (n,), the
+        one-row case of `_expansions`."""
+        (flat, values), = _expansions(_pack([self]))
+        powers = self.n_actions ** np.arange(self.degree - 1, -1, -1)
+        return flat[:, None] // powers % self.n_actions, values
 
     @cached_property
     def terms(self) -> dict[tuple[int, ...], float]:
@@ -297,19 +294,9 @@ class PolynomialConstraint:
             exps[s, a] += 1
         return exps
 
-    def _header(self) -> dict:
-        """The fields of `to_dict` that precede its "terms", in order."""
-        return {
-            "label": self.label,
-            "observation": self.observation,
-            "action": self.action,
-            "support_states": list(self.support_states),
-            "degree": self.degree,
-        }
-
     def to_dict(self) -> dict:
         return {
-            **self._header(),
+            **_header(self.label, self.observation, self.action, self.support_states),
             "terms": [
                 {"exponents": self.exponent_matrix(a).tolist(), "coefficient": c}
                 for a, c in self.terms.items()
@@ -330,6 +317,17 @@ class PolynomialConstraint:
             parts.append(f"{-self.offset:+.6g}*{all_rho}")
         body = " ".join(parts) if parts else "0"
         return f"{self.label}: {body} >= 0"
+
+
+def _header(label, observation, action, support_states) -> dict:
+    """The fields of a constraint's `to_dict` that precede its "terms", in order."""
+    return {
+        "label": label,
+        "observation": observation,
+        "action": action,
+        "support_states": list(support_states),
+        "degree": len(support_states),
+    }
 
 
 def transfer_inequality(
@@ -449,14 +447,20 @@ def _model_packed(model: PomdpModel) -> _Packed:
     return _constraint_table(model.beta, model.observations, model.actions)
 
 
+def _table_rows(table: _Packed, observations, actions):
+    """The rows of a `_constraint_table`, one per (observation, action) in row-major order:
+    label, observation, action, kept support states (a tuple) and their coefficient rows."""
+    for label, states, kept, coeff, (observation, action) in zip(
+            table.labels, table.states, table.kept, table.coeff, product(observations, actions)):
+        yield label, observation, action, tuple(states[kept].tolist()), coeff[kept]
+
+
 def _unpack(table: _Packed, n_states: int, observations, actions) -> list[PolynomialConstraint]:
-    """The constraint objects of the rows of a `_constraint_table`, one per (observation,
-    action) in row-major order, each with its kept support states and coefficient rows."""
-    return [PolynomialConstraint(label, n_states, len(actions), tuple(states[kept].tolist()),
-                                 coeff[kept], 0.0, observation, action)
-            for label, states, kept, coeff, (observation, action)
-            in zip(table.labels, table.states, table.kept, table.coeff,
-                   product(observations, actions))]
+    """The constraint objects of the rows of a `_constraint_table` (`_table_rows`)."""
+    return [PolynomialConstraint(label, n_states, len(actions), support, coeff, 0.0,
+                                 observation, action)
+            for label, observation, action, support, coeff
+            in _table_rows(table, observations, actions)]
 
 
 def _pack(polys) -> _Packed | None:
@@ -472,6 +476,36 @@ def _pack(polys) -> _Packed | None:
     coeff[kept] = np.concatenate([p.coeff for p in polys])
     return _Packed(tuple(p.label for p in polys), states, kept, coeff,
                    np.array([p.offset for p in polys], dtype=float))
+
+
+def _expansions(packed: _Packed) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The kept monomials of each packed constraint, in lexicographic order of their action
+    assignments f (the action of support state i on axis i): their flat indices in the
+    row's A^degree table of assignments and their merged coefficients
+    ``sum_i coeff[i, f(i)] - offset``, dropped at 1e-14 of max(1, |coeff|, |offset|).
+
+    Refuses (SizeCapError) the first row in table order with more than MONOMIAL_CAP
+    monomials before expanding any, then expands the rows of each degree in one pass,
+    adding coefficient columns left to right as ``reduce(np.add.outer, coeff)`` does."""
+    na = packed.coeff.shape[-1]
+    degrees = packed.kept.sum(axis=1)
+    for label, degree in zip(packed.labels, degrees.tolist()):
+        _check_cap(na**degree, f"{label}: expansion into {na}^{degree} monomials")
+    # Python's max(1.0, ...), which passes over a NaN, as fmax does
+    scales = np.fmax(np.fmax(1.0, np.abs(packed.coeff).max(axis=(1, 2), initial=0.0)),
+                     np.abs(packed.offsets))
+    expansions = [None] * len(degrees)
+    for degree in np.unique(degrees).tolist():
+        rows = np.flatnonzero(degrees == degree)
+        coeff = packed.coeff[rows][packed.kept[rows]].reshape(len(rows), degree, na)
+        merged = np.zeros((len(rows), 1))
+        for i in range(degree):
+            merged = (merged[:, :, None] + coeff[:, i, None, :]).reshape(len(rows), -1)
+        merged -= packed.offsets[rows, None]
+        keep = np.abs(merged) > 1e-14 * scales[rows, None]
+        for row, values, kept in zip(rows.tolist(), merged, keep):
+            expansions[row] = np.flatnonzero(kept), values[kept]
+    return expansions
 
 
 def _packed_values(packed: _Packed, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,12 +623,25 @@ class FaceLattice:
 
     @cached_property
     def faces(self) -> tuple[FaceDescriptor, ...]:
-        rows, ranks, dims = _face_order(len(self.observations), len(self.actions),
-                                        len(self.f_vector) - 1)
-        (count, no), (n, na) = ranks.shape, rows.shape
+        rows, ranks, dims, covers, counts = self._graph()
+        no, na = ranks.shape[1], rows.shape[1]
         sets = [tuple(compress(range(na), row)) for row in rows.tolist()]
         pinned = [[tuple(zip(compress(self.actions, row), repeat(name)))
                    for row in (~rows).tolist()] for name in self.observations]
+        numbers = ranks @ len(rows) ** np.arange(no - 1, -1, -1)  # ranks as base-n digits
+        combos = list(product(sets, repeat=no))
+        zeros = list(map(frozenset, map(chain.from_iterable, product(*pinned))))
+        covers = iter(covers)
+        return tuple(FaceDescriptor(combos[k], zeros[k], dim, tuple(islice(covers, c)))
+                     for k, dim, c in zip(numbers.tolist(), dims.tolist(), counts))
+
+    def _graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
+        """The faces as arrays, in the order of ``faces``: `_face_order`'s rows, ranks and
+        dimensions, then the positions of the faces each face covers, ascending per face,
+        as one flat list, and how many each face covers."""
+        rows, ranks, dims = _face_order(len(self.observations), len(self.actions),
+                                        len(self.f_vector) - 1)
+        (count, no), (n, na) = ranks.shape, rows.shape
         # a covered face drops one free action, not the last, of one observation: set j
         # without action a has rank drops[j, a], which is j where nothing is dropped
         codes = rows @ (1 << np.arange(na))  # each set as a bit mask
@@ -609,12 +656,8 @@ class FaceLattice:
         shift = drops[ranks] - ranks[..., None]  # (faces, O, A), 0 where nothing is dropped
         covered = position[numbers[:, None, None] + shift * weights[:, None]]
         covered = np.sort(np.where(shift == 0, count, covered).reshape(count, -1))  # none last
-        covers = iter(covered[covered < count].tolist())
-        combos = list(product(sets, repeat=no))
-        zeros = list(map(frozenset, map(chain.from_iterable, product(*pinned))))
-        return tuple(FaceDescriptor(combos[k], zeros[k], dim, tuple(islice(covers, c)))
-                     for k, dim, c in zip(numbers.tolist(), dims.tolist(),
-                                          np.count_nonzero(shift, axis=(1, 2)).tolist()))
+        return (rows, ranks, dims, covered[covered < count].tolist(),
+                np.count_nonzero(shift, axis=(1, 2)).tolist())
 
 
 def face_lattice(

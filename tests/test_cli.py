@@ -1082,6 +1082,18 @@ def test_constraints_never_build_the_monomial_dicts(tmp_path, capsys, monkeypatc
     assert [code for code, _ in got] == [0, 0]
 
 
+def test_constraints_build_no_constraint_objects(capsys, monkeypatch):
+    # headers, terms and values all come from the model's packed table
+    def refuse(self):
+        raise AssertionError("constraints built a PolynomialConstraint")
+
+    monkeypatch.setattr(PolynomialConstraint, "__post_init__", refuse)
+    for name, path in (("constraints_three_state.json", THREE_STATE),
+                       ("constraints_blind_three_state.json", BLIND_JSON)):
+        code, out = run(capsys, "constraints", path, "--policy", "uniform")
+        assert (code, out.encode()) == (0, (GOLDEN / name).read_bytes())
+
+
 def test_constraints_with_policy_evaluate_each_constraint_once(capsys, monkeypatch):
     calls = []
     stacked = geometry._packed_values
@@ -1116,3 +1128,55 @@ def test_constraints_with_policy_read_the_one_table_they_built(capsys, monkeypat
     assert code == 0
     assert len(builds) == 1
     assert out.encode() == (GOLDEN / "constraints_three_state.json").read_bytes()
+
+
+# --------------------------------------------------------------------------
+# faces written from the lattice's arrays
+
+
+FACE_ACTION_LABELS = ['a"1', "a\\2", "é,3", "a:4", "A", "b"]
+FACE_OBSERVATION_LABELS = ["o:1", 'o"2', "ö", "o,3", "\\o"]
+
+
+def _faces_reference(lattice):
+    """The faces document as the dicts of the lattice's descriptors, active zeros sorted,
+    rendered by the recursive renderer."""
+    payload = {
+        "f_vector": list(lattice.f_vector),
+        "n_faces": lattice.n_faces,
+        "certified": lattice.certified,
+        "faces": [
+            {
+                "dimension": f.dimension,
+                "free_actions": [list(k) for k in f.free_actions],
+                "active_zeros": sorted(list(pair) for pair in f.active_zeros),
+                "subfaces": list(f.subfaces),
+            }
+            for f in lattice.faces
+        ],
+    }
+    return _render_reference(payload, 0) + "\n"
+
+
+def test_faces_match_the_recursive_renderer_on_random_models(tmp_path, capsys):
+    rng = np.random.default_rng(34)
+    shapes, escaped = set(), 0
+    for trial in range(32):
+        ns = int(rng.integers(2, 5))
+        no, na = int(rng.integers(1, min(ns, 3) + 1)), int(rng.integers(1, 4))
+        model = fixtures.random_model(rng, ns, no, na, 0.8, positive_mu=True)
+        if trial % 2:  # labels that need JSON escapes or hold a comma or a colon, unsorted
+            model = model.replace(
+                actions=tuple(rng.permutation(FACE_ACTION_LABELS)[:na].tolist()),
+                observations=tuple(rng.permutation(FACE_OBSERVATION_LABELS)[:no].tolist()))
+            escaped += 1
+        path = tmp_path / f"faces{trial}.json"
+        path.write_text(serialize_model(model))
+        for max_dim in (None, 1):
+            flags = [] if max_dim is None else ["--max-dim", str(max_dim)]
+            code, out = run(capsys, "faces", str(path), *flags)
+            assert code == 0
+            assert out == _faces_reference(geometry.face_lattice(model, max_dim=max_dim))
+        shapes.add((ns, no, na))
+    assert escaped == 16 and len(shapes) >= 15
+    assert {na for _, _, na in shapes} == {1, 2, 3} and {no for _, no, _ in shapes} == {1, 2, 3}

@@ -177,6 +177,47 @@ def test_oracle_refuses_a_series_beyond_the_step_cap(monkeypatch):
         truncated_series_oracle(m, Policy.uniform(2, 2), tol=1e-6)
 
 
+def _series_reference(model, pi, tol):
+    """The series oracle as a loop that builds fresh arrays at every step, gamma * P^T term
+    and P^T dist, with P^T applied as tau(b|t) sum_{s,a} alpha(t|s,a) x(s,a)."""
+    tau = state_conditionals(model, pi)
+    start = model.mu[:, None] * tau
+
+    def push(x):
+        return tau * (x.reshape(-1) @ model.alpha.reshape(-1, model.n_states))[:, None]
+
+    if model.gamma < 1.0:
+        horizon = truncation_length(model.gamma, tol)
+        term, acc = start.copy(), start.copy()
+        for _ in range(horizon):
+            term = model.gamma * push(term)
+            acc += term
+        eta = acc * (1.0 - model.gamma) / (1.0 - model.gamma ** (horizon + 1))
+    else:
+        horizon, previous, steps = 64, None, 0
+        dist, acc = start.copy(), np.zeros_like(start)
+        while True:
+            while steps < horizon:
+                acc += dist
+                dist = push(dist)
+                steps += 1
+            eta = acc / steps
+            if previous is not None and np.max(np.abs(eta - previous)) <= 0.5 * tol:
+                break
+            previous, horizon = eta, 2 * horizon
+    return freq._scrub(eta)
+
+
+@pytest.mark.parametrize("gamma, tol", [(0.6, 1e-12), (0.95, 1e-9), (1.0, 1e-4)])
+def test_series_oracle_steps_in_place_with_the_bits_of_fresh_arrays(gamma, tol):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        m = fixtures.random_model(rng, 4, 3, 3, gamma, positive_mu=True)
+        pi = Policy("observation", rng.dirichlet(np.ones(3), size=3))
+        series = truncated_series_oracle(m, pi, tol=tol)
+        assert series.eta.tobytes() == _series_reference(m, pi, tol).tobytes()
+
+
 # --------------------------------------------------------------------------
 # gamma = 1
 

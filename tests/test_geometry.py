@@ -1,6 +1,7 @@
 """Flow polytope, effective polytope, polynomial constraints, face lattice."""
 
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -241,7 +242,9 @@ def test_constraint_polynomials_are_transfer_inequalities():
                                        observation=name, action=action)
             # to_dict is the header and the terms, with exponent matrices that the
             # support fixes; built in full only where the expansion is small
-            assert poly._header() == want._header() and poly.terms == want.terms
+            assert (poly.label, poly.observation, poly.action) == (want.label, want.observation,
+                                                                   want.action)
+            assert poly.terms == want.terms
             assert poly.degree > 4 or poly.to_dict() == want.to_dict()
             assert (poly.n_states, poly.n_actions) == (want.n_states, want.n_actions)
             assert poly.support_states == want.support_states
@@ -756,6 +759,72 @@ def test_terms_match_brute_force_expansion():
                 expected[assignment] = float(value)
         assert poly.support_states == tuple(support)
         assert list(poly.terms.items()) == list(expected.items())
+
+
+def _per_constraint_expansion(poly):
+    """The expansion of one constraint as it was built before the table-wide helper:
+    kept assignments (n, degree) and merged coefficients, from one nd add.outer."""
+    scale = max(1.0, float(np.max(np.abs(poly.coeff), initial=0.0)), abs(poly.offset))
+    merged = functools.reduce(np.add.outer, poly.coeff, np.zeros(())) - poly.offset
+    keep = np.abs(merged) > 1e-14 * scale
+    return np.argwhere(keep), merged[keep]
+
+
+def _random_held_constraints(rng, ns, na):
+    """Caller-held constraints of mixed degree on ns states: small integer coefficients
+    with perturbations near the drop threshold, nonzero offsets, zero rows off the support
+    and, now and then, no support at all (degree 0)."""
+    polys = []
+    for k in range(int(rng.integers(1, 6))):
+        b = rng.integers(-2, 3, size=(ns, na)) + rng.choice(
+            [0.0, 0.0, 5e-15, -5e-15, 1.5e-14, -3e-14], size=(ns, na))
+        b[rng.random(ns) < 0.3] = 0.0
+        if rng.random() < 0.15:
+            b[:] = 0.0
+        c = float(rng.integers(-3, 4)) + rng.normal() * (rng.random() < 0.5)
+        polys.append(transfer_inequality(b, c, label=f"held[{k}]"))
+    return polys
+
+
+def test_expansions_have_the_bits_of_each_constraint_expanded_alone():
+    checked, degrees = 0, set()
+    rng = np.random.default_rng(34)
+    held = [_random_held_constraints(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+            for _ in range(60)]
+    models = [model_constraint_polynomials(m) for _, m in itertools.islice(_packing_models(), 60)]
+    for polys in held + models:
+        na = polys[0].n_actions
+        for poly, (flat, values) in zip(polys, geometry._expansions(geometry._pack(polys))):
+            assignments, merged = _per_constraint_expansion(poly)
+            powers = na ** np.arange(poly.degree - 1, -1, -1)
+            assert flat.tolist() == (assignments @ powers).tolist()
+            assert values.tobytes() == merged.tobytes()
+            got = poly._expansion
+            assert (got[0].shape, got[0].dtype) == (assignments.shape, assignments.dtype)
+            assert got[0].tobytes() == assignments.tobytes() and got[1].tobytes() == merged.tobytes()
+            # brute force over every assignment, as test_terms_match_brute_force_expansion
+            drop = 1e-14 * max(1.0, float(np.max(np.abs(poly.coeff), initial=0.0)),
+                               abs(poly.offset))
+            expected = {}
+            for assignment in itertools.product(range(na), repeat=poly.degree):
+                value = sum(poly.coeff[i, a] for i, a in enumerate(assignment)) - poly.offset
+                if abs(value) > drop:
+                    expected[assignment] = float(value)
+            assert list(poly.terms.items()) == list(expected.items())
+            checked, degrees = checked + 1, degrees | {poly.degree}
+    assert checked > 300 and {0, 1, 2, 3, 4, 5} <= degrees
+
+
+def test_expansions_refuse_the_first_row_over_the_cap(monkeypatch):
+    monkeypatch.setattr(geometry, "MONOMIAL_CAP", 8)
+    polys = [transfer_inequality(np.ones((s, 2)), 0.5, label=label)
+             for s, label in ((3, "fits"), (4, "first over"), (5, "second over"), (1, "small"))]
+    with pytest.raises(SizeCapError, match=r"^first over: expansion into 2\^4 monomials "
+                                           r"exceeds the cap of 8$"):
+        geometry._expansions(geometry._pack(polys))
+    with pytest.raises(SizeCapError, match=r"^second over: expansion into 2\^5 monomials"):
+        polys[2]._expansion
+    assert len(polys[0].terms) == 8 and len(polys[3].terms) == 2
 
 
 def test_face_lattice_is_one_solve_and_one_evaluation_per_constraint(monkeypatch):
