@@ -15,7 +15,18 @@ Library layout:
 - critical: blind-controller critical points, critical-point bounds,
             polar degrees, landscape scans, KKT residuals
 - cli:      the `pomdpgeo` command-line interface
+
+`import pomdp_geometry` loads only the solver core, model and freq (whose
+import sets the allocator thresholds README describes).  rational, geometry
+and critical, and the names exported from them, load on first access: a
+module `__getattr__` looks each one up in its home module on every access
+and never binds it here, so a function patched in its home module is what
+the package hands out.  A caller that needs only the core, such as a batch
+of 60x30x8 solves, peaks 2.6 MB lower in resident memory; the first call
+into an analysis pays its import, 10-36 ms without cached bytecode.
 """
+
+from importlib import import_module as _import_module
 
 from .model import (
     Frequency,
@@ -46,52 +57,73 @@ from .freq import (
     truncation_length,
     value_bundle,
 )
-from .rational import (
-    DegreeCertificate,
-    DegreeFitError,
-    RationalCurve,
-    best_deterministic,
-    degree_bound,
-    deterministic_policies,
-    fit_rational_curve,
-    improvement_path,
-    interpolation_speed,
-    line_degree_certificate,
-    reward_curve_on_line,
-    vertex_improvement,
-)
-from .geometry import (
-    CertificationError,
-    EffectivePolytope,
-    FaceLattice,
-    FeasibilityReport,
-    HalfspaceSystem,
-    PolynomialConstraint,
-    RankError,
-    SizeCapError,
-    constraint_polynomials,
-    effective_polytope,
-    face_lattice,
-    feasibility_report,
-    kirchhoff_image,
-    kirchhoff_residual,
-    mdp_polytope,
-    model_constraint_polynomials,
-    pseudoinverse,
-    transfer_inequality,
-)
-from .critical import (
-    BoundInput,
-    CriticalSet,
-    ScanGrid,
-    blind_critical_points,
-    critical_point_bound,
-    face_critical_bound,
-    kkt_residual,
-    landscape_scan,
-    polar_degree_rank_one,
-    polar_degree_terms,
-)
+# The names exported from the analyses, by home module; `_HOME` maps each of
+# them, and each of the three submodules, to the module it loads from.
+_LAZY_EXPORTS = {
+    "rational": (
+        "DegreeCertificate",
+        "DegreeFitError",
+        "RationalCurve",
+        "best_deterministic",
+        "degree_bound",
+        "deterministic_policies",
+        "fit_rational_curve",
+        "improvement_path",
+        "interpolation_speed",
+        "line_degree_certificate",
+        "reward_curve_on_line",
+        "vertex_improvement",
+    ),
+    "geometry": (
+        "CertificationError",
+        "EffectivePolytope",
+        "FaceLattice",
+        "FeasibilityReport",
+        "HalfspaceSystem",
+        "PolynomialConstraint",
+        "RankError",
+        "SizeCapError",
+        "constraint_polynomials",
+        "effective_polytope",
+        "face_lattice",
+        "feasibility_report",
+        "kirchhoff_image",
+        "kirchhoff_residual",
+        "mdp_polytope",
+        "model_constraint_polynomials",
+        "pseudoinverse",
+        "transfer_inequality",
+    ),
+    "critical": (
+        "BoundInput",
+        "CriticalSet",
+        "ScanGrid",
+        "blind_critical_points",
+        "critical_point_bound",
+        "face_critical_bound",
+        "kkt_residual",
+        "landscape_scan",
+        "polar_degree_rank_one",
+        "polar_degree_terms",
+    ),
+}
+_HOME = {name: home for home, names in _LAZY_EXPORTS.items() for name in (home, *names)}
+
+
+def __getattr__(name):
+    # Looked up in the home module on every access and never bound here, so a
+    # function patched in its home module (a tracer, a test) is what callers get.
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = _import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _HOME.keys())
+
 
 __all__ = [
     "Frequency",
@@ -119,44 +151,5 @@ __all__ = [
     "truncated_series_oracle",
     "truncation_length",
     "value_bundle",
-    "DegreeCertificate",
-    "DegreeFitError",
-    "RationalCurve",
-    "best_deterministic",
-    "degree_bound",
-    "deterministic_policies",
-    "fit_rational_curve",
-    "improvement_path",
-    "interpolation_speed",
-    "line_degree_certificate",
-    "reward_curve_on_line",
-    "vertex_improvement",
-    "CertificationError",
-    "EffectivePolytope",
-    "FaceLattice",
-    "FeasibilityReport",
-    "HalfspaceSystem",
-    "PolynomialConstraint",
-    "RankError",
-    "SizeCapError",
-    "constraint_polynomials",
-    "effective_polytope",
-    "face_lattice",
-    "feasibility_report",
-    "kirchhoff_image",
-    "kirchhoff_residual",
-    "mdp_polytope",
-    "model_constraint_polynomials",
-    "pseudoinverse",
-    "transfer_inequality",
-    "BoundInput",
-    "CriticalSet",
-    "ScanGrid",
-    "blind_critical_points",
-    "critical_point_bound",
-    "face_critical_bound",
-    "kkt_residual",
-    "landscape_scan",
-    "polar_degree_rank_one",
-    "polar_degree_terms",
+    *(name for names in _LAZY_EXPORTS.values() for name in names),
 ]

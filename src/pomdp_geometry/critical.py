@@ -14,6 +14,7 @@ states S, interpolated at S + 1 Chebyshev nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -354,10 +355,19 @@ class ScanGrid:
     shape: tuple[int, ...]
 
     def to_csv(self) -> str:
+        """One header row, then one row per point with every number as %.17g.  An axis
+        holds few distinct values: each is formatted once, told apart by bit pattern so
+        that -0.0 still prints -0, and every row comes from one template."""
         headers = [_csv_field(f"pi[{a}|{o}]") for o, a in self.axes] + ["reward"]
-        table = np.column_stack([self.coordinates, self.rewards])
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        return ",".join(headers) + "\n" + row * len(table) % tuple(table.ravel().tolist())
+        cells = []
+        for column in np.asarray(self.coordinates, dtype=float).T:
+            bits, index = np.unique(column.view(np.int64), return_inverse=True)
+            labels = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+            cells.append(labels[index].tolist())
+        row = ",".join(["%s"] * len(cells) + ["%.17g"]) + "\n"
+        cells.append(np.asarray(self.rewards, dtype=float).tolist())
+        values = tuple(itertools.chain.from_iterable(zip(*cells)))
+        return ",".join(headers) + "\n" + row * len(self.rewards) % values
 
 
 def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray) -> np.ndarray:

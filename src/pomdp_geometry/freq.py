@@ -227,6 +227,7 @@ def _solve(model: PomdpModel, taus: np.ndarray) -> np.ndarray:
     Batches beyond BLOCK_ENTRIES S x S entries are solved in ceil(N / block) near-equal
     blocks, so no block holds one point while a block has room for two.
     """
+    _check_gamma(model)
     block = _block_len(model.n_states**2, BLOCK_ENTRIES)
     if len(taus) > block:
         return np.concatenate([_solve(model, part)
@@ -251,6 +252,7 @@ def _values(model: PomdpModel, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """One policy's unnormalized values at gamma < 1 from its conditionals tau (S, A):
     v (S,) solves (I - gamma p) v = r_tau and q = reward + gamma alpha v (S, A).  The
     system is built over the kernel of a one-point batch and consumed by `_linsolve`."""
+    _check_gamma(model)
     system = _discounted_system(model, _state_kernels(model, tau[None]))
     v = _linsolve(system, _state_rewards(model, tau[None])[:, None])[:, 0].T
     q = model.reward + model.gamma * np.einsum("sat,nt->nsa", model.alpha, v)
@@ -266,6 +268,12 @@ def _block_len(entries_per_item: int, budget: int) -> int:
 def _scrub(eta: np.ndarray) -> np.ndarray:
     """eta with solver noise, entries below 1e-15 in magnitude, set to exact zeros."""
     return np.where(np.abs(eta) < 1e-15, 0.0, eta)
+
+
+def _check_gamma(model: PomdpModel) -> None:
+    """InputError unless gamma lies in (0, 1], the interval `validate` reports (NaN fails)."""
+    if not 0.0 < model.gamma <= 1.0:
+        raise InputError(f"gamma must lie in (0, 1], got {model.gamma!r}")
 
 
 def _check_visits(model: PomdpModel, what: str) -> None:
@@ -380,6 +388,7 @@ def truncated_series_oracle(model: PomdpModel, pi: Policy, tol: float) -> Freque
     a tol that trend cannot meet by the step cap is refused early).
     P^T is applied by `_push`; beyond MAX_SERIES_STEPS steps it raises ArithmeticError.
     """
+    _check_gamma(model)  # gamma > 1 or NaN would otherwise take the Cesaro branch
     _check_tol(tol)  # a NaN tol would run every step of the cap before refusing
     tau = state_conditionals(model, pi)
     start = model.mu[:, None] * tau
@@ -420,8 +429,9 @@ def _cesaro_average(model: PomdpModel, tau: np.ndarray, start: np.ndarray,
             change = np.max(np.abs(average - previous))
             if change <= 0.5 * tol:
                 return average
-            # changes shrink like 1/T: refuse once two in a row, scaled to the cap, miss tol/2 4x
-            stuck, was_stuck = change * steps > 4.0 * 0.5 * tol * MAX_SERIES_STEPS, stuck
+            # changes shrink like c / T, so change * T / (tol / 2 * cap) above 1 means the
+            # change at the cap would still miss tol / 2: refuse once two in a row say so
+            stuck, was_stuck = change * steps > 0.5 * tol * MAX_SERIES_STEPS, stuck
             if stuck and was_stuck:
                 break
         previous = average

@@ -238,14 +238,16 @@ def test_oracle_beyond_the_step_cap_exits_one(capsys):
 
 
 def test_oracle_mean_reward_refuses_an_unreachable_tol_at_once(capsys):
-    # Cesaro averages on this model change by ~0.25 / T: 1e-12 is out of reach
-    start = time.perf_counter()
-    code, out = run(capsys, "oracle", THREE_STATE, "--gamma", "1", "--tol", "1e-12")
-    assert time.perf_counter() - start < 1.0
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert error["kind"] == "ArithmeticError"
-    assert "cannot stabilize" in error["message"]
+    # Cesaro averages on this model change by ~0.25 / T: 1e-12 is out of reach, and
+    # 1e-7 needs 0.25 / T <= 5e-8, T ~ 5e6, just past the cap of 2^22 steps
+    for tol in ("1e-12", "1e-7"):
+        start = time.perf_counter()
+        code, out = run(capsys, "oracle", THREE_STATE, "--gamma", "1", "--tol", tol)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "ArithmeticError"
+        assert "cannot stabilize" in error["message"]
 
 
 def test_oracle_cross_check(capsys):

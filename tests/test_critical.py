@@ -13,6 +13,7 @@ from pomdp_geometry import critical, fixtures
 from pomdp_geometry.critical import (
     BoundInput,
     CriticalSet,
+    ScanGrid,
     _merge_close,
     blind_critical_points,
     critical_point_bound,
@@ -616,6 +617,30 @@ def test_landscape_scan_csv_round_trip():
     values = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert_allclose(values[:, 0], [0.0, 0.5, 1.0])
     assert_allclose(values[:, 1], scan.rewards, rtol=1e-15)
+
+
+def _csv_every_value_formatted(scan):
+    """The CSV writer that formats every value of the table in one template."""
+    headers = [f"pi[{a}|{o}]" for o, a in scan.axes] + ["reward"]
+    table = np.column_stack([scan.coordinates, scan.rewards])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ",".join(headers) + "\n" + row * len(table) % tuple(table.ravel().tolist())
+
+
+@pytest.mark.parametrize("n_axes", [1, 2])
+def test_scan_csv_formats_distinct_coordinates_like_every_value(n_axes):
+    rng = np.random.default_rng(70 + n_axes)
+    axes = (("o1", "a1"), ("o2", "a2"))[:n_axes]
+    for n in (0, 1, 7, 200):
+        # few distinct coordinates per axis, -0.0 and 0.0 among them
+        pool = np.array([0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, rng.random(), -rng.random()])
+        coordinates = pool[rng.integers(len(pool), size=(n, n_axes))]
+        rewards = rng.normal(size=n)
+        rewards[::3] = -0.0
+        scan = ScanGrid(axes, coordinates, rewards, (n,))
+        assert scan.to_csv() == _csv_every_value_formatted(scan)
+    scan = ScanGrid(axes, np.full((2, n_axes), -0.0), np.zeros(2), (2,))
+    assert scan.to_csv().splitlines()[1] == ",".join(["-0"] * n_axes + ["0"])
 
 
 @pytest.mark.parametrize("bad", [-1, 3, np.int64(-1)])

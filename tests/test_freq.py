@@ -267,6 +267,27 @@ def test_gamma_one_cesaro_oracle_doubles_on_while_the_trend_can_meet_tol(tol):
     assert np.max(np.abs(series.eta - exact.eta)) <= tol
 
 
+def test_gamma_one_cesaro_oracle_refuses_exactly_the_tols_its_trend_misses_at_the_cap(
+        monkeypatch):
+    # the averages change by c / T with c = 0.2525863113 (constant to 9 digits from
+    # T = 128 on), so at a cap of 2^14 steps the change reaches tol / 2 exactly when
+    # tol = 2c / 2^14: 2% above that converges at the cap, 2% below is refused at T = 256
+    monkeypatch.setattr(freq, "MAX_SERIES_STEPS", 1 << 14)
+    pushes = []
+    push = freq._push
+    monkeypatch.setattr(freq, "_push", lambda *args, **kw: pushes.append(1) or push(*args, **kw))
+    m = fixtures.three_state_model().replace(gamma=1.0)
+    pi = Policy.uniform(m.n_observations, m.n_actions)
+    reachable = 2 * 0.2525863113 / (1 << 14)
+    series = truncated_series_oracle(m, pi, tol=1.02 * reachable)
+    assert len(pushes) == 1 << 14
+    assert np.max(np.abs(series.eta - state_action_frequency(m, pi).eta)) <= reachable
+    pushes.clear()
+    with pytest.raises(ArithmeticError, match="cannot stabilize within 16384 steps"):
+        truncated_series_oracle(m, pi, tol=0.98 * reachable)
+    assert len(pushes) == 256
+
+
 def _mp_eta(model, tau, digits=50):
     """eta = rho * tau in mpmath: (I - gamma p_tau^T) rho = (1 - gamma) mu for
     gamma < 1; at gamma = 1 (p_tau^T - I) rho = 0 with its last row replaced

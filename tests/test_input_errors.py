@@ -1,5 +1,6 @@
 """Every argument check of the public API raises InputError, a ValueError."""
 
+import re
 import time
 
 import numpy as np
@@ -21,6 +22,24 @@ STATE_A1 = pg.Policy("state", [[1.0, 0.0], [1.0, 0.0]])
 STATE_A2 = pg.Policy("state", [[0.0, 1.0], [0.0, 1.0]])
 NAN = float("nan")
 INF = float("inf")
+
+# every solve refuses a discount outside (0, 1], the interval `validate` reports;
+# policy_gradient refuses gamma >= 1 by its own check first
+BAD_GAMMAS = (0.0, -0.5, 1.5, NAN, INF)
+GAMMA_CALLS = (
+    ("frequency", lambda m: pg.state_action_frequency(m, UNIFORM)),
+    ("values", lambda m: pg.value_bundle(m, UNIFORM)),
+    ("gradient", lambda m: pg.policy_gradient(m, UNIFORM)),
+    ("reward", lambda m: pg.reward_of(m, UNIFORM)),
+    ("oracle", lambda m: pg.truncated_series_oracle(m, UNIFORM, 1e-6)),
+)
+
+
+def _gamma_pattern(name, gamma):
+    if name == "gradient" and gamma >= 1.0:
+        return "policy_gradient requires gamma < 1"
+    return re.escape(f"gamma must lie in (0, 1], got {gamma!r}") + "$"
+
 
 # (id, call with one bad argument, pattern the message must match)
 BAD_CALLS = [
@@ -76,6 +95,9 @@ BAD_CALLS = [
     ("gradient-gamma", lambda: pg.policy_gradient(TWO.replace(gamma=1.0), UNIFORM),
      "gamma < 1"),
     ("gradient-kind", lambda: pg.policy_gradient(TWO, STATE_UNIFORM), "observation policy"),
+    *[(f"{name}-gamma-{gamma}", lambda call=call, m=TWO.replace(gamma=gamma): call(m),
+       _gamma_pattern(name, gamma))
+      for gamma in BAD_GAMMAS for name, call in GAMMA_CALLS],
     # geometry
     ("halfspace-rows", lambda: pg.HalfspaceSystem(np.zeros((2, 2, 2)), np.zeros(3), True,
                                                   ("r1", "r2")), "matching rhs"),
