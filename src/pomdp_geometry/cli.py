@@ -45,6 +45,7 @@ from .model import (
     InputError,
     Policy,
     PomdpModel,
+    _at_least,
     _csv_field,
     compose,
     load_model_text,
@@ -253,13 +254,6 @@ def _parse_pairs(text: str, what: str, shape: str, labels) -> list[tuple[str, st
             raise InputError(f"{what} {chunk!r} must look like {shape}")
         pairs.append(splits[0])
     return pairs
-
-
-def _at_least(*checks) -> None:
-    """InputError for the first (flag, value, least) whose value is not >= least."""
-    for flag, value, least in checks:
-        if not value >= least:
-            raise InputError(f"{flag} must be >= {least}, got {value}")
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -506,8 +500,9 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_project(args) -> str:
-    _at_least(("--samples", args.samples, 0), ("--points", args.points, 1),
-              ("--seed", args.seed, 0))
+    _at_least(args.samples, "--samples", 0)
+    _at_least(args.points, "--points", 1)
+    _at_least(args.seed, "--seed", 0)
     model = _load_model(args.model, args.gamma, args.mu)
     ns, no, na = model.n_states, model.n_observations, model.n_actions
     dim = ns * na

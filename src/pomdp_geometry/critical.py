@@ -26,7 +26,7 @@ from numpy.polynomial import chebyshev
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, SizeCapError, _check_cap, _model_packed
-from .model import InputError, Policy, PomdpModel, _csv_field, compose
+from .model import InputError, Policy, PomdpModel, _at_least, _csv_field, compose
 from .rational import _line_form
 
 # interior roots closer than this are reported once
@@ -112,13 +112,19 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
             "exact enumeration needs a single observation and two actions; "
             f"got {model.n_observations} observations, {model.n_actions} actions"
         )
-    if grid < MIN_GRID_CELLS:
-        raise InputError(f"grid must be >= {MIN_GRID_CELLS}, got {grid}")
+    grid = _at_least(grid, "grid", MIN_GRID_CELLS)
 
     scan = landscape_scan(model, [(0, 0)], resolution=grid + 1)
     ps, rewards = scan.coordinates[:, 0], scan.rewards
-    scale = max(1.0, float(np.max(np.abs(rewards))))
-    spread = float(np.max(rewards) - np.min(rewards))
+    top, bottom = float(np.max(rewards)), float(np.min(rewards))
+    spread = top - bottom
+    if not math.isfinite(spread):
+        # a NaN or an infinite reward makes the spread non-finite, as finite ones may overflow it
+        bad = np.flatnonzero(~np.isfinite(rewards))
+        if bad.size:
+            raise ArithmeticError(
+                f"grid reward at p={ps[bad[0]]:.12g} is {rewards[bad[0]]}, not finite")
+    scale = max(1.0, top, -bottom)
     if spread <= DEGENERATE_TOL * scale:
         return CriticalSet(
             interior_roots=(),
@@ -143,8 +149,11 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     _cross_validate(ps, rewards, roots, scale, grid)
 
     thr = BOUNDARY_SLOPE_TOL * scale
-    ends = np.array([-1.0, 1.0])  # p = 0 and p = 1
-    slope0, slope1 = chebyshev.chebval(ends, g) / chebyshev.chebval(ends, line.den) ** 2
+    # g and D as the columns of one series; trailing zeros leave Clenshaw's bits unchanged
+    series = np.zeros((max(len(g), len(line.den)), 2))
+    series[:len(g), 0], series[:len(line.den), 1] = g, line.den
+    g_ends, den_ends = chebyshev.chebval(np.array([-1.0, 1.0]), series)  # p = 0 and p = 1
+    slope0, slope1 = g_ends / den_ends ** 2
     return CriticalSet(
         interior_roots=tuple(roots),
         boundary={0.0: _boundary_class(-slope0, thr), 1.0: _boundary_class(slope1, thr)},
@@ -174,10 +183,13 @@ def _merge_close(points: np.ndarray, tol: float) -> tuple[list[float], bool]:
 
 def _cross_validate(ps, rewards, roots, scale, grid):
     """Require agreement between reported extrema and grid sign changes."""
-    diffs = np.diff(rewards)
-    signs = np.sign(np.where(np.abs(diffs) <= 1e-13 * scale, 0.0, diffs))
-    cells = np.flatnonzero(signs)
-    flips = np.flatnonzero(signs[cells[1:]] != signs[cells[:-1]])
+    diffs, tol = np.diff(rewards), 1e-13 * scale
+    # an increment within tol of zero is flat, any other rises or falls; comparisons read a
+    # NaN as flat, so blind_critical_points refuses a non-finite reward before this
+    rising = diffs > tol
+    cells = np.flatnonzero(rising | (diffs < -tol))
+    rises = rising[cells]
+    flips = np.flatnonzero(rises[1:] != rises[:-1])
     # midpoint between the last cell of one sign and the first of the next
     changes = 0.5 * (ps[cells[flips] + 1] + ps[cells[flips + 1]])
     window = 2.0 / grid + 1e-12
@@ -230,16 +242,15 @@ class BoundInput:
         """The face of an S-state, A-action model that pins ``pinned[o]`` actions of each
         active observation o (in observation order, with constraint ``degrees``), its
         pinned actions labelled (a*1, o), (a*2, o), ...; InputError if a count or degree
-        is below 1 or the face is empty."""
+        is not an integer of at least 1 or the face is empty."""
         degrees = tuple(degrees)
         if len(degrees) != len(pinned):
             raise InputError(f"degrees has {len(degrees)} entries for {len(pinned)} "
                              "pinned observations")
-        for name, value in (("n_states", n_states), ("n_actions", n_actions),
-                            *((f"pinned[{o!r}]", k) for o, k in pinned.items()),
-                            *((f"degrees[{i}]", d) for i, d in enumerate(degrees))):
-            if value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
+        n_states = _at_least(n_states, "n_states", 1)
+        n_actions = _at_least(n_actions, "n_actions", 1)
+        pinned = {o: _at_least(k, f"pinned[{o!r}]", 1) for o, k in pinned.items()}
+        degrees = tuple(_at_least(d, f"degrees[{i}]", 1) for i, d in enumerate(degrees))
         for obs, count in pinned.items():
             if count >= n_actions:
                 raise InputError(f"all actions pinned to zero for observation {obs}: "
@@ -323,8 +334,7 @@ def polar_degree_terms(k: int) -> tuple[int, int, int]:
     Evaluated in closed polynomial form, which stays valid down to k = 1
     where the intermediate factorial expressions would be undefined.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    k = _at_least(k, "k", 1)
     t0 = (k + 1) * k * k // 2
     t1 = k * k * (k - 1) + 2 * k
     t2 = 2 * k + k * (k - 1) * (k - 2) // 2
@@ -370,13 +380,19 @@ class ScanGrid:
         return ",".join(headers) + "\n" + row * len(self.rewards) % values
 
 
-def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray) -> np.ndarray:
-    """Policy rows with entry a_idx set to each value and the rest rescaled to fill 1 - value."""
+def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Policy rows with entry a_idx set to each value and the rest rescaled to fill 1 - value,
+    written into out (N, A) when given."""
     others = np.arange(base_row.size) != a_idx
     weights = base_row if base_row[others].sum() > 1e-15 else others.astype(float)
-    rows, total = np.empty((len(values), base_row.size)), weights[others].sum()
+    total, rest = weights[others].sum(), 1.0 - values
+    rows = np.empty((len(values), base_row.size)) if out is None else out
     for j, weight in enumerate(weights.tolist()):  # by columns: an (N, 1) * (A,) broadcast is slow
-        rows[:, j] = values if j == a_idx else ((1.0 - values) * weight) / total
+        if j == a_idx:
+            rows[:, j] = values
+        else:
+            np.divide(rest * weight, total, out=rows[:, j])
     return rows
 
 
@@ -398,25 +414,33 @@ def landscape_scan(
         raise InputError("axes must contain one or two (observation, action) pairs")
     if len({o for o, _ in pairs}) != len(pairs):
         raise InputError("axes must address distinct observations")
-    if resolution < 2:
-        raise InputError("resolution must be at least 2")
+    resolution = _at_least(resolution, "resolution", 2)
     _check_cap(resolution ** len(pairs), f"scanning {resolution}^{len(pairs)} points")
-    if base_policy is None:
-        base_policy = Policy.uniform(model.n_observations, model.n_actions)
+    if base_policy is None:  # the entries of Policy.uniform, without building one
+        base = np.full((model.n_observations, model.n_actions), 1.0 / model.n_actions)
     elif base_policy.kind != "observation" or base_policy.matrix.shape != (
         model.n_observations,
         model.n_actions,
     ):
         raise InputError("base_policy must be an observation policy for this model")
+    else:
+        base = base_policy.matrix
 
     ticks = np.linspace(0.0, 1.0, resolution)
-    grids = np.meshgrid(*([ticks] * len(pairs)), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    n = coords.shape[0]
+    if len(pairs) == 1:
+        coords = ticks[:, None]
+    else:
+        coords = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
 
-    pis = np.repeat(base_policy.matrix[None], n, axis=0)
-    for axis, (o_idx, a_idx) in enumerate(pairs):
-        pis[:, o_idx] = _pinned_rows(base_policy.matrix[o_idx], a_idx, coords[:, axis])
+    # every row of the stack is written once: the swept ones pinned, the others from base
+    swept = {o_idx: (axis, a_idx) for axis, (o_idx, a_idx) in enumerate(pairs)}
+    pis = np.empty((len(coords), *base.shape))
+    for o_idx, row in enumerate(base):
+        if o_idx in swept:
+            axis, a_idx = swept[o_idx]
+            _pinned_rows(row, a_idx, coords[:, axis], out=pis[:, o_idx])
+        else:
+            pis[:, o_idx] = row
     rewards = batch_rewards(model, compose(model.beta, pis))
     labels = tuple(
         (model.observations[o_idx], model.actions[a_idx]) for o_idx, a_idx in pairs

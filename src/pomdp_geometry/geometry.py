@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .freq import BLOCK_ENTRIES, _block_len, _check_tol, _check_visits, certified_etas
-from .model import InputError, PomdpModel, compose
+from .model import InputError, PomdpModel, _at_least, compose
 
 # support cutoff for pseudo-inverse entries when building polynomial
 # constraints; entries within NEAR_ZERO_FACTOR of the cutoff trigger a
@@ -695,12 +695,9 @@ def face_lattice(
     before anything is built, and so are more faces x samples than that.
     """
     no, na = model.n_observations, model.n_actions
-    if max_dim is not None and max_dim < 0:
-        raise InputError(f"max_dim must be >= 0, got {max_dim}")
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    if max_dim is not None:
+        max_dim = _at_least(max_dim, "max_dim", 0)
+    samples, seed = _at_least(samples, "samples", 1), _at_least(seed, "seed", 0)
     _check_tol(tol)  # pinned constraints evaluate to rounding noise, never to exactly 0
     _check_cap((2**na - 1) ** no, f"a face lattice of (2^{na} - 1)^{no} faces")
     _check_visits(model, "certification")

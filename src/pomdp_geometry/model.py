@@ -113,6 +113,16 @@ def _in_range(key, n: int, kind: str) -> int:
     return int(key)
 
 
+def _at_least(value, name: str, least: int) -> int:
+    """A count argument as an int: InputError unless it is an integer (a numpy integer too,
+    a bool not) and >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _resolve(model: PomdpModel, kind: str, key) -> int:
     """Index of a state, observation or action label, or of an int index in range; an
     unknown label or an index out of range raises InputError naming the known ones."""

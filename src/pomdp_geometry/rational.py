@@ -13,6 +13,7 @@ improvement paths for fully observable models.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from numpy.polynomial import polynomial as pol
 from .freq import (BLOCK_ENTRIES, ErgodicityError, _block_len, _check_visits,  # noqa: F401
                    _reward_line_terms, batch_rewards, certified_etas, conditioning_inverse,
                    reward_of, state_action_frequency)
-from .model import Frequency, InputError, PomdpModel, Policy, compose, state_conditionals
+from .model import (Frequency, InputError, PomdpModel, Policy, _at_least, compose,
+                    state_conditionals)
 
 FIT_RESIDUAL_TOL = 1e-7   # a fitted degree is accepted when it explains f this well
 LINE_MISS_TOL = 1e-7      # an exact line may miss direct solves by this share of the reward scale
@@ -114,8 +116,7 @@ def fit_rational_curve(f: Callable[[np.ndarray], np.ndarray], max_degree: int) -
     (curves with poles in [0, 1] are rejected), and accepted fits share no
     num/den root in [0, 1] within 1e-6.
     """
-    if max_degree < 0:
-        raise InputError(f"max_degree must be >= 0, got {max_degree}")
+    max_degree = _at_least(max_degree, "max_degree", 0)
     best_residual = np.inf
     for k in range(max_degree + 1):
         nodes = chebyshev_grid(4 * (k + 1))
@@ -179,9 +180,10 @@ def _segment(start: np.ndarray, end: np.ndarray, ts) -> np.ndarray:
 
 
 class RewardLine(NamedTuple):
-    """The reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1], as read-only
-    Chebyshev coefficient arrays in x = 2 lam - 1.  Called on a scalar or an array of lam
-    it gives R, or ErgodicityError where D vanishes to rounding (gamma = 1, multichain).
+    """The reward R = N / D along tau0 + lam (tau1 - tau0), lam in [0, 1], as two read-only
+    Chebyshev coefficient arrays of one length in x = 2 lam - 1.  Called on a scalar or an
+    array of lam it gives R, or ErgodicityError where D vanishes to rounding (gamma = 1,
+    multichain).
 
     With M = I - gamma (p_lam - 1 mu^T) (the gamma = 1 system of the solver
     core, built in `freq._reward_line_terms`), rho^T M = mu^T for every gamma in
@@ -208,17 +210,27 @@ class RewardLine(NamedTuple):
     def slope_numerator(self) -> np.ndarray:
         """g = N'D - ND' (R' = g / D^2, degree <= 2k - 2), formed only here: Chebyshev
         coefficients on [0, 1] (d/dlam = 2 d/dx) trimmed of noise that sends roots to infinity."""
-        g = chebyshev.chebsub(chebyshev.chebmul(chebyshev.chebder(self.num, 1, 2.0), self.den),
-                              chebyshev.chebmul(self.num, chebyshev.chebder(self.den, 1, 2.0)))
+        dnum, dden = chebyshev.chebder(np.stack(self, axis=1), 1, 2.0).T  # N' and D' at once
+        g = chebyshev.chebsub(chebyshev.chebmul(dnum, self.den), chebyshev.chebmul(self.num, dden))
         return chebyshev.chebtrim(g, TRIM_TOL * float(np.max(np.abs(g))))
+
+
+@functools.lru_cache(maxsize=32)
+def _interpolation_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k + 1 Chebyshev nodes of the first kind and the transposed degree-k Vandermonde
+    matrix at them, read-only: `_line_form` reads them for every line of degree k."""
+    x = chebyshev.chebpts1(k + 1)
+    vander = chebyshev.chebvander(x, k)
+    x.setflags(write=False)
+    vander.setflags(write=False)
+    return x, vander.T
 
 
 def _line_form(model: PomdpModel, tau0: np.ndarray, tau1: np.ndarray) -> RewardLine:
     """The RewardLine tau0 -> tau1 (`reward_curve_on_line`) as arrays, `chebinterpolate` inlined."""
     k = len(_differing_rows(tau0, tau1))
-    x = chebyshev.chebpts1(k + 1)
-    coef = np.dot(chebyshev.chebvander(x, k).T,
-                  _reward_line_terms(model, _segment(tau0, tau1, 0.5 * (x + 1.0))))
+    x, vander_t = _interpolation_nodes(k)
+    coef = np.dot(vander_t, _reward_line_terms(model, _segment(tau0, tau1, 0.5 * (x + 1.0))))
     coef[0] /= k + 1
     coef[1:] /= 0.5 * (k + 1)
     coef = coef.T.copy()  # rows N and D, contiguous
@@ -306,9 +318,11 @@ def _blocks(items: Iterable, entries_per_item: int) -> Iterable[list]:
 
 def deterministic_policies(n_rows: int, n_actions: int,
                            kind: str = "state") -> Iterable[Policy]:
-    """All |A|^rows deterministic policies, in lexicographic action order."""
-    for assignment in itertools.product(range(n_actions), repeat=n_rows):
-        yield Policy.deterministic(assignment, n_actions, kind)
+    """All |A|^rows deterministic policies, in lexicographic action order; the counts are
+    checked (InputError) on the call, before the first policy is drawn."""
+    n_rows, n_actions = _at_least(n_rows, "n_rows", 1), _at_least(n_actions, "n_actions", 1)
+    return (Policy.deterministic(assignment, n_actions, kind)
+            for assignment in itertools.product(range(n_actions), repeat=n_rows))
 
 
 def best_deterministic(model: PomdpModel, kind: str = "state") -> tuple[Policy, float]:
@@ -409,8 +423,7 @@ def improvement_path(model: PomdpModel, pi: Policy,
     if model.n_observations != ns or np.max(np.abs(model.beta - np.eye(ns))) > 1e-12:
         raise InputError("improvement_path needs a fully observable model (identity beta)")
     _check_visits(model, "improvement_path")
-    if steps < 2:
-        raise InputError(f"steps must be >= 2, got {steps}")
+    steps = _at_least(steps, "steps", 2)
     if pi.kind == "observation":
         pi = Policy("state", pi.matrix)  # identity beta: same matrix
 

@@ -283,6 +283,26 @@ def test_blind_rejects_wrong_shape_or_gamma():
         blind_critical_points(fixtures.blind_three_state_model(), grid=10)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [5_000, -1])
+def test_a_non_finite_grid_reward_fails_the_cross_check(monkeypatch, value, where):
+    # a NaN increment compares false both ways, so a sign test by comparisons alone would
+    # read it as flat; an infinite reward once made the landscape read as degenerate
+    scan = critical.landscape_scan
+
+    def spoiled(*args, **kwargs):
+        grid = scan(*args, **kwargs)
+        rewards = grid.rewards.copy()
+        rewards[where] = value
+        return dataclasses.replace(grid, rewards=rewards)
+
+    m = fixtures.blind_three_state_model()
+    assert not blind_critical_points(m).degenerate
+    monkeypatch.setattr(critical, "landscape_scan", spoiled)
+    with pytest.raises(ArithmeticError, match=r"p=\d"):
+        blind_critical_points(m)
+
+
 def test_blind_scan_is_the_blind_line_bit_for_bit():
     # the grid of blind_critical_points: tau(.|s) = (p, 1 - p) in every state
     # (beta set to exact ones; normalised random columns can miss 1 by an ulp)
@@ -393,6 +413,29 @@ def test_blind_grid_cross_check_refuses_a_wrong_root_set(monkeypatch, patched, m
     monkeypatch.setattr(critical, "_merge_close", patched)
     with pytest.raises(ArithmeticError, match=message):
         blind_critical_points(m)
+
+
+def test_cross_check_reads_the_sign_changes_of_the_sign_function():
+    # flat stretches (increments within 1e-13 of the scale) separate cells of either sign
+    rng = np.random.default_rng(71)
+    grid = 400
+    ps = np.linspace(0.0, 1.0, grid + 1)
+    for _ in range(50):
+        steps = rng.choice([-1.0, 0.0, 1.0], size=grid, p=[0.1, 0.3, 0.6]) * rng.random(grid)
+        steps[rng.random(grid) < 0.2] *= 1e-14  # flat to tolerance
+        rewards = np.concatenate([[0.0], np.cumsum(steps)])
+        diffs = np.diff(rewards)
+        signs = np.sign(np.where(np.abs(diffs) <= 1e-13, 0.0, diffs))
+        cells = np.flatnonzero(signs)
+        flips = np.flatnonzero(signs[cells[1:]] != signs[cells[:-1]])
+        changes = 0.5 * (ps[cells[flips] + 1] + ps[cells[flips + 1]])
+        roots = [(float(p), "max") for p in changes]
+        critical._cross_validate(ps, rewards, roots, 1.0, grid)
+        # a change more than two cells from every other one is missed when its root is dropped
+        gaps = np.abs(changes[:, None] - changes[None, :]) + np.eye(len(changes))
+        for i in np.flatnonzero(gaps.min(axis=1, initial=1.0) > 2.0 / grid + 1e-9)[:3]:
+            with pytest.raises(ArithmeticError, match=f"change sign near p={changes[i]:.6g} "):
+                critical._cross_validate(ps, rewards, roots[:i] + roots[i + 1:], 1.0, grid)
 
 
 def test_critical_set_serialization():
@@ -580,6 +623,16 @@ def test_landscape_scan_matches_pointwise_rewards():
             np.array([[coord[0], 1 - coord[0]], [coord[1], 1 - coord[1]]]),
         )
         assert reward == pytest.approx(reward_of(m, pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("axes", [[("o2", "a1")], [("o1", "a2"), ("o3", "a1")]])
+def test_landscape_scan_default_base_is_the_uniform_policy_bit_for_bit(axes):
+    m = fixtures.random_model(np.random.default_rng(67), 4, 3, 3, 0.8)
+    default = landscape_scan(m, axes, resolution=9)
+    uniform = landscape_scan(m, axes, resolution=9, base_policy=Policy.uniform(3, 3))
+    assert default.coordinates.tobytes() == uniform.coordinates.tobytes()
+    assert default.rewards.tobytes() == uniform.rewards.tobytes()
+    assert default.to_csv() == uniform.to_csv()
 
 
 def test_landscape_scan_single_axis_respects_base_policy():

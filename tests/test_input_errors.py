@@ -118,13 +118,23 @@ BAD_CALLS = [
     ("faces-tol-nan", lambda: pg.face_lattice(THREE, tol=NAN), "tol must be > 0, got nan"),
     ("faces-tol-inf", lambda: pg.face_lattice(THREE, tol=INF), "tol must be finite, got inf"),
     ("faces-seed", lambda: pg.face_lattice(THREE, seed=-1), "seed must be >= 0, got -1"),
+    ("faces-max-dim-float", lambda: pg.face_lattice(THREE, max_dim=1.5),
+     "max_dim must be an integer, got 1.5"),
+    ("faces-samples-float", lambda: pg.face_lattice(THREE, samples=2.0),
+     "samples must be an integer, got 2.0"),
+    ("faces-seed-float", lambda: pg.face_lattice(THREE, seed=1.5),
+     "seed must be an integer, got 1.5"),
     ("faces-unvisited", lambda: pg.face_lattice(UNVISITED), "visit every state"),
     # critical
     ("critical-not-blind", lambda: pg.blind_critical_points(TWO), "single observation"),
     ("critical-grid", lambda: pg.blind_critical_points(BLIND, grid=5),
      "grid must be >= 100, got 5"),
+    ("critical-grid-float", lambda: pg.blind_critical_points(BLIND, grid=1e4),
+     "grid must be an integer, got 10000.0"),
     ("counts-states", lambda: pg.BoundInput.from_counts(0, 2, {}, []),
      "n_states must be >= 1, got 0"),
+    ("counts-states-float", lambda: pg.BoundInput.from_counts(3.0, 2, {}, []),
+     "n_states must be an integer, got 3.0"),
     ("counts-actions", lambda: pg.BoundInput.from_counts(2, 0, {}, []),
      "n_actions must be >= 1, got 0"),
     ("counts-pinned", lambda: pg.BoundInput.from_counts(2, 2, {"o1": 0}, [2]),
@@ -151,6 +161,8 @@ BAD_CALLS = [
     ("face-bound-empty", lambda: pg.face_critical_bound(TWO, [("a1", "o2"), ("a2", "o2")]),
      "the face is empty"),
     ("polar-terms", lambda: pg.polar_degree_terms(0), "k must be >= 1, got 0"),
+    ("polar-terms-float", lambda: pg.polar_degree_terms(2.5), "k must be an integer, got 2.5"),
+    ("polar-terms-bool", lambda: pg.polar_degree_terms(True), "k must be an integer, got True"),
     ("polar-degree", lambda: pg.polar_degree_rank_one(0), "k must be >= 1, got 0"),
     ("scan-label", lambda: pg.landscape_scan(TWO, [("o9", "a1")]), "unknown observation label"),
     ("scan-index", lambda: pg.landscape_scan(TWO, [(0, 2)]), "unknown action index 2"),
@@ -159,6 +171,8 @@ BAD_CALLS = [
     ("scan-distinct", lambda: pg.landscape_scan(TWO, [("o1", "a1"), ("o1", "a2")]), "distinct"),
     ("scan-resolution", lambda: pg.landscape_scan(TWO, [("o1", "a1")], resolution=1),
      "resolution"),
+    ("scan-resolution-float", lambda: pg.landscape_scan(TWO, [("o1", "a1")], resolution=11.0),
+     "resolution must be an integer, got 11.0"),
     ("scan-base", lambda: pg.landscape_scan(TWO, [("o1", "a1")], base_policy=STATE_UNIFORM),
      "base_policy"),
     # rational
@@ -167,6 +181,11 @@ BAD_CALLS = [
     ("degree-bound-index", lambda: pg.degree_bound(TWO, [2]), "unknown observation index 2"),
     ("certificate-degree", lambda: pg.DegreeCertificate(1, 2, np.zeros(3)), "exceeds the bound"),
     ("fit-degree", lambda: pg.fit_rational_curve(lambda x: x, -1), "max_degree must be >= 0"),
+    ("fit-degree-float", lambda: pg.fit_rational_curve(lambda x: x, 1.5),
+     "max_degree must be an integer, got 1.5"),
+    ("deterministic-rows-float", lambda: pg.deterministic_policies(2.0, 2),
+     "n_rows must be an integer, got 2.0"),
+    ("deterministic-rows", lambda: pg.deterministic_policies(0, 2), "n_rows must be >= 1, got 0"),
     ("line-kinds", lambda: pg.reward_curve_on_line(TWO, UNIFORM, STATE_UNIFORM), "share a kind"),
     ("line-certificate-kind", lambda: pg.line_degree_certificate(TWO, STATE_A1, STATE_A2),
      "observation policies"),
@@ -192,6 +211,8 @@ BAD_CALLS = [
      "visit every state"),
     ("path-steps", lambda: pg.improvement_path(TWO_MDP, STATE_UNIFORM, 1),
      "steps must be >= 2, got 1"),
+    ("path-steps-float", lambda: pg.improvement_path(TWO_MDP, STATE_UNIFORM, 4.5),
+     "steps must be an integer, got 4.5"),
 ]
 
 
@@ -219,3 +240,10 @@ def test_series_oracle_refuses_a_nan_tol_at_once(gamma):
     with pytest.raises(pg.InputError, match="tol must be > 0, got nan"):
         pg.truncated_series_oracle(THREE.replace(gamma=gamma), pg.Policy.uniform(3, 2), NAN)
     assert time.perf_counter() - start < 1.0
+
+
+def test_count_arguments_take_numpy_integers_as_ints():
+    terms = pg.polar_degree_terms(np.int64(3))
+    assert terms == (18, 24, 9) and all(type(t) is int for t in terms)
+    assert len(list(pg.deterministic_policies(np.int32(2), np.int64(3)))) == 9
+    assert pg.landscape_scan(TWO, [("o1", "a1")], resolution=np.int64(3)).shape == (3,)
