@@ -2,8 +2,8 @@
 
 Library layout:
 
-- model:    domain types (PomdpModel, Policy, Frequency), validation, file formats,
-            and InputError (a ValueError), which every argument check raises
+- model:    domain types (model, policy, frequency), validation, file formats,
+            and the input error (a ValueError) that every argument check raises
 - freq:     exact frequencies, series oracle, values, policy gradients, conditioning
 - rational: degree bounds, the exact reward line R = N/D (RewardLine) and
             its slope numerator, rational fitting of vectorised callables,
@@ -16,50 +16,53 @@ Library layout:
             polar degrees, landscape scans, KKT residuals
 - cli:      the `pomdpgeo` command-line interface
 
-`import pomdp_geometry` loads only the solver core, model and freq (whose
-import sets the allocator thresholds README describes).  rational, geometry
-and critical, and the names exported from them, load on first access: a
-module `__getattr__` looks each one up in its home module on every access
-and never binds it here, so a function patched in its home module is what
-the package hands out.  A caller that needs only the core, such as a batch
-of 60x30x8 solves, peaks 2.6 MB lower in resident memory; the first call
-into an analysis pays its import, 10-36 ms without cached bytecode.
+The exported names are declared once, in `_EXPORTS` by home module, and
+`__all__` is read from it.  `import pomdp_geometry` loads only the solver
+core, model and freq (whose import sets the allocator thresholds README
+describes), and binds their names here.  rational, geometry and critical,
+and the names exported from them, load on first access: a module
+`__getattr__` looks each one up in its home module on every access and
+never binds it here, so a function patched in its home module is what the
+package hands out.  A caller that needs only the core, such as a batch of
+60x30x8 solves, peaks 2.6 MB lower in resident memory; the first call into
+an analysis pays its import, 10-36 ms without cached bytecode.
 """
 
 from importlib import import_module as _import_module
 
-from .model import (
-    Frequency,
-    InputError,
-    ModelFormatError,
-    PomdpModel,
-    Policy,
-    ValidationReport,
-    Violation,
-    compile_graph_source,
-    effective_policy,
-    load_model_text,
-    parse_graph_model,
-    parse_model,
-    serialize_model,
-    transition_kernels,
-    validate,
-)
-from .freq import (
-    ErgodicityError,
-    GradientBundle,
-    ValueBundle,
-    conditioning_inverse,
-    policy_gradient,
-    reward_of,
-    state_action_frequency,
-    truncated_series_oracle,
-    truncation_length,
-    value_bundle,
-)
-# The names exported from the analyses, by home module; `_HOME` maps each of
-# them, and each of the three submodules, to the module it loads from.
-_LAZY_EXPORTS = {
+# Every exported name, by home module, in the order of `__all__`: the only list of them.
+# The names of model and freq are bound here on import; `_HOME` maps the others, and the
+# three analysis modules themselves, to the module `__getattr__` looks them up in.
+_EXPORTS = {
+    "model": (
+        "Frequency",
+        "InputError",
+        "ModelFormatError",
+        "PomdpModel",
+        "Policy",
+        "ValidationReport",
+        "Violation",
+        "compile_graph_source",
+        "effective_policy",
+        "load_model_text",
+        "parse_graph_model",
+        "parse_model",
+        "serialize_model",
+        "transition_kernels",
+        "validate",
+    ),
+    "freq": (
+        "ErgodicityError",
+        "GradientBundle",
+        "ValueBundle",
+        "conditioning_inverse",
+        "policy_gradient",
+        "reward_of",
+        "state_action_frequency",
+        "truncated_series_oracle",
+        "truncation_length",
+        "value_bundle",
+    ),
     "rational": (
         "DegreeCertificate",
         "DegreeFitError",
@@ -107,7 +110,11 @@ _LAZY_EXPORTS = {
         "polar_degree_terms",
     ),
 }
-_HOME = {name: home for home, names in _LAZY_EXPORTS.items() for name in (home, *names)}
+_CORE = ("model", "freq")
+globals().update({name: getattr(_import_module(f"{__name__}.{home}"), name)
+                  for home in _CORE for name in _EXPORTS[home]})
+_HOME = {name: home for home, names in _EXPORTS.items() if home not in _CORE
+         for name in (home, *names)}
 
 
 def __getattr__(name):
@@ -125,31 +132,4 @@ def __dir__():
     return sorted(globals().keys() | _HOME.keys())
 
 
-__all__ = [
-    "Frequency",
-    "InputError",
-    "ModelFormatError",
-    "PomdpModel",
-    "Policy",
-    "ValidationReport",
-    "Violation",
-    "compile_graph_source",
-    "effective_policy",
-    "load_model_text",
-    "parse_graph_model",
-    "parse_model",
-    "serialize_model",
-    "transition_kernels",
-    "validate",
-    "ErgodicityError",
-    "GradientBundle",
-    "ValueBundle",
-    "conditioning_inverse",
-    "policy_gradient",
-    "reward_of",
-    "state_action_frequency",
-    "truncated_series_oracle",
-    "truncation_length",
-    "value_bundle",
-    *(name for names in _LAZY_EXPORTS.values() for name in names),
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]

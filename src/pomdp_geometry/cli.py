@@ -26,6 +26,7 @@ import json
 import sys
 import warnings
 from dataclasses import asdict
+from types import FunctionType
 
 import numpy as np
 
@@ -98,23 +99,14 @@ def _join_scalars(texts, depth: int) -> str:
     return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + "  " * depth + "]"
 
 
-class _Spliced:
-    """A value emit_json does not walk: ``write(out, depth)`` appends to emit_json's
-    output list the text of the value rendered at that nesting depth."""
-
-    __slots__ = ("write",)
-
-    def __init__(self, write):
-        self.write = write
-
-
 def emit_json(obj) -> str:
     """Indented JSON text of obj with 17-significant-digit floats (non-finite
     ones as NaN, Infinity, -Infinity).
 
-    One walk appends chunks to a single list that is joined once.  A
-    `_Spliced` value writes its own pieces into the list for the depth it
-    sits at: that is how `constraints` writes its monomial terms and `faces`
+    One walk appends chunks to a single list that is joined once.  A value
+    that is a plain function is a writer: emit_json calls ``value(out, depth)``,
+    which appends the value's own text, rendered at the depth it sits at, to
+    that list.  That is how `constraints` writes its monomial terms and `faces`
     its faces, from texts formatted once per document.
     """
     out = []
@@ -128,8 +120,8 @@ def emit_json(obj) -> str:
             put(str(value))
         elif kind is str:
             put(json.dumps(value))
-        elif kind is _Spliced:
-            value.write(out, depth)
+        elif kind is FunctionType:
+            value(out, depth)
         elif isinstance(value, dict):
             if not value:
                 put("{}")
@@ -349,8 +341,8 @@ def _coefficient_texts(expansions) -> list[list[str]]:
 
 
 def _spliced_terms(n_states: int, n_actions: int, support: tuple[int, ...], flat: np.ndarray,
-                   coefficients: list[str], prefixes: dict) -> _Spliced:
-    """The "terms" list of a constraint's ``to_dict()`` as emit_json writes it, from the
+                   coefficients: list[str], prefixes: dict) -> FunctionType:
+    """The emit_json writer of the "terms" list of a constraint's ``to_dict()``, from the
     flat indices of its kept monomials (`geometry._expansions`) and their coefficient
     texts.  The `_term_prefixes` of each (depth, support) are joined once per document and
     shared through ``prefixes``."""
@@ -370,7 +362,7 @@ def _spliced_terms(n_states: int, n_actions: int, support: tuple[int, ...], flat
         out[first] = out[first][1:]  # no comma before the first term
         out.append("\n" + "  " * depth + "]")
 
-    return _Spliced(write)
+    return write
 
 
 def _cmd_constraints(args) -> dict:
@@ -394,8 +386,8 @@ def _cmd_constraints(args) -> dict:
     return payload
 
 
-def _spliced_faces(lattice: geom.FaceLattice) -> _Spliced:
-    """The "faces" list as emit_json writes the dicts of the lattice's descriptors (free
+def _spliced_faces(lattice: geom.FaceLattice) -> FunctionType:
+    """The emit_json writer of the "faces" list: the dicts of the lattice's descriptors (free
     actions, pinned (action, observation) pairs in sorted order, subfaces), written from
     its arrays (`FaceLattice._graph`).  Each free-action set and each pinned pair is
     formatted once per document, and the pairs are sorted once: by one rank over all O x A
@@ -433,7 +425,7 @@ def _spliced_faces(lattice: geom.FaceLattice) -> _Spliced:
         out[first] = "[" + out[first][1:]  # no comma before the first face
         out.append("\n" + "  " * depth + "]")
 
-    return _Spliced(write)
+    return write
 
 
 def _cmd_faces(args) -> dict:
@@ -555,7 +547,9 @@ def _cmd_oracle(args) -> dict:
 # parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `pomdpgeo` parser, built once per process and shared by every caller."""
     parser = argparse.ArgumentParser(
         prog="pomdpgeo",
         description=(
@@ -673,15 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run one subcommand and write its document, or the document of its refusal, to
     stdout once; returns the exit code."""
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
             document, code = args.func(args), 0

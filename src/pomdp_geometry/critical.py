@@ -381,19 +381,18 @@ class ScanGrid:
 
 
 def _pinned_rows(base_row: np.ndarray, a_idx: int, values: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """Policy rows with entry a_idx set to each value and the rest rescaled to fill 1 - value,
-    written into out (N, A) when given."""
+    written into and returned as out (N, A)."""
     others = np.arange(base_row.size) != a_idx
     weights = base_row if base_row[others].sum() > 1e-15 else others.astype(float)
     total, rest = weights[others].sum(), 1.0 - values
-    rows = np.empty((len(values), base_row.size)) if out is None else out
     for j, weight in enumerate(weights.tolist()):  # by columns: an (N, 1) * (A,) broadcast is slow
         if j == a_idx:
-            rows[:, j] = values
+            out[:, j] = values
         else:
-            np.divide(rest * weight, total, out=rows[:, j])
-    return rows
+            np.divide(rest * weight, total, out=out[:, j])
+    return out
 
 
 def landscape_scan(
@@ -438,7 +437,7 @@ def landscape_scan(
     for o_idx, row in enumerate(base):
         if o_idx in swept:
             axis, a_idx = swept[o_idx]
-            _pinned_rows(row, a_idx, coords[:, axis], out=pis[:, o_idx])
+            _pinned_rows(row, a_idx, coords[:, axis], pis[:, o_idx])
         else:
             pis[:, o_idx] = row
     rewards = batch_rewards(model, compose(model.beta, pis))

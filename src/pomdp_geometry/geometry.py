@@ -624,16 +624,17 @@ class FaceLattice:
     @cached_property
     def faces(self) -> tuple[FaceDescriptor, ...]:
         rows, ranks, dims, covers, counts = self._graph()
-        no, na = ranks.shape[1], rows.shape[1]
-        sets = [tuple(compress(range(na), row)) for row in rows.tolist()]
+        sets = [tuple(compress(range(rows.shape[1]), row)) for row in rows.tolist()]
         pinned = [[tuple(zip(compress(self.actions, row), repeat(name)))
                    for row in (~rows).tolist()] for name in self.observations]
-        numbers = ranks @ len(rows) ** np.arange(no - 1, -1, -1)  # ranks as base-n digits
-        combos = list(product(sets, repeat=no))
-        zeros = list(map(frozenset, map(chain.from_iterable, product(*pinned))))
+        # each face's free sets and pinned pairs, read from its ranks one observation at a time
+        columns = ranks.T.tolist()
+        free = zip(*[map(sets.__getitem__, column) for column in columns])
+        zeros = map(frozenset, map(chain.from_iterable, zip(
+            *[map(pairs.__getitem__, column) for pairs, column in zip(pinned, columns)])))
         covers = iter(covers)
-        return tuple(FaceDescriptor(combos[k], zeros[k], dim, tuple(islice(covers, c)))
-                     for k, dim, c in zip(numbers.tolist(), dims.tolist(), counts))
+        return tuple(FaceDescriptor(f, z, dim, tuple(islice(covers, c)))
+                     for f, z, dim, c in zip(free, zeros, dims.tolist(), counts))
 
     def _graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
         """The faces as arrays, in the order of ``faces``: `_face_order`'s rows, ranks and

@@ -494,16 +494,11 @@ def parse_graph_model(text: str) -> PomdpModel:
     except ValueError:
         raise ModelFormatError(f"gamma: {headers['gamma']!r} is not a number") from None
 
-    def seen_in_edges(pos):
-        out = []
-        for edge in edges:
-            for label in (edge[pos],) if pos != 0 else (edge[0], edge[2]):
-                if label not in out:
-                    out.append(label)
-        return out
-
-    states = headers["states"].split() if "states" in headers else seen_in_edges(0)
-    actions = headers["actions"].split() if "actions" in headers else seen_in_edges(1)
+    # labels not declared in a header are taken in order of first appearance in the edges
+    states = (headers["states"].split() if "states" in headers
+              else list(dict.fromkeys(label for edge in edges for label in (edge[0], edge[2]))))
+    actions = (headers["actions"].split() if "actions" in headers
+               else list(dict.fromkeys(edge[1] for edge in edges)))
     ns, na = len(states), len(actions)
 
     assigned: dict[tuple[str, str], tuple[str, float]] = {}

@@ -374,7 +374,8 @@ def test_pinned_rows_are_the_delete_and_insert_rows_bit_for_bit():
                 if total <= 1e-15:
                     rest, total = np.ones_like(rest), rest.size
                 rows = np.insert(((1.0 - values)[:, None] * rest) / total, a_idx, values, axis=1)
-                assert critical._pinned_rows(base, a_idx, values).tobytes() == rows.tobytes()
+                out = np.empty((len(values), base.size))
+                assert critical._pinned_rows(base, a_idx, values, out).tobytes() == rows.tobytes()
 
 
 def _merge_close_loop(points, tol):

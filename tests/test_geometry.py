@@ -678,6 +678,21 @@ def test_face_lattice_matches_a_brute_force_reference(monkeypatch):
     assert face_lattice(other, samples=1, seed=3) == face_lattice(model, max_dim=9)
 
 
+def test_faces_under_max_dim_are_read_from_the_lattice_own_faces():
+    # 729 faces of a (2^9 - 1)^2 = 261121-face product: the descriptors are read from the
+    # faces' own ranks; picking them out of the whole product peaks near 200 MiB
+    m = fixtures.random_model(np.random.default_rng(0), 2, 2, 9, 0.8, positive_mu=True)
+    lattice = face_lattice(m, max_dim=1)
+    tracemalloc.start()
+    try:
+        faces = lattice.faces
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert faces == reference_faces(m.observations, m.actions, max_dim=1)
+
+
 def test_face_lattice_refuses_too_many_samples_before_drawing(monkeypatch):
     m = fixtures.random_model(np.random.default_rng(3), 3, 3, 2, 0.8, positive_mu=True)
 

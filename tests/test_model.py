@@ -343,6 +343,25 @@ def test_graph_format_identity_beta_and_mu_label():
     assert m.reward[0, 0] == 1.0 and m.reward[1, 0] == -1.0
 
 
+def test_graph_format_infers_labels_in_order_of_first_appearance():
+    # without states: and actions: headers, states are read from each edge's source and
+    # then its target, actions from each edge, keeping the first appearance of each label
+    text = """
+    gamma: 0.5
+    s2 b -> s1 1
+    s1 b -> s3
+    s3 a -> s2
+    s1 a -> s1
+    s2 a -> s3
+    s3 b -> s3 2
+    """
+    m = parse_graph_model(text)
+    assert m.states == ("s2", "s1", "s3")
+    assert m.actions == ("b", "a")
+    assert m.reward[0, 0] == 1.0 and m.reward[2, 0] == 2.0
+    assert_array_equal(m.alpha[1, 0], [0.0, 0.0, 1.0])
+
+
 def test_graph_format_explicit_beta_rows():
     text = """
     gamma: 0.5
