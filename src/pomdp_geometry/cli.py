@@ -106,8 +106,9 @@ def emit_json(obj) -> str:
     One walk appends chunks to a single list that is joined once.  A value
     that is a plain function is a writer: emit_json calls ``value(out, depth)``,
     which appends the value's own text, rendered at the depth it sits at, to
-    that list.  That is how `constraints` writes its monomial terms and `faces`
-    its faces, from texts formatted once per document.
+    that list.  That is how `constraints` writes its monomial terms, from texts
+    formatted once per document.  Dicts, lists and tuples share one container
+    loop.
     """
     out = []
     put = out.append
@@ -122,29 +123,22 @@ def emit_json(obj) -> str:
             put(json.dumps(value))
         elif kind is FunctionType:
             value(out, depth)
-        elif isinstance(value, dict):
+        elif isinstance(value, (dict, list, tuple)):
+            keyed = isinstance(value, dict)
+            opening, closing = "{}" if keyed else "[]"
             if not value:
-                put("{}")
+                put(opening + closing)
                 return
             inner = "  " * (depth + 1)
-            sep, comma = "{\n" + inner, ",\n" + inner
-            for key, item in value.items():
+            sep, comma = opening + "\n" + inner, ",\n" + inner
+            for item in value:  # a dict yields its keys
                 put(sep)
-                put(json.dumps(str(key)) + ": ")
+                if keyed:
+                    put(json.dumps(str(item)) + ": ")
+                    item = value[item]
                 walk(item, depth + 1)
                 sep = comma
-            put("\n" + "  " * depth + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                put("[]")
-                return
-            inner = "  " * (depth + 1)
-            sep, comma = "[\n" + inner, ",\n" + inner
-            for item in value:
-                put(sep)
-                walk(item, depth + 1)
-                sep = comma
-            put("\n" + "  " * depth + "]")
+            put("\n" + "  " * depth + closing)
         elif isinstance(value, np.ndarray):
             walk(value.tolist(), depth)
         elif isinstance(value, (bool, np.bool_)):
@@ -386,48 +380,6 @@ def _cmd_constraints(args) -> dict:
     return payload
 
 
-def _spliced_faces(lattice: geom.FaceLattice) -> FunctionType:
-    """The emit_json writer of the "faces" list: the dicts of the lattice's descriptors (free
-    actions, pinned (action, observation) pairs in sorted order, subfaces), written from
-    its arrays (`FaceLattice._graph`).  Each free-action set and each pinned pair is
-    formatted once per document, and the pairs are sorted once: by one rank over all O x A
-    pairs, in which each face's pinned pairs are picked.  A model file has at least one
-    observation and one action, so every face and every free set has an entry."""
-    rows, ranks, dims, covers, counts = lattice._graph()
-    no, na = ranks.shape[1], rows.shape[1]
-    order = sorted(range(no * na),
-                   key=lambda k: (lattice.actions[k % na], lattice.observations[k // na]))
-    pinned = (~rows[ranks]).reshape(len(ranks), -1)[:, order]
-
-    def write(out, depth):
-        sets = [_join_scalars([str(a) for a in np.flatnonzero(row).tolist()], depth + 3)
-                for row in rows]
-        pairs = [_join_scalars([json.dumps(lattice.actions[k % na]),
-                                json.dumps(lattice.observations[k // na])], depth + 3)
-                 for k in order]
-        key = ("\n" + "  " * (depth + 2) + '"{}": ').format
-        opening, sep = "[\n" + "  " * (depth + 3), ",\n" + "  " * (depth + 3)
-        closing = "\n" + "  " * (depth + 2) + "]"
-        heads = [",\n" + "  " * (depth + 1) + "{" + key("dimension") + str(d) + ","
-                 + key("free_actions") + opening for d in range(len(lattice.f_vector))]
-        zeros, subfaces = closing + "," + key("active_zeros"), "," + key("subfaces")
-        tail = "\n" + "  " * (depth + 1) + "}"
-        covers_left = iter(map(str, covers))
-        first = len(out)
-        for dim, face_ranks, face_pinned, n_covers in zip(
-                dims.tolist(), ranks.tolist(), pinned.tolist(), counts):
-            pairs_pinned = list(itertools.compress(pairs, face_pinned))
-            out += (heads[dim], sep.join([sets[r] for r in face_ranks]), zeros,
-                    opening + sep.join(pairs_pinned) + closing if pairs_pinned else "[]",
-                    subfaces,
-                    opening + sep.join(itertools.islice(covers_left, n_covers)) + closing
-                    if n_covers else "[]", tail)
-        out[first] = "[" + out[first][1:]  # no comma before the first face
-        out.append("\n" + "  " * depth + "]")
-
-    return write
-
-
 def _cmd_faces(args) -> dict:
     model = _load_model(args.model, args.gamma, args.mu)
     lattice = geom.face_lattice(
@@ -441,7 +393,9 @@ def _cmd_faces(args) -> dict:
         "f_vector": list(lattice.f_vector),
         "n_faces": lattice.n_faces,
         "certified": lattice.certified,
-        "faces": _spliced_faces(lattice),
+        "faces": [{"dimension": face.dimension, "free_actions": face.free_actions,
+                   "active_zeros": sorted(face.active_zeros), "subfaces": face.subfaces}
+                  for face in lattice.faces],
     }
 
 

@@ -19,6 +19,7 @@ structure of the policy domain, and never kept between calls.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
@@ -623,33 +624,18 @@ class FaceLattice:
 
     @cached_property
     def faces(self) -> tuple[FaceDescriptor, ...]:
-        rows, ranks, dims, covers, counts = self._graph()
-        sets = [tuple(compress(range(rows.shape[1]), row)) for row in rows.tolist()]
-        pinned = [[tuple(zip(compress(self.actions, row), repeat(name)))
-                   for row in (~rows).tolist()] for name in self.observations]
-        # each face's free sets and pinned pairs, read from its ranks one observation at a time
-        columns = ranks.T.tolist()
-        free = zip(*[map(sets.__getitem__, column) for column in columns])
-        zeros = map(frozenset, map(chain.from_iterable, zip(
-            *[map(pairs.__getitem__, column) for pairs, column in zip(pinned, columns)])))
-        covers = iter(covers)
-        return tuple(FaceDescriptor(f, z, dim, tuple(islice(covers, c)))
-                     for f, z, dim, c in zip(free, zeros, dims.tolist(), counts))
-
-    def _graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int], list[int]]:
-        """The faces as arrays, in the order of ``faces``: `_face_order`'s rows, ranks and
-        dimensions, then the positions of the faces each face covers, ascending per face,
-        as one flat list, and how many each face covers."""
         rows, ranks, dims = _face_order(len(self.observations), len(self.actions),
                                         len(self.f_vector) - 1)
         (count, no), (n, na) = ranks.shape, rows.shape
         # a covered face drops one free action, not the last, of one observation: set j
-        # without action a has rank drops[j, a], which is j where nothing is dropped
-        codes = rows @ (1 << np.arange(na))  # each set as a bit mask
-        rank_of = np.zeros(1 << na, dtype=int)
-        rank_of[codes] = np.arange(n)
+        # without action a has rank drops[j, a], which is j where nothing is dropped.  Sets
+        # are looked up by their packed bits, a key that needs no table of all 2^A sets
+        bits = np.packbits(rows[:, None] & ~np.eye(na + 1, na, -1, dtype=bool), axis=-1)
+        keys = bits.view(f"V{bits.shape[-1]}")[..., 0]  # (n, 1 + A): set j, then j without a
+        by_key = np.argsort(keys[:, 0])
         drops = np.where(rows.sum(axis=1, keepdims=True) > 1,
-                         rank_of[codes[:, None] & ~(1 << np.arange(na))], np.arange(n)[:, None])
+                         by_key[np.searchsorted(keys[by_key, 0], keys[:, 1:])],
+                         np.arange(n)[:, None])
         weights = n ** np.arange(no - 1, -1, -1)
         numbers = ranks @ weights  # a face's ranks read as base-n digits
         position = np.zeros(n**no, dtype=int)
@@ -657,8 +643,19 @@ class FaceLattice:
         shift = drops[ranks] - ranks[..., None]  # (faces, O, A), 0 where nothing is dropped
         covered = position[numbers[:, None, None] + shift * weights[:, None]]
         covered = np.sort(np.where(shift == 0, count, covered).reshape(count, -1))  # none last
-        return (rows, ranks, dims, covered[covered < count].tolist(),
-                np.count_nonzero(shift, axis=(1, 2)).tolist())
+        covers = iter(covered[covered < count].tolist())
+
+        sets = [tuple(compress(range(na), row)) for row in rows.tolist()]
+        pinned = [[tuple(zip(compress(self.actions, row), repeat(name)))
+                   for row in (~rows).tolist()] for name in self.observations]
+        # each face's free sets and pinned pairs, read from its ranks one observation at a time
+        columns = ranks.T.tolist()
+        free = zip(*[map(sets.__getitem__, column) for column in columns])
+        zeros = map(frozenset, map(chain.from_iterable, zip(
+            *[map(pairs.__getitem__, column) for pairs, column in zip(pinned, columns)])))
+        counts = np.count_nonzero(shift, axis=(1, 2)).tolist()
+        return tuple(FaceDescriptor(f, z, dim, tuple(islice(covers, c)))
+                     for f, z, dim, c in zip(free, zeros, dims.tolist(), counts))
 
 
 def face_lattice(
@@ -691,16 +688,21 @@ def face_lattice(
 
     Requires every policy to visit every state (positive start and
     discounting, or a strictly positive transition kernel) and an
-    observation kernel with independent columns.  A lattice of more than
-    ``MONOMIAL_CAP`` faces, (2^A - 1)^O of them, is refused (SizeCapError)
-    before anything is built, and so are more faces x samples than that.
+    observation kernel with independent columns.  Every face table follows
+    ``max_dim``: faces are formed from the m nonempty free-action sets of at most
+    ``max_dim + 1`` actions, m = sum_{k <= max_dim + 1} C(A, k) (2^A - 1 without
+    ``max_dim``), and more than ``MONOMIAL_CAP`` of their m^O products are refused
+    (SizeCapError) before anything is built, and so are more faces x samples than that.
     """
     no, na = model.n_observations, model.n_actions
     if max_dim is not None:
         max_dim = _at_least(max_dim, "max_dim", 0)
     samples, seed = _at_least(samples, "samples", 1), _at_least(seed, "seed", 0)
     _check_tol(tol)  # pinned constraints evaluate to rounding noise, never to exactly 0
-    _check_cap((2**na - 1) ** no, f"a face lattice of (2^{na} - 1)^{no} faces")
+    top = na if max_dim is None else min(max_dim + 1, na)  # the most free actions of a set
+    sets = sum(math.comb(na, k) for k in range(1, top + 1))  # 2^A - 1 for top = A
+    _check_cap(sets**no, f"a face lattice of (2^{na} - 1)^{no} faces" if top == na else
+               f"the faces up to dimension {max_dim} of {sets}^{no} free-action sets")
     _check_visits(model, "certification")
     packed = _model_packed(model)
     rows, ranks, dims = _face_order(no, na, max_dim)
@@ -711,17 +713,22 @@ def face_lattice(
 
 def _face_order(n_observations: int, n_actions: int,
                 max_dim: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The faces up to max_dim, by dimension and then lexicographically: the (2^A - 1, A)
-    rows of the nonempty free-action sets in lexicographic order of their action tuples,
-    the (faces, O) ranks of each face's sets among them, so that ``rows[ranks]`` is the
-    (faces, O, A) mask of their free actions, and the faces' dimensions."""
+    """The faces up to max_dim, by dimension and then lexicographically: the (m, A) rows
+    of the nonempty free-action sets of at most max_dim + 1 actions (all 2^A - 1 for no
+    max_dim) in lexicographic order of their action tuples, the (faces, O) ranks of each
+    face's sets among them, so that ``rows[ranks]`` is the (faces, O, A) mask of their
+    free actions, and the faces' dimensions.  Only the m^O products are formed."""
+    top = n_actions if max_dim is None else max_dim + 1
     # each pass puts one more action j in front: the sets over actions j.. are {j}, then
-    # {j} joined to each set over actions j+1.., then those sets alone
+    # {j} joined to each set over actions j+1.., then those sets alone; sets of more than
+    # top actions are dropped as they appear, which keeps the order of the others
     rows = np.zeros((0, 0), dtype=bool)
     for k in range(n_actions):
         later, rows = rows, np.zeros((2 * len(rows) + 1, k + 1), dtype=bool)
         rows[:len(later) + 1, 0] = True
         rows[1:len(later) + 1, 1:] = rows[len(later) + 1:, 1:] = later
+        if k >= top:
+            rows = rows[rows.sum(axis=1) <= top]
     ranks = np.indices((len(rows),) * n_observations).reshape(n_observations, -1).T
     dims = (rows.sum(axis=1) - 1)[ranks].sum(axis=1)
     order = np.argsort(dims, kind="stable")

@@ -1133,7 +1133,7 @@ def test_constraints_with_policy_read_the_one_table_they_built(capsys, monkeypat
 
 
 # --------------------------------------------------------------------------
-# faces written from the lattice's arrays
+# faces written from the lattice's own descriptors
 
 
 FACE_ACTION_LABELS = ['a"1', "a\\2", "é,3", "a:4", "A", "b"]

@@ -228,6 +228,23 @@ def test_constraint_polynomial_exponent_matrices():
     assert str(p).startswith("pi[a1|o2] >= 0:")
 
 
+def test_constraint_text_is_the_factored_form():
+    # each support state's linear part times the other support marginals, then the
+    # offset times all of them; a zero coefficient is left out
+    texts = [str(p) for p in model_constraint_polynomials(fixtures.two_state_model())]
+    assert texts == [
+        "pi[a1|o1] >= 0: +1*eta[0,0] >= 0",
+        "pi[a2|o1] >= 0: +1*eta[0,1] >= 0",
+        "pi[a1|o2] >= 0: -1*eta[0,0]*rho[1] +2*eta[1,0]*rho[0] >= 0",
+        "pi[a2|o2] >= 0: -1*eta[0,1]*rho[1] +2*eta[1,1]*rho[0] >= 0",
+    ]
+    b = np.array([[0.5, -0.25], [0.0, 0.0], [0.0, 2.0]])
+    assert str(transfer_inequality(b, 0.75)) == (
+        "transfer(c=0.75): +0.5*eta[0,0]*rho[2] -0.25*eta[0,1]*rho[2] +2*eta[2,1]*rho[0] "
+        "-0.75*rho[0]*rho[2] >= 0")
+    assert str(transfer_inequality(np.zeros((2, 2)), 0.0, label="t")) == "t: 0 >= 0"
+
+
 def test_constraint_polynomials_are_transfer_inequalities():
     # constraint (o, a) is the one-constraint form of pseudo-inverse row o in column a
     for _, m in _packing_models():
@@ -615,10 +632,22 @@ def test_face_lattice_size_cap(monkeypatch):
         face_lattice(m)
 
 
+def test_face_lattice_cap_counts_the_sets_up_to_max_dim(monkeypatch):
+    # 45 + C(45, 2) = 1035 sets of at most two of 45 actions: 1035^2 products, refused
+    # before anything is built
+    m = fixtures.random_model(np.random.default_rng(1), 2, 2, 45, 0.8, positive_mu=True)
+    assert face_lattice(m, max_dim=0, samples=1).f_vector == (45**2,)
+    monkeypatch.setattr(geometry, "_face_order", None)
+    with pytest.raises(SizeCapError, match=r"^the faces up to dimension 1 of 1035\^2 free-action "
+                                           r"sets exceeds the cap of 1048576$"):
+        face_lattice(m, max_dim=1)
+
+
 @pytest.mark.parametrize("shape, max_dim, f_vector", [
     ((2, 2, 9), 1, (81, 648)),  # O x A = 18 policy coordinates, 729 faces up to dimension 1
+    ((2, 2, 11), 1, (121, 1210)),  # (2^11 - 1)^2 faces, 66^2 products of sets of <= 2 actions
     ((20, 20, 1), None, (1,)),  # 20 coordinates, one face
-], ids=["2x2x9-max-dim-1", "20x20x1"])
+], ids=["2x2x9-max-dim-1", "2x2x11-max-dim-1", "20x20x1"])
 def test_face_lattice_is_sized_by_its_faces(shape, max_dim, f_vector):
     m = fixtures.random_model(np.random.default_rng(0), *shape, 0.8, positive_mu=True)
     lattice = face_lattice(m, max_dim=max_dim)
@@ -690,6 +719,25 @@ def test_faces_under_max_dim_are_read_from_the_lattice_own_faces():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+    assert faces == reference_faces(m.observations, m.actions, max_dim=1)
+
+
+def test_face_tables_follow_max_dim(monkeypatch):
+    # 1000 faces up to dimension 1 of a (2^10 - 1)^2-face product: certification and the
+    # descriptors form only the 55^2 products of sets of at most two actions, where the
+    # whole product's ranks alone would peak near 41 MiB.  Small blocks keep the
+    # certification's own few blocks out of the measure
+    monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 2**14)
+    m = fixtures.random_model(np.random.default_rng(0), 2, 2, 10, 0.8, positive_mu=True)
+    tracemalloc.start()
+    try:
+        lattice = face_lattice(m, max_dim=1)
+        faces = lattice.faces
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert lattice.f_vector == (100, 900) and len(faces) == 1000
     assert faces == reference_faces(m.observations, m.actions, max_dim=1)
 
 
