@@ -107,8 +107,7 @@ def emit_json(obj) -> str:
     that is a plain function is a writer: emit_json calls ``value(out, depth)``,
     which appends the value's own text, rendered at the depth it sits at, to
     that list.  That is how `constraints` writes its monomial terms, from texts
-    formatted once per document.  Dicts, lists and tuples share one container
-    loop.
+    formatted once per document.
     """
     out = []
     put = out.append
@@ -123,22 +122,29 @@ def emit_json(obj) -> str:
             put(json.dumps(value))
         elif kind is FunctionType:
             value(out, depth)
-        elif isinstance(value, (dict, list, tuple)):
-            keyed = isinstance(value, dict)
-            opening, closing = "{}" if keyed else "[]"
+        elif isinstance(value, dict):
             if not value:
-                put(opening + closing)
+                put("{}")
                 return
             inner = "  " * (depth + 1)
-            sep, comma = opening + "\n" + inner, ",\n" + inner
-            for item in value:  # a dict yields its keys
+            sep, comma = "{\n" + inner, ",\n" + inner
+            for key, item in value.items():
                 put(sep)
-                if keyed:
-                    put(json.dumps(str(item)) + ": ")
-                    item = value[item]
+                put(json.dumps(str(key)) + ": ")
                 walk(item, depth + 1)
                 sep = comma
-            put("\n" + "  " * depth + closing)
+            put("\n" + "  " * depth + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = "  " * (depth + 1)
+            sep, comma = "[\n" + inner, ",\n" + inner
+            for item in value:
+                put(sep)
+                walk(item, depth + 1)
+                sep = comma
+            put("\n" + "  " * depth + "]")
         elif isinstance(value, np.ndarray):
             walk(value.tolist(), depth)
         elif isinstance(value, (bool, np.bool_)):

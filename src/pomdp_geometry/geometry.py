@@ -25,7 +25,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, combinations, compress, islice, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -627,25 +627,23 @@ class FaceLattice:
         rows, ranks, dims = _face_order(len(self.observations), len(self.actions),
                                         len(self.f_vector) - 1)
         (count, no), (n, na) = ranks.shape, rows.shape
+        sets = [tuple(compress(range(na), row)) for row in rows.tolist()]
         # a covered face drops one free action, not the last, of one observation: set j
-        # without action a has rank drops[j, a], which is j where nothing is dropped.  Sets
-        # are looked up by their packed bits, a key that needs no table of all 2^A sets
-        bits = np.packbits(rows[:, None] & ~np.eye(na + 1, na, -1, dtype=bool), axis=-1)
-        keys = bits.view(f"V{bits.shape[-1]}")[..., 0]  # (n, 1 + A): set j, then j without a
-        by_key = np.argsort(keys[:, 0])
-        drops = np.where(rows.sum(axis=1, keepdims=True) > 1,
-                         by_key[np.searchsorted(keys[by_key, 0], keys[:, 1:])],
-                         np.arange(n)[:, None])
+        # without its i-th action has rank drops[j, i], which is j where nothing is dropped
+        # (a single action, or i past the end of the set, where the slice leaves it whole)
+        rank_of = {s: j for j, s in enumerate(sets)}
+        width = max(map(len, sets))
+        drops = np.array([[rank_of.get(s[:i] + s[i + 1:], j) for i in range(width)]
+                          for j, s in enumerate(sets)])
         weights = n ** np.arange(no - 1, -1, -1)
         numbers = ranks @ weights  # a face's ranks read as base-n digits
         position = np.zeros(n**no, dtype=int)
         position[numbers] = np.arange(count)
-        shift = drops[ranks] - ranks[..., None]  # (faces, O, A), 0 where nothing is dropped
+        shift = drops[ranks] - ranks[..., None]  # (faces, O, width), 0 where nothing is dropped
         covered = position[numbers[:, None, None] + shift * weights[:, None]]
         covered = np.sort(np.where(shift == 0, count, covered).reshape(count, -1))  # none last
         covers = iter(covered[covered < count].tolist())
 
-        sets = [tuple(compress(range(na), row)) for row in rows.tolist()]
         pinned = [[tuple(zip(compress(self.actions, row), repeat(name)))
                    for row in (~rows).tolist()] for name in self.observations]
         # each face's free sets and pinned pairs, read from its ranks one observation at a time
@@ -690,46 +688,47 @@ def face_lattice(
     discounting, or a strictly positive transition kernel) and an
     observation kernel with independent columns.  Every face table follows
     ``max_dim``: faces are formed from the m nonempty free-action sets of at most
-    ``max_dim + 1`` actions, m = sum_{k <= max_dim + 1} C(A, k) (2^A - 1 without
-    ``max_dim``), and more than ``MONOMIAL_CAP`` of their m^O products are refused
-    (SizeCapError) before anything is built, and so are more faces x samples than that.
+    ``max_dim + 1`` actions (`_set_sizes`; m = 2^A - 1 without ``max_dim``).  Each
+    table is counted before it is built, and one of more than ``MONOMIAL_CAP`` entries
+    is refused (SizeCapError): the m^O products of sets and their (m, A) rows before
+    anything is built, then the faces x samples points and the (faces, O, A) free-action
+    masks of the faces up to ``max_dim``.
     """
     no, na = model.n_observations, model.n_actions
     if max_dim is not None:
         max_dim = _at_least(max_dim, "max_dim", 0)
     samples, seed = _at_least(samples, "samples", 1), _at_least(seed, "seed", 0)
     _check_tol(tol)  # pinned constraints evaluate to rounding noise, never to exactly 0
-    top = na if max_dim is None else min(max_dim + 1, na)  # the most free actions of a set
-    sets = sum(math.comb(na, k) for k in range(1, top + 1))  # 2^A - 1 for top = A
-    _check_cap(sets**no, f"a face lattice of (2^{na} - 1)^{no} faces" if top == na else
-               f"the faces up to dimension {max_dim} of {sets}^{no} free-action sets")
+    m = sum(math.comb(na, k) for k in _set_sizes(na, max_dim))  # 2^A - 1 without max_dim
+    _check_cap(m**no, f"a face lattice of (2^{na} - 1)^{no} faces" if max_dim is None else
+               f"the faces up to dimension {max_dim} of {m}^{no} free-action sets")
+    _check_cap(m * na, f"the rows of {m} free-action sets x {na} actions")
     _check_visits(model, "certification")
     packed = _model_packed(model)
     rows, ranks, dims = _face_order(no, na, max_dim)
     _check_cap(len(ranks) * samples, f"certifying {len(ranks)} faces x {samples} samples")
+    _check_cap(len(ranks) * no * na,
+               f"the free-action masks of {len(ranks)} faces x {no * na} policy entries")
     _certify_faces(model, rows[ranks], packed, np.random.default_rng(seed), samples, tol)
     return FaceLattice(model.observations, model.actions, tuple(np.bincount(dims).tolist()), True)
+
+
+def _set_sizes(n_actions: int, max_dim: int | None) -> range:
+    """The sizes of the free-action sets that the faces up to max_dim are formed from."""
+    return range(1, n_actions + 1 if max_dim is None else min(max_dim + 2, n_actions + 1))
 
 
 def _face_order(n_observations: int, n_actions: int,
                 max_dim: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The faces up to max_dim, by dimension and then lexicographically: the (m, A) rows
-    of the nonempty free-action sets of at most max_dim + 1 actions (all 2^A - 1 for no
-    max_dim) in lexicographic order of their action tuples, the (faces, O) ranks of each
-    face's sets among them, so that ``rows[ranks]`` is the (faces, O, A) mask of their
-    free actions, and the faces' dimensions.  Only the m^O products are formed."""
-    top = n_actions if max_dim is None else max_dim + 1
-    # each pass puts one more action j in front: the sets over actions j.. are {j}, then
-    # {j} joined to each set over actions j+1.., then those sets alone; sets of more than
-    # top actions are dropped as they appear, which keeps the order of the others
-    rows = np.zeros((0, 0), dtype=bool)
-    for k in range(n_actions):
-        later, rows = rows, np.zeros((2 * len(rows) + 1, k + 1), dtype=bool)
-        rows[:len(later) + 1, 0] = True
-        rows[1:len(later) + 1, 1:] = rows[len(later) + 1:, 1:] = later
-        if k >= top:
-            rows = rows[rows.sum(axis=1) <= top]
-    ranks = np.indices((len(rows),) * n_observations).reshape(n_observations, -1).T
+    of the m nonempty free-action sets of `_set_sizes` in lexicographic order of their
+    action tuples, the (faces, O) ranks of each face's sets among them, so that
+    ``rows[ranks]`` is the (faces, O, A) mask of their free actions, and the faces'
+    dimensions.  Only the m^O products are formed."""
+    sets = sorted(chain.from_iterable(
+        combinations(range(n_actions), k) for k in _set_sizes(n_actions, max_dim)))
+    rows = np.array([[a in s for a in range(n_actions)] for s in sets])
+    ranks = np.indices((len(sets),) * n_observations).reshape(n_observations, -1).T
     dims = (rows.sum(axis=1) - 1)[ranks].sum(axis=1)
     order = np.argsort(dims, kind="stable")
     if max_dim is not None:

@@ -689,6 +689,22 @@ def test_size_flags_beyond_the_cap_exit_one_before_allocating(capsys, argv):
     assert error["message"].endswith(f"exceeds the cap of {MONOMIAL_CAP}")
 
 
+def test_faces_of_many_actions_exit_one_at_once(tmp_path, capsys):
+    # one observation and 2000 actions: 2000 vertices up to dimension 0, whose free-set
+    # rows alone hold 2000 x 2000 entries
+    model = fixtures.random_model(np.random.default_rng(3), 2, 1, 2000, 0.8, positive_mu=True)
+    path = tmp_path / "many_actions.json"
+    path.write_text(serialize_model(model))
+    start = time.perf_counter()
+    code, out = run(capsys, "faces", str(path), "--max-dim", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "SizeCapError"
+    assert error["message"] == (
+        f"the rows of 2000 free-action sets x 2000 actions exceeds the cap of {MONOMIAL_CAP}")
+
+
 @pytest.mark.parametrize("model", [
     fixtures.three_state_model(),
     fixtures.random_model(np.random.default_rng(7), 5, 5, 3, 0.8, positive_mu=True),

@@ -643,6 +643,26 @@ def test_face_lattice_cap_counts_the_sets_up_to_max_dim(monkeypatch):
         face_lattice(m, max_dim=1)
 
 
+def test_face_lattice_cap_counts_the_rows_of_the_sets(monkeypatch):
+    # 2000 sets of one of 2000 actions: 2000^1 products, but 2000 x 2000 rows, refused
+    # before anything is built
+    m = fixtures.random_model(np.random.default_rng(1), 2, 1, 2000, 0.8, positive_mu=True)
+    monkeypatch.setattr(geometry, "_face_order", None)
+    with pytest.raises(SizeCapError, match=r"^the rows of 2000 free-action sets x 2000 actions "
+                                           r"exceeds the cap of 1048576$"):
+        face_lattice(m, max_dim=0)
+
+
+def test_face_lattice_cap_counts_the_free_action_masks(monkeypatch):
+    # 200^2 vertices of a 2 x 200 policy domain: 40000 faces x 1 sample pass, but their
+    # (faces, O, A) masks hold 16 million entries, refused before certification
+    m = fixtures.random_model(np.random.default_rng(1), 2, 2, 200, 0.8, positive_mu=True)
+    monkeypatch.setattr(geometry, "_certify_faces", None)
+    with pytest.raises(SizeCapError, match=r"^the free-action masks of 40000 faces x 400 policy "
+                                           r"entries exceeds the cap of 1048576$"):
+        face_lattice(m, max_dim=0, samples=1)
+
+
 @pytest.mark.parametrize("shape, max_dim, f_vector", [
     ((2, 2, 9), 1, (81, 648)),  # O x A = 18 policy coordinates, 729 faces up to dimension 1
     ((2, 2, 11), 1, (121, 1210)),  # (2^11 - 1)^2 faces, 66^2 products of sets of <= 2 actions
