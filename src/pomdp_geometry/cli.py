@@ -582,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
         "critical", help="exact critical points of a blind two-action model"
     )
     common(p)
-    p.add_argument("--grid", type=int, default=10_000)
+    p.add_argument("--grid", type=int, default=10_000,
+                   help=f"cells of the cross-validation grid, at least {crit.MIN_GRID_CELLS}")
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("bounds", help="critical-point bounds per face")

@@ -20,14 +20,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 # reward_of is not used here; it stays bound as critical.reward_of because
 # perfbench/test_smoke.py checks that the tracer wraps that binding site
 from .freq import batch_rewards, policy_gradient, reward_of  # noqa: F401
 from .geometry import RankError, SizeCapError, _check_cap, _model_packed
 from .model import InputError, Policy, PomdpModel, _at_least, _csv_field, compose
-from .rational import _line_form
+from .rational import _cheb_der, _cheb_val, _end_slopes, _line_form, _unit_roots
 
 # interior roots closer than this are reported once
 MERGE_TOL = 1e-8
@@ -99,7 +98,9 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
     points are the real roots in (0, 1) of its `slope_numerator()` g = N'D - ND'
     (D > 0 for every gamma in (0, 1] on unichain lines), found by colleague matrix and
     classified by the sign of g', which is that of R''.  The endpoints are classified
-    by the exact one-sided slopes R' = g / D^2.
+    by the exact one-sided slopes R' = g / D^2.  This algebra on the line runs on
+    Python floats, through the Chebyshev helpers beside `RewardLine`, with the bits
+    numpy.polynomial.chebyshev gives; the colleague matrix's eigenvalues are numpy's.
     At gamma = 1 R is the mean reward, the same for every mu on a unichain
     line; a point where the chain is not unichain raises ErgodicityError.
     A dense grid, the `landscape_scan` of pi(a1|o), cross-validates the
@@ -135,25 +136,18 @@ def blind_critical_points(model: PomdpModel, grid: int = 10_000) -> CriticalSet:
 
     # from the a2 vertex at p = 0 to the a1 vertex at p = 1, p = 0.5 (x + 1) on the series' x
     line = _line_form(model, *compose(model.beta, np.array([[[0.0, 1.0]], [[1.0, 0.0]]])))
-    g = line.slope_numerator()
-    candidates = 0.5 + 0.5 * chebyshev.chebroots(g)
-    x = candidates[np.isreal(candidates)].real
-    x = x[(x > 0.0) & (x < 1.0)]
-
-    merged, duplicates_merged = _merge_close(x, MERGE_TOL)
+    g = line.slope_numerator().tolist()
+    merged, duplicates_merged = _merge_close(_unit_roots(g), MERGE_TOL)
     # at a root of g, R'' = g' / D^2 with D > 0
-    curvatures = chebyshev.chebval(-1.0 + 2.0 * np.array(merged), chebyshev.chebder(g, 1, 2.0))
+    dg = _cheb_der(g, 2.0)
+    curvatures = [_cheb_val(-1.0 + 2.0 * p, dg) for p in merged]
     roots = [(p, "max" if bend < 0 else "min" if bend > 0 else "saddle/flat")
              for p, bend in zip(merged, curvatures)]
 
     _cross_validate(ps, rewards, roots, scale, grid)
 
     thr = BOUNDARY_SLOPE_TOL * scale
-    # g and D as the columns of one series; trailing zeros leave Clenshaw's bits unchanged
-    series = np.zeros((max(len(g), len(line.den)), 2))
-    series[:len(g), 0], series[:len(line.den), 1] = g, line.den
-    g_ends, den_ends = chebyshev.chebval(np.array([-1.0, 1.0]), series)  # p = 0 and p = 1
-    slope0, slope1 = g_ends / den_ends ** 2
+    slope0, slope1 = _end_slopes(g, line.den.tolist())
     return CriticalSet(
         interior_roots=tuple(roots),
         boundary={0.0: _boundary_class(-slope0, thr), 1.0: _boundary_class(slope1, thr)},
@@ -171,14 +165,18 @@ def _boundary_class(outward_slope: float, thr: float) -> str:
     return BOUNDARY_NEITHER
 
 
-def _merge_close(points: np.ndarray, tol: float) -> tuple[list[float], bool]:
+def _merge_close(points, tol: float) -> tuple[list[float], bool]:
     """Means of the chains of sorted points whose neighbours lie within tol, and
-    whether any chain held more than one point."""
-    if not len(points):
-        return [], False
-    points = np.sort(points)
-    clusters = np.split(points, np.flatnonzero(np.diff(points) > tol) + 1)
-    return [float(np.mean(c)) for c in clusters], len(clusters) < len(points)
+    whether any chain held more than one point.  A chain of one point is that point;
+    np.mean, whose summation order sets the last bit, averages the longer ones."""
+    clusters = []
+    for x in sorted(points):
+        if clusters and x - clusters[-1][-1] <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    means = [float(c[0]) if len(c) == 1 else float(np.mean(c)) for c in clusters]
+    return means, len(clusters) < len(points)
 
 
 def _cross_validate(ps, rewards, roots, scale, grid):

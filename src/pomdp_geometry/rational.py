@@ -209,10 +209,129 @@ class RewardLine(NamedTuple):
 
     def slope_numerator(self) -> np.ndarray:
         """g = N'D - ND' (R' = g / D^2, degree <= 2k - 2), formed only here: Chebyshev
-        coefficients on [0, 1] (d/dlam = 2 d/dx) trimmed of noise that sends roots to infinity."""
-        dnum, dden = chebyshev.chebder(np.stack(self, axis=1), 1, 2.0).T  # N' and D' at once
-        g = chebyshev.chebsub(chebyshev.chebmul(dnum, self.den), chebyshev.chebmul(self.num, dden))
-        return chebyshev.chebtrim(g, TRIM_TOL * float(np.max(np.abs(g))))
+        coefficients on [0, 1] (d/dlam = 2 d/dx) trimmed of noise that sends roots to infinity.
+        Formed on Python floats with the bits of numpy.polynomial's chebder, chebmul, chebsub
+        and chebtrim; only the two products' z-series go through np.convolve."""
+        num, den = self.num.tolist(), self.den.tolist()
+        g = _cheb_sub(_cheb_mul(_cheb_der(num, 2.0), den), _cheb_mul(num, _cheb_der(den, 2.0)))
+        peak = math.nan if any(v != v for v in g) else max(map(abs, g))  # np.max keeps a NaN
+        return np.array(_cheb_trim(g, TRIM_TOL * peak))
+
+
+# --------------------------------------------------------------------------
+# Chebyshev series algebra of one line on Python floats
+#
+# numpy.polynomial.chebyshev's operations in numpy's order, so every result has numpy's
+# bits, on lists of at most 2S - 1 coefficients, where numpy's argument checks and array
+# set-up cost more than the arithmetic.  numpy keeps the convolution and the eigenvalues.
+
+
+def _trimseq(c: list) -> list:
+    """c without its trailing zeros, keeping the first coefficient (`polyutils.trimseq`)."""
+    end = len(c)
+    while end > 1 and c[end - 1] == 0.0:
+        end -= 1
+    return c[:end]
+
+
+def _cheb_trim(c: list, tol: float) -> list:
+    """c up to its last coefficient above tol in magnitude, or [c[0] * 0] (`chebtrim`); a NaN
+    tol keeps nothing."""
+    end = len(c)
+    while end and not abs(c[end - 1]) > tol:
+        end -= 1
+    return c[:end] if end else [c[0] * 0.0]
+
+
+def _cheb_der(c: list, scl: float) -> list:
+    """The derivative of c times scl (`chebder(c, 1, scl)`)."""
+    n = len(c) - 1
+    if n < 1:
+        return [c[0] * 0.0]
+    c = [v * scl for v in c]
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _cheb_mul(c1: list, c2: list) -> list:
+    """The product c1 c2 (`chebmul`): the convolution of the two z-series.  numpy adds a
+    zero to each halved coefficient but the middle one; that only turns -0.0 into 0.0,
+    which np.convolve's sums do already."""
+    zs = []
+    for c in (_trimseq(c1), _trimseq(c2)):
+        half = [v / 2 for v in c]
+        zs.append(half[:0:-1] + [half[0] + half[0]] + half[1:])
+    prd = np.convolve(*zs).tolist()
+    n = (len(prd) + 1) // 2
+    return _trimseq([prd[n - 1]] + [2 * v for v in prd[n:]])
+
+
+def _cheb_sub(c1: list, c2: list) -> list:
+    """The difference c1 - c2 (`chebsub`)."""
+    c1, c2 = _trimseq(c1), _trimseq(c2)
+    if len(c1) > len(c2):
+        return _trimseq([a - b for a, b in zip(c1, c2)] + c1[len(c2):])
+    return _trimseq([-b + a for a, b in zip(c1, c2)] + [-b for b in c2[len(c1):]])
+
+
+def _cheb_val(x: float, c: list) -> float:
+    """c at the point x by Clenshaw's recurrence (`chebval`)."""
+    if len(c) == 1:
+        return c[0] + 0.0 * x
+    if len(c) == 2:
+        return c[0] + c[1] * x
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+_SQRT_HALF = math.sqrt(0.5)  # chebcompanion's np.sqrt(.5): both are correctly rounded
+
+
+def _cheb_roots(c: list) -> np.ndarray:
+    """The roots of c (`chebroots`): the sorted eigenvalues of its colleague matrix
+    (`chebcompanion`) with rows and columns reversed, real unless one is not."""
+    c = _trimseq(c)
+    if len(c) < 2:
+        return np.array([])
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    mat = [[0.0] * n for _ in range(n)]
+    for i in range(n - 1):
+        mat[i][i + 1] = mat[i + 1][i] = _SQRT_HALF if i == 0 else 0.5
+    for i in range(n):  # scl / scl[-1] of chebcompanion is 1 / sqrt(.5), then ones
+        mat[i][-1] -= (c[i] / c[-1]) * (1.0 / _SQRT_HALF if i == 0 else 1.0) * 0.5
+    roots = np.linalg.eigvals(np.array([row[::-1] for row in mat[::-1]]))
+    roots.sort()
+    return roots
+
+
+def _unit_roots(g: list) -> list[float]:
+    """The real roots of the series g in lam in (0, 1), lam = 0.5 + 0.5 x, in the order of
+    `_cheb_roots`.  numpy maps a complex root x to 0.5 + 0.5 x with imaginary part
+    0.5 x.imag + 0.0 x.real; where that is zero the real part is 0.5 + 0.5 x.real."""
+    lams = (0.5 + 0.5 * x.real for x in _cheb_roots(g).tolist() if 0.5 * x.imag == 0.0)
+    return [lam for lam in lams if 0.0 < lam < 1.0]
+
+
+def _end_slopes(g: list, den: list) -> tuple[float, float]:
+    """R' = g / D^2 at lam = 0 and lam = 1.  Where D^2 is zero the slope is numpy's
+    quotient (an infinity or a NaN, with numpy's warning), not ZeroDivisionError."""
+    slopes = []
+    for x in (-1.0, 1.0):
+        top, d = _cheb_val(x, g), _cheb_val(x, den)
+        bottom = d * d
+        slopes.append(top / bottom if bottom else float(np.divide(top, bottom)))
+    return slopes[0], slopes[1]
 
 
 @functools.lru_cache(maxsize=32)

@@ -6,7 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from numpy.polynomial import Chebyshev
+from numpy.polynomial import Chebyshev, chebyshev
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import critical, fixtures
@@ -32,7 +32,8 @@ from pomdp_geometry.geometry import (
     model_constraint_polynomials,
 )
 from pomdp_geometry.model import InputError, Policy, PomdpModel, compose, load_model_text
-from pomdp_geometry.rational import TRIM_TOL, best_deterministic, reward_curve_on_line
+from pomdp_geometry.rational import (TRIM_TOL, RewardLine, best_deterministic,
+                                     reward_curve_on_line)
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 MAX = "strict local max"
@@ -400,18 +401,27 @@ def test_merge_close_matches_the_chaining_loop():
         assert _merge_close(points, tol) == _merge_close_loop(points, tol)
 
 
-@pytest.mark.parametrize("patched, message", [
+@pytest.mark.parametrize("owner, name, patched, message", [
     # a root finder that loses the interior minimum at p = 0.4248
-    (lambda points, tol: ([], False), "grid increments change sign near p=0.4248"),
+    (critical, "_merge_close", lambda points, tol: ([], False),
+     "grid increments change sign near p=0.4248"),
     # a root finder that reports an extremum the grid does not show
-    (lambda points, tol: ([0.05, *_merge_close(points, tol)[0]], False),
+    (critical, "_merge_close", lambda points, tol: ([0.05, *_merge_close(points, tol)[0]], False),
      "reported extremum at p=0.05 has no matching sign change"),
-], ids=["root-dropped", "root-added"])
-def test_blind_grid_cross_check_refuses_a_wrong_root_set(monkeypatch, patched, message):
+    # a slope numerator N'D - ND with D in place of D'; D is constant on this line, so
+    # one with N' in place of N'D would be right here
+    (RewardLine, "slope_numerator",
+     lambda line: chebyshev.chebsub(chebyshev.chebmul(chebyshev.chebder(line.num, 1, 2.0),
+                                                      line.den),
+                                    chebyshev.chebmul(line.num, line.den)),
+     "reported extremum at p=0.45827634659 has no matching sign change"),
+], ids=["root-dropped", "root-added", "slope-numerator-wrong"])
+def test_blind_grid_cross_check_refuses_a_wrong_root_set(monkeypatch, owner, name, patched,
+                                                          message):
     m = fixtures.blind_three_state_model(mu=dirac(0), gamma=0.5)
     roots = blind_critical_points(m).interior_roots
     assert [p for p, _ in roots] == pytest.approx([0.4248], abs=1e-4)
-    monkeypatch.setattr(critical, "_merge_close", patched)
+    monkeypatch.setattr(owner, name, patched)
     with pytest.raises(ArithmeticError, match=message):
         blind_critical_points(m)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import Chebyshev
+from numpy.polynomial import Chebyshev, chebyshev
 from numpy.testing import assert_allclose
 
 from pomdp_geometry import fixtures, rational
@@ -234,6 +234,99 @@ def test_reward_line_refuses_a_multichain_endpoint_at_gamma_one():
     xs = np.linspace(0.01, 1.0, 9)
     assert_allclose(line(xs), batch_rewards(m, rational._segment(pi0.matrix, pi1.matrix, xs)),
                     rtol=0, atol=1e-12)
+
+
+def _same_bits(a, b) -> bool:
+    """One dtype, one shape and the same bits, where any NaN matches any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    return np.where(np.isnan(a), 0.0, a).tobytes() == np.where(np.isnan(b), 0.0, b).tobytes()
+
+
+def _edge_lines():
+    """Reward lines the float algebra must read as numpy does: random series of S + 1
+    coefficients (S = 1-8), the lines of random blind models, then degree 0 and 1,
+    trailing zeros, signed zeros, a constant N and a zero N (g is all zeros), NaN and
+    infinite coefficients, also beside a constant D, where g keeps finite coefficients."""
+    rng = np.random.default_rng(101)
+    for s in range(1, 9):
+        for _ in range(12):
+            yield rational.RewardLine(*rng.normal(size=(2, s + 1)) * 10.0 ** rng.integers(-3, 4))
+        m = fixtures.random_model(rng, s, 1, 2, float(rng.uniform(0.3, 0.999)))
+        yield _line_form(m, *(np.full((s, 2), [p, 1.0 - p]) for p in (0.0, 1.0)))
+    yield rational.RewardLine(np.array([2.5]), np.array([-1.5]))
+    yield rational.RewardLine(np.array([0.5, -2.0]), np.array([1.0, 0.25]))
+    yield rational.RewardLine(np.array([1.0, 2.0, 0.0, 0.0]), np.array([3.0, 1.0, -0.0, 0.0]))
+    yield rational.RewardLine(np.array([1.0, 2.0, 3.0, 1e-30]), np.array([3.0, 1.0, 0.5, 0.0]))
+    yield rational.RewardLine(np.array([-0.0, 0.0, -0.0]), np.array([-2.0, 1.0, 0.5]))
+    yield rational.RewardLine(np.array([1.0, -0.0, 2.0]), np.array([3.0, -0.0, -0.5]))
+    yield rational.RewardLine(np.array([2.0, 0.0, 0.0]), np.array([1.0, 2.0, 3.0]))
+    yield rational.RewardLine(np.zeros(4), np.array([3.0, 1.0, 0.5, 0.25]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(4):
+            num = np.array([1.0, -2.0, 0.5, 0.25])
+            num[i] = bad
+            for den in ([3.0, 1.0, 0.5, 0.125], [2.0, 0.0, 0.0, 0.0]):
+                yield rational.RewardLine(num, np.array(den))
+                yield rational.RewardLine(np.array(den), num)
+
+
+def _numpy_slope_numerator(line):
+    dnum, dden = chebyshev.chebder(np.stack(line, axis=1), 1, 2.0).T
+    g = chebyshev.chebsub(chebyshev.chebmul(dnum, line.den), chebyshev.chebmul(line.num, dden))
+    return chebyshev.chebtrim(g, rational.TRIM_TOL * float(np.max(np.abs(g))))
+
+
+def _numpy_unit_roots(g):
+    candidates = 0.5 + 0.5 * chebyshev.chebroots(g)
+    x = candidates[np.isreal(candidates)].real
+    return x[(x > 0.0) & (x < 1.0)]
+
+
+def test_reward_line_float_algebra_is_numpy_polynomial_bit_for_bit():
+    xs = [-1.0, 1.0, -0.0, 0.25, -0.7, 3.5]
+    n_complex = 0
+    with np.errstate(all="ignore"):
+        for line in _edge_lines():
+            g = line.slope_numerator()
+            assert _same_bits(g, _numpy_slope_numerator(line)), line
+            series = [g.tolist(), line.num.tolist(), line.den.tolist()]
+            for c in series + [rational._cheb_der(c, 2.0) for c in series]:
+                assert _same_bits(rational._cheb_der(c, 2.0), chebyshev.chebder(c, 1, 2.0))
+                assert _same_bits([rational._cheb_val(x, c) for x in xs],
+                                  chebyshev.chebval(np.array(xs), c)), c
+                try:
+                    expected = chebyshev.chebroots(c)
+                except np.linalg.LinAlgError:
+                    # eigvals refuses a colleague matrix that is not finite
+                    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+                        rational._cheb_roots(c)
+                    continue
+                roots = rational._cheb_roots(c)
+                assert _same_bits(roots, expected), c
+                assert _same_bits(rational._unit_roots(c), _numpy_unit_roots(c)), c
+                n_complex += roots.dtype.kind == "c"
+            # an all-zero g, as from N = 0, has no roots
+            if not np.any(line.num):
+                assert g.tolist() == [0.0] and rational._unit_roots(g.tolist()) == []
+    assert n_complex >= 20
+
+
+def test_reward_line_end_slopes_are_numpy_division_where_d_vanishes():
+    # R' = g / D^2 at lam = 0 and 1; D = 1 + T1 is zero at lam = 0, where numpy's
+    # division (with its warning) answers an infinity or a NaN, not ZeroDivisionError
+    for g, den in (([2.0, -1.0, 0.5], [1.0, 1.0]), ([1.0, 1.0], [1.0, 1.0, 0.0]),
+                   ([0.5, -0.5], [-1.0, 1.0]), ([3.0, 1.0, 0.25], [2.0, 0.5, 0.125])):
+        with np.errstate(all="ignore"):
+            ends = chebyshev.chebval(np.array([-1.0, 1.0]), g)
+            expected = ends / chebyshev.chebval(np.array([-1.0, 1.0]), den) ** 2
+        if np.all(np.isfinite(expected)):
+            slopes = rational._end_slopes(g, den)
+        else:
+            with pytest.warns(RuntimeWarning, match="encountered in divide"):
+                slopes = rational._end_slopes(g, den)
+        assert _same_bits(np.array(slopes), expected), (g, den)
 
 
 # --------------------------------------------------------------------------
